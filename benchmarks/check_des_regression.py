@@ -2,9 +2,10 @@
 
 Compares a fresh ``run_des_bench.py`` payload against the committed
 ``BENCH_des.json``.  Absolute times are host-specific, so the guard
-compares *speedup ratios* (baseline engine vs current engine, unsharded
-vs sharded — both sides of each ratio measured on the same host in the
-same run): a >25% drop in a serial ratio fails.
+compares *speedup ratios* (baseline engine vs current engine, baseline
+scheduler vs current scheduler, unsharded vs sharded — both sides of
+each ratio measured on the same host in the same run): a >25% drop in
+a serial ratio fails.
 
 Parallel scaling (``workers > 1``) depends on the core count, so those
 comparisons run only when the fresh host's ``cpu_count`` matches the
@@ -55,6 +56,15 @@ def check(committed: dict, fresh: dict) -> list[str]:
             pinned["speedup_timeout_mode"],
             current["speedup_timeout_mode"],
         )
+
+    pinned = committed["scheduler"]
+    current = fresh["scheduler"]
+    if current["n_tasks"] != pinned["n_tasks"]:
+        print("[skip] scheduler: committed and fresh runs used different "
+              "workloads")
+    else:
+        ratio_check("scheduler.speedup", pinned["speedup"],
+                    current["speedup"])
 
     same_cpus = (committed["host"].get("cpu_count")
                  == fresh["host"].get("cpu_count"))

@@ -1,6 +1,6 @@
-"""Record the DES-tier perf trajectory: engine fast paths + sharding.
+"""Record the DES-tier perf trajectory: engine, scheduler and sharding.
 
-Three sections, written as ``BENCH_des.json`` (the committed perf
+Five sections, written as ``BENCH_des.json`` (the committed perf
 record the CI regression guard compares against):
 
 * ``event_loop`` — the engine microbenchmark (1k processes x 100
@@ -10,15 +10,21 @@ record the CI regression guard compares against):
   what the cluster executor uses).  The headline ``speedup_raw`` is
   baseline-vs-raw — same simulated workload, each engine through its
   native wait API.
+* ``scheduler`` — a queue-deep shared-storage scenario (NFS
+  checkpoints, so it cannot shard) on the single event loop, once with
+  the vendored pre-incremental scheduler (``_scheduler_baseline.py``)
+  and once with the current one.  Digest, event count, queue peak and
+  makespan must be equal; ``speedup`` is baseline over current.
 * ``sharding`` — a multi-host contention-free scenario batch through
   the unsharded event loop vs host-group sharding at workers 1/2/4,
   with per-task alignment and digest worker-invariance asserted.  Two
-  shapes: ``queue-deep`` (tasks >> VMs, where the unsharded
-  scheduler's O(queue x hosts) scans dominate) and
-  ``capacity-matched`` (tasks < VMs, no queue — the modest case).
-  On a single-core host the speedup comes from the decomposition
-  itself (smaller heaps, shorter scheduler scans); extra workers add
-  on top wherever there are cores.
+  shapes: ``queue-deep`` (tasks >> VMs) and ``capacity-matched``
+  (tasks < VMs, no queue).  Sharding pays only what decomposition
+  saves over one event loop (smaller heaps) minus the shard plan and
+  merge; extra workers add on top wherever there are cores.
+* ``sharding_ops`` — the same comparison (unsharded vs workers 1/2)
+  on six contention-free op specs of realistic size: the decision
+  record for whether sharding still pays.
 * ``sweep_fallback`` — the overhead-aware dispatch check: a small grid
   with ``workers=2`` must not be slower than serial (it falls back,
   ``workers_effective`` records the choice).
@@ -32,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -46,7 +53,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro._version import __version__
 from repro.des.sharding import run_des_sharded
 from repro.verify.runner import run_des_unsharded
-from repro.verify.scenarios import FailureLaw, Scenario, build_workload
+from repro.verify.scenarios import (
+    FailureLaw,
+    Scenario,
+    build_workload,
+    get_scenario,
+)
 
 #: two ticker shapes: *wide* (many concurrent processes — heap
 #: comparisons at depth log2(1000) are a big shared cost both engines
@@ -141,31 +153,51 @@ def bench_event_loop(repeats: int) -> dict:
     return out
 
 
-def bench_timeout_batch(repeats: int) -> dict:
-    """Batched homogeneous scheduling vs the one-at-a-time loop."""
-    from repro.sim.engine import Environment
+# ----------------------------------------------------------------------
+# Scheduler on a queue-deep unshardable run.
+# ----------------------------------------------------------------------
+def _unsharded_with(scheduler_cls, workload):
+    """``run_des_unsharded`` with the platform building ``scheduler_cls``."""
+    from repro.cluster import platform
 
-    n = 100_000
-    delays = [float(i % 97) for i in range(n)]
+    current = platform.GreedyScheduler
+    platform.GreedyScheduler = scheduler_cls
+    try:
+        return run_des_unsharded(workload)
+    finally:
+        platform.GreedyScheduler = current
 
-    def loop():
-        env = Environment()
-        for d in delays:
-            env.timeout(d)
-        return env
 
-    def batch():
-        env = Environment()
-        env.timeout_batch(delays)
-        return env
+def bench_scheduler(repeats: int, quick: bool) -> dict:
+    import _scheduler_baseline as baseline_scheduler
 
-    times = _best_of_interleaved(repeats, {"loop": loop, "batch": batch})
-    t_loop, t_batch = times["loop"], times["batch"]
+    from repro.cluster.scheduler import GreedyScheduler
+
+    spec = dataclasses.replace(
+        _bench_scenario("bench-des-shared-queue-deep",
+                        n_tasks=200 if quick else 600, n_hosts=4),
+        storage="nfs",
+    )
+    workload = build_workload(spec)
+    base = _unsharded_with(baseline_scheduler.GreedyScheduler, workload)
+    cur = _unsharded_with(GreedyScheduler, workload)
+    assert base.digest == cur.digest and base.extra == cur.extra, \
+        "current scheduler diverges from the baseline!"
+    times = _best_of_interleaved(repeats, {
+        "base": lambda: _unsharded_with(
+            baseline_scheduler.GreedyScheduler, workload),
+        "cur": lambda: _unsharded_with(GreedyScheduler, workload),
+    })
     return {
-        "shape": f"schedule {n} timeouts",
-        "loop_s": round(t_loop, 4),
-        "batch_s": round(t_batch, 4),
-        "speedup_batch": round(t_loop / t_batch, 3),
+        "n_tasks": spec.n_tasks,
+        "n_hosts": spec.n_hosts,
+        "storage": spec.storage,
+        "peak_queue_length": int(cur.extra["peak_queue_length"]),
+        "n_events": int(cur.extra["n_events"]),
+        "baseline_s": round(times["base"], 4),
+        "current_s": round(times["cur"], 4),
+        "speedup": round(times["base"] / times["cur"], 2),
+        "digest_equal": True,
     }
 
 
@@ -185,6 +217,39 @@ def _bench_scenario(name: str, n_tasks: int, n_hosts: int) -> Scenario:
     )
 
 
+def _sharded_vs_unsharded(workload, repeats: int, workers=(1, 2, 4)) -> dict:
+    """Time one workload unsharded and sharded at each worker count,
+    asserting digest worker-invariance and per-task alignment."""
+    t_un, un = _best_of(repeats, lambda: run_des_unsharded(workload))
+    by_workers = {}
+    digests = set()
+    sharded = None
+    for w in workers:
+        t_sh, sharded = _best_of(
+            repeats, lambda w=w: run_des_sharded(workload, workers=w))
+        by_workers[str(w)] = round(t_sh, 4)
+        digests.add(sharded.digest)
+    assert len(digests) == 1, "sharded digests differ across workers!"
+    aligned = (
+        np.array_equal(un.n_failures, sharded.n_failures)
+        and np.array_equal(un.completed, sharded.completed)
+        and np.allclose(un.wallclock, sharded.wallclock,
+                        rtol=1e-7, atol=1e-5, equal_nan=True)
+    )
+    assert aligned, f"{workload.scenario.name}: sharded != unsharded per task!"
+    out = {
+        "n_tasks": workload.n_tasks,
+        "n_shards": int(sharded.extra["n_shards"]),
+        "unsharded_s": round(t_un, 4),
+        "sharded_s_by_workers": by_workers,
+    }
+    for w in workers:
+        out[f"speedup_w{w}_vs_unsharded"] = round(t_un / by_workers[str(w)], 2)
+    out["digest_worker_invariant"] = True
+    out["per_task_aligned_with_unsharded"] = True
+    return out
+
+
 def bench_sharding(repeats: int, quick: bool) -> dict:
     shapes = {
         "queue-deep": _bench_scenario(
@@ -200,36 +265,28 @@ def bench_sharding(repeats: int, quick: bool) -> dict:
     }
     out = {}
     for label, spec in shapes.items():
-        workload = build_workload(spec)
-        t_un, un = _best_of(repeats, lambda: run_des_unsharded(workload))
-        by_workers = {}
-        digests = set()
-        sharded = None
-        for w in (1, 2, 4):
-            t_sh, sharded = _best_of(
-                repeats, lambda w=w: run_des_sharded(workload, workers=w))
-            by_workers[str(w)] = round(t_sh, 4)
-            digests.add(sharded.digest)
-        assert len(digests) == 1, "sharded digests differ across workers!"
-        aligned = (
-            np.array_equal(un.n_failures, sharded.n_failures)
-            and np.array_equal(un.completed, sharded.completed)
-            and np.allclose(un.wallclock, sharded.wallclock,
-                            rtol=1e-7, atol=1e-5, equal_nan=True)
-        )
-        assert aligned, f"{label}: sharded != unsharded per task!"
-        t_w4 = by_workers["4"]
-        out[label] = {
-            "n_tasks": spec.n_tasks,
-            "n_hosts": spec.n_hosts,
-            "n_shards": int(sharded.extra["n_shards"]),
-            "unsharded_s": round(t_un, 4),
-            "sharded_s_by_workers": by_workers,
-            "speedup_w1_vs_unsharded": round(t_un / by_workers["1"], 2),
-            "speedup_w4_vs_unsharded": round(t_un / t_w4, 2),
-            "digest_worker_invariant": True,
-            "per_task_aligned_with_unsharded": True,
-        }
+        row = _sharded_vs_unsharded(build_workload(spec), repeats)
+        out[label] = {"n_hosts": spec.n_hosts, **row}
+    return out
+
+
+#: contention-free op specs of realistic size: (scenario, overrides)
+SHARDING_OPS = (
+    ("exp-baseline-local", {"n_tasks": 2000}),
+    ("bursty-arrivals", {"n_tasks": 2000}),
+    ("hetero-hosts", {"n_tasks": 2000}),
+    ("steady-arrivals", {"n_tasks": 2000}),
+    ("google-trace-steady", {"trace_jobs": 300}),
+    ("google-trace-bursty", {"trace_jobs": 300}),
+)
+
+
+def bench_sharding_ops(repeats: int, quick: bool) -> dict:
+    out = {}
+    for name, overrides in SHARDING_OPS[:2] if quick else SHARDING_OPS:
+        spec = dataclasses.replace(get_scenario(name), **overrides)
+        out[name] = _sharded_vs_unsharded(
+            build_workload(spec), repeats, workers=(1, 2))
     return out
 
 
@@ -259,11 +316,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_des.json")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--quick", action="store_true",
-                        help="smaller sharding shapes (CI budget)")
+                        help="smaller scheduler and sharding shapes")
     args = parser.parse_args(argv)
 
     payload = {
-        "benchmark": "des-tier-engine-and-sharding",
+        "benchmark": "des-tier-engine-scheduler-and-sharding",
         "version": __version__,
         "repeats": args.repeats,
         "quick": args.quick,
@@ -274,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "event_loop": bench_event_loop(args.repeats),
-        "timeout_batch": bench_timeout_batch(args.repeats),
+        "scheduler": bench_scheduler(args.repeats, args.quick),
         "sharding": bench_sharding(args.repeats, args.quick),
+        "sharding_ops": bench_sharding_ops(args.repeats, args.quick),
         "sweep_fallback": bench_sweep_fallback(args.repeats),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -150,19 +150,6 @@ def test_des_event_loop_raw_wait_throughput(benchmark):
     assert benchmark(run) == 100.0
 
 
-def test_des_timeout_batch_scheduling(benchmark):
-    """Batched scheduling of 100k homogeneous timeouts (one heapify
-    instead of 100k pushes)."""
-    delays = [float(i % 97) for i in range(100_000)]
-
-    def run():
-        env = Environment()
-        env.timeout_batch(delays)
-        return len(env._queue)
-
-    assert benchmark(run) == 100_000
-
-
 def test_mle_fitting_throughput(benchmark, rng=np.random.default_rng(3)):
     """Five-family MLE + KS ranking over 100k intervals (Fig. 5 kernel)."""
     data = Pareto(50.0, 1.2).sample(rng, 100_000)

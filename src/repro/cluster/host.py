@@ -4,6 +4,17 @@ Placement bookkeeping only: a :class:`VirtualMachine` hosts at most one
 task at a time (the paper pins each task to a VM instance with isolated
 resources), and a :class:`PhysicalHost` aggregates its VMs' free memory
 — the quantity the greedy scheduler maximizes.
+
+The aggregates are incremental: :meth:`VirtualMachine.assign` and
+:meth:`~VirtualMachine.release` keep the host's idle-VM count, and a
+host whose VMs all have the same size tabulates its free memory by idle
+count when VMs are attached, so :attr:`PhysicalHost.available_mem_mb`
+and :attr:`PhysicalHost.n_idle_vms` are O(1) reads.  Each table entry
+is the same left-to-right sum the idle VMs would give, so free-memory
+ties compare exactly as a fresh sum would.  A host with mixed VM sizes
+sums its idle VMs on every read.  Attach VMs through
+:meth:`PhysicalHost.add_vm` and change ``busy`` only through
+``assign``/``release``; both keep the aggregates exact.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ class VirtualMachine:
             raise RuntimeError(f"VM {self.vm_id} is already busy")
         self.busy = True
         self.current_task_id = task_id
+        self.host.n_idle_vms -= 1
 
     def release(self) -> None:
         """Free the VM."""
@@ -47,6 +59,7 @@ class VirtualMachine:
         self.busy = False
         self.current_task_id = None
         self.current_process = None
+        self.host.n_idle_vms += 1
 
 
 @dataclass
@@ -57,13 +70,30 @@ class PhysicalHost:
     mem_mb: float
     vms: list[VirtualMachine] = field(default_factory=list)
     ramdisk: LocalRamdisk = field(default=None)  # type: ignore[assignment]
-    #: liveness flag maintained by the host-failure monitor
+    #: liveness flag, written through
+    #: :meth:`~repro.cluster.scheduler.GreedyScheduler.set_host_up`
     up: bool = True
     n_crashes: int = 0
+    #: number of idle VMs on this host (live or not)
+    n_idle_vms: int = field(default=0, init=False, repr=False, compare=False)
+    #: free memory by idle-VM count when every VM has the same memory
+    #: (``None`` for mixed sizes)
+    _free_by_idle: list | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self) -> None:
         if self.ramdisk is None:
             self.ramdisk = LocalRamdisk(self.host_id)
+        self._index()
+
+    def _index(self) -> None:
+        """Recompute the idle count and free-memory table from ``vms``."""
+        self.n_idle_vms = sum(1 for v in self.vms if not v.busy)
+        free = [0]
+        for v in self.vms:
+            free.append(free[-1] + v.mem_mb)
+        same_size = len({v.mem_mb for v in self.vms}) <= 1
+        self._free_by_idle = free if same_size else None
 
     def add_vm(self, vm_id: int, mem_mb: float, ramdisk_mb: float) -> VirtualMachine:
         """Attach a new VM to this host."""
@@ -76,6 +106,7 @@ class PhysicalHost:
         vm = VirtualMachine(vm_id=vm_id, host=self, mem_mb=mem_mb,
                             ramdisk_mb=ramdisk_mb)
         self.vms.append(vm)
+        self._index()
         return vm
 
     @property
@@ -84,9 +115,7 @@ class PhysicalHost:
         a down host offers nothing."""
         if not self.up:
             return 0.0
+        free = self._free_by_idle
+        if free is not None:
+            return free[self.n_idle_vms]
         return sum(v.mem_mb for v in self.vms if not v.busy)
-
-    @property
-    def n_idle_vms(self) -> int:
-        """Number of idle VMs on this host."""
-        return sum(1 for v in self.vms if not v.busy)

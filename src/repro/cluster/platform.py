@@ -239,15 +239,14 @@ class CloudPlatform:
             rejoins and queued work can use it again."""
             while True:
                 yield float(hrng.exponential(mtbf))
-                host.up = False
+                scheduler.set_host_up(host, False)
                 host.n_crashes += 1
                 for vm in host.vms:
                     proc = vm.current_process
                     if vm.busy and proc is not None and proc.is_alive:
                         proc.interrupt("host-failure")
                 yield float(repair)
-                host.up = True
-                scheduler.notify_capacity_change()
+                scheduler.set_host_up(host, True)
 
         if cfg.host_mtbf is not None:
             for host in hosts:

@@ -34,10 +34,7 @@ deliberately flattened:
   (interrupt) zeroes the generation, so a stale entry is recognized
   and skipped when it surfaces, exactly like a cancelled Timeout
   draining with no callbacks left.  This is the allocation-free wait the
-  cluster executor uses for its homogeneous interval/overhead waits;
-* :meth:`Environment.timeout_batch` schedules many homogeneous waits
-  in one call, amortizing the per-event push into a single
-  ``heapq.heapify`` when the batch dominates the queue.
+  cluster executor uses for its homogeneous interval/overhead waits.
 
 None of this changes observable behaviour: every entry still receives
 its ``(time, priority, seq)`` key in exactly the order the equivalent
@@ -53,7 +50,7 @@ event count — is bit-identical to the straightforward implementation.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from collections.abc import Generator
 from typing import Any, Callable
 
@@ -476,51 +473,6 @@ class Environment:
         self._seq = seq
         heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
         return ev
-
-    def timeout_batch(
-        self, delays, value: Any = None
-    ) -> "list[Timeout]":
-        """Create one :class:`Timeout` per entry of ``delays`` in one call.
-
-        Semantically identical to ``[self.timeout(d, value) for d in
-        delays]`` — the timeouts receive consecutive sequence numbers in
-        input order, so the pop order (and therefore every observable
-        result) matches the one-at-a-time loop exactly.  The difference
-        is purely mechanical: when the batch is at least as large as
-        the existing queue the entries are appended and the heap is
-        rebuilt with one O(n) ``heapify`` instead of ``len(delays)``
-        O(log n) pushes — the fast path for scheduling a workload's
-        homogeneous arrival (or retry) waves up front.
-        """
-        delays = list(delays)
-        if any(d < 0 for d in delays):
-            raise ValueError(
-                f"negative delay {min(delays)}")
-        queue = self._queue
-        now = self._now
-        seq = self._seq
-        out: list[Timeout] = []
-        append = out.append
-        new = Timeout.__new__
-        use_heapify = len(delays) >= len(queue)
-        push = queue.append if use_heapify else (
-            lambda entry: heappush(queue, entry))
-        for delay in delays:
-            ev = new(Timeout)
-            ev.env = self
-            ev.callbacks = []
-            ev._value = value
-            ev._exc = None
-            ev._triggered = True
-            ev._processed = False
-            ev.delay = delay
-            seq += 1
-            push((now + delay, NORMAL, seq, ev))
-            append(ev)
-        self._seq = seq
-        if use_heapify:
-            heapify(queue)
-        return out
 
     def process(self, gen: Generator, name: str | None = None) -> Process:
         """Register a generator as a new :class:`Process`."""

@@ -409,50 +409,6 @@ class TestRawWaits:
         assert at == [1.0]
 
 
-class TestTimeoutBatch:
-    def test_batch_matches_sequential_order(self):
-        delays = [3.0, 1.0, 2.0, 1.0]
-        fired_loop, fired_batch = [], []
-
-        env1 = Environment()
-        for i, d in enumerate(delays):
-            ev = env1.timeout(d)
-            ev.callbacks.append(lambda e, i=i: fired_loop.append(i))
-        env1.run()
-
-        env2 = Environment()
-        for i, ev in enumerate(env2.timeout_batch(delays)):
-            ev.callbacks.append(lambda e, i=i: fired_batch.append(i))
-        env2.run()
-
-        assert fired_batch == fired_loop == [1, 3, 2, 0]
-
-    def test_batch_on_nonempty_queue(self):
-        env = Environment()
-        env.timeout(5.0)
-        evs = env.timeout_batch([1.0, 2.0])
-        env.run()
-        assert env.now == 5.0
-        assert all(ev.processed for ev in evs)
-
-    def test_batch_negative_delay_rejected(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            env.timeout_batch([1.0, -2.0])
-
-    def test_batch_value_and_yieldability(self):
-        env = Environment()
-        got = []
-
-        def proc(evs):
-            for ev in evs:
-                got.append((yield ev))
-
-        env.process(proc(env.timeout_batch([1.0, 2.0], value="v")))
-        env.run()
-        assert got == ["v", "v"]
-
-
 class TestConditions:
     def test_any_of_first_wins(self):
         env = Environment()
