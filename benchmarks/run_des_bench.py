@@ -38,7 +38,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
@@ -52,13 +51,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro._version import __version__
 from repro.des.sharding import run_des_sharded
-from repro.verify.runner import run_des_unsharded
-from repro.verify.scenarios import (
-    FailureLaw,
-    Scenario,
-    build_workload,
-    get_scenario,
+from repro.spec import (
+    ExecutionSpec,
+    FailureLawSpec,
+    FailureSpec,
+    RunSpec,
+    StorageSpec,
+    WorkloadSpec,
 )
+from repro.verify.runner import run_des_unsharded
+from repro.verify.scenarios import build_workload, get_scenario
 
 #: two ticker shapes: *wide* (many concurrent processes — heap
 #: comparisons at depth log2(1000) are a big shared cost both engines
@@ -173,11 +175,9 @@ def bench_scheduler(repeats: int, quick: bool) -> dict:
 
     from repro.cluster.scheduler import GreedyScheduler
 
-    spec = dataclasses.replace(
-        _bench_scenario("bench-des-shared-queue-deep",
-                        n_tasks=200 if quick else 600, n_hosts=4),
-        storage="nfs",
-    )
+    spec = _bench_scenario("bench-des-shared-queue-deep",
+                           n_tasks=200 if quick else 600,
+                           n_hosts=4).evolve(**{"storage.mode": "nfs"})
     workload = build_workload(spec)
     base = _unsharded_with(baseline_scheduler.GreedyScheduler, workload)
     cur = _unsharded_with(GreedyScheduler, workload)
@@ -189,9 +189,9 @@ def bench_scheduler(repeats: int, quick: bool) -> dict:
         "cur": lambda: _unsharded_with(GreedyScheduler, workload),
     })
     return {
-        "n_tasks": spec.n_tasks,
-        "n_hosts": spec.n_hosts,
-        "storage": spec.storage,
+        "n_tasks": spec.workload.n_tasks,
+        "n_hosts": spec.execution.n_hosts,
+        "storage": spec.storage.mode,
         "peak_queue_length": int(cur.extra["peak_queue_length"]),
         "n_events": int(cur.extra["n_events"]),
         "baseline_s": round(times["base"], 4),
@@ -204,16 +204,18 @@ def bench_scheduler(repeats: int, quick: bool) -> dict:
 # ----------------------------------------------------------------------
 # DES-tier sharding.
 # ----------------------------------------------------------------------
-def _bench_scenario(name: str, n_tasks: int, n_hosts: int) -> Scenario:
-    return Scenario(
+def _bench_scenario(name: str, n_tasks: int, n_hosts: int) -> RunSpec:
+    return RunSpec(
         name=name,
         description="DES benchmark scenario (not registered)",
-        axes=("bench",),
-        laws=(FailureLaw(priority=5, family="exponential", mean=600.0),),
-        n_tasks=n_tasks,
-        n_hosts=n_hosts,
-        vms_per_host=7,
-        storage="local",
+        tags=("bench",),
+        workload=WorkloadSpec(n_tasks=n_tasks),
+        failures=FailureSpec(laws=(
+            FailureLawSpec(priority=5, family="exponential", mean=600.0),
+        )),
+        storage=StorageSpec(mode="local"),
+        execution=ExecutionSpec(tier="des", n_hosts=n_hosts,
+                                vms_per_host=7),
     )
 
 
@@ -236,7 +238,7 @@ def _sharded_vs_unsharded(workload, repeats: int, workers=(1, 2, 4)) -> dict:
         and np.allclose(un.wallclock, sharded.wallclock,
                         rtol=1e-7, atol=1e-5, equal_nan=True)
     )
-    assert aligned, f"{workload.scenario.name}: sharded != unsharded per task!"
+    assert aligned, f"{workload.spec.name}: sharded != unsharded per task!"
     out = {
         "n_tasks": workload.n_tasks,
         "n_shards": int(sharded.extra["n_shards"]),
@@ -266,25 +268,25 @@ def bench_sharding(repeats: int, quick: bool) -> dict:
     out = {}
     for label, spec in shapes.items():
         row = _sharded_vs_unsharded(build_workload(spec), repeats)
-        out[label] = {"n_hosts": spec.n_hosts, **row}
+        out[label] = {"n_hosts": spec.execution.n_hosts, **row}
     return out
 
 
 #: contention-free op specs of realistic size: (scenario, overrides)
 SHARDING_OPS = (
-    ("exp-baseline-local", {"n_tasks": 2000}),
-    ("bursty-arrivals", {"n_tasks": 2000}),
-    ("hetero-hosts", {"n_tasks": 2000}),
-    ("steady-arrivals", {"n_tasks": 2000}),
-    ("google-trace-steady", {"trace_jobs": 300}),
-    ("google-trace-bursty", {"trace_jobs": 300}),
+    ("exp-baseline-local", {"workload.n_tasks": 2000}),
+    ("bursty-arrivals", {"workload.n_tasks": 2000}),
+    ("hetero-hosts", {"workload.n_tasks": 2000}),
+    ("steady-arrivals", {"workload.n_tasks": 2000}),
+    ("google-trace-steady", {"workload.trace_jobs": 300}),
+    ("google-trace-bursty", {"workload.trace_jobs": 300}),
 )
 
 
 def bench_sharding_ops(repeats: int, quick: bool) -> dict:
     out = {}
     for name, overrides in SHARDING_OPS[:2] if quick else SHARDING_OPS:
-        spec = dataclasses.replace(get_scenario(name), **overrides)
+        spec = get_scenario(name).evolve(**overrides)
         out[name] = _sharded_vs_unsharded(
             build_workload(spec), repeats, workers=(1, 2))
     return out
@@ -294,11 +296,18 @@ def bench_sharding_ops(repeats: int, quick: bool) -> dict:
 # Overhead-aware sweep dispatch.
 # ----------------------------------------------------------------------
 def bench_sweep_fallback(repeats: int) -> dict:
-    from repro.parallel.sweep import build_grid, run_sweep
+    from repro.experiments.common import policy_run_spec
+    from repro.parallel.sweep import run_specs
 
-    points = build_grid(["optimal", "young"], ["auto", "local"], [300], [0])
-    t_serial, rep1 = _best_of(repeats, lambda: run_sweep(points, workers=1))
-    t_w2, rep2 = _best_of(repeats, lambda: run_sweep(points, workers=2))
+    points = [
+        policy_run_spec(policy, storage=storage, n_jobs=300, trace_seed=0,
+                        estimation="oracle",
+                        name=f"sweep-{policy}-{storage}-j300-t0")
+        for policy in ("optimal", "young")
+        for storage in ("auto", "local")
+    ]
+    t_serial, rep1 = _best_of(repeats, lambda: run_specs(points, workers=1))
+    t_w2, rep2 = _best_of(repeats, lambda: run_specs(points, workers=2))
     assert [p["digest"] for p in rep1["points"]] == \
            [p["digest"] for p in rep2["points"]]
     return {

@@ -27,8 +27,9 @@ import numpy as np
 from repro._version import __version__
 from repro.core.simulate import simulate_tasks, simulate_tasks_blocked
 from repro.failures.distributions import Exponential, Pareto
+from repro.experiments.common import policy_run_spec
 from repro.parallel import simulate_tasks_sharded
-from repro.parallel.sweep import build_grid, run_sweep
+from repro.parallel.sweep import run_specs
 
 
 def _best_of(repeats, fn):
@@ -141,17 +142,22 @@ def bench_sweep(repeats: int) -> dict:
     """
     from repro.parallel.sweep import SERIAL_FALLBACK_COST, estimate_spec_cost
 
-    points = build_grid(["optimal", "young"], ["auto", "local"], [300], [0])
-    t_serial, rep1 = _best_of(repeats, lambda: run_sweep(points, workers=1))
-    t_pool, rep2 = _best_of(repeats, lambda: run_sweep(points, workers=2))
+    points = [
+        policy_run_spec(policy, storage=storage, n_jobs=300, trace_seed=0,
+                        estimation="oracle",
+                        name=f"sweep-{policy}-{storage}-j300-t0")
+        for policy in ("optimal", "young")
+        for storage in ("auto", "local")
+    ]
+    t_serial, rep1 = _best_of(repeats, lambda: run_specs(points, workers=1))
+    t_pool, rep2 = _best_of(repeats, lambda: run_specs(points, workers=2))
     d1 = [p["digest"] for p in rep1["points"]]
     d2 = [p["digest"] for p in rep2["points"]]
     assert d1 == d2, "sweep digests differ across workers!"
     return {
         "grid": "2 policies x 2 storage x 300 jobs",
         "n_points": len(points),
-        "estimated_cost": round(sum(
-            estimate_spec_cost(p.to_spec()) for p in points)),
+        "estimated_cost": round(sum(estimate_spec_cost(p) for p in points)),
         "serial_fallback_threshold": SERIAL_FALLBACK_COST,
         "serial_s": round(t_serial, 4),
         "workers2_s": round(t_pool, 4),

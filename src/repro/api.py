@@ -12,11 +12,11 @@ dispatches it to the right engine:
   (:func:`repro.experiments.common.evaluate_policy`), also sharded
   through :mod:`repro.parallel` when ``execution.workers > 1``.
 
-The scalar/vector/des tiers execute by *lowering* the spec to a
-:class:`~repro.verify.scenarios.Scenario` and reusing the verify
-subsystem's workload builder, so a spec lowered from a registered
-scenario reproduces that scenario's golden scalar digest bit-for-bit
-(:func:`verify_lowering` checks all of them; CI gates on it).
+The scalar/vector/des tiers materialize the spec through the verify
+subsystem's workload builder
+(:func:`repro.verify.scenarios.build_workload`), and the verify
+registry holds plain specs, so ``run(get_scenario(name))`` is the
+computation ``repro verify`` pins in its golden scalar digests.
 
 Passing ``store=`` (a :class:`~repro.store.ResultStore` or a path)
 gives any caller content-addressed caching: a spec whose
@@ -31,7 +31,6 @@ The module doubles as the ``repro run`` CLI::
     repro run --scenario exp-baseline-local --set execution.tier=vector
     repro run --spec run.toml --set policy.name=young --out result.json
     repro run --spec run.json --store results/   # skip-if-cached
-    repro run --check-lowering        # all scenarios vs golden digests
 """
 
 from __future__ import annotations
@@ -40,175 +39,33 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.store import ResultStore, RunRecord
-from repro.spec import (
-    ExecutionSpec,
-    FailureLawSpec,
-    FailureSpec,
-    PolicySpec,
-    RunSpec,
-    SpecError,
-    StorageSpec,
-    WorkloadSpec,
-    load_spec,
-)
+from repro.spec import RunSpec, SpecError, load_spec
 from repro.verify.runner import TierResult, run_des, run_scalar, run_vector
-from repro.verify.scenarios import (
-    FailureLaw,
-    Scenario,
-    build_workload,
-    get_scenario,
-    list_scenarios,
-)
+from repro.verify.scenarios import build_workload, get_scenario
 
 __all__ = [
     "RunResult",
     "main",
     "run",
     "scenario_spec",
-    "scenario_to_spec",
-    "spec_to_scenario",
-    "verify_lowering",
 ]
-
-# ----------------------------------------------------------------------
-# Scenario <-> RunSpec lowering.
-# ----------------------------------------------------------------------
-def scenario_to_spec(
-    scenario: Scenario,
-    *,
-    base_seed: int = 0,
-    tier: str = "scalar",
-    workers: int = 1,
-) -> RunSpec:
-    """Lower a verify :class:`Scenario` to an equivalent :class:`RunSpec`.
-
-    The lowering is exact: :func:`spec_to_scenario` inverts it
-    field-for-field, so running the lowered spec reproduces the
-    scenario's workload (and therefore its golden scalar digest)
-    bit-for-bit.
-    """
-    return RunSpec(
-        name=scenario.name,
-        description=scenario.description,
-        tags=tuple(scenario.axes),
-        workload=WorkloadSpec(
-            source="google" if scenario.from_trace else "synthetic",
-            n_tasks=scenario.n_tasks,
-            te_mode=scenario.te_mode,
-            te_mean=scenario.te_mean,
-            te_sigma=scenario.te_sigma,
-            te_min=scenario.te_min,
-            te_max=scenario.te_max,
-            mem_mean=scenario.mem_mean,
-            mem_sigma=scenario.mem_sigma,
-            mem_min=scenario.mem_min,
-            mem_max=scenario.mem_max,
-            arrival=scenario.arrival,
-            arrival_rate=scenario.arrival_rate,
-            burst_size=scenario.burst_size,
-            trace_jobs=scenario.trace_jobs,
-            trace_arrival=scenario.trace_arrival,
-            trace_burst_size=scenario.trace_burst_size,
-        ),
-        failures=FailureSpec(
-            laws=tuple(
-                FailureLawSpec(priority=law.priority, family=law.family,
-                               mean=law.mean, shape=law.shape)
-                for law in scenario.laws
-            ),
-            host_mtbf=scenario.host_mtbf,
-            host_repair_time=scenario.host_repair_time,
-        ),
-        storage=StorageSpec(mode=scenario.storage),
-        policy=PolicySpec(name=scenario.policy, param=scenario.policy_param),
-        execution=ExecutionSpec(
-            tier=tier,
-            base_seed=base_seed,
-            workers=workers,
-            n_hosts=scenario.n_hosts,
-            vms_per_host=scenario.vms_per_host,
-            vms_per_host_pattern=scenario.vms_per_host_pattern,
-            failure_detection_delay=scenario.failure_detection_delay,
-            placement_overhead=scenario.placement_overhead,
-            compare=scenario.compare,
-            loose_lo=scenario.loose_lo,
-            loose_hi=scenario.loose_hi,
-            quick=scenario.quick,
-        ),
-    )
-
-
-def spec_to_scenario(spec: RunSpec) -> Scenario:
-    """Raise a :class:`RunSpec` back into a verify :class:`Scenario`.
-
-    This is how the scalar/vector/des tiers execute a spec: the
-    scenario builder (:func:`repro.verify.scenarios.build_workload`) is
-    a pure function of ``(scenario, base_seed)``, so reusing it keeps
-    every digest guarantee the verify subsystem pins.
-    """
-    w, f, ex = spec.workload, spec.failures, spec.execution
-    if w.source == "history":
-        raise SpecError(
-            f"{spec.name}: 'history' workloads run on the replay tier "
-            "(repro.experiments), not through a scenario"
-        )
-    return Scenario(
-        name=spec.name,
-        description=spec.description,
-        axes=tuple(spec.tags),
-        laws=tuple(
-            FailureLaw(priority=law.priority, family=law.family,
-                       mean=law.mean, shape=law.shape)
-            for law in f.laws
-        ),
-        n_tasks=w.n_tasks,
-        te_mode=w.te_mode,
-        te_mean=w.te_mean,
-        te_sigma=w.te_sigma,
-        te_min=w.te_min,
-        te_max=w.te_max,
-        mem_mean=w.mem_mean,
-        mem_sigma=w.mem_sigma,
-        mem_min=w.mem_min,
-        mem_max=w.mem_max,
-        policy=spec.policy.name,
-        policy_param=spec.policy.param,
-        storage=spec.storage.mode,
-        arrival=w.arrival,
-        arrival_rate=w.arrival_rate,
-        burst_size=w.burst_size,
-        n_hosts=ex.n_hosts,
-        vms_per_host=ex.vms_per_host,
-        vms_per_host_pattern=ex.vms_per_host_pattern,
-        failure_detection_delay=ex.failure_detection_delay,
-        placement_overhead=ex.placement_overhead,
-        host_mtbf=f.host_mtbf,
-        host_repair_time=f.host_repair_time,
-        from_trace=w.source == "google",
-        trace_jobs=w.trace_jobs,
-        trace_arrival=w.trace_arrival,
-        trace_burst_size=w.trace_burst_size,
-        compare=ex.compare,
-        loose_lo=ex.loose_lo,
-        loose_hi=ex.loose_hi,
-        quick=ex.quick,
-    )
 
 
 def scenario_spec(
     name: str, *, base_seed: int = 0, tier: str = "scalar", workers: int = 1
 ) -> RunSpec:
-    """Look up a registered scenario by name and lower it to a spec."""
-    return scenario_to_spec(
-        get_scenario(name), base_seed=base_seed, tier=tier, workers=workers
-    )
+    """The registered scenario ``name`` at this tier, seed and workers."""
+    return get_scenario(name).evolve(**{
+        "execution.tier": tier,
+        "execution.base_seed": base_seed,
+        "execution.workers": workers,
+    })
 
 
 # ----------------------------------------------------------------------
@@ -283,28 +140,6 @@ class RunResult:
         }
 
 
-#: process-wide latch for the DES-tier shard-refusal warning: one
-#: warning per process documents the situation without drowning sweeps
-#: in noise; every refused result also records ``shard_refused`` in
-#: ``extra``.
-_DES_REFUSAL_WARNED = False
-
-
-def _warn_des_refused(spec: RunSpec, reason: str) -> None:
-    global _DES_REFUSAL_WARNED
-    if _DES_REFUSAL_WARNED:
-        return
-    _DES_REFUSAL_WARNED = True
-    warnings.warn(
-        f"{spec.name}: execution.workers={spec.execution.workers} has no "
-        f"effect on this 'des' run — it refuses to shard: {reason}; "
-        "continuing with a single event loop, workers_effective=1 and "
-        "shard_refused=1 recorded in the result (warned once per process)",
-        UserWarning,
-        stacklevel=3,
-    )
-
-
 def run(
     spec: RunSpec,
     *,
@@ -340,8 +175,8 @@ def run(
     The scalar reference loop stays single-stream
     (``workers_effective=1`` in ``extra``), and DES runs whose physics
     cannot decompose (shared storage, host crashes) refuse to shard:
-    they record ``shard_refused=1`` in ``extra`` and warn once per
-    process when workers were requested.
+    when workers were requested they record ``shard_refused=1`` in
+    ``extra`` and log the reason on the ``repro.api`` logger.
     """
     if store is not None:
         if trace is not None or catalog is not None:
@@ -394,8 +229,7 @@ def _execute(spec: RunSpec, *, trace=None, catalog=None) -> RunResult:
         raise SpecError(
             "the trace/catalog overrides only apply to the replay tier"
         )
-    workload = build_workload(spec_to_scenario(spec),
-                              spec.execution.base_seed)
+    workload = build_workload(spec)
     if tier == "scalar":
         tr = run_scalar(workload)
         workers_effective = 1
@@ -417,10 +251,15 @@ def _execute(spec: RunSpec, *, trace=None, catalog=None) -> RunResult:
             workers_effective = 1
             shard_refused = workers > 1
             if shard_refused:
+                import logging
+
                 from repro.des.sharding import shard_refusal_reason
 
-                _warn_des_refused(
-                    spec,
+                logging.getLogger("repro.api").info(
+                    "%s: execution.workers=%d has no effect on this 'des' "
+                    "run, which refuses to shard: %s; ran a single event "
+                    "loop (shard_refused=1)",
+                    spec.name, workers,
                     shard_refusal_reason(workload.cluster)
                     or "the workload has nothing to decompose",
                 )
@@ -438,32 +277,6 @@ def _execute(spec: RunSpec, *, trace=None, catalog=None) -> RunResult:
         extra=extra,
         tier_result=tr,
     )
-
-
-def verify_lowering(base_seed: int = 0, golden_dir=None) -> list[dict]:
-    """Lower every registered scenario to a spec, run the scalar tier
-    from the lowered spec, and compare against the golden digests.
-
-    Returns one row per scenario:
-    ``{"scenario", "digest", "golden", "match"}``.  CI gates on every
-    row matching — this is the proof that the RunSpec path is not a
-    fourth divergent description of a run but the same computation.
-    """
-    from repro.verify.golden import load_golden
-
-    rows = []
-    for scenario in list_scenarios():
-        spec = scenario_to_spec(scenario, base_seed=base_seed, tier="scalar")
-        result = run(spec)
-        golden = load_golden(scenario.name, golden_dir)
-        pinned = golden["scalar"]["digest"] if golden else None
-        rows.append({
-            "scenario": scenario.name,
-            "digest": result.digest,
-            "golden": pinned,
-            "match": pinned is not None and result.digest == pinned,
-        })
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -494,12 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--spec", metavar="PATH",
                         help="spec file (.json or .toml)")
     source.add_argument("--scenario", metavar="NAME",
-                        help="start from a registered verify scenario, "
-                             "lowered to a spec")
-    source.add_argument("--check-lowering", action="store_true",
-                        help="lower all registered scenarios, re-run the "
-                             "scalar tier from the lowered specs, and check "
-                             "the golden digests reproduce bit-for-bit")
+                        help="start from a registered verify scenario spec")
     parser.add_argument("--set", metavar="KEY=VALUE", action="append",
                         default=[], dest="overrides",
                         help="dotted-path spec override, e.g. "
@@ -517,31 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_lowering_main(out: str | None) -> int:
-    rows = verify_lowering()
-    for row in rows:
-        status = "ok" if row["match"] else "MISMATCH"
-        print(f"{row['scenario']:28s} {status:8s} spec-run "
-              f"{(row['digest'] or '?')[:16]}  golden "
-              f"{(row['golden'] or 'missing')[:16]}")
-    n_bad = sum(not r["match"] for r in rows)
-    print(f"\n{len(rows) - n_bad}/{len(rows)} lowered scenarios reproduce "
-          "their golden scalar digest")
-    if out:
-        Path(out).write_text(json.dumps(rows, indent=2) + "\n")
-        print(f"[report written to {out}]")
-    return 0 if n_bad == 0 else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro run``; returns an exit status."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.check_lowering:
-            if args.overrides or args.print_spec:
-                parser.error("--check-lowering takes no --set/--print-spec")
-            return _check_lowering_main(args.out)
         if args.spec:
             spec = load_spec(args.spec)
         elif args.scenario:
@@ -551,8 +339,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {exc.args[0]}", file=sys.stderr)
                 return 2
         else:
-            parser.error("one of --spec, --scenario, --check-lowering "
-                         "is required")
+            parser.error("one of --spec, --scenario is required")
         if args.overrides:
             spec = spec.evolve(
                 **dict(_parse_set(item) for item in args.overrides)

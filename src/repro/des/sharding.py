@@ -201,14 +201,14 @@ def run_des_sharded(workload, workers: int = 1):
     reason = shard_refusal_reason(workload.cluster)
     if reason is not None:
         raise ShardingError(
-            f"{workload.scenario.name}: cannot shard — {reason}"
+            f"{workload.spec.name}: cannot shard — {reason}"
         )
     trace_jobs = tuple(workload.trace)
     plan = plan_host_groups(workload.cluster.n_hosts, len(trace_jobs))
     if not plan:
         # Degenerate (empty trace): nothing to decompose.
         return run_des_unsharded(workload)
-    scenario = workload.scenario
+    policy = workload.spec.policy
     jobs = [
         (
             "des",
@@ -217,8 +217,8 @@ def run_des_sharded(workload, workers: int = 1):
                 "catalog": workload.catalog,
                 "seed": workload.seed,
                 "jobs": tuple(trace_jobs[j] for j in job_idx),
-                "policy": scenario.policy,
-                "policy_param": scenario.policy_param,
+                "policy": policy.name,
+                "policy_param": policy.param,
                 "mnof_by_priority": workload.mnof_by_priority,
                 "mtbf_by_priority": workload.mtbf_by_priority,
             },

@@ -2,7 +2,9 @@
 
 The paper's large-scale runs (Table 6, Figs. 9–13) all follow one
 recipe, which :func:`evaluate_policy` implements over the Monte-Carlo
-tier:
+tier.  Each evaluation is one replay-tier :class:`~repro.spec.RunSpec`
+(:func:`policy_run_spec` builds it; :func:`repro.api.run` executes it
+with caching):
 
 1. flatten the trace into per-task arrays;
 2. attach believed failure statistics — either *oracle* (each task's
@@ -22,14 +24,12 @@ tier:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from repro.core.placement import select_storage_batch
-from repro.core.policies import CheckpointPolicy
 from repro.core.simulate import SimulationResult
 from repro.metrics.wpr import wpr_from_arrays
 from repro.parallel.runner import (
@@ -302,10 +302,9 @@ def policy_run_spec(
 ) -> RunSpec:
     """Build the replay-tier :class:`RunSpec` for one policy evaluation.
 
-    This is the declarative form of the historical
-    ``evaluate_policy(default_trace(n_jobs, seed), policy, ...)``
-    keyword recipe — same defaults, same semantics — used by the
-    paper-artifact experiments and the sweep grids.
+    The keywords name the spec fields the paper-artifact experiments
+    and the ``repro sweep`` flag grids vary; ``seed`` is
+    ``execution.base_seed`` (the redraw-mode failure seed).
     """
     return RunSpec(
         name=name or f"{policy}-{storage}-j{n_jobs}-t{trace_seed}",
@@ -325,119 +324,29 @@ def policy_run_spec(
     )
 
 
-#: sentinel distinguishing "not passed" from an explicit default value,
-#: so the spec path can reject engine kwargs instead of ignoring them.
-_UNSET = object()
-
-#: the legacy calling convention's engine defaults.
-_ENGINE_DEFAULTS = dict(
-    estimation="priority",
-    failure_mode="replay",
-    length_cap=math.inf,
-    seed=99,
-    restart_delay=0.0,
-    storage="auto",
-    workers=1,
-)
-
-
 def evaluate_policy(
-    spec_or_trace=None,
-    policy: CheckpointPolicy | None = None,
-    estimation: str = _UNSET,
-    failure_mode: str = _UNSET,
-    length_cap: float = _UNSET,
-    catalog=None,
-    seed: int = _UNSET,
-    restart_delay: float = _UNSET,
-    storage: str = _UNSET,
-    workers: int = _UNSET,
-    *,
-    trace: Trace | None = None,
+    spec: RunSpec, *, trace: Trace | None = None, catalog=None
 ) -> PolicyRun:
-    """Run one policy evaluation (see module docstring).
+    """Run one replay-tier policy evaluation (see module docstring).
 
-    The canonical call passes a replay-tier
-    :class:`~repro.spec.RunSpec` (build one with
-    :func:`policy_run_spec` or lower a sweep point), optionally with
-    ``trace=`` overriding the materialized evaluation trace for
-    pre-filtered job samples::
+    Build the spec with :func:`policy_run_spec` (or any replay-tier
+    :class:`~repro.spec.RunSpec`); ``trace=`` overrides the
+    materialized evaluation trace for pre-filtered job samples::
 
         evaluate_policy(policy_run_spec("optimal", estimation="oracle"))
         evaluate_policy(spec, trace=filter_by_length(base, 1000.0))
 
-    The legacy ``evaluate_policy(trace, policy, **kwargs)`` form is
-    deprecated (it warns once per call) but produces bit-identical
-    results: both forms funnel into the same engine.
-
-    Engine semantics: ``failure_mode`` is ``"replay"`` (each task
+    Engine semantics: ``failures.mode`` is ``"replay"`` (each task
     re-experiences its historical intervals — identical failures
     across policies) or ``"redraw"`` (fresh intervals from the frailty
-    ground truth, or from ``catalog`` when per-task scales are
-    missing).  ``length_cap`` restricts the priority-group estimation
-    to tasks at most that long (the paper's RL-capped estimation for
-    Figs. 11–13).  ``storage`` picks the checkpoint backend per
-    :func:`storage_costs`.  ``workers`` fans the Monte-Carlo batch out
-    over a process pool via :mod:`repro.parallel` — results are
-    bit-for-bit identical for every worker count.
-    """
-    passed = {
-        k: v for k, v in (
-            ("estimation", estimation), ("failure_mode", failure_mode),
-            ("length_cap", length_cap), ("seed", seed),
-            ("restart_delay", restart_delay), ("storage", storage),
-            ("workers", workers),
-        ) if v is not _UNSET
-    }
-    if isinstance(spec_or_trace, RunSpec):
-        if policy is not None:
-            raise TypeError(
-                "evaluate_policy(spec) takes the policy from the spec; "
-                "drop the positional policy argument"
-            )
-        if passed:
-            # Ignoring these would run a different experiment than the
-            # caller asked for; make half-migrated calls fail loudly.
-            raise TypeError(
-                "evaluate_policy(spec) takes these settings from the "
-                f"spec; unexpected keyword(s): {', '.join(sorted(passed))}"
-            )
-        return _evaluate_spec(spec_or_trace, trace=trace, catalog=catalog)
-    # Legacy forms: positional evaluate_policy(trace, policy, ...) and
-    # keyword evaluate_policy(trace=..., policy=...) — both deprecated,
-    # both bit-identical to the spec path (same engine).
-    if spec_or_trace is None:
-        spec_or_trace, trace = trace, None
-    if trace is not None:
-        raise TypeError(
-            "the trace= override is only valid with a RunSpec first "
-            "argument"
-        )
-    warnings.warn(
-        "evaluate_policy(trace, policy, **kwargs) is deprecated; build a "
-        "replay-tier RunSpec (repro.experiments.common.policy_run_spec or "
-        "repro.spec.RunSpec) and call evaluate_policy(spec) or "
-        "repro.api.run(spec) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if spec_or_trace is None or policy is None:
-        raise TypeError("legacy evaluate_policy needs a trace and a policy")
-    kw = {**_ENGINE_DEFAULTS, **passed}
-    return _evaluate(spec_or_trace, policy, kw["estimation"],
-                     kw["failure_mode"], kw["length_cap"], catalog,
-                     kw["seed"], kw["restart_delay"], kw["storage"],
-                     kw["workers"])
-
-
-def _evaluate_spec(
-    spec: RunSpec, trace: Trace | None = None, catalog=None
-) -> PolicyRun:
-    """Materialize and evaluate a replay-tier spec.
-
-    ``catalog`` backs ``failures.mode='redraw'`` when a ``trace``
-    override lacks per-task frailty scales (the default trace always
-    carries them).
+    ground truth, or from ``catalog`` when a ``trace`` override lacks
+    per-task scales).  ``policy.length_cap`` restricts the
+    priority-group estimation to tasks at most that long (the paper's
+    RL-capped estimation for Figs. 11–13).  ``storage.mode`` picks the
+    checkpoint backend per :func:`storage_costs`.
+    ``execution.workers`` fans the Monte-Carlo batch out over a process
+    pool via :mod:`repro.parallel` — results are bit-for-bit identical
+    for every worker count.
     """
     from repro.verify.scenarios import make_policy
 
@@ -449,68 +358,41 @@ def _evaluate_spec(
         )
     if trace is None:
         trace = default_trace(w.n_jobs, w.trace_seed, w.only_failed_jobs)
-    return _evaluate(
-        trace,
-        make_policy(pol.name, pol.param),
-        pol.estimation,
-        spec.failures.mode,
-        pol.length_cap if pol.length_cap is not None else math.inf,
-        catalog,
-        ex.base_seed,
-        ex.restart_delay,
-        spec.storage.mode,  # RunSpec validated the replay vocabulary
-        ex.workers,
-    )
-
-
-def _evaluate(
-    trace: Trace,
-    policy: CheckpointPolicy,
-    estimation: str,
-    failure_mode: str,
-    length_cap: float,
-    catalog,
-    seed: int,
-    restart_delay: float,
-    storage: str,
-    workers: int,
-) -> PolicyRun:
-    """The shared evaluation engine behind both calling conventions."""
+    policy = make_policy(pol.name, pol.param)
+    length_cap = pol.length_cap if pol.length_cap is not None else math.inf
+    restart_delay, seed, workers = ex.restart_delay, ex.base_seed, ex.workers
     flat = flatten_trace(trace)
-    mnof, mtbf = _estimates(flat, trace, estimation, length_cap)
-    ckpt_cost, rst_cost = storage_costs(storage, flat.te, mnof, flat.mem_mb)
+    mnof, mtbf = _estimates(flat, trace, pol.estimation, length_cap)
+    # RunSpec validated the replay storage vocabulary
+    ckpt_cost, rst_cost = storage_costs(spec.storage.mode, flat.te, mnof,
+                                        flat.mem_mb)
     counts = np.asarray(
         policy.interval_counts(flat.te, ckpt_cost, rst_cost, mnof, mtbf),
         dtype=np.int64,
     )
-    if failure_mode == "replay":
+    if spec.failures.mode == "replay":
         sim = simulate_tasks_replay_sharded(
             flat.te, counts, ckpt_cost, rst_cost, flat.hist_intervals,
             restart_delay=restart_delay, workers=workers,
         )
-    elif failure_mode == "redraw":
-        if np.all(flat.interval_scale > 0):
-            # Frailty ground truth available: fresh exponential intervals
-            # with each task's private scale (blocked + sharded).
-            sim = simulate_tasks_scaled_sharded(
-                flat.te, counts, ckpt_cost, rst_cost, flat.interval_scale,
-                seed=seed, restart_delay=restart_delay, workers=workers,
-            )
-        else:
-            if catalog is None:
-                raise ValueError(
-                    "failure_mode='redraw' without per-task scales requires "
-                    "a catalog"
-                )
-            dists = {p: catalog.interval_distribution(int(p))
-                     for p in np.unique(flat.priority)}
-            sim = simulate_tasks_sharded(
-                flat.te, counts, ckpt_cost, rst_cost, flat.priority, dists,
-                seed=seed, restart_delay=restart_delay, workers=workers,
-            )
+    elif np.all(flat.interval_scale > 0):
+        # Redraw with the frailty ground truth: fresh exponential
+        # intervals with each task's private scale (blocked + sharded).
+        sim = simulate_tasks_scaled_sharded(
+            flat.te, counts, ckpt_cost, rst_cost, flat.interval_scale,
+            seed=seed, restart_delay=restart_delay, workers=workers,
+        )
     else:
-        raise ValueError(
-            f"failure_mode must be 'replay' or 'redraw', got {failure_mode!r}"
+        if catalog is None:
+            raise ValueError(
+                "failures.mode='redraw' without per-task scales requires "
+                "a catalog"
+            )
+        dists = {p: catalog.interval_distribution(int(p))
+                 for p in np.unique(flat.priority)}
+        sim = simulate_tasks_sharded(
+            flat.te, counts, ckpt_cost, rst_cost, flat.priority, dists,
+            seed=seed, restart_delay=restart_delay, workers=workers,
         )
 
     job_wpr = wpr_from_arrays(flat.te, sim.wallclock, flat.job_index)
@@ -525,7 +407,7 @@ def _evaluate(
 
     return PolicyRun(
         policy_name=policy.name,
-        estimation=estimation,
+        estimation=pol.estimation,
         flat=flat,
         sim=sim,
         job_wpr=job_wpr,

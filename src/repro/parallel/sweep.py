@@ -2,29 +2,31 @@
 
 The paper's headline artifacts (Table 6, Figs. 9–13) are grids: every
 checkpoint policy crossed with storage backends and workload sizes,
-each cell a full Monte-Carlo evaluation over a synthesized trace.  This
-module materializes such a grid as a list of :class:`SweepPoint`\\ s,
-executes the points on a ``multiprocessing`` pool, and writes one JSON
-report.
+each cell a full Monte-Carlo evaluation over a synthesized trace.  A
+grid is a list of :class:`~repro.spec.RunSpec` values, and
+:func:`run_specs` executes it on a ``multiprocessing`` pool into one
+JSON report.  ``repro sweep`` builds the list two ways:
+
+* ``--policies/--storage/--n-jobs/--seeds`` (plus the shared
+  ``--policy-param/--sim-seed/--estimation/--failure-mode/--all-jobs``)
+  make one replay-tier spec per cell with
+  :func:`~repro.experiments.common.policy_run_spec`, nested policy →
+  storage → n_jobs → seed, each named
+  ``sweep-{policy}-{storage}-j{n_jobs}-t{seed}``;
+* ``--spec base.json --axis key=v1,v2`` expands dotted-path overrides
+  over a base spec via :func:`expand_grid` — any field of the spec
+  tree becomes a sweepable axis.
 
 Determinism contract
 --------------------
-Each grid point is a pure function of its spec: the trace is
-synthesized from ``(n_jobs, trace_seed)``, failure redraws use
-``sim_seed`` through the sharded runner's ``SeedSequence`` scheme, and
-no state is shared between points.  The per-point
+Each cell is a pure function of its spec: the trace is synthesized
+from ``(n_jobs, trace_seed)``, failure redraws use
+``execution.base_seed`` through the sharded runner's ``SeedSequence``
+scheme, and no state is shared between cells.  The per-cell
 ``SimulationResult.digest()`` recorded in the report is therefore
 bit-for-bit identical for every ``--workers`` value; ``--workers 1``
 is the serial fallback that never touches a pool.  Worker count is
 purely a wall-clock knob — pick the host's core count for large grids.
-
-Since the RunSpec redesign a grid is just a list of
-:class:`~repro.spec.RunSpec` values: the legacy flag axes lower each
-:class:`SweepPoint` to a spec (:meth:`SweepPoint.to_spec`) and execute
-it through :func:`repro.api.run`, and ``--spec base.json --axis
-key=v1,v2`` expands dotted-path overrides over a base spec via
-:func:`expand_grid` — any field of the spec tree becomes a sweepable
-axis for free.
 
 Scheduling
 ----------
@@ -57,118 +59,27 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.parallel.runner import default_workers, get_pool
-from repro.spec import FAILURE_MODES, POLICY_NAMES, RunSpec, SpecError
+from repro.spec import (
+    FAILURE_MODES,
+    POLICY_NAMES,
+    RunSpec,
+    SpecError,
+    load_spec,
+)
 from repro.store import ResultStore, RunRecord
 
 __all__ = [
     "SERIAL_FALLBACK_COST",
-    "SweepPoint",
-    "build_grid",
     "dispatch_order",
     "effective_workers",
     "estimate_spec_cost",
     "expand_grid",
     "main",
-    "run_point",
     "run_specs",
-    "run_sweep",
 ]
-
-#: Policies the grid axis accepts (must be constructible without a
-#: parameter; parametrized policies go through ``policy_param``).
-KNOWN_POLICIES = POLICY_NAMES
-KNOWN_STORAGE = ("auto", "local", "shared")
-KNOWN_FAILURE_MODES = FAILURE_MODES
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One cell of an experiment grid (a pure function of its fields)."""
-
-    policy: str
-    storage: str
-    n_jobs: int
-    trace_seed: int = 2013
-    sim_seed: int = 99
-    policy_param: float = 0.0
-    estimation: str = "oracle"
-    failure_mode: str = "replay"
-    only_failed_jobs: bool = True
-    restart_delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.policy not in KNOWN_POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; known: {KNOWN_POLICIES}"
-            )
-        if self.storage not in KNOWN_STORAGE:
-            raise ValueError(
-                f"unknown storage {self.storage!r}; known: {KNOWN_STORAGE}"
-            )
-        if self.failure_mode not in KNOWN_FAILURE_MODES:
-            raise ValueError(
-                f"unknown failure mode {self.failure_mode!r}; "
-                f"known: {KNOWN_FAILURE_MODES}"
-            )
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        # Fail at grid-build time, not mid-sweep inside a pool worker.
-        if self.policy == "fixed-interval" and self.policy_param <= 0:
-            raise ValueError(
-                "policy 'fixed-interval' needs --policy-param > 0 "
-                "(the interval length in seconds)"
-            )
-        if self.policy == "fixed-count" and int(self.policy_param) < 1:
-            raise ValueError(
-                "policy 'fixed-count' needs --policy-param >= 1 "
-                "(the interval count)"
-            )
-
-    def to_spec(self) -> RunSpec:
-        """Lower this grid cell to its replay-tier :class:`RunSpec`.
-
-        The lowering preserves the historical execution exactly —
-        ``run_point`` evaluates the spec, and its digests are
-        bit-identical to the pre-RunSpec flag path.
-        """
-        from repro.experiments.common import policy_run_spec
-
-        return policy_run_spec(
-            self.policy,
-            policy_param=self.policy_param,
-            n_jobs=self.n_jobs,
-            trace_seed=self.trace_seed,
-            only_failed_jobs=self.only_failed_jobs,
-            estimation=self.estimation,
-            failure_mode=self.failure_mode,
-            storage=self.storage,
-            seed=self.sim_seed,
-            restart_delay=self.restart_delay,
-            name=f"sweep-{self.policy}-{self.storage}"
-                 f"-j{self.n_jobs}-t{self.trace_seed}",
-        )
-
-
-def build_grid(
-    policies: list[str],
-    storages: list[str],
-    n_jobs_list: list[int],
-    seeds: list[int],
-    **common,
-) -> list[SweepPoint]:
-    """The full cross product, in deterministic nesting order
-    (policy → storage → n_jobs → seed)."""
-    return [
-        SweepPoint(policy=p, storage=s, n_jobs=n, trace_seed=seed, **common)
-        for p in policies
-        for s in storages
-        for n in n_jobs_list
-        for seed in seeds
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -250,43 +161,6 @@ def _merge_in_grid_order(order: list[int], done: list) -> list:
     return cells
 
 
-def run_point(point: SweepPoint, store=None) -> dict:
-    """Evaluate one grid point; returns the JSON-ready cell record.
-
-    The cell is the point's :class:`~repro.store.RunRecord` dict plus
-    the legacy flat point fields; with ``store`` (a path or
-    :class:`~repro.store.ResultStore`) the evaluation is
-    skip-if-cached.
-    """
-    # Imported here (not at module top) so pool workers under ``spawn``
-    # pay the import once per process, and to keep this module
-    # import-light for ``--list``-style CLI paths.
-    from repro import api
-
-    t0 = time.perf_counter()
-    spec = point.to_spec()
-    # parallelism lives at the grid level, so the cell runs workers=1
-    result = api.run(spec, store=store)
-    record = RunRecord.from_result(result)
-    cell = {**record.to_dict(), **asdict(point)}
-    cell.update(
-        n_jobs_sampled=int(result.extra["n_jobs_sampled"]),
-        n_tasks=int(result.summary["n_tasks"]),
-        mean_job_wpr=result.extra["mean_job_wpr"],
-        lowest_job_wpr=result.extra["lowest_job_wpr"],
-        mean_job_wall=result.extra["mean_job_wall"],
-        elapsed_s=round(time.perf_counter() - t0, 3),
-        cached=result.cached,
-    )
-    return cell
-
-
-def _run_point_job(job: "tuple[SweepPoint, str | None]") -> dict:
-    """Pool worker for the legacy point grid."""
-    point, store_root = job
-    return run_point(point, store=store_root)
-
-
 def _store_root(store) -> "str | None":
     """Normalize a store argument to a path string (creating the dir)."""
     if store is None:
@@ -294,41 +168,6 @@ def _store_root(store) -> "str | None":
     if not isinstance(store, ResultStore):
         store = ResultStore(store)
     return str(store.root)
-
-
-def run_sweep(points: list[SweepPoint], workers: int = 1, store=None) -> dict:
-    """Execute a grid (serially or on the shared pool) into one report.
-
-    Cells dispatch longest-first and merge in grid order (see the
-    module docstring); ``store`` makes the grid skip-if-cached.  Small
-    grids (estimated below :data:`SERIAL_FALLBACK_COST`) run serially
-    regardless of ``workers`` — the report's ``workers_effective``
-    records the choice, and the cells are identical either way.
-    """
-    if not points:
-        raise ValueError("cannot run an empty sweep grid")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    t0 = time.perf_counter()
-    root = _store_root(store)
-    costs = [estimate_spec_cost(p.to_spec()) for p in points]
-    order = dispatch_order(costs)
-    jobs = [(points[i], root) for i in order]
-    n_procs = min(effective_workers(workers, costs), len(points))
-    if n_procs <= 1:
-        done = [_run_point_job(j) for j in jobs]
-    else:
-        done = get_pool(n_procs).map(_run_point_job, jobs)
-    cells = _merge_in_grid_order(order, done)
-    return {
-        "command": "repro sweep",
-        "n_points": len(points),
-        "workers": workers,
-        "workers_effective": n_procs,
-        "store": root,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-        "points": cells,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -342,8 +181,7 @@ def expand_grid(
     ``axes`` maps dotted spec paths to value lists, e.g.
     ``{"policy.name": ["optimal", "young"], "execution.base_seed":
     [0, 1]}``.  Expansion order is deterministic: the first axis is the
-    outermost loop (matching :func:`build_grid`'s nesting).  Each
-    cell applies *all* of its overrides in one
+    outermost loop.  Each cell applies *all* of its overrides in one
     :meth:`RunSpec.evolve` and only then revalidates — so
     cross-constrained axes (say ``policy.name=fixed-interval`` plus
     ``policy.param=60,120``) work in any axis order, while a genuinely
@@ -382,12 +220,11 @@ def run_specs(specs: list[RunSpec], workers: int = 1, store=None) -> dict:
     """Execute a list of specs (serially or on a pool) into one report.
 
     Cells are pure functions of their spec, so the report's digests are
-    identical for every ``workers`` value — the same contract as
-    :func:`run_sweep`.  Parallelism lives at the grid level: each
-    cell executes with ``execution.workers=1`` regardless of what the
-    base spec says (a cell inside a daemonic pool worker could not
-    spawn its own pool anyway, and digests are worker-invariant, so
-    this never changes results).  Grids estimated below
+    identical for every ``workers`` value.  Parallelism lives at the
+    grid level: each cell executes with ``execution.workers=1``
+    regardless of what the base spec says (a cell inside a daemonic
+    pool worker could not spawn its own pool anyway, and digests are
+    worker-invariant, so this never changes results).  Grids estimated below
     :data:`SERIAL_FALLBACK_COST` run serially even when workers were
     requested (``workers_effective`` in the report records the
     choice): pool dispatch on a sub-second batch costs more than it
@@ -417,7 +254,7 @@ def run_specs(specs: list[RunSpec], workers: int = 1, store=None) -> dict:
         done = get_pool(n_procs).map(_run_spec_cell, dispatch)
     cells = _merge_in_grid_order(order, done)
     return {
-        "command": "repro sweep --spec",
+        "command": "repro sweep",
         "n_points": len(specs),
         "workers": workers,
         "workers_effective": n_procs,
@@ -458,14 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(repeatable; first axis is the outer loop)")
     parser.add_argument("--policies", type=_csv, default=["optimal", "young"],
                         help="comma-separated policy names "
-                             f"(known: {', '.join(KNOWN_POLICIES)})")
+                             f"(known: {', '.join(POLICY_NAMES)})")
     parser.add_argument("--policy-param", type=float, default=0.0,
                         help="parameter shared by parametrized policies: "
                              "interval seconds for fixed-interval, "
                              "interval count for fixed-count")
     parser.add_argument("--storage", type=_csv, default=["auto"],
                         help="comma-separated storage modes "
-                             f"(known: {', '.join(KNOWN_STORAGE)})")
+                             "(known: auto, local, shared)")
     parser.add_argument("--n-jobs", type=_csv_int, default=[500],
                         metavar="N[,N...]",
                         help="comma-separated trace sizes (jobs per trace)")
@@ -477,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--estimation", choices=("oracle", "priority"),
                         default="oracle",
                         help="failure-statistics estimation mode")
-    parser.add_argument("--failure-mode", choices=KNOWN_FAILURE_MODES,
+    parser.add_argument("--failure-mode", choices=FAILURE_MODES,
                         default="replay",
                         help="replay historical intervals or redraw fresh ones")
     parser.add_argument("--all-jobs", action="store_true",
@@ -517,14 +354,48 @@ def _parse_axis(text: str) -> tuple[str, list]:
     return key, values
 
 
-def _main_specs(args, workers: int) -> int:
-    """The ``--spec``/``--axis`` grid path of ``repro sweep``."""
-    from repro.spec import load_spec
+def _flag_grid(args) -> list[RunSpec]:
+    """The ``--policies/--storage/--n-jobs/--seeds`` grid as specs
+    (nesting policy → storage → n_jobs → seed)."""
+    from repro.experiments.common import policy_run_spec
 
+    specs = [
+        policy_run_spec(
+            policy,
+            policy_param=args.policy_param,
+            n_jobs=n_jobs,
+            trace_seed=seed,
+            only_failed_jobs=not args.all_jobs,
+            estimation=args.estimation,
+            failure_mode=args.failure_mode,
+            storage=storage,
+            seed=args.sim_seed,
+            name=f"sweep-{policy}-{storage}-j{n_jobs}-t{seed}",
+        )
+        for policy in args.policies
+        for storage in args.storage
+        for n_jobs in args.n_jobs
+        for seed in args.seeds
+    ]
+    if not specs:
+        raise SpecError("empty sweep grid: every axis needs at least one "
+                        "value")
+    return specs
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point for ``repro sweep``; returns an exit status."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    workers = args.workers if args.workers > 0 else default_workers()
+    if args.axes and not args.spec:
+        parser.error("--axis requires --spec (the base RunSpec file)")
     try:
-        base = load_spec(args.spec)
-        axes = [_parse_axis(a) for a in args.axes]
-        specs = expand_grid(base, axes)
+        if args.spec:
+            axes = [_parse_axis(a) for a in args.axes]
+            specs = expand_grid(load_spec(args.spec), axes)
+        else:
+            specs = _flag_grid(args)
         report = run_specs(specs, workers=workers, store=args.store)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -542,51 +413,7 @@ def _main_specs(args, workers: int) -> int:
             )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(
-        f"[{report['n_points']} spec cell(s) on {workers} worker(s) in "
-        f"{report['elapsed_s']:.1f}s -> {args.out}]"
-    )
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``repro sweep``; returns an exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    workers = args.workers if args.workers > 0 else default_workers()
-    if args.axes and not args.spec:
-        parser.error("--axis requires --spec (the base RunSpec file)")
-    if args.spec:
-        return _main_specs(args, workers)
-    try:
-        points = build_grid(
-            args.policies, args.storage, args.n_jobs, args.seeds,
-            sim_seed=args.sim_seed,
-            estimation=args.estimation,
-            failure_mode=args.failure_mode,
-            only_failed_jobs=not args.all_jobs,
-            policy_param=args.policy_param,
-        )
-        if not points:
-            raise ValueError(
-                "empty sweep grid: every axis needs at least one value"
-            )
-        report = run_sweep(points, workers=workers, store=args.store)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not args.quiet:
-        for cell in report["points"]:
-            print(
-                f"{cell['policy']:15s} {cell['storage']:6s} "
-                f"jobs={cell['n_jobs']:<7d} seed={cell['trace_seed']:<6d} "
-                f"tasks={cell['n_tasks']:<7d} "
-                f"wpr={cell['mean_job_wpr']:.4f} "
-                f"digest={(cell['digest'] or '?')[:12]}  "
-                f"{cell['elapsed_s']:6.2f}s"
-            )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"[{report['n_points']} grid point(s) on {workers} worker(s) in "
+        f"[{report['n_points']} cell(s) on {workers} worker(s) in "
         f"{report['elapsed_s']:.1f}s -> {args.out}]"
     )
     return 0

@@ -1,9 +1,9 @@
 """Declarative run specifications: one serializable spec for every tier.
 
-The repo grew three divergent ways to describe "simulate this workload
-under these failures with this checkpoint policy" — verify scenarios,
-``evaluate_policy`` keyword soup, and sweep-grid tuples.  This module
-is the single declarative vocabulary behind all of them: a frozen,
+One description of a run — "simulate this workload under these
+failures with this checkpoint policy" — serves every caller: the
+registered verify scenarios, ``evaluate_policy``, sweep grids and
+campaign cells.  This module is that declarative vocabulary: a frozen,
 validated :class:`RunSpec` dataclass tree
 
 * :class:`WorkloadSpec` — where tasks come from (law-driven synthetic
@@ -206,7 +206,13 @@ def _plain(value):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FailureLawSpec:
-    """One priority's failure-interval law (family + target mean)."""
+    """One priority's failure-interval law (family + target mean).
+
+    ``mean`` is the target expected interval (the body mean for the
+    mixture family, whose Pareto tail makes the true mean larger);
+    ``shape`` is family-specific: Weibull ``k``, Pareto ``alpha``,
+    LogNormal ``sigma`` (unused for exponential/mixture).
+    """
 
     priority: int
     family: str
@@ -251,11 +257,11 @@ class WorkloadSpec:
     # -- synthetic task shape ------------------------------------------
     n_tasks: int = 64
     te_mode: str = "lognormal"
-    te_mean: float = 300.0
+    te_mean: float = 300.0  # median for lognormal, value for fixed
     te_sigma: float = 0.6
     te_min: float = 30.0
     te_max: float = 20000.0
-    mem_mean: float = 60.0
+    mem_mean: float = 60.0  # lognormal median, MB
     mem_sigma: float = 0.5
     mem_min: float = 10.0
     mem_max: float = 800.0
@@ -562,8 +568,8 @@ class RunSpec:
                 "backends; use storage.mode='nfs' or 'dmnfs'"
             )
         # Reject replay-only knobs on the scenario tiers instead of
-        # silently dropping them during lowering: a spec that claims a
-        # different experiment must not run the same computation.
+        # silently ignoring them: a spec that claims a different
+        # experiment must not run the same computation.
         # (Default-valued fields a tier happens not to read — e.g.
         # synthetic shape knobs on a 'google' workload — are not
         # detectable this way; keep off-tier fields at their defaults.)

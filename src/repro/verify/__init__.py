@@ -8,11 +8,12 @@ DES cluster simulator (:class:`repro.cluster.platform.CloudPlatform`)
 continuously testable:
 
 * :mod:`repro.verify.scenarios` — a registry of 25+ named, seeded
-  scenario specs spanning the paper's axes (per-priority failure
-  rates; exponential/Weibull/Pareto/lognormal/mixture interval laws;
-  local vs. shared vs. auto-selected BLCR storage; restart/detection
-  delays; Young/Daly/Formula-(3)/fixed policies; heterogeneous hosts;
-  bursty vs. steady arrivals; host crashes);
+  :class:`~repro.spec.RunSpec` scenarios spanning the paper's axes
+  (per-priority failure rates; exponential/Weibull/Pareto/lognormal/
+  mixture interval laws; local vs. shared vs. auto-selected BLCR
+  storage; restart/detection delays; Young/Daly/Formula-(3)/fixed
+  policies; heterogeneous hosts; bursty vs. steady arrivals; host
+  crashes);
 * :mod:`repro.verify.runner` — the differential runner executing each
   scenario through all three tiers with a common seeded RNG scheme and
   cross-checking wallclock/WPR/failure-count distributions;
@@ -28,8 +29,6 @@ from repro.verify.compare import Check
 from repro.verify.runner import ScenarioResult, TierResult, run_scenario
 from repro.verify.scenarios import (
     SCENARIOS,
-    FailureLaw,
-    Scenario,
     Workload,
     build_workload,
     get_scenario,
@@ -39,9 +38,7 @@ from repro.verify.scenarios import (
 
 __all__ = [
     "Check",
-    "FailureLaw",
     "SCENARIOS",
-    "Scenario",
     "ScenarioResult",
     "TierResult",
     "Workload",

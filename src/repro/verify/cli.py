@@ -75,8 +75,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list:
         for spec in list_scenarios():
-            mark = " [quick]" if spec.quick else ""
-            print(f"{spec.name:28s} {spec.compare:5s}{mark}  {spec.description}")
+            mark = " [quick]" if spec.execution.quick else ""
+            print(f"{spec.name:28s} {spec.execution.compare:5s}{mark}  "
+                  f"{spec.description}")
         return 0
 
     if args.update_golden and args.no_golden:
@@ -102,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         specs = [SCENARIOS[s] for s in args.scenarios]
         if args.quick:
             # Explicitly named scenarios must never be dropped silently.
-            not_quick = [s.name for s in specs if not s.quick]
+            not_quick = [s.name for s in specs if not s.execution.quick]
             if not_quick:
                 print(
                     f"scenario(s) not in the quick subset: "
@@ -121,7 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     reports = []
     total_violations = 0
     for spec in specs:
-        result = run_scenario(spec, base_seed=args.seed)
+        if args.seed != 0:
+            spec = spec.evolve(**{"execution.base_seed": args.seed})
+        result = run_scenario(spec)
         if store is not None:
             for record in tier_records(result).values():
                 store.put(record)
@@ -139,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         failed = [c for c in checks if not c.passed]
         total_violations += len(failed)
         status = "ok" if not failed else f"FAIL ({len(failed)} violation(s))"
-        print(f"{spec.name:28s} [{spec.compare:5s}] "
+        print(f"{spec.name:28s} [{spec.execution.compare:5s}] "
               f"{len(checks):2d} checks  {result.elapsed_s:6.2f}s  "
               f"{status}  ({golden_note})")
         for c in failed:

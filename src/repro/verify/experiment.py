@@ -28,7 +28,7 @@ def run_verify_experiment(seed: int = 0, quick: bool = True) -> ExperimentReport
     data: dict[str, object] = {"scenarios": {}}
     total_failed = 0
     for spec in specs:
-        result = run_scenario(spec, base_seed=seed)
+        result = run_scenario(spec.evolve(**{"execution.base_seed": seed}))
         failed = result.n_violations
         total_failed += failed
         walls = tuple(
@@ -36,7 +36,8 @@ def run_verify_experiment(seed: int = 0, quick: bool = True) -> ExperimentReport
             for t in ("scalar", "vector", "des")
         )
         lines.append(
-            f"{spec.name:28s} {spec.compare:5s} {len(result.checks):6d} "
+            f"{spec.name:28s} {spec.execution.compare:5s} "
+            f"{len(result.checks):6d} "
             f"{failed:6d} {str(walls):>30s}"
         )
         data["scenarios"][spec.name] = {  # type: ignore[index]

@@ -12,9 +12,10 @@ Since golden schema version 2 each tier section is the
 :meth:`~repro.store.RunRecord.pinned_dict` of a
 :class:`~repro.store.RunRecord` — the same versioned payload the
 result store, the sweep reports, and the campaign reports use — so a
-golden file also snapshots the exact lowered spec that produced the
-pin (vector/DES records carry ``digest: null``: their draw order is
-not part of the pin).  Version-1 files migrate on read.
+golden file also snapshots the exact spec (the registered scenario at
+that tier) that produced the pin (vector/DES records carry
+``digest: null``: their draw order is not part of the pin).
+Version-1 files migrate on read.
 
 ``repro verify --update-golden`` regenerates the files; the payload
 records enough summary statistics to make diffs reviewable.
@@ -74,8 +75,8 @@ def golden_path(name: str, golden_dir: Path | None = None) -> Path:
 def tier_records(result: ScenarioResult) -> dict[str, RunRecord]:
     """One :class:`~repro.store.RunRecord` per executed tier.
 
-    Each record snapshots the scenario lowered to that tier's
-    :class:`~repro.spec.RunSpec` (canonicalized exactly like every
+    Each record snapshots the scenario spec moved to that tier
+    (canonicalized exactly like every
     other store record, so a verify-written store slot is
     byte-compatible with what ``repro run --store`` would have
     written) and carries the tier's real result digest — what a golden
@@ -83,13 +84,12 @@ def tier_records(result: ScenarioResult) -> dict[str, RunRecord]:
     """
     import time
 
-    scenario = result.scenario
     records: dict[str, RunRecord] = {}
     for tier, tr in result.tiers.items():
-        spec = scenario.to_spec(base_seed=result.base_seed, tier=tier)
+        spec = result.spec.evolve(**{"execution.tier": tier})
         records[tier] = RunRecord(
             spec_digest=spec.spec_digest(),
-            name=scenario.name,
+            name=spec.name,
             tier=tier,
             seed=result.seed,
             digest=tr.digest,
@@ -116,8 +116,8 @@ def golden_payload(result: ScenarioResult) -> dict:
     records = tier_records(result)
     payload = {
         "version": GOLDEN_VERSION,
-        "scenario": result.scenario.name,
-        "compare": result.scenario.compare,
+        "scenario": result.spec.name,
+        "compare": result.spec.execution.compare,
         "seed": result.seed,
         "scalar": records["scalar"].pinned_dict(),
         "vector": records["vector"].pinned_dict(),
@@ -130,7 +130,7 @@ def golden_payload(result: ScenarioResult) -> dict:
 
 def write_golden(result: ScenarioResult, golden_dir: Path | None = None) -> Path:
     """Write (or overwrite) the scenario's golden file."""
-    path = golden_path(result.scenario.name, golden_dir)
+    path = golden_path(result.spec.name, golden_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(golden_payload(result), indent=2, sort_keys=True) + "\n"
@@ -198,7 +198,7 @@ def compare_with_golden(
     result: ScenarioResult, golden: dict | None
 ) -> list[Check]:
     """Checks of the current run against the pinned golden payload."""
-    name = result.scenario.name
+    name = result.spec.name
     if golden is None:
         return [
             Check(

@@ -42,12 +42,8 @@ from repro.verify.compare import (
     check_mean_close,
     check_ratio,
 )
-from repro.verify.scenarios import (
-    Scenario,
-    Workload,
-    build_workload,
-    make_policy,
-)
+from repro.spec import RunSpec
+from repro.verify.scenarios import Workload, build_workload, make_policy
 
 __all__ = ["ScenarioResult", "TierResult", "comparable_task_arrays",
            "run_des", "run_des_unsharded", "run_scalar", "run_scenario",
@@ -86,15 +82,12 @@ class TierResult:
 class ScenarioResult:
     """Everything one scenario produced: tiers, checks, verdict."""
 
-    scenario: Scenario
+    spec: RunSpec
+    #: the derived workload seed (the base seed is in ``spec``)
     seed: int
     tiers: dict[str, TierResult]
     checks: list[Check]
     elapsed_s: float
-    #: the base seed the run was requested with (``seed`` above is the
-    #: derived workload seed); golden records snapshot the spec
-    #: lowered with this value
-    base_seed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -109,10 +102,10 @@ class ScenarioResult:
     def to_dict(self) -> dict:
         """JSON-ready report fragment."""
         return {
-            "scenario": self.scenario.name,
-            "description": self.scenario.description,
-            "axes": list(self.scenario.axes),
-            "compare": self.scenario.compare,
+            "scenario": self.spec.name,
+            "description": self.spec.description,
+            "axes": list(self.spec.tags),
+            "compare": self.spec.execution.compare,
             "seed": self.seed,
             "n_tasks": int(self.tiers["scalar"].wallclock.size),
             "passed": self.passed,
@@ -254,9 +247,10 @@ def run_des_unsharded(workload: Workload) -> TierResult:
         catalog=workload.catalog,
         seed=workload.seed,
     )
+    policy = workload.spec.policy
     res = platform.run_trace(
         workload.trace,
-        policy=make_policy(workload.scenario.policy, workload.scenario.policy_param),
+        policy=make_policy(policy.name, policy.param),
         mnof_by_priority=workload.mnof_by_priority,
         mtbf_by_priority=workload.mtbf_by_priority,
     )
@@ -293,7 +287,7 @@ def run_des_unsharded(workload: Workload) -> TierResult:
 
 # ----------------------------------------------------------------------
 def _cross_tier_checks(
-    spec: Scenario,
+    spec: RunSpec,
     scalar: TierResult,
     vector: TierResult,
     des: TierResult,
@@ -312,7 +306,8 @@ def _cross_tier_checks(
         check_array_equal("scalar-vs-vector:completion",
                           scalar.completed, vector.completed),
     ]
-    if spec.compare == "exact":
+    ex = spec.execution
+    if ex.compare == "exact":
         checks += [
             check_array_equal("scalar-vs-des:failure-counts",
                               scalar.n_failures, des.n_failures),
@@ -322,7 +317,7 @@ def _cross_tier_checks(
             check_array_equal("scalar-vs-des:completion",
                               scalar.completed, des.completed),
         ]
-    elif spec.compare == "stats":
+    elif ex.compare == "stats":
         checks += [
             check_mean_close("scalar-vs-des:mean-wallclock",
                              scalar.wallclock, des.wallclock,
@@ -338,34 +333,33 @@ def _cross_tier_checks(
         checks += [
             check_ratio("scalar-vs-des:wallclock-ratio",
                         des.wallclock, scalar.wallclock,
-                        lo=spec.loose_lo, hi=spec.loose_hi),
+                        lo=ex.loose_lo, hi=ex.loose_hi),
             check_ratio("scalar-vs-des:failure-ratio",
                         np.asarray(des.n_failures, float) + 1.0,
                         np.asarray(scalar.n_failures, float) + 1.0,
-                        lo=spec.loose_lo, hi=spec.loose_hi),
+                        lo=ex.loose_lo, hi=ex.loose_hi),
         ]
     return checks
 
 
-def run_scenario(
-    spec: Scenario, base_seed: int = 0, workers: int = 1
-) -> ScenarioResult:
-    """Run one scenario through all three tiers and cross-check them.
+def run_scenario(spec: RunSpec, workers: int = 1) -> ScenarioResult:
+    """Run one scenario spec through all three tiers and cross-check them.
 
-    ``workers`` parallelizes the vectorized tier's batch; every worker
-    count produces identical results (see :mod:`repro.parallel`).
+    The spec's own ``execution.tier`` is ignored (every tier runs) and
+    its ``execution.base_seed`` seeds the workload.  ``workers``
+    parallelizes the vectorized tier's batch; every worker count
+    produces identical results (see :mod:`repro.parallel`).
     """
     t0 = time.perf_counter()
-    workload = build_workload(spec, base_seed)
+    workload = build_workload(spec)
     scalar = run_scalar(workload)
     vector = run_vector(workload, workers=workers)
     des = run_des(workload, workers=workers)
     checks = _cross_tier_checks(spec, scalar, vector, des)
     return ScenarioResult(
-        scenario=spec,
+        spec=spec,
         seed=workload.seed,
         tiers={"scalar": scalar, "vector": vector, "des": des},
         checks=checks,
         elapsed_s=time.perf_counter() - t0,
-        base_seed=base_seed,
     )

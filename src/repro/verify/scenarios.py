@@ -1,19 +1,19 @@
-"""Named, seeded scenario specs and their concrete workload builder.
+"""Named, seeded verify scenarios and their concrete workload builder.
 
-A :class:`Scenario` is a frozen declarative spec: which failure laws
-drive which priorities, how task lengths/memory are drawn, which
-checkpoint policy and storage backend apply, how jobs arrive, and how
-strictly the execution tiers must agree (``compare`` mode).  Since the
-RunSpec redesign the registry doubles as a named-spec catalog: every
-scenario lowers exactly to a :class:`repro.spec.RunSpec`
-(:meth:`Scenario.to_spec`) and back, so ``repro run --scenario NAME``
-and :func:`repro.api.run` execute registered scenarios while
-reproducing their golden scalar digests bit-for-bit.  The
-builder (:func:`build_workload`) turns a spec into a fully materialized
-:class:`Workload` — per-task parameter arrays for the scalar and
-vectorized tiers plus a :class:`~repro.trace.models.Trace` and
+A scenario is a registered :class:`~repro.spec.RunSpec` (at
+``tier="scalar"``, ``base_seed=0``): which failure laws drive which
+priorities, how task lengths/memory are drawn, which checkpoint policy
+and storage backend apply, how jobs arrive, and how strictly the
+execution tiers must agree (``execution.compare``).  ``repro verify``,
+``repro run --scenario NAME`` and :func:`repro.api.run` all execute
+these specs directly; ``get_scenario(name).evolve(**{"execution.tier":
+"des"})`` is the same scenario on another tier.  The builder
+(:func:`build_workload`) turns a scalar/vector/DES-tier spec into a
+fully materialized :class:`Workload` — per-task parameter arrays for
+the scalar and vectorized tiers plus a
+:class:`~repro.trace.models.Trace` and
 :class:`~repro.cluster.config.ClusterConfig` for the DES tier — as a
-pure function of ``(spec, base_seed)``.
+pure function of the spec (its ``execution.base_seed`` included).
 
 Cross-tier alignment contract
 -----------------------------
@@ -60,15 +60,24 @@ from repro.failures.distributions import (
     Pareto,
     Weibull,
 )
-from repro.spec import DISTRIBUTION_FAMILIES, POLICY_NAMES, SpecError
+from repro.spec import (
+    DISTRIBUTION_FAMILIES,
+    POLICY_NAMES,
+    ExecutionSpec,
+    FailureLawSpec,
+    FailureSpec,
+    PolicySpec,
+    RunSpec,
+    SpecError,
+    StorageSpec,
+    WorkloadSpec,
+)
 from repro.storage.blcr import BLCRModel, MigrationType
 from repro.trace.models import Job, JobType, Task, Trace
 from repro.trace.synthesizer import TraceConfig, synthesize_trace
 
 __all__ = [
-    "FailureLaw",
     "SCENARIOS",
-    "Scenario",
     "Workload",
     "build_workload",
     "get_scenario",
@@ -77,22 +86,6 @@ __all__ = [
     "make_policy",
     "register_scenario",
 ]
-
-
-@dataclass(frozen=True)
-class FailureLaw:
-    """One priority's failure-interval law.
-
-    ``mean`` is the target expected interval (the body mean for the
-    mixture family, whose Pareto tail makes the true mean larger);
-    ``shape`` is family-specific: Weibull ``k``, Pareto ``alpha``,
-    LogNormal ``sigma`` (unused for exponential/mixture).
-    """
-
-    priority: int
-    family: str
-    mean: float
-    shape: float = 0.0
 
 
 def make_distribution(family: str, mean: float, shape: float = 0.0) -> Distribution:
@@ -151,93 +144,11 @@ def make_policy(policy: str, param: float = 0.0) -> CheckpointPolicy:
     )
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Declarative spec of one differential-verification scenario."""
-
-    name: str
-    description: str
-    #: axes of the paper's evaluation this scenario exercises (tags)
-    axes: tuple[str, ...]
-    #: per-priority failure laws (tasks cycle over these priorities)
-    laws: tuple[FailureLaw, ...] = (
-        FailureLaw(priority=5, family="exponential", mean=600.0),
-    )
-    n_tasks: int = 64
-    # -- task shape ----------------------------------------------------
-    te_mode: str = "lognormal"  # "lognormal" | "fixed"
-    te_mean: float = 300.0  # median for lognormal, value for fixed
-    te_sigma: float = 0.6
-    te_min: float = 30.0
-    te_max: float = 20000.0
-    mem_mean: float = 60.0  # lognormal median, MB
-    mem_sigma: float = 0.5
-    mem_min: float = 10.0
-    mem_max: float = 800.0
-    # -- policy / storage ---------------------------------------------
-    policy: str = "optimal"
-    policy_param: float = 0.0
-    storage: str = "local"
-    # -- arrivals ------------------------------------------------------
-    arrival: str = "batch"  # "batch" | "steady" | "bursty"
-    arrival_rate: float = 0.5
-    burst_size: int = 8
-    # -- cluster -------------------------------------------------------
-    n_hosts: int = 8
-    vms_per_host: int = 7
-    vms_per_host_pattern: tuple[int, ...] | None = None
-    failure_detection_delay: float = 1.0
-    placement_overhead: float = 0.5
-    host_mtbf: float | None = None
-    host_repair_time: float = 60.0
-    # -- synthesized-trace mode ---------------------------------------
-    from_trace: bool = False
-    trace_jobs: int = 30
-    trace_arrival: str = "poisson"
-    trace_burst_size: int = 8
-    # -- comparison strictness ----------------------------------------
-    compare: str = "exact"  # "exact" | "stats" | "loose"
-    loose_lo: float = 0.8
-    loose_hi: float = 3.0
-    #: member of the fast smoke subset (``repro verify --quick``)
-    quick: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.laws and not self.from_trace:
-            raise ValueError(f"{self.name}: needs at least one failure law")
-        if self.compare not in ("exact", "stats", "loose"):
-            raise ValueError(f"{self.name}: bad compare mode {self.compare!r}")
-        if self.arrival not in ("batch", "steady", "bursty"):
-            raise ValueError(f"{self.name}: bad arrival mode {self.arrival!r}")
-        if self.te_mode not in ("lognormal", "fixed"):
-            raise ValueError(f"{self.name}: bad te_mode {self.te_mode!r}")
-        seen = [law.priority for law in self.laws]
-        if len(set(seen)) != len(seen):
-            raise ValueError(f"{self.name}: duplicate priorities in laws")
-
-    def seed_for(self, base_seed: int) -> int:
-        """Stable scenario seed mixed from the run's base seed."""
-        return zlib.crc32(f"{base_seed}:{self.name}".encode()) & 0x7FFFFFFF
-
-    def to_spec(self, *, base_seed: int = 0, tier: str = "scalar",
-                workers: int = 1):
-        """Lower this scenario to a :class:`repro.spec.RunSpec`.
-
-        The registry is thereby a named-spec catalog: any registered
-        scenario can run through :func:`repro.api.run`, reproducing
-        the golden scalar digest bit-for-bit.
-        """
-        from repro.api import scenario_to_spec
-
-        return scenario_to_spec(self, base_seed=base_seed, tier=tier,
-                                workers=workers)
-
-
 @dataclass
 class Workload:
-    """A scenario materialized into tier-ready inputs."""
+    """A spec materialized into tier-ready inputs."""
 
-    scenario: Scenario
+    spec: RunSpec
     seed: int
     # per-task arrays (task_id order)
     te: np.ndarray
@@ -285,38 +196,41 @@ def _resolve_storage(
     raise ValueError(f"unknown storage mode {storage!r}")
 
 
-def _arrival_times(spec: Scenario, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Submission times under the spec's arrival pattern."""
-    if spec.arrival == "batch":
+def _arrival_times(
+    w: WorkloadSpec, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Submission times under the workload's arrival pattern."""
+    if w.arrival == "batch":
         return np.zeros(n)
-    if spec.arrival == "steady":
-        return np.cumsum(rng.exponential(1.0 / spec.arrival_rate, size=n))
+    if w.arrival == "steady":
+        return np.cumsum(rng.exponential(1.0 / w.arrival_rate, size=n))
     # bursty: simultaneous batches, exponential gaps between batches
-    n_bursts = (n + spec.burst_size - 1) // spec.burst_size
-    gaps = rng.exponential(spec.burst_size / spec.arrival_rate, size=n_bursts)
+    n_bursts = (n + w.burst_size - 1) // w.burst_size
+    gaps = rng.exponential(w.burst_size / w.arrival_rate, size=n_bursts)
     starts = np.cumsum(gaps)
-    return np.repeat(starts, spec.burst_size)[:n]
+    return np.repeat(starts, w.burst_size)[:n]
 
 
-def _build_synthetic(spec: Scenario, seed: int) -> Workload:
-    """Materialize a law-driven (non-trace) scenario."""
+def _build_synthetic(spec: RunSpec, seed: int) -> Workload:
+    """Materialize a law-driven (``source="synthetic"``) workload."""
     rng = np.random.default_rng((seed, 0xB11D))
-    n = spec.n_tasks
+    w = spec.workload
+    n = w.n_tasks
 
-    if spec.te_mode == "fixed":
-        te = np.full(n, float(spec.te_mean))
+    if w.te_mode == "fixed":
+        te = np.full(n, float(w.te_mean))
     else:
         te = np.clip(
-            rng.lognormal(math.log(spec.te_mean), spec.te_sigma, size=n),
-            spec.te_min,
-            spec.te_max,
+            rng.lognormal(math.log(w.te_mean), w.te_sigma, size=n),
+            w.te_min,
+            w.te_max,
         )
     mem = np.clip(
-        rng.lognormal(math.log(spec.mem_mean), spec.mem_sigma, size=n),
-        spec.mem_min,
-        spec.mem_max,
+        rng.lognormal(math.log(w.mem_mean), w.mem_sigma, size=n),
+        w.mem_min,
+        w.mem_max,
     )
-    laws = spec.laws
+    laws = spec.failures.laws
     priority = np.asarray([laws[i % len(laws)].priority for i in range(n)], dtype=np.int64)
     distributions = {
         law.priority: make_distribution(law.family, law.mean, law.shape)
@@ -329,9 +243,9 @@ def _build_synthetic(spec: Scenario, seed: int) -> Workload:
         mtbf_map[law.priority] = (
             dist_mean if np.isfinite(dist_mean) and dist_mean > 0 else law.mean
         )
-        mnof_map[law.priority] = spec.te_mean / law.mean
+        mnof_map[law.priority] = w.te_mean / law.mean
 
-    submit = _arrival_times(spec, n, rng)
+    submit = _arrival_times(w, n, rng)
     jobs = []
     for i in range(n):
         task = Task(
@@ -358,21 +272,22 @@ def _build_synthetic(spec: Scenario, seed: int) -> Workload:
     )
 
 
-def _build_from_trace(spec: Scenario, seed: int) -> Workload:
-    """Materialize a synthesized Google-like trace scenario.
+def _build_from_trace(spec: RunSpec, seed: int) -> Workload:
+    """Materialize a synthesized Google-like trace (``source="google"``).
 
     Every synthesized task carries its private frailty scale, which the
     DES injects as an exponential law seeded per task — so the scalar
     tier mirrors it with per-task distributions keyed by ``task_id``.
     """
     catalog = google_like_catalog()
+    w = spec.workload
     tcfg = TraceConfig(
-        n_jobs=spec.trace_jobs,
-        arrival_rate=spec.arrival_rate,
-        arrival_pattern=spec.trace_arrival,
-        burst_size=spec.trace_burst_size,
-        mem_max=spec.mem_max,
-        length_max=spec.te_max,
+        n_jobs=w.trace_jobs,
+        arrival_rate=w.arrival_rate,
+        arrival_pattern=w.trace_arrival,
+        burst_size=w.trace_burst_size,
+        mem_max=w.mem_max,
+        length_max=w.te_max,
     )
     trace = synthesize_trace(tcfg, catalog=catalog, seed=seed)
     tasks = list(trace.tasks())
@@ -394,7 +309,7 @@ def _build_from_trace(spec: Scenario, seed: int) -> Workload:
 
 
 def _finalize(
-    spec: Scenario,
+    spec: RunSpec,
     seed: int,
     te: np.ndarray,
     mem: np.ndarray,
@@ -407,7 +322,8 @@ def _finalize(
     mtbf_map: dict[int, float],
 ) -> Workload:
     """Resolve storage and interval counts exactly like the platform."""
-    policy = make_policy(spec.policy, spec.policy_param)
+    policy = make_policy(spec.policy.name, spec.policy.param)
+    storage = spec.storage.mode
     n = te.size
     x = np.empty(n, dtype=np.int64)
     ckpt = np.empty(n)
@@ -417,7 +333,7 @@ def _finalize(
         mnof = mnof_map.get(p, 0.0)
         mtbf = mtbf_map.get(p, math.inf)
         _mig, c_i, r_i = _resolve_storage(
-            spec.storage, float(te[i]), mnof, float(mem[i])
+            storage, float(te[i]), mnof, float(mem[i])
         )
         ckpt[i] = c_i
         rest[i] = r_i
@@ -430,18 +346,19 @@ def _finalize(
             priority=p,
         )
         x[i] = policy.interval_count(profile)
+    ex = spec.execution
     cluster = ClusterConfig(
-        n_hosts=spec.n_hosts,
-        vms_per_host=spec.vms_per_host,
-        vms_per_host_pattern=spec.vms_per_host_pattern,
-        storage=spec.storage,
-        failure_detection_delay=spec.failure_detection_delay,
-        placement_overhead=spec.placement_overhead,
-        host_mtbf=spec.host_mtbf,
-        host_repair_time=spec.host_repair_time,
+        n_hosts=ex.n_hosts,
+        vms_per_host=ex.vms_per_host,
+        vms_per_host_pattern=ex.vms_per_host_pattern,
+        storage=storage,
+        failure_detection_delay=ex.failure_detection_delay,
+        placement_overhead=ex.placement_overhead,
+        host_mtbf=spec.failures.host_mtbf,
+        host_repair_time=spec.failures.host_repair_time,
     )
     return Workload(
-        scenario=spec,
+        spec=spec,
         seed=seed,
         te=te,
         mem_mb=mem,
@@ -459,10 +376,21 @@ def _finalize(
     )
 
 
-def build_workload(spec: Scenario, base_seed: int = 0) -> Workload:
-    """Materialize ``spec`` deterministically under ``base_seed``."""
-    seed = spec.seed_for(base_seed)
-    if spec.from_trace:
+def build_workload(spec: RunSpec) -> Workload:
+    """Materialize ``spec`` deterministically.
+
+    The workload seed mixes ``execution.base_seed`` with the spec name
+    (``crc32(f"{base_seed}:{name}")``), so every registered scenario
+    draws its own stream under one base seed.
+    """
+    if spec.workload.source == "history":
+        raise SpecError(
+            f"{spec.name}: 'history' workloads run on the replay tier "
+            "(repro.experiments), not through build_workload"
+        )
+    base_seed = spec.execution.base_seed
+    seed = zlib.crc32(f"{base_seed}:{spec.name}".encode()) & 0x7FFFFFFF
+    if spec.workload.source == "google":
         return _build_from_trace(spec, seed)
     return _build_synthetic(spec, seed)
 
@@ -470,10 +398,10 @@ def build_workload(spec: Scenario, base_seed: int = 0) -> Workload:
 # ----------------------------------------------------------------------
 # The registry.
 # ----------------------------------------------------------------------
-SCENARIOS: dict[str, Scenario] = {}
+SCENARIOS: dict[str, RunSpec] = {}
 
 
-def register_scenario(spec: Scenario) -> Scenario:
+def register_scenario(spec: RunSpec) -> RunSpec:
     """Add ``spec`` to the global registry (names are unique)."""
     if spec.name in SCENARIOS:
         raise ValueError(f"scenario {spec.name!r} registered twice")
@@ -481,7 +409,7 @@ def register_scenario(spec: Scenario) -> Scenario:
     return spec
 
 
-def get_scenario(name: str) -> Scenario:
+def get_scenario(name: str) -> RunSpec:
     """Look up a scenario by name."""
     try:
         return SCENARIOS[name]
@@ -491,335 +419,300 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
-def list_scenarios(quick_only: bool = False) -> list[Scenario]:
+def list_scenarios(quick_only: bool = False) -> list[RunSpec]:
     """Registered scenarios in registration order."""
     specs = list(SCENARIOS.values())
     if quick_only:
-        specs = [s for s in specs if s.quick]
+        specs = [s for s in specs if s.execution.quick]
     return specs
 
 
-def _exp(priority: int, mean: float) -> FailureLaw:
-    return FailureLaw(priority=priority, family="exponential", mean=mean)
+def _exp(priority: int, mean: float) -> FailureLawSpec:
+    return FailureLawSpec(priority=priority, family="exponential", mean=mean)
 
 
 # -- failure-rate / priority axis --------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="exp-baseline-local",
     description="Exponential failures, priority 5, local ramdisk, Formula (3); "
                 "the reference point every other scenario perturbs.",
-    axes=("distribution:exponential", "storage:local", "policy:optimal"),
-    laws=(_exp(5, 600.0),),
-    n_tasks=64,
-    quick=True,
+    tags=("distribution:exponential", "storage:local", "policy:optimal"),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(_exp(5, 600.0),)),
+    execution=ExecutionSpec(quick=True),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="exp-per-priority-spread",
     description="Five priorities with Fig. 4-style geometric interval growth; "
                 "per-priority failure rates diverge by two orders of magnitude.",
-    axes=("distribution:exponential", "priority:spread"),
-    laws=(_exp(1, 200.0), _exp(3, 500.0), _exp(5, 1200.0),
-          _exp(8, 5000.0), _exp(12, 40000.0)),
-    n_tasks=80,
+    tags=("distribution:exponential", "priority:spread"),
+    workload=WorkloadSpec(n_tasks=80),
+    failures=FailureSpec(laws=(_exp(1, 200.0), _exp(3, 500.0), _exp(5, 1200.0),
+                               _exp(8, 5000.0), _exp(12, 40000.0))),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="exp-high-failure-rate",
     description="Low priority under heavy preemption: several failures per task.",
-    axes=("distribution:exponential", "priority:low", "rate:high"),
-    laws=(_exp(1, 150.0),),
-    n_tasks=48,
-    te_mean=400.0,
-    quick=True,
+    tags=("distribution:exponential", "priority:low", "rate:high"),
+    workload=WorkloadSpec(n_tasks=48, te_mean=400.0),
+    failures=FailureSpec(laws=(_exp(1, 150.0),)),
+    execution=ExecutionSpec(quick=True),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="exp-rare-failures",
     description="Top priority, near-failure-free: the x=1 degenerate regime.",
-    axes=("distribution:exponential", "priority:high", "rate:rare"),
-    laws=(_exp(12, 50000.0),),
-    n_tasks=64,
+    tags=("distribution:exponential", "priority:high", "rate:rare"),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(_exp(12, 50000.0),)),
 ))
 
 # -- distribution-family axis ------------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="weibull-infant-mortality",
     description="Weibull k=0.7 (decreasing hazard) — early-failure clustering.",
-    axes=("distribution:weibull", "hazard:decreasing"),
-    laws=(FailureLaw(5, "weibull", 700.0, 0.7),),
-    n_tasks=64,
+    tags=("distribution:weibull", "hazard:decreasing"),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(FailureLawSpec(5, "weibull", 700.0, 0.7),)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="weibull-wearout",
     description="Weibull k=1.8 (increasing hazard) — wear-out style failures.",
-    axes=("distribution:weibull", "hazard:increasing"),
-    laws=(FailureLaw(5, "weibull", 700.0, 1.8),),
-    n_tasks=64,
-    quick=True,
+    tags=("distribution:weibull", "hazard:increasing"),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(FailureLawSpec(5, "weibull", 700.0, 1.8),)),
+    execution=ExecutionSpec(quick=True),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="pareto-moderate-tail",
     description="Pareto alpha=2.5 intervals (finite variance heavy tail).",
-    axes=("distribution:pareto", "tail:moderate"),
-    laws=(FailureLaw(4, "pareto", 800.0, 2.5),),
-    n_tasks=64,
+    tags=("distribution:pareto", "tail:moderate"),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(FailureLawSpec(4, "pareto", 800.0, 2.5),)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="pareto-heavy-tail",
     description="Pareto alpha=1.4 intervals — infinite-variance preemption gaps "
                 "(the Fig. 5 pooled-population regime).",
-    axes=("distribution:pareto", "tail:heavy"),
-    laws=(FailureLaw(3, "pareto", 900.0, 1.4),),
-    n_tasks=64,
+    tags=("distribution:pareto", "tail:heavy"),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(FailureLawSpec(3, "pareto", 900.0, 1.4),)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="lognormal-intervals",
     description="LogNormal sigma=1.2 intervals — multiplicative interval noise.",
-    axes=("distribution:lognormal",),
-    laws=(FailureLaw(6, "lognormal", 700.0, 1.2),),
-    n_tasks=64,
+    tags=("distribution:lognormal",),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(FailureLawSpec(6, "lognormal", 700.0, 1.2),)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="mixture-body-tail",
     description="Exponential body + Pareto tail mixture, the calibrated "
                 "catalog's pooled per-priority shape.",
-    axes=("distribution:mixture", "tail:pareto"),
-    laws=(FailureLaw(5, "mixture", 400.0),),
-    n_tasks=64,
+    tags=("distribution:mixture", "tail:pareto"),
+    workload=WorkloadSpec(n_tasks=64),
+    failures=FailureSpec(laws=(FailureLawSpec(5, "mixture", 400.0),)),
 ))
 
 # -- storage axis -------------------------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="storage-nfs-contended",
     description="One shared NFS server under simultaneous checkpoint writers; "
                 "the DES prices Table 2 congestion the analytic tiers cannot.",
-    axes=("storage:nfs", "contention:high"),
-    laws=(_exp(4, 500.0),),
-    n_tasks=40,
-    n_hosts=4,
-    storage="nfs",
-    compare="stats",
+    tags=("storage:nfs", "contention:high"),
+    workload=WorkloadSpec(n_tasks=40),
+    failures=FailureSpec(laws=(_exp(4, 500.0),)),
+    storage=StorageSpec(mode="nfs"),
+    execution=ExecutionSpec(n_hosts=4, compare="stats"),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="storage-dmnfs",
     description="DM-NFS (one server per host, random pick): contention is rare, "
                 "so costs stay near the uncontended shared quote (Table 3).",
-    axes=("storage:dmnfs", "contention:low"),
-    laws=(_exp(4, 500.0),),
-    n_tasks=48,
-    n_hosts=16,
-    storage="dmnfs",
-    compare="stats",
+    tags=("storage:dmnfs", "contention:low"),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(4, 500.0),)),
+    storage=StorageSpec(mode="dmnfs"),
+    execution=ExecutionSpec(n_hosts=16, compare="stats"),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="storage-auto-selection",
     description="Per-task §4.2.2 local-vs-shared selection; tasks split across "
                 "migration types A and B.",
-    axes=("storage:auto", "selector:4.2.2"),
-    laws=(_exp(2, 250.0), _exp(7, 2500.0)),
-    n_tasks=56,
-    storage="auto",
-    compare="stats",
+    tags=("storage:auto", "selector:4.2.2"),
+    workload=WorkloadSpec(n_tasks=56),
+    failures=FailureSpec(laws=(_exp(2, 250.0), _exp(7, 2500.0))),
+    storage=StorageSpec(mode="auto"),
+    execution=ExecutionSpec(compare="stats"),
 ))
 
 # -- restart-delay / overhead axis -------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="restart-delay-long",
     description="Slow failure detection (30 s) and heavy placement (5 s): the "
                 "per-failure delay term dominates the wallclock.",
-    axes=("delay:detection", "delay:placement"),
-    laws=(_exp(3, 400.0),),
-    n_tasks=48,
-    failure_detection_delay=30.0,
-    placement_overhead=5.0,
+    tags=("delay:detection", "delay:placement"),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(3, 400.0),)),
+    execution=ExecutionSpec(failure_detection_delay=30.0,
+                            placement_overhead=5.0),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="restart-delay-zero",
     description="Instant detection and placement — the pure model with zero "
                 "exogenous delays.",
-    axes=("delay:none",),
-    laws=(_exp(3, 400.0),),
-    n_tasks=48,
-    failure_detection_delay=0.0,
-    placement_overhead=0.0,
+    tags=("delay:none",),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(3, 400.0),)),
+    execution=ExecutionSpec(failure_detection_delay=0.0,
+                            placement_overhead=0.0),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="checkpoint-costly-mem",
     description="Large memory images (180-240 MB): checkpoints near the top of "
                 "the Fig. 7 cost range, few intervals are optimal.",
-    axes=("memory:large", "cost:high"),
-    laws=(_exp(5, 600.0),),
-    n_tasks=40,
-    mem_mean=210.0,
-    mem_sigma=0.08,
-    mem_min=180.0,
-    mem_max=240.0,
+    tags=("memory:large", "cost:high"),
+    workload=WorkloadSpec(n_tasks=40, mem_mean=210.0, mem_sigma=0.08,
+                          mem_min=180.0, mem_max=240.0),
+    failures=FailureSpec(laws=(_exp(5, 600.0),)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="checkpoint-cheap-mem",
     description="Tiny memory images: near-free checkpoints, many intervals.",
-    axes=("memory:small", "cost:low"),
-    laws=(_exp(5, 600.0),),
-    n_tasks=56,
-    mem_mean=12.0,
-    mem_sigma=0.1,
-    mem_min=10.0,
-    mem_max=16.0,
+    tags=("memory:small", "cost:low"),
+    workload=WorkloadSpec(n_tasks=56, mem_mean=12.0, mem_sigma=0.1,
+                          mem_min=10.0, mem_max=16.0),
+    failures=FailureSpec(laws=(_exp(5, 600.0),)),
 ))
 
 # -- policy axis --------------------------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="policy-young",
     description="Young's sqrt(2*C*MTBF) interval applied to finite tasks.",
-    axes=("policy:young",),
-    laws=(_exp(4, 800.0),),
-    n_tasks=48,
-    policy="young",
+    tags=("policy:young",),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(4, 800.0),)),
+    policy=PolicySpec(name="young"),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="policy-daly",
     description="Daly's higher-order interval as the checkpoint policy.",
-    axes=("policy:daly",),
-    laws=(_exp(4, 800.0),),
-    n_tasks=48,
-    policy="daly",
+    tags=("policy:daly",),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(4, 800.0),)),
+    policy=PolicySpec(name="daly"),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="policy-fixed-interval",
     description="Naive fixed 120 s checkpoint interval (ablation baseline).",
-    axes=("policy:fixed-interval",),
-    laws=(_exp(4, 700.0),),
-    n_tasks=48,
-    policy="fixed-interval",
-    policy_param=120.0,
+    tags=("policy:fixed-interval",),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(4, 700.0),)),
+    policy=PolicySpec(name="fixed-interval", param=120.0),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="policy-no-checkpoint",
     description="Never checkpoint: every failure restarts from scratch.",
-    axes=("policy:none", "rollback:full"),
-    laws=(_exp(6, 1500.0),),
-    n_tasks=48,
-    policy="none",
-    quick=True,
+    tags=("policy:none", "rollback:full"),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(6, 1500.0),)),
+    policy=PolicySpec(name="none"),
+    execution=ExecutionSpec(quick=True),
 ))
 
 # -- task-shape axis ----------------------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="long-tasks",
     description="Two-hour tasks under moderate failure rates: deep checkpoint "
                 "grids and multi-failure executions.",
-    axes=("te:long",),
-    laws=(_exp(5, 2500.0),),
-    n_tasks=24,
-    te_mode="fixed",
-    te_mean=7200.0,
+    tags=("te:long",),
+    workload=WorkloadSpec(n_tasks=24, te_mode="fixed", te_mean=7200.0),
+    failures=FailureSpec(laws=(_exp(5, 2500.0),)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="short-tasks",
     description="One-minute tasks where overheads rival productive work.",
-    axes=("te:short",),
-    laws=(_exp(5, 300.0),),
-    n_tasks=80,
-    te_mode="fixed",
-    te_mean=60.0,
-    quick=True,
+    tags=("te:short",),
+    workload=WorkloadSpec(n_tasks=80, te_mode="fixed", te_mean=60.0),
+    failures=FailureSpec(laws=(_exp(5, 300.0),)),
+    execution=ExecutionSpec(quick=True),
 ))
 
 # -- cluster-shape / arrival axis --------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="hetero-hosts",
     description="Heterogeneous deployment: VM counts cycle 2/7/3/5 per host, "
                 "skewing the greedy scheduler's placement order.",
-    axes=("hosts:heterogeneous", "scheduler:greedy"),
-    laws=(_exp(5, 600.0),),
-    n_tasks=60,
-    n_hosts=6,
-    vms_per_host_pattern=(2, 7, 3, 5),
+    tags=("hosts:heterogeneous", "scheduler:greedy"),
+    workload=WorkloadSpec(n_tasks=60),
+    failures=FailureSpec(laws=(_exp(5, 600.0),)),
+    execution=ExecutionSpec(n_hosts=6, vms_per_host_pattern=(2, 7, 3, 5)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="tight-capacity-queueing",
     description="Six VMs for 48 simultaneous tasks: deep FIFO queueing; "
                 "service-time agreement must survive saturation.",
-    axes=("capacity:tight", "queue:deep"),
-    laws=(_exp(5, 700.0),),
-    n_tasks=48,
-    n_hosts=2,
-    vms_per_host=3,
+    tags=("capacity:tight", "queue:deep"),
+    workload=WorkloadSpec(n_tasks=48),
+    failures=FailureSpec(laws=(_exp(5, 700.0),)),
+    execution=ExecutionSpec(n_hosts=2, vms_per_host=3),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="bursty-arrivals",
     description="Flash crowds: bursts of 12 simultaneous submissions.",
-    axes=("arrival:bursty",),
-    laws=(_exp(5, 600.0),),
-    n_tasks=60,
-    arrival="bursty",
-    burst_size=12,
-    arrival_rate=0.3,
+    tags=("arrival:bursty",),
+    workload=WorkloadSpec(n_tasks=60, arrival="bursty", burst_size=12,
+                          arrival_rate=0.3),
+    failures=FailureSpec(laws=(_exp(5, 600.0),)),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="steady-arrivals",
     description="Poisson arrivals at 0.2 jobs/s — the classic open system.",
-    axes=("arrival:steady",),
-    laws=(_exp(5, 600.0),),
-    n_tasks=48,
-    arrival="steady",
-    arrival_rate=0.2,
+    tags=("arrival:steady",),
+    workload=WorkloadSpec(n_tasks=48, arrival="steady", arrival_rate=0.2),
+    failures=FailureSpec(laws=(_exp(5, 600.0),)),
 ))
 
 # -- synthesized Google-like traces ------------------------------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="google-trace-steady",
     description="Synthesized Google-like trace (frailty ground truth, mixed "
                 "ST/BoT jobs) with Poisson arrivals, local storage.",
-    axes=("workload:google-like", "arrival:steady", "frailty:per-task"),
-    laws=(),
-    from_trace=True,
-    trace_jobs=30,
-    arrival_rate=0.5,
-    mem_max=800.0,
-    te_max=20000.0,
+    tags=("workload:google-like", "arrival:steady", "frailty:per-task"),
+    workload=WorkloadSpec(source="google", trace_jobs=30, arrival_rate=0.5,
+                          mem_max=800.0, te_max=20000.0),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="google-trace-bursty",
     description="Synthesized Google-like trace arriving in bursts of 10 — the "
                 "new bursty synthesizer mode end-to-end.",
-    axes=("workload:google-like", "arrival:bursty", "frailty:per-task"),
-    laws=(),
-    from_trace=True,
-    trace_jobs=24,
-    trace_arrival="bursty",
-    trace_burst_size=10,
-    arrival_rate=0.5,
-    mem_max=800.0,
-    te_max=20000.0,
-    quick=True,
+    tags=("workload:google-like", "arrival:bursty", "frailty:per-task"),
+    workload=WorkloadSpec(source="google", trace_jobs=24,
+                          trace_arrival="bursty", trace_burst_size=10,
+                          arrival_rate=0.5, mem_max=800.0, te_max=20000.0),
+    execution=ExecutionSpec(quick=True),
 ))
 
 # -- host-crash axis (DES-only physics -> loose bounds) ----------------
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="host-crashes-shared",
     description="Host crashes (MTBF 4000 s) with shared checkpoints: images "
                 "survive the crash, tasks restart elsewhere (§2 liveness).",
-    axes=("hosts:crashing", "storage:dmnfs", "liveness:restart"),
-    laws=(_exp(5, 800.0),),
-    n_tasks=40,
-    storage="dmnfs",
-    host_mtbf=4000.0,
-    host_repair_time=60.0,
-    compare="loose",
-    loose_lo=0.7,
-    loose_hi=3.0,
+    tags=("hosts:crashing", "storage:dmnfs", "liveness:restart"),
+    workload=WorkloadSpec(n_tasks=40),
+    failures=FailureSpec(laws=(_exp(5, 800.0),), host_mtbf=4000.0,
+                         host_repair_time=60.0),
+    storage=StorageSpec(mode="dmnfs"),
+    execution=ExecutionSpec(compare="loose", loose_lo=0.7, loose_hi=3.0),
 ))
-register_scenario(Scenario(
+register_scenario(RunSpec(
     name="host-crashes-local-wipe",
     description="Host crashes with local ramdisk checkpoints: the image dies "
                 "with the host and the task restarts from scratch — §1's "
                 "reliability argument for shared disks.",
-    axes=("hosts:crashing", "storage:local", "rollback:wipe"),
-    laws=(_exp(5, 800.0),),
-    n_tasks=40,
-    storage="local",
-    host_mtbf=900.0,
-    host_repair_time=60.0,
-    compare="loose",
-    loose_lo=0.7,
-    loose_hi=6.0,
+    tags=("hosts:crashing", "storage:local", "rollback:wipe"),
+    workload=WorkloadSpec(n_tasks=40),
+    failures=FailureSpec(laws=(_exp(5, 800.0),), host_mtbf=900.0,
+                         host_repair_time=60.0),
+    storage=StorageSpec(mode="local"),
+    execution=ExecutionSpec(compare="loose", loose_lo=0.7, loose_hi=6.0),
 ))

@@ -1,25 +1,21 @@
-"""The ``repro.api.run`` facade and its retrofits.
+"""The ``repro.api.run`` facade.
 
-The acceptance contract of the RunSpec redesign:
+The contract of the one-description-of-a-run design:
 
-* every registered verify scenario lowers to a ``RunSpec`` that
-  round-trips back to an equal ``Scenario`` and reproduces the golden
-  scalar digest bit-for-bit through ``repro.api.run``;
+* every registered verify scenario is a ``RunSpec`` that reproduces
+  its golden scalar digest bit-for-bit through ``repro.api.run``;
 * the vector and replay tiers stay worker-count invariant when driven
   through specs;
-* sweep grids lower to specs without changing a single digest, and
-  spec-override grids (``expand_grid``/``run_specs``) inherit the
-  determinism contract;
-* the legacy ``evaluate_policy(trace, policy, **kwargs)`` shim warns
-  exactly once and matches the spec path bit-for-bit.
+* ``evaluate_policy`` takes only a replay-tier spec (plus the
+  ``trace=``/``catalog=`` overrides) and rejects anything else loudly.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import warnings
 
-import numpy as np
 import pytest
 
 from repro import api
@@ -35,34 +31,30 @@ import repro.spec as spec_mod
 from repro.spec import RunSpec, SpecError
 from repro.verify.golden import load_golden
 from repro.verify.runner import run_scenario
-from repro.verify.scenarios import SCENARIOS, get_scenario, list_scenarios
+from repro.verify.scenarios import get_scenario, list_scenarios
 
 QUICK = [s.name for s in list_scenarios(quick_only=True)]
 
 
 class TestScenarioLowering:
-    def test_round_trip_every_registered_scenario(self):
-        # Lowering is exact: spec -> scenario inverts field-for-field.
-        for scenario in list_scenarios():
-            spec = scenario.to_spec()
-            assert api.spec_to_scenario(spec) == scenario, scenario.name
+    """Registered scenario specs run through the facade unchanged."""
 
     def test_all_scenarios_reproduce_golden_scalar_digests(self):
-        # The CI-gated acceptance criterion: all registered scenarios,
-        # lowered to RunSpec and re-run via the facade, reproduce the
-        # golden scalar digests bit-for-bit.
-        rows = api.verify_lowering()
-        assert len(rows) == len(SCENARIOS)
-        bad = [r["scenario"] for r in rows if not r["match"]]
-        assert not bad, f"lowered-spec digest mismatches: {bad}"
+        # Every registered scenario spec, run through the facade,
+        # reproduces its golden scalar digest bit-for-bit.
+        bad = [spec.name for spec in list_scenarios()
+               if api.run(spec).digest
+               != load_golden(spec.name)["scalar"]["digest"]]
+        assert not bad, f"scenario digest mismatches: {bad}"
 
     def test_lowered_spec_matches_legacy_runner(self):
-        scenario = get_scenario("exp-high-failure-rate")
-        legacy = run_scenario(scenario, base_seed=3)
-        spec = scenario.to_spec(base_seed=3)
-        assert api.run(spec).digest == legacy.tiers["scalar"].digest
+        # api.run and the verify runner agree on a non-default seed.
+        spec = get_scenario("exp-high-failure-rate").evolve(
+            **{"execution.base_seed": 3})
+        verified = run_scenario(spec)
+        assert api.run(spec).digest == verified.tiers["scalar"].digest
         vec = api.run(spec.evolve(**{"execution.tier": "vector"}))
-        assert vec.digest == legacy.tiers["vector"].digest
+        assert vec.digest == verified.tiers["vector"].digest
 
     def test_scenario_spec_by_name(self):
         spec = api.scenario_spec("exp-baseline-local", tier="vector")
@@ -115,24 +107,7 @@ class TestRunFacade:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn_once_and_match_spec_path(self):
-        # The satellite contract: exactly one DeprecationWarning per
-        # legacy call, results bit-identical to the spec path.
-        spec = policy_run_spec("optimal", n_jobs=90, trace_seed=11,
-                               estimation="priority")
-        via_spec = evaluate_policy(spec)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = evaluate_policy(
-                default_trace(90, 11), OptimalCountPolicy(),
-                estimation="priority",
-            )
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)
-                        and "evaluate_policy" in str(w.message)]
-        assert len(deprecations) == 1
-        assert legacy.sim.digest() == via_spec.sim.digest()
-        np.testing.assert_array_equal(legacy.job_wpr, via_spec.job_wpr)
+    """``evaluate_policy`` takes a replay-tier spec and nothing else."""
 
     def test_spec_path_does_not_warn(self):
         spec = policy_run_spec("optimal", n_jobs=90, trace_seed=11)
@@ -143,24 +118,9 @@ class TestDeprecationShim:
                     if issubclass(w.category, DeprecationWarning)
                     and "evaluate_policy" in str(w.message)]
 
-    def test_legacy_keyword_form_still_works(self):
-        # evaluate_policy(trace=..., policy=...) predates the spec
-        # rename of the first parameter and must keep working.
-        spec = policy_run_spec("optimal", n_jobs=90, trace_seed=11,
-                               estimation="priority")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = evaluate_policy(
-                trace=default_trace(90, 11), policy=OptimalCountPolicy(),
-                estimation="priority",
-            )
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-        assert legacy.sim.digest() == evaluate_policy(spec).sim.digest()
-
     def test_spec_plus_policy_rejected(self):
         spec = policy_run_spec("optimal", n_jobs=50, trace_seed=5)
-        with pytest.raises(TypeError, match="drop the positional"):
+        with pytest.raises(TypeError, match="positional"):
             evaluate_policy(spec, OptimalCountPolicy())
 
     def test_spec_plus_engine_kwargs_rejected(self):
@@ -175,12 +135,14 @@ class TestDeprecationShim:
             evaluate_policy(spec, workers=2)
 
     def test_legacy_trace_override_rejected(self):
-        with pytest.raises(TypeError, match="RunSpec"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                evaluate_policy(default_trace(50, 5),
-                                OptimalCountPolicy(),
-                                trace=default_trace(50, 5))
+        # The old (trace, policy, **kwargs) form is gone: it fails
+        # loudly instead of running some other experiment.
+        with pytest.raises(TypeError):
+            evaluate_policy(default_trace(50, 5), OptimalCountPolicy(),
+                            trace=default_trace(50, 5))
+        with pytest.raises(TypeError):
+            evaluate_policy(default_trace(50, 5), OptimalCountPolicy(),
+                            estimation="priority")
 
     def test_wrong_tier_spec_rejected(self):
         spec = api.scenario_spec("exp-baseline-local")
@@ -264,7 +226,7 @@ class TestRunCli:
         assert api.main(["--spec", str(path)]) == 0
         assert "short-tasks" in capsys.readouterr().out
 
-    def test_check_lowering_quick_subset_via_dispatch(self, capsys):
+    def test_scenario_run_via_toplevel_dispatch(self, capsys):
         # Exercise the top-level CLI dispatch (`repro run ...`).
         from repro.cli import main as cli_main
 
@@ -340,16 +302,14 @@ class TestWorkersEffective:
         res = api.run(api.scenario_spec("short-tasks"))
         assert res.extra["workers_effective"] == 1.0
 
-    def test_des_shardable_honors_workers(self, monkeypatch):
-        # Contention-free DES specs shard by host group: no warning,
+    def test_des_shardable_honors_workers(self, caplog):
+        # Contention-free DES specs shard by host group: no refusal,
         # real workers_effective, worker-invariant results.
-        monkeypatch.setattr(api, "_DES_REFUSAL_WARNED", False)
         spec = api.scenario_spec("policy-no-checkpoint", tier="des",
                                  workers=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with caplog.at_level(logging.INFO, logger="repro.api"):
             res = api.run(spec)
-        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        assert "refuses to shard" not in caplog.text
         assert res.extra["workers_effective"] == 2.0
         assert res.extra["n_shards"] >= 2.0
         assert "shard_refused" not in res.extra
@@ -361,30 +321,31 @@ class TestWorkersEffective:
                           if k != "workers_effective"}
         assert drop(serial.extra) == drop(res.extra)
 
-    def test_des_shared_storage_refuses_and_warns_once(self, monkeypatch):
-        # Shared-storage DES runs cannot shard: one documented warning
-        # per process, workers_effective=1 and shard_refused recorded.
-        monkeypatch.setattr(api, "_DES_REFUSAL_WARNED", False)
+    def test_des_shared_storage_refuses_and_warns_once(self, caplog):
+        # Shared-storage DES runs cannot shard: every refused run logs
+        # the reason on repro.api, records workers_effective=1 and
+        # shard_refused, and raises no warning.
         spec = api.scenario_spec("storage-dmnfs", tier="des", workers=4)
-        with pytest.warns(UserWarning, match="refuses to shard"):
+        with caplog.at_level(logging.INFO, logger="repro.api"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             first = api.run(spec)
+            second = api.run(spec)
+        refusals = [r for r in caplog.records
+                    if r.name == "repro.api"
+                    and "refuses to shard" in r.getMessage()]
+        assert len(refusals) == 2
+        assert "shared" in refusals[0].getMessage()  # the reason
         assert first.extra["workers_effective"] == 1.0
         assert first.extra["shard_refused"] == 1.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = api.run(spec)
-        assert not [w for w in caught
-                    if issubclass(w.category, UserWarning)
-                    and "des" in str(w.message)]
         assert second.extra["shard_refused"] == 1.0
         # workers stays out of the digest: same record either way
         serial = api.run(spec.evolve(**{"execution.workers": 1}))
         assert first.digest == serial.digest
         assert "shard_refused" not in serial.extra
 
-    def test_des_without_workers_does_not_warn(self, monkeypatch):
-        monkeypatch.setattr(api, "_DES_REFUSAL_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.run(api.scenario_spec("storage-dmnfs", tier="des"))
-        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+    def test_des_without_workers_does_not_warn(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.api"):
+            res = api.run(api.scenario_spec("storage-dmnfs", tier="des"))
+        assert "refuses to shard" not in caplog.text
+        assert "shard_refused" not in res.extra

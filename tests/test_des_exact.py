@@ -18,7 +18,6 @@ make a change pass.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -32,6 +31,13 @@ GOLDEN = json.loads(
 )
 PINS = GOLDEN["scenarios"]
 VARIANTS = GOLDEN["variants"]
+
+#: the variants' flat override keys, as dotted RunSpec paths
+SPEC_PATHS = {
+    "n_tasks": "workload.n_tasks",
+    "n_hosts": "execution.n_hosts",
+    "host_mtbf": "failures.host_mtbf",
+}
 
 
 def _pin(tier) -> dict:
@@ -49,13 +55,13 @@ def test_every_scenario_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_des_tier_matches_exact_pin(name):
-    assert _pin(run_des(build_workload(get_scenario(name), 0))) == PINS[name]
+    assert _pin(run_des(build_workload(get_scenario(name)))) == PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_queue_deep_variant_matches_exact_pin(name):
     variant = VARIANTS[name]
-    scenario = dataclasses.replace(
-        get_scenario(variant["scenario"]), **variant["overrides"]
-    )
-    assert _pin(run_des_unsharded(build_workload(scenario, 0))) == variant["pin"]
+    spec = get_scenario(variant["scenario"]).evolve(**{
+        SPEC_PATHS[key]: value for key, value in variant["overrides"].items()
+    })
+    assert _pin(run_des_unsharded(build_workload(spec))) == variant["pin"]

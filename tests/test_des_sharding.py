@@ -38,14 +38,14 @@ def _eligible_scenarios():
     """Contention-free scenarios: local storage, no host crashes."""
     return [
         s for s in list_scenarios()
-        if s.storage == "local" and s.host_mtbf is None
+        if s.storage.mode == "local" and s.failures.host_mtbf is None
     ]
 
 
 def _refusing_scenarios():
     return [
         s for s in list_scenarios()
-        if not (s.storage == "local" and s.host_mtbf is None)
+        if not (s.storage.mode == "local" and s.failures.host_mtbf is None)
     ]
 
 
@@ -143,31 +143,26 @@ class TestRefusal:
         reason = shard_refusal_reason(workload.cluster)
         assert reason is not None and "host-crash" in reason
 
-    def test_api_records_refusal_in_extra(self, monkeypatch):
-        import warnings
+    def test_api_records_refusal_in_extra(self, caplog):
+        import logging
 
         from repro import api
 
-        monkeypatch.setattr(api, "_DES_REFUSAL_WARNED", True)  # quiet
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with caplog.at_level(logging.INFO, logger="repro.api"):
             res = api.run(api.scenario_spec("storage-nfs-contended",
                                             tier="des", workers=2))
+        assert "refuses to shard" in caplog.text
         assert res.extra["shard_refused"] == 1.0
         assert res.extra["workers_effective"] == 1.0
 
     def test_refusal_stays_out_of_the_record(self):
         # shard_refused depends on the requested worker count, so the
         # canonical store record moves it to provenance.
-        import warnings
-
         from repro import api
         from repro.store import RunRecord
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = api.run(api.scenario_spec("storage-nfs-contended",
-                                            tier="des", workers=2))
+        res = api.run(api.scenario_spec("storage-nfs-contended",
+                                        tier="des", workers=2))
         record = RunRecord.from_result(res)
         assert "shard_refused" not in record.extra
         assert record.provenance["shard_refused"] is True

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import OptimalCountPolicy, YoungPolicy
-from repro.experiments.common import evaluate_policy
+from repro.experiments.common import evaluate_policy, policy_run_spec
 from repro.experiments.registry import run_experiment
 from repro.trace.io import load_trace, save_trace
 from repro.trace.sampler import failed_job_sample
@@ -19,12 +18,13 @@ class TestDeterminism:
         assert a.data == b.data
 
     def test_evaluation_reproducible_across_processes_shape(self):
-        """evaluate_policy is a pure function of (trace, policy, mode)."""
+        """evaluate_policy is a pure function of (spec, trace)."""
         trace = failed_job_sample(
             synthesize_trace(TraceConfig(n_jobs=300), seed=3), 0.5
         )
-        r1 = evaluate_policy(trace, OptimalCountPolicy(), estimation="priority")
-        r2 = evaluate_policy(trace, OptimalCountPolicy(), estimation="priority")
+        spec = policy_run_spec("optimal", estimation="priority")
+        r1 = evaluate_policy(spec, trace=trace)
+        r2 = evaluate_policy(spec, trace=trace)
         np.testing.assert_array_equal(r1.job_wpr, r2.job_wpr)
         np.testing.assert_array_equal(r1.sim.wallclock, r2.sim.wallclock)
 
@@ -39,9 +39,10 @@ class TestPersistencePipeline:
         path = tmp_path / "trace.jsonl"
         save_trace(trace, path)
         reloaded = load_trace(path)
-        for policy in (OptimalCountPolicy(), YoungPolicy()):
-            r1 = evaluate_policy(trace, policy, estimation="priority")
-            r2 = evaluate_policy(reloaded, policy, estimation="priority")
+        for policy in ("optimal", "young"):
+            spec = policy_run_spec(policy, estimation="priority")
+            r1 = evaluate_policy(spec, trace=trace)
+            r2 = evaluate_policy(spec, trace=reloaded)
             np.testing.assert_allclose(r1.job_wpr, r2.job_wpr)
             np.testing.assert_allclose(r1.job_wall, r2.job_wall)
 
@@ -54,10 +55,10 @@ class TestPolicyGapRobustness:
             trace = failed_job_sample(
                 synthesize_trace(TraceConfig(n_jobs=800), seed=seed), 0.5
             )
-            f3 = evaluate_policy(trace, OptimalCountPolicy(),
-                                 estimation="priority").mean_wpr()
-            yg = evaluate_policy(trace, YoungPolicy(),
-                                 estimation="priority").mean_wpr()
+            f3 = evaluate_policy(policy_run_spec("optimal"),
+                                 trace=trace).mean_wpr()
+            yg = evaluate_policy(policy_run_spec("young"),
+                                 trace=trace).mean_wpr()
             wins += f3 > yg
         assert wins == 3
 
@@ -67,10 +68,12 @@ class TestPolicyGapRobustness:
         trace = failed_job_sample(
             synthesize_trace(TraceConfig(n_jobs=800), seed=5), 0.5
         )
-        f3 = evaluate_policy(trace, OptimalCountPolicy(),
-                             estimation="priority", failure_mode="redraw",
-                             seed=11).mean_wpr()
-        yg = evaluate_policy(trace, YoungPolicy(),
-                             estimation="priority", failure_mode="redraw",
-                             seed=11).mean_wpr()
+        f3 = evaluate_policy(
+            policy_run_spec("optimal", failure_mode="redraw", seed=11),
+            trace=trace,
+        ).mean_wpr()
+        yg = evaluate_policy(
+            policy_run_spec("young", failure_mode="redraw", seed=11),
+            trace=trace,
+        ).mean_wpr()
         assert f3 > yg

@@ -25,8 +25,10 @@ from repro.parallel import (
     simulate_tasks_sharded,
     spawn_chunk_seeds,
 )
-from repro.parallel.sweep import SweepPoint, build_grid, run_point, run_sweep
+from repro.experiments.common import policy_run_spec
+from repro.parallel.sweep import run_specs
 from repro.failures.distributions import Exponential, Pareto
+from repro.spec import SpecError
 from repro.verify.golden import compare_with_golden, load_golden
 from repro.verify.runner import run_scenario, run_vector
 from repro.verify.scenarios import build_workload, get_scenario
@@ -89,9 +91,10 @@ class TestOverheadAwareDispatch:
         assert effective_workers(4, big) == 4
         assert effective_workers(1, big) == 1
 
-    def test_run_sweep_records_effective_workers(self):
-        points = build_grid(["optimal"], ["local"], [40], [0])
-        report = run_sweep(points, workers=2)
+    def test_run_specs_records_effective_workers(self):
+        specs = [policy_run_spec("optimal", storage="local", n_jobs=40,
+                                 trace_seed=0)]
+        report = run_specs(specs, workers=2)
         assert report["workers"] == 2
         assert report["workers_effective"] == 1  # tiny grid -> serial
 
@@ -228,7 +231,7 @@ class TestGoldenScenarioOutcomes:
     QUICK = "exp-baseline-local"
 
     def test_run_vector_worker_invariant(self):
-        workload = build_workload(get_scenario(self.QUICK), base_seed=0)
+        workload = build_workload(get_scenario(self.QUICK))
         digests = {
             w: run_vector(workload, workers=w).digest for w in WORKER_COUNTS
         }
@@ -239,7 +242,7 @@ class TestGoldenScenarioOutcomes:
         golden outcomes: scalar digest bit-level, vector under the
         pinned tolerances."""
         spec = get_scenario(self.QUICK)
-        result = run_scenario(spec, base_seed=0, workers=2)
+        result = run_scenario(spec, workers=2)
         golden = load_golden(spec.name)
         assert golden is not None, "golden file missing for quick scenario"
         checks = result.checks + compare_with_golden(result, golden)
@@ -248,64 +251,66 @@ class TestGoldenScenarioOutcomes:
 
 
 class TestSweep:
-    GRID = dict(
-        policies=["optimal", "young"],
-        storages=["auto", "local"],
-        n_jobs_list=[60],
-        seeds=[0],
-    )
+    """The ``--policies/--storage/--n-jobs/--seeds`` flag grid."""
 
-    def test_grid_cross_product_order(self):
-        points = build_grid(**self.GRID)
-        assert len(points) == 4
-        assert [(p.policy, p.storage) for p in points] == [
-            ("optimal", "auto"), ("optimal", "local"),
-            ("young", "auto"), ("young", "local"),
+    FLAGS = ["sweep", "--policies", "optimal,young", "--storage",
+             "auto,local", "--n-jobs", "60", "--seeds", "0", "--quiet"]
+
+    def _sweep(self, tmp_path, *extra) -> dict:
+        out = tmp_path / "sweep.json"
+        assert cli_main([*self.FLAGS, *extra, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_grid_cross_product_order(self, tmp_path):
+        report = self._sweep(tmp_path)
+        assert [c["name"] for c in report["points"]] == [
+            "sweep-optimal-auto-j60-t0", "sweep-optimal-local-j60-t0",
+            "sweep-young-auto-j60-t0", "sweep-young-local-j60-t0",
         ]
 
-    def test_sweep_digests_invariant_over_workers(self):
-        points = build_grid(**self.GRID)
-        reports = {w: run_sweep(points, workers=w) for w in (1, 2)}
+    def test_sweep_digests_invariant_over_workers(self, tmp_path):
+        reports = {w: self._sweep(tmp_path, "--workers", str(w))
+                   for w in (1, 2)}
         d1 = [p["digest"] for p in reports[1]["points"]]
         d2 = [p["digest"] for p in reports[2]["points"]]
         assert d1 == d2
         assert reports[1]["n_points"] == 4
 
     def test_point_is_reproducible(self):
-        point = SweepPoint(policy="optimal", storage="auto", n_jobs=60,
-                           trace_seed=3)
-        a, b = run_point(point), run_point(point)
+        spec = policy_run_spec("optimal", storage="auto", n_jobs=60,
+                               trace_seed=3, estimation="oracle")
+        a, b = (run_specs([spec])["points"][0] for _ in range(2))
         assert a["digest"] == b["digest"]
         assert a["summary"] == b["summary"]
 
     def test_redraw_mode_runs(self):
-        point = SweepPoint(policy="young", storage="shared", n_jobs=60,
-                           trace_seed=1, failure_mode="redraw")
-        cell = run_point(point)
-        assert cell["n_tasks"] > 0
-        assert 0 < cell["mean_job_wpr"] <= 1.0
+        spec = policy_run_spec("young", storage="shared", n_jobs=60,
+                               trace_seed=1, failure_mode="redraw")
+        cell = run_specs([spec])["points"][0]
+        assert cell["summary"]["n_tasks"] > 0
+        assert 0 < cell["extra"]["mean_job_wpr"] <= 1.0
 
     def test_point_validation(self):
+        with pytest.raises(SpecError):
+            policy_run_spec("nope", storage="auto", n_jobs=10)
+        with pytest.raises(SpecError):
+            policy_run_spec("optimal", storage="floppy", n_jobs=10)
+        with pytest.raises(SpecError):
+            policy_run_spec("optimal", storage="auto", n_jobs=0)
         with pytest.raises(ValueError):
-            SweepPoint(policy="nope", storage="auto", n_jobs=10)
-        with pytest.raises(ValueError):
-            SweepPoint(policy="optimal", storage="floppy", n_jobs=10)
-        with pytest.raises(ValueError):
-            SweepPoint(policy="optimal", storage="auto", n_jobs=0)
-        with pytest.raises(ValueError):
-            run_sweep([], workers=1)
+            run_specs([], workers=1)
 
     def test_parametrized_policies_validated_at_grid_build(self):
         """fixed-interval/fixed-count without a positive param must fail
         when the grid is built, not mid-sweep inside a pool worker."""
-        with pytest.raises(ValueError, match="policy-param"):
-            SweepPoint(policy="fixed-interval", storage="auto", n_jobs=10)
-        with pytest.raises(ValueError, match="policy-param"):
-            SweepPoint(policy="fixed-count", storage="auto", n_jobs=10,
-                       policy_param=0.0)
-        point = SweepPoint(policy="fixed-count", storage="auto", n_jobs=40,
-                           policy_param=3.0)
-        assert run_point(point)["n_tasks"] > 0
+        with pytest.raises(SpecError, match="needs param"):
+            policy_run_spec("fixed-interval", storage="auto", n_jobs=10)
+        with pytest.raises(SpecError, match="needs param"):
+            policy_run_spec("fixed-count", storage="auto", n_jobs=10,
+                            policy_param=0.0)
+        spec = policy_run_spec("fixed-count", storage="auto", n_jobs=40,
+                               policy_param=3.0)
+        assert run_specs([spec])["points"][0]["summary"]["n_tasks"] > 0
 
     def test_cli_friendly_errors(self, tmp_path, capsys):
         # Empty grid axis -> usage error, no traceback.
@@ -314,7 +319,7 @@ class TestSweep:
         # Parametrized policy without --policy-param -> usage error.
         assert cli_main(["sweep", "--policies", "fixed-interval",
                          "--n-jobs", "50"]) == 2
-        assert "policy-param" in capsys.readouterr().err
+        assert "needs param" in capsys.readouterr().err
         # With the flag, the sweep runs.
         out = tmp_path / "fi.json"
         assert cli_main(["sweep", "--policies", "fixed-interval",
@@ -345,17 +350,21 @@ class TestSpecGrids:
         return policy_run_spec("optimal", n_jobs=60, trace_seed=0,
                                name="grid-base")
 
-    def test_sweep_point_lowers_to_equivalent_spec(self):
-        # The flag grid and the spec grid are the same computation:
-        # run_point (which lowers internally) and the raw facade agree.
+    def test_sweep_point_lowers_to_equivalent_spec(self, tmp_path):
+        # The flag grid and the spec grid are the same computation: a
+        # flag cell and the raw facade on its spec agree.
         from repro import api
 
-        point = SweepPoint(policy="young", storage="local", n_jobs=60,
-                           trace_seed=0)
-        cell = run_point(point)
-        res = api.run(point.to_spec())
-        assert cell["digest"] == res.digest
-        assert cell["spec_digest"] == point.to_spec().spec_digest()
+        out = tmp_path / "cell.json"
+        assert cli_main(["sweep", "--policies", "young", "--storage",
+                         "local", "--n-jobs", "60", "--seeds", "0",
+                         "--quiet", "--out", str(out)]) == 0
+        cell = json.loads(out.read_text())["points"][0]
+        spec = policy_run_spec("young", storage="local", n_jobs=60,
+                               trace_seed=0, estimation="oracle",
+                               name="sweep-young-local-j60-t0")
+        assert cell["digest"] == api.run(spec).digest
+        assert cell["spec_digest"] == spec.spec_digest()
 
     def test_expand_grid_order_and_values(self):
         from repro.parallel.sweep import expand_grid
@@ -365,7 +374,7 @@ class TestSpecGrids:
             ("execution.base_seed", [0, 1]),
         ])
         combos = [(s.policy.name, s.execution.base_seed) for s in specs]
-        # first axis is the outer loop, matching build_grid's nesting
+        # first axis is the outer loop, like the flag grid's nesting
         assert combos == [("optimal", 0), ("optimal", 1),
                           ("young", 0), ("young", 1)]
 
@@ -499,13 +508,16 @@ class TestLongestFirstScheduling:
         assert [c["digest"] for c in serial["points"]] == \
             [c["digest"] for c in pooled["points"]]
 
-    def test_run_sweep_merges_in_grid_order(self):
-        # Mixed-size legacy point grid: big cell first in dispatch,
-        # cells still reported in build_grid order.
-        points = build_grid(["optimal"], ["auto"], [40, 80], [0])
-        report = run_sweep(points, workers=2)
-        assert [p["n_jobs"] for p in report["points"]] == [40, 80]
-        assert all(p["digest"] for p in report["points"])
+    def test_flag_grid_merges_in_grid_order(self, tmp_path):
+        # Mixed-size flag grid: big cell first in dispatch, cells still
+        # reported in flag nesting order.
+        out = tmp_path / "sweep.json"
+        assert cli_main(["sweep", "--policies", "optimal", "--n-jobs",
+                         "40,80", "--seeds", "0", "--workers", "2",
+                         "--quiet", "--out", str(out)]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert [p["spec"]["workload"]["n_jobs"] for p in points] == [40, 80]
+        assert all(p["digest"] for p in points)
 
 
 class TestSweepStore:
@@ -542,16 +554,3 @@ class TestSweepStore:
         assert record.record_version == RECORD_VERSION
         assert record.provenance["workers_effective"] == 1
         assert record.spec["execution"]["workers"] == 1
-
-    def test_legacy_point_cells_are_run_records(self, tmp_path):
-        from repro.store import ResultStore, RunRecord
-
-        point = SweepPoint(policy="optimal", storage="auto", n_jobs=60,
-                           trace_seed=3)
-        cell = run_point(point, store=tmp_path)
-        assert cell["policy"] == "optimal"  # legacy flat fields remain
-        assert cell["spec_digest"] and not cell["cached"]
-        stored = ResultStore(tmp_path).get(cell["spec_digest"])
-        assert stored.digest == cell["digest"]
-        again = run_point(point, store=tmp_path)
-        assert again["cached"] and again["digest"] == cell["digest"]

@@ -141,8 +141,9 @@ class TestValidation:
         RunSpec(name="r", storage=StorageSpec(mode="shared"), **replay)
 
     def test_replay_only_knobs_rejected_on_scenario_tiers(self):
-        # These fields have no Scenario counterpart: silently dropping
-        # them would run the same computation under a new spec_digest.
+        # The scalar/vector/DES tiers never read these fields: silently
+        # ignoring them would run the same computation under a new
+        # spec_digest.
         with pytest.raises(SpecError, match="restart_delay"):
             _spec(execution=ExecutionSpec(restart_delay=30.0))
         with pytest.raises(SpecError, match="length_cap"):
@@ -384,15 +385,15 @@ class TestDigest:
         assert out.stdout.strip() == expected
 
     def test_golden_spec_fixtures(self):
-        # Five representative scenarios pin their lowered-spec JSON and
-        # digest; a lowering or serialization change trips this.
+        # Five representative scenarios pin their registered spec JSON
+        # and digest; a registry or serialization change trips this.
         from repro.verify.scenarios import get_scenario
 
         fixtures = sorted(GOLDEN_SPEC_DIR.glob("*.json"))
         assert len(fixtures) == 5
         for path in fixtures:
             payload = json.loads(path.read_text())
-            spec = get_scenario(path.stem).to_spec()
+            spec = get_scenario(path.stem)
             assert spec.to_dict() == payload["spec"], path.name
             assert spec.spec_digest() == payload["digest"], path.name
             assert RunSpec.from_dict(payload["spec"]) == spec, path.name

@@ -12,10 +12,10 @@ from repro.core.simulate import simulate_task, simulate_tasks
 from repro.failures.catalog import ExplicitCatalog
 from repro.failures.distributions import Exponential, Weibull
 from repro.failures.injector import FailureInjector
+from repro.spec import FailureLawSpec, FailureSpec
 from repro.trace.synthesizer import TraceConfig, synthesize_trace
 from repro.verify import (
     SCENARIOS,
-    Scenario,
     build_workload,
     get_scenario,
     list_scenarios,
@@ -30,7 +30,7 @@ from repro.verify.golden import (
     write_golden,
 )
 from repro.verify.runner import run_des, run_scalar, run_vector
-from repro.verify.scenarios import FailureLaw, make_distribution, make_policy
+from repro.verify.scenarios import make_distribution, make_policy
 
 
 QUICK = "exp-baseline-local"
@@ -48,7 +48,7 @@ class TestScenarioRegistry:
             get_scenario("no-such-scenario")
 
     def test_axes_cover_paper_dimensions(self):
-        axes = {a for s in SCENARIOS.values() for a in s.axes}
+        axes = {a for s in SCENARIOS.values() for a in s.tags}
         for expected in (
             "distribution:exponential", "distribution:weibull",
             "distribution:pareto", "storage:local", "storage:nfs",
@@ -59,11 +59,8 @@ class TestScenarioRegistry:
 
     def test_duplicate_priorities_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Scenario(
-                name="dup", description="", axes=(),
-                laws=(FailureLaw(5, "exponential", 100.0),
-                      FailureLaw(5, "exponential", 200.0)),
-            )
+            FailureSpec(laws=(FailureLawSpec(5, "exponential", 100.0),
+                              FailureLawSpec(5, "exponential", 200.0)))
 
     def test_make_distribution_means(self, rng):
         for family, shape in (
@@ -87,16 +84,16 @@ class TestDeterminism:
 
     def test_workload_build_is_pure(self):
         spec = get_scenario(QUICK)
-        w1 = build_workload(spec, base_seed=0)
-        w2 = build_workload(spec, base_seed=0)
+        w1 = build_workload(spec)
+        w2 = build_workload(spec)
         np.testing.assert_array_equal(w1.te, w2.te)
         np.testing.assert_array_equal(w1.intervals, w2.intervals)
         np.testing.assert_array_equal(w1.checkpoint_cost, w2.checkpoint_cost)
 
     def test_base_seed_changes_workload(self):
         spec = get_scenario(QUICK)
-        w1 = build_workload(spec, base_seed=0)
-        w2 = build_workload(spec, base_seed=1)
+        w1 = build_workload(spec)
+        w2 = build_workload(spec.evolve(**{"execution.base_seed": 1}))
         assert not np.array_equal(w1.te, w2.te)
 
     def test_scalar_tier_bit_identical(self):
@@ -167,6 +164,30 @@ class TestGolden:
         assert golden is not None
         checks = compare_with_golden(result, golden)
         assert all(c.passed for c in checks)
+
+    def test_golden_specs_are_the_registered_specs(self):
+        # Each golden tier section snapshots exactly the registered
+        # scenario spec moved to that tier: same spec_digest, same
+        # canonical spec dict.  Together with the bit-level scalar
+        # digest check of `repro verify`, this pins that the registry
+        # describes the runs the goldens were recorded from.
+        from repro.store import canonical_spec_dict
+        from repro.verify.golden import default_golden_dir
+
+        names = []
+        for path in sorted(default_golden_dir().glob("*.json")):
+            golden = json.loads(path.read_text())
+            if "scenario" not in golden:
+                continue  # des_exact.json pins the DES tier separately
+            names.append(golden["scenario"])
+            spec = get_scenario(golden["scenario"])
+            for tier in ("scalar", "vector", "des"):
+                moved = spec.evolve(**{"execution.tier": tier})
+                assert moved.spec_digest() == golden[tier]["spec_digest"], \
+                    (path.name, tier)
+                assert canonical_spec_dict(moved) == golden[tier]["spec"], \
+                    (path.name, tier)
+        assert sorted(names) == sorted(SCENARIOS)
 
     def test_missing_golden_is_a_violation(self):
         result = run_scenario(get_scenario(QUICK))
@@ -357,7 +378,7 @@ class TestGoldenMigration:
         v1 = {
             "version": 1,
             "scenario": QUICK,
-            "compare": result.scenario.compare,
+            "compare": result.spec.execution.compare,
             "seed": result.seed,
             "scalar": {"digest": tiers["scalar"].digest,
                        "summary": tiers["scalar"].summary},
@@ -405,7 +426,8 @@ class TestGoldenMigration:
                             "--store", str(via_verify)]) == 0
         scenario = get_scenario(QUICK)
         for tier in ("scalar", "vector", "des"):
-            api.run(scenario.to_spec(tier=tier), store=via_api)
+            api.run(scenario.evolve(**{"execution.tier": tier}),
+                    store=via_api)
         a, b = ResultStore(via_verify), ResultStore(via_api)
         digests_a = sorted(a.digests())
         assert digests_a == sorted(b.digests())
