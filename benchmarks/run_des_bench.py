@@ -17,7 +17,9 @@ record the CI regression guard compares against):
   makespan must be equal; ``speedup`` is baseline over current.
 * ``sharding`` — a multi-host contention-free scenario batch through
   the unsharded event loop vs host-group sharding at workers 1/2/4,
-  with per-task alignment and digest worker-invariance asserted.  Two
+  with per-task alignment and digest worker-invariance asserted.  The
+  candidates are timed interleaved (like every section), so host drift
+  lands on all of them rather than on one side of a ratio.  Two
   shapes: ``queue-deep`` (tasks >> VMs) and ``capacity-matched``
   (tasks < VMs, no queue).  Sharding pays only what decomposition
   saves over one event loop (smaller heaps) minus the shard plan and
@@ -70,16 +72,6 @@ TICKER_SHAPES = {
     "wide-1000x100": (1000, 100),
     "narrow-20x5000": (20, 5000),
 }
-
-
-def _best_of(repeats, fn):
-    times = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), result
 
 
 def _best_of_interleaved(repeats, fns: dict):
@@ -221,17 +213,13 @@ def _bench_scenario(name: str, n_tasks: int, n_hosts: int) -> RunSpec:
 
 def _sharded_vs_unsharded(workload, repeats: int, workers=(1, 2, 4)) -> dict:
     """Time one workload unsharded and sharded at each worker count,
-    asserting digest worker-invariance and per-task alignment."""
-    t_un, un = _best_of(repeats, lambda: run_des_unsharded(workload))
-    by_workers = {}
-    digests = set()
-    sharded = None
-    for w in workers:
-        t_sh, sharded = _best_of(
-            repeats, lambda w=w: run_des_sharded(workload, workers=w))
-        by_workers[str(w)] = round(t_sh, 4)
-        digests.add(sharded.digest)
-    assert len(digests) == 1, "sharded digests differ across workers!"
+    interleaved, asserting digest worker-invariance and per-task
+    alignment."""
+    un = run_des_unsharded(workload)
+    runs = {w: run_des_sharded(workload, workers=w) for w in workers}
+    assert len({r.digest for r in runs.values()}) == 1, \
+        "sharded digests differ across workers!"
+    sharded = runs[workers[0]]
     aligned = (
         np.array_equal(un.n_failures, sharded.n_failures)
         and np.array_equal(un.completed, sharded.completed)
@@ -239,6 +227,13 @@ def _sharded_vs_unsharded(workload, repeats: int, workers=(1, 2, 4)) -> dict:
                         rtol=1e-7, atol=1e-5, equal_nan=True)
     )
     assert aligned, f"{workload.spec.name}: sharded != unsharded per task!"
+    times = _best_of_interleaved(repeats, {
+        "unsharded": lambda: run_des_unsharded(workload),
+        **{str(w): lambda w=w: run_des_sharded(workload, workers=w)
+           for w in workers},
+    })
+    t_un = times["unsharded"]
+    by_workers = {str(w): round(times[str(w)], 4) for w in workers}
     out = {
         "n_tasks": workload.n_tasks,
         "n_shards": int(sharded.extra["n_shards"]),
@@ -306,10 +301,15 @@ def bench_sweep_fallback(repeats: int) -> dict:
         for policy in ("optimal", "young")
         for storage in ("auto", "local")
     ]
-    t_serial, rep1 = _best_of(repeats, lambda: run_specs(points, workers=1))
-    t_w2, rep2 = _best_of(repeats, lambda: run_specs(points, workers=2))
+    rep1 = run_specs(points, workers=1)
+    rep2 = run_specs(points, workers=2)
     assert [p["digest"] for p in rep1["points"]] == \
            [p["digest"] for p in rep2["points"]]
+    times = _best_of_interleaved(repeats, {
+        "serial": lambda: run_specs(points, workers=1),
+        "workers2": lambda: run_specs(points, workers=2),
+    })
+    t_serial, t_w2 = times["serial"], times["workers2"]
     return {
         "grid": "2 policies x 2 storage x 300 jobs",
         "n_points": len(points),

@@ -11,9 +11,10 @@ One :class:`TaskExecutor` drives one task through the cluster:
    checkpoint on a newly acquired VM;
 4. record everything in a :class:`~repro.cluster.records.TaskRecord`.
 
-The interval plan comes from any :class:`~repro.core.policies.
-CheckpointPolicy`, so the DES compares Formula (3) against Young's
-formula under identical placement and contention conditions.
+The plan (interval count, restart cost, migration type) is the task's
+row of the platform's one :func:`~repro.core.placement.resolve_tasks`
+call, so the DES compares Formula (3) against Young's formula under
+identical placement and contention conditions.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from typing import Callable
 
 from repro.cluster.records import TaskRecord
 from repro.cluster.scheduler import GreedyScheduler
-from repro.core.policies import CheckpointPolicy, TaskProfile
 from repro.sim.engine import Environment, Interrupt, Process
-from repro.storage.blcr import BLCRModel
 from repro.storage.devices import StorageDevice
 from repro.trace.models import Task
 
@@ -40,19 +39,16 @@ class TaskExecutor:
         Shared simulation infrastructure.
     task:
         The task to execute.
-    policy:
-        Checkpoint policy deciding the interval count.
-    profile:
-        The policy inputs (believed MNOF/MTBF and per-checkpoint cost
-        for the chosen storage target).
+    intervals:
+        Number of equidistant intervals (``x - 1`` checkpoints).
+    restart_cost:
+        Seconds each restart costs under this task's migration type.
+    migration_type:
+        ``"A"`` when checkpoints are local, ``"B"`` when shared.
     device_for_vm:
         Callable mapping the currently held VM to the storage device
         checkpoints are written to (the local-ramdisk target moves with
         the task; shared targets are fixed).
-    blcr:
-        Cost model pricing restarts for this task's memory footprint.
-    migration_type:
-        ``"A"`` when checkpoints are local, ``"B"`` when shared.
     injector:
         Failure injector (``next_failure_in() -> float``).
     record:
@@ -65,11 +61,10 @@ class TaskExecutor:
         scheduler: GreedyScheduler,
         config,
         task: Task,
-        policy: CheckpointPolicy,
-        profile: TaskProfile,
-        device_for_vm: Callable[[object], StorageDevice],
-        blcr: BLCRModel,
+        intervals: int,
+        restart_cost: float,
         migration_type: str,
+        device_for_vm: Callable[[object], StorageDevice],
         injector,
         record: TaskRecord,
     ):
@@ -77,11 +72,10 @@ class TaskExecutor:
         self.scheduler = scheduler
         self.config = config
         self.task = task
-        self.policy = policy
-        self.profile = profile
-        self.device_for_vm = device_for_vm
-        self.blcr = blcr
+        self.intervals = intervals
+        self.restart_cost = restart_cost
         self.migration_type = migration_type
+        self.device_for_vm = device_for_vm
         self.injector = injector
         self.record = record
 
@@ -106,7 +100,7 @@ class TaskExecutor:
         task = self.task
         rec.submit_time = env.now
 
-        x = self.policy.interval_count(self.profile)
+        x = self.intervals
         length = float(task.te / x)
         committed = 0  # completed intervals whose checkpoint is durable
         restart_due = 0.0  # restart cost owed at the next placement
@@ -184,7 +178,7 @@ class TaskExecutor:
                     rec.storage_target = self.migration_type
                     return rec
                 yield cfg.failure_detection_delay
-                restart_due = self.blcr.restart_cost(self.migration_type)
+                restart_due = self.restart_cost
 
         rec.finish_time = env.now
         rec.completed = True

@@ -4,7 +4,10 @@
 end-to-end: jobs arrive per the trace, sequential-task jobs run their
 tasks one after another, bag-of-task jobs fan out, every task is
 checkpointed per the configured policy, and failures are injected from
-the per-priority catalog.  The returned
+the per-priority catalog.  Before any job starts, one
+:func:`~repro.core.placement.resolve_tasks` call plans every task of
+the trace (storage target, restart cost, interval count); each task's
+executor then reads its row.  The returned
 :class:`~repro.cluster.records.PlatformResult` carries per-task and
 per-job measurements (WPR, wall-clock, overheads, queueing).
 """
@@ -20,12 +23,12 @@ from repro.cluster.executor import TaskExecutor
 from repro.cluster.host import PhysicalHost
 from repro.cluster.records import JobRecord, PlatformResult, TaskRecord
 from repro.cluster.scheduler import GreedyScheduler
-from repro.core.placement import select_storage
-from repro.core.policies import CheckpointPolicy, TaskProfile
+from repro.core.placement import by_priority, resolve_tasks
+from repro.core.policies import CheckpointPolicy
 from repro.failures.catalog import PriorityFailureModel, google_like_catalog
+from repro.failures.distributions import Exponential
 from repro.failures.injector import FailureInjector, TraceReplayInjector
 from repro.sim.engine import Environment
-from repro.storage.blcr import BLCRModel, MigrationType
 from repro.storage.devices import DMNFS, NFSServer, StorageDevice
 from repro.trace.models import Job, JobType, Trace
 
@@ -82,34 +85,6 @@ class CloudPlatform:
         dmnfs = DMNFS(cfg.n_hosts, device_rng)
         return env, hosts, scheduler, nfs, dmnfs
 
-    def _storage_for_task(
-        self,
-        te: float,
-        mnof: float,
-        mem_mb: float,
-        nfs: NFSServer,
-        dmnfs: DMNFS,
-    ) -> tuple[str, float, object]:
-        """Resolve the storage mode for one task.
-
-        Returns ``(migration_type, checkpoint_cost, fixed_device)``;
-        ``fixed_device`` is ``None`` for the local target (the device
-        follows the VM's host).
-        """
-        cfg = self.config
-        blcr = BLCRModel(mem_mb=mem_mb)
-        if cfg.storage == "local":
-            return "A", blcr.checkpoint_cost_local, None
-        if cfg.storage == "nfs":
-            return "B", blcr.checkpoint_cost_shared, nfs
-        if cfg.storage == "dmnfs":
-            return "B", blcr.checkpoint_cost_shared, dmnfs
-        # auto: §4.2.2 comparison between local ramdisk and DM-NFS.
-        decision = select_storage(te, mnof, blcr)
-        if decision.target is MigrationType.A:
-            return "A", blcr.checkpoint_cost_local, None
-        return "B", blcr.checkpoint_cost_shared, dmnfs
-
     # ------------------------------------------------------------------
     def run_trace(
         self,
@@ -139,32 +114,39 @@ class CloudPlatform:
         """
         cfg = self.config
         env, hosts, scheduler, nfs, dmnfs = self._build()
-        rng_root = np.random.default_rng(self.seed)
         job_records: list[JobRecord] = []
-        mnof_map = mnof_by_priority or {}
-        mtbf_map = mtbf_by_priority or {}
 
-        def make_executor(task, record: TaskRecord) -> TaskExecutor:
-            mnof = mnof_map.get(task.priority, 0.0)
-            mtbf = mtbf_map.get(task.priority, math.inf)
-            mig, ckpt_cost, fixed_device = self._storage_for_task(
-                task.te, mnof, task.mem_mb, nfs, dmnfs
-            )
-            blcr = BLCRModel(mem_mb=task.mem_mb)
-            profile = TaskProfile(
-                te=task.te,
-                checkpoint_cost=ckpt_cost,
-                restart_cost=blcr.restart_cost(mig),
-                mnof=mnof,
-                mtbf=mtbf,
+        # Plan every task up front; row = position in trace.tasks().
+        tasks = list(trace.tasks())
+        n = len(tasks)
+        priority = np.fromiter((t.priority for t in tasks), np.int64, n)
+        local, _ckpt, restart, intervals = resolve_tasks(
+            cfg.storage,
+            policy,
+            np.fromiter((t.te for t in tasks), float, n),
+            np.fromiter((t.mem_mb for t in tasks), float, n),
+            by_priority(mnof_by_priority or {}, priority, 0.0),
+            by_priority(mtbf_by_priority or {}, priority, math.inf),
+        )
+        local, restart, intervals = (
+            local.tolist(), restart.tolist(), intervals.tolist())
+        # Type-B tasks write to DM-NFS, unless the mode is plain "nfs".
+        shared_device = nfs if cfg.storage == "nfs" else dmnfs
+
+        def start_task(task, row: int, jrec: JobRecord):
+            """Record, plan and launch one task; returns its process."""
+            record = TaskRecord(
+                task_id=task.task_id,
+                job_id=task.job_id,
                 priority=task.priority,
+                te=task.te,
+                mem_mb=task.mem_mb,
             )
+            jrec.tasks.append(record)
             if replay_history:
                 injector = TraceReplayInjector(task.failure_intervals)
             elif task.interval_scale > 0:
                 # Frailty ground truth: the task's private exponential law.
-                from repro.failures.distributions import Exponential
-
                 injector = FailureInjector(
                     Exponential(1.0 / task.interval_scale),
                     np.random.default_rng((self.seed, task.task_id)),
@@ -177,52 +159,35 @@ class CloudPlatform:
                     max_failures=cfg.max_failures_per_task,
                 )
 
+            fixed_device = None if local[row] else shared_device
+
             def device_for_vm(vm) -> StorageDevice:
                 if fixed_device is not None:
                     return fixed_device
                 return vm.host.ramdisk
 
-            return TaskExecutor(
+            executor = TaskExecutor(
                 env=env,
                 scheduler=scheduler,
                 config=cfg,
                 task=task,
-                policy=policy,
-                profile=profile,
+                intervals=intervals[row],
+                restart_cost=restart[row],
+                migration_type="A" if local[row] else "B",
                 device_for_vm=device_for_vm,
-                blcr=blcr,
-                migration_type=mig,
                 injector=injector,
                 record=record,
             )
+            return env.process(executor.run(), name=f"task-{task.task_id}")
 
-        def job_process(job: Job, jrec: JobRecord):
+        def job_process(job: Job, first_row: int, jrec: JobRecord):
             yield max(0.0, job.submit_time - env.now)
+            rows = enumerate(job.tasks, first_row)
             if job.job_type is JobType.SEQUENTIAL:
-                for task in job.tasks:
-                    rec = TaskRecord(
-                        task_id=task.task_id,
-                        job_id=job.job_id,
-                        priority=task.priority,
-                        te=task.te,
-                        mem_mb=task.mem_mb,
-                    )
-                    jrec.tasks.append(rec)
-                    ex = make_executor(task, rec)
-                    yield env.process(ex.run(), name=f"task-{task.task_id}")
+                for row, task in rows:
+                    yield start_task(task, row, jrec)
             else:
-                procs = []
-                for task in job.tasks:
-                    rec = TaskRecord(
-                        task_id=task.task_id,
-                        job_id=job.job_id,
-                        priority=task.priority,
-                        te=task.te,
-                        mem_mb=task.mem_mb,
-                    )
-                    jrec.tasks.append(rec)
-                    ex = make_executor(task, rec)
-                    procs.append(env.process(ex.run(), name=f"task-{task.task_id}"))
+                procs = [start_task(task, row, jrec) for row, task in rows]
                 if env.no_contention:
                     # A completed Process stays yieldable, so joining
                     # the fan-out one process at a time observes the
@@ -261,6 +226,7 @@ class CloudPlatform:
                 )
 
         job_procs = []
+        first_row = 0
         for job in trace:
             jrec = JobRecord(
                 job_id=job.job_id,
@@ -269,9 +235,9 @@ class CloudPlatform:
                 submit_time=job.submit_time,
             )
             job_records.append(jrec)
-            job_procs.append(
-                env.process(job_process(job, jrec), name=f"job-{job.job_id}")
-            )
+            job_procs.append(env.process(
+                job_process(job, first_row, jrec), name=f"job-{job.job_id}"))
+            first_row += job.n_tasks
 
         if until is not None:
             env.run(until=until)
@@ -280,8 +246,6 @@ class CloudPlatform:
             env.run(until=env.all_of(job_procs))
         else:
             env.run()
-        # Keep RNG root alive for deterministic extension points.
-        del rng_root
         # env.now is inflated by cancelled watchdog timeouts that drain
         # at their original (possibly huge) deadlines; the meaningful
         # makespan is the last task completion.

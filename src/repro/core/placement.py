@@ -7,9 +7,13 @@ fault-tolerance cost of each target (the non-``Te`` terms of Eq. (4))::
     cost(target) = C_t (X_t - 1) + R_t E(Y) + Te E(Y) / (2 X_t)
 
 where ``X_t`` is the Theorem 1 optimal count under that target's
-checkpoint cost.  Local ramdisks have cheap checkpoints but expensive
-restarts (migration type A must stage the image through shared disk);
-plain NFS/DM-NFS is the reverse.
+checkpoint and restart costs.  Local ramdisks have cheap checkpoints
+but expensive restarts (migration type A must stage the image through
+shared disk); plain NFS/DM-NFS is the reverse.
+
+:func:`resolve_tasks` is every tier's one path from a batch of task
+profiles to ``(storage target, C, R, x)``; :func:`select_storage` is
+the scalar reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.formulas import optimal_interval_count_int
+from repro.core.policies import CheckpointPolicy
 from repro.storage.blcr import BLCRModel, MigrationType
 from repro.storage.costmodel import (
     checkpoint_cost_local,
@@ -28,9 +33,12 @@ from repro.storage.costmodel import (
 
 __all__ = [
     "StorageDecision",
+    "by_priority",
     "expected_total_cost",
+    "resolve_tasks",
     "select_storage",
     "select_storage_batch",
+    "storage_costs",
 ]
 
 
@@ -95,8 +103,10 @@ def select_storage(te: float, mnof: float, blcr: BLCRModel) -> StorageDecision:
         raise ValueError(f"te must be positive, got {te}")
     if mnof < 0:
         raise ValueError(f"mnof must be >= 0, got {mnof}")
-    xl = int(optimal_interval_count_int(te, mnof, blcr.checkpoint_cost_local))
-    xs = int(optimal_interval_count_int(te, mnof, blcr.checkpoint_cost_shared))
+    xl = int(optimal_interval_count_int(
+        te, mnof, blcr.checkpoint_cost_local, blcr.restart_cost_local))
+    xs = int(optimal_interval_count_int(
+        te, mnof, blcr.checkpoint_cost_shared, blcr.restart_cost_shared))
     cost_l = expected_total_cost(
         te, mnof, blcr.checkpoint_cost_local, blcr.restart_cost_local, xl
     )
@@ -113,6 +123,15 @@ def select_storage(te: float, mnof: float, blcr: BLCRModel) -> StorageDecision:
     )
 
 
+def _check_inputs(te: np.ndarray, mnof: np.ndarray, mem: np.ndarray) -> None:
+    if np.any(te <= 0):
+        raise ValueError("te must be strictly positive")
+    if np.any(mem <= 0):
+        raise ValueError("mem_mb must be strictly positive")
+    if np.any(mnof < 0):
+        raise ValueError("mnof must be >= 0")
+
+
 def select_storage_batch(
     te: np.ndarray,
     mnof: np.ndarray,
@@ -121,15 +140,13 @@ def select_storage_batch(
     """Vectorized §4.2.2 selection for a batch of tasks.
 
     Returns ``(local_wins, checkpoint_cost, restart_cost)`` — boolean
-    mask plus the per-task costs of the *chosen* target.  Used by the
-    Monte-Carlo evaluation tier where per-task Python calls would
-    dominate the run time.
+    mask plus the per-task costs of the *chosen* target; bit-identical
+    to :func:`select_storage` task by task.
     """
     te_arr = np.asarray(te, dtype=float)
-    mnof_arr = np.maximum(np.asarray(mnof, dtype=float), 0.0)
+    mnof_arr = np.asarray(mnof, dtype=float)
     mem_arr = np.asarray(mem_mb, dtype=float)
-    if np.any(te_arr <= 0) or np.any(mem_arr <= 0):
-        raise ValueError("te and mem_mb must be strictly positive")
+    _check_inputs(te_arr, mnof_arr, mem_arr)
 
     cl = np.asarray(checkpoint_cost_local(mem_arr))
     cs = np.asarray(checkpoint_cost_nfs(mem_arr))
@@ -143,3 +160,65 @@ def select_storage_batch(
     ckpt = np.where(local_wins, cl, cs)
     rst = np.where(local_wins, rl, rs)
     return local_wins, ckpt, rst
+
+
+def storage_costs(
+    mode: str,
+    te: np.ndarray,
+    mnof: np.ndarray,
+    mem_mb: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-task ``(local, checkpoint_cost, restart_cost)`` under a mode:
+    ``"local"`` (type A), ``"nfs"``/``"dmnfs"``/``"shared"`` (type B,
+    uncontended quote), or ``"auto"`` (:func:`select_storage_batch`).
+    """
+    if mode == "auto":
+        return select_storage_batch(te, mnof, mem_mb)
+    if mode not in ("local", "nfs", "dmnfs", "shared"):
+        raise ValueError(f"unknown storage mode {mode!r}")
+    mem = np.asarray(mem_mb, dtype=float)
+    _check_inputs(np.asarray(te, dtype=float), np.asarray(mnof, dtype=float),
+                  mem)
+    local = mode == "local"
+    ckpt = checkpoint_cost_local(mem) if local else checkpoint_cost_nfs(mem)
+    return (
+        np.full(mem.shape, local),
+        np.asarray(ckpt, dtype=float),
+        np.asarray(restart_cost(mem, "A" if local else "B"), dtype=float),
+    )
+
+
+def resolve_tasks(
+    mode: str,
+    policy: CheckpointPolicy,
+    te: np.ndarray,
+    mem_mb: np.ndarray,
+    mnof: np.ndarray,
+    mtbf: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve a batch of tasks to ``(local, C, R, x)``: storage by
+    :func:`storage_costs`, then ``policy``'s interval counts.  Raises
+    :class:`ValueError` on a non-positive te, mem_mb or mtbf, or a
+    negative mnof.
+    """
+    mtbf_arr = np.asarray(mtbf, dtype=float)
+    if np.any(mtbf_arr <= 0):
+        raise ValueError("mtbf must be strictly positive")
+    local, ckpt, rst = storage_costs(mode, te, mnof, mem_mb)
+    intervals = np.asarray(
+        policy.interval_counts(te, ckpt, rst, mnof, mtbf_arr), dtype=np.int64
+    )
+    return local, ckpt, rst, intervals
+
+
+def by_priority(
+    values: dict[int, float], priority: np.ndarray, default: float
+) -> np.ndarray:
+    """Per-task array of ``values[priority]`` (``default`` when absent),
+    looked up once per distinct priority."""
+    groups, inverse = np.unique(np.asarray(priority, dtype=np.int64),
+                                return_inverse=True)
+    per_group = np.asarray(
+        [values.get(int(p), default) for p in groups], dtype=float
+    )
+    return per_group[inverse]

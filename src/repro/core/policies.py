@@ -7,8 +7,11 @@ deployment *believes* (true values for the Table 6 oracle runs,
 per-priority estimates for the Fig. 9–13 runs) — and returns an integer
 interval count ``x >= 1`` (``x - 1`` checkpoints).
 
-Vectorized variants (``interval_counts``) accept arrays for batch
-evaluation in the Monte-Carlo tier.
+Every policy also answers for a whole batch at once
+(``interval_counts``, arrays in, int64 counts out); that is what
+:func:`repro.core.placement.resolve_tasks` calls for every tier.  The
+scalar ``interval_count`` is the per-task reference the tests hold the
+batch form to.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ class CheckpointPolicy(ABC):
     def interval_count(self, profile: TaskProfile) -> int:
         """Number of equidistant intervals (``>= 1``) for one task."""
 
+    @abstractmethod
     def interval_counts(
         self,
         te: np.ndarray,
@@ -103,24 +107,8 @@ class CheckpointPolicy(ABC):
         mnof: np.ndarray,
         mtbf: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized batch variant; default falls back to a loop."""
-        te, c, r, ny, tf = np.broadcast_arrays(
-            np.asarray(te, float),
-            np.asarray(checkpoint_cost, float),
-            np.asarray(restart_cost, float),
-            np.asarray(mnof, float),
-            np.asarray(mtbf, float),
-        )
-        out = np.empty(te.shape, dtype=np.int64)
-        flat = out.ravel()
-        for i, (t, cc, rr, yy, ff) in enumerate(
-            zip(te.ravel(), c.ravel(), r.ravel(), ny.ravel(), tf.ravel())
-        ):
-            flat[i] = self.interval_count(
-                TaskProfile(te=t, checkpoint_cost=cc, restart_cost=rr,
-                            mnof=yy, mtbf=ff)
-            )
-        return out
+        """Interval counts for a batch of tasks; equal to
+        :meth:`interval_count` task by task."""
 
     def checkpoint_interval(self, profile: TaskProfile) -> float:
         """Interval length ``Te / x`` implied by this policy."""
@@ -152,48 +140,41 @@ class OptimalCountPolicy(CheckpointPolicy):
         )
 
 
-class YoungPolicy(CheckpointPolicy):
-    """Young's formula ``Tc = sqrt(2 C Tf)`` applied to a finite task:
-    ``x = max(1, round(Te / Tc))``."""
+class _MTBFFormulaPolicy(CheckpointPolicy):
+    """An interval formula ``Tc = formula(C, MTBF)`` applied to a finite
+    task: ``x = max(1, round(Te / Tc))``, and ``x = 1`` when no failure
+    is expected (infinite MTBF)."""
 
-    name = "young"
+    #: ``(checkpoint_cost, mtbf) -> interval``, vectorized
+    formula = None
 
     def interval_count(self, profile: TaskProfile) -> int:
         if not np.isfinite(profile.mtbf):
             return 1
-        tc = float(young_interval(profile.checkpoint_cost, profile.mtbf))
+        tc = float(self.formula(profile.checkpoint_cost, profile.mtbf))
         return int(interval_to_count(profile.te, tc))
 
     def interval_counts(self, te, checkpoint_cost, restart_cost, mnof, mtbf):
-        te = np.asarray(te, float)
         mtbf = np.asarray(mtbf, float)
-        c = np.asarray(checkpoint_cost, float)
-        tc = np.sqrt(2.0 * c * np.where(np.isfinite(mtbf), mtbf, 1.0))
-        counts = np.maximum(np.round(te / tc), 1.0).astype(np.int64)
-        return np.atleast_1d(np.where(np.isfinite(mtbf), counts, 1))
+        finite = np.isfinite(mtbf)
+        tc = np.maximum(self.formula(np.asarray(checkpoint_cost, float),
+                                     np.where(finite, mtbf, 1.0)), 1e-9)
+        counts = np.maximum(np.round(np.asarray(te, float) / tc), 1.0)
+        return np.atleast_1d(np.where(finite, counts.astype(np.int64), 1))
 
 
-class DalyPolicy(CheckpointPolicy):
+class YoungPolicy(_MTBFFormulaPolicy):
+    """Young's formula ``Tc = sqrt(2 C Tf)`` applied to a finite task."""
+
+    name = "young"
+    formula = staticmethod(young_interval)
+
+
+class DalyPolicy(_MTBFFormulaPolicy):
     """Daly's higher-order formula, applied like Young's."""
 
     name = "daly"
-
-    def interval_count(self, profile: TaskProfile) -> int:
-        if not np.isfinite(profile.mtbf):
-            return 1
-        tc = float(daly_interval(profile.checkpoint_cost, profile.mtbf))
-        return int(interval_to_count(profile.te, tc))
-
-    def interval_counts(self, te, checkpoint_cost, restart_cost, mnof, mtbf):
-        te = np.asarray(te, float)
-        mtbf_arr = np.asarray(mtbf, float)
-        c = np.asarray(checkpoint_cost, float)
-        tc = np.asarray(
-            daly_interval(c, np.where(np.isfinite(mtbf_arr), mtbf_arr, 1.0))
-        )
-        tc = np.maximum(tc, 1e-9)
-        counts = np.maximum(np.round(te / tc), 1.0).astype(np.int64)
-        return np.atleast_1d(np.where(np.isfinite(mtbf_arr), counts, 1))
+    formula = staticmethod(daly_interval)
 
 
 class FixedIntervalPolicy(CheckpointPolicy):

@@ -11,9 +11,12 @@ with caching):
    own historical failure count / mean interval, Table 6) or
    *priority* (group estimates mined from the trace history, the
    deployable setting of Figs. 9–13);
-3. pick each task's storage target by the §4.2.2 comparison, which
-   fixes its checkpoint and restart costs;
-4. ask the policy for per-task interval counts;
+3. pick each task's storage target under ``storage.mode`` (the
+   §4.2.2 comparison for ``auto``), which fixes its checkpoint and
+   restart costs;
+4. ask the policy for per-task interval counts — steps 3 and 4 are one
+   batched :func:`repro.core.placement.resolve_tasks` call, the same
+   path the workload builder and the DES platform take;
 5. execute — replaying the historical failure intervals, so that both
    policies face *exactly the same* failure sequence (the paper's
    trace-driven ``kill -9`` methodology);
@@ -29,18 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.placement import select_storage_batch
+from repro.core.placement import by_priority, resolve_tasks, storage_costs
 from repro.core.simulate import SimulationResult
 from repro.metrics.wpr import wpr_from_arrays
 from repro.parallel.runner import (
     simulate_tasks_replay_sharded,
     simulate_tasks_scaled_sharded,
     simulate_tasks_sharded,
-)
-from repro.storage.costmodel import (
-    checkpoint_cost_local,
-    checkpoint_cost_nfs,
-    restart_cost,
 )
 from repro.spec import (
     ExecutionSpec,
@@ -242,46 +240,9 @@ def _estimates(
         est = build_estimator(trace)
         mnof_map = est.mnof_lookup(length_cap)
         mtbf_map = est.mtbf_lookup(length_cap)
-        mnof = np.asarray(
-            [mnof_map.get(int(p), 0.0) for p in flat.priority], dtype=float
-        )
-        mtbf = np.asarray(
-            [mtbf_map.get(int(p), math.inf) for p in flat.priority], dtype=float
-        )
-        return mnof, mtbf
+        return (by_priority(mnof_map, flat.priority, 0.0),
+                by_priority(mtbf_map, flat.priority, math.inf))
     raise ValueError(f"estimation must be 'oracle' or 'priority', got {estimation!r}")
-
-
-def storage_costs(
-    storage: str,
-    te: np.ndarray,
-    mnof: np.ndarray,
-    mem_mb: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-task ``(checkpoint_cost, restart_cost)`` under a storage mode.
-
-    ``"auto"`` applies the §4.2.2 comparison per task (the paper's
-    Algorithm 1 line 1); ``"local"`` forces ramdisk checkpoints with
-    type-A restarts, ``"shared"`` forces NFS checkpoints with type-B
-    restarts — the fixed-backend axes of the sweep grids.
-    """
-    if storage == "auto":
-        _local_wins, ckpt, rst = select_storage_batch(te, mnof, mem_mb)
-        return ckpt, rst
-    mem = np.asarray(mem_mb, dtype=float)
-    if storage == "local":
-        return (
-            np.asarray(checkpoint_cost_local(mem), dtype=float),
-            np.asarray(restart_cost(mem, "A"), dtype=float),
-        )
-    if storage == "shared":
-        return (
-            np.asarray(checkpoint_cost_nfs(mem), dtype=float),
-            np.asarray(restart_cost(mem, "B"), dtype=float),
-        )
-    raise ValueError(
-        f"storage must be 'auto', 'local' or 'shared', got {storage!r}"
-    )
 
 
 def policy_run_spec(
@@ -343,7 +304,7 @@ def evaluate_policy(
     per-task scales).  ``policy.length_cap`` restricts the
     priority-group estimation to tasks at most that long (the paper's
     RL-capped estimation for Figs. 11–13).  ``storage.mode`` picks the
-    checkpoint backend per :func:`storage_costs`.
+    checkpoint backend per :func:`~repro.core.placement.storage_costs`.
     ``execution.workers`` fans the Monte-Carlo batch out over a process
     pool via :mod:`repro.parallel` — results are bit-for-bit identical
     for every worker count.
@@ -363,13 +324,8 @@ def evaluate_policy(
     restart_delay, seed, workers = ex.restart_delay, ex.base_seed, ex.workers
     flat = flatten_trace(trace)
     mnof, mtbf = _estimates(flat, trace, pol.estimation, length_cap)
-    # RunSpec validated the replay storage vocabulary
-    ckpt_cost, rst_cost = storage_costs(spec.storage.mode, flat.te, mnof,
-                                        flat.mem_mb)
-    counts = np.asarray(
-        policy.interval_counts(flat.te, ckpt_cost, rst_cost, mnof, mtbf),
-        dtype=np.int64,
-    )
+    _local, ckpt_cost, rst_cost, counts = resolve_tasks(
+        spec.storage.mode, policy, flat.te, flat.mem_mb, mnof, mtbf)
     if spec.failures.mode == "replay":
         sim = simulate_tasks_replay_sharded(
             flat.te, counts, ckpt_cost, rst_cost, flat.hist_intervals,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.core.placement import select_storage
+from repro.core.placement import by_priority, resolve_tasks
 from repro.core.policies import (
     CheckpointPolicy,
     DalyPolicy,
@@ -48,7 +48,6 @@ from repro.core.policies import (
     FixedIntervalPolicy,
     NoCheckpointPolicy,
     OptimalCountPolicy,
-    TaskProfile,
     YoungPolicy,
 )
 from repro.failures.catalog import ExplicitCatalog, google_like_catalog
@@ -72,7 +71,6 @@ from repro.spec import (
     StorageSpec,
     WorkloadSpec,
 )
-from repro.storage.blcr import BLCRModel, MigrationType
 from repro.trace.models import Job, JobType, Task, Trace
 from repro.trace.synthesizer import TraceConfig, synthesize_trace
 
@@ -173,29 +171,6 @@ class Workload:
 
 
 # ----------------------------------------------------------------------
-def _resolve_storage(
-    storage: str, te: float, mnof: float, mem_mb: float
-) -> tuple[str, float, float]:
-    """Replicate the platform's per-task storage resolution.
-
-    Returns ``(migration_type, checkpoint_cost, restart_cost)`` with the
-    *uncontended* checkpoint quote (the DES adds congestion pricing on
-    shared backends — which is exactly what the ``stats`` compare mode
-    tolerates).
-    """
-    blcr = BLCRModel(mem_mb=mem_mb)
-    if storage == "local":
-        return "A", blcr.checkpoint_cost_local, blcr.restart_cost("A")
-    if storage in ("nfs", "dmnfs"):
-        return "B", blcr.checkpoint_cost_shared, blcr.restart_cost("B")
-    if storage == "auto":
-        decision = select_storage(te, mnof, blcr)
-        if decision.target is MigrationType.A:
-            return "A", blcr.checkpoint_cost_local, blcr.restart_cost("A")
-        return "B", blcr.checkpoint_cost_shared, blcr.restart_cost("B")
-    raise ValueError(f"unknown storage mode {storage!r}")
-
-
 def _arrival_times(
     w: WorkloadSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -231,7 +206,8 @@ def _build_synthetic(spec: RunSpec, seed: int) -> Workload:
         w.mem_max,
     )
     laws = spec.failures.laws
-    priority = np.asarray([laws[i % len(laws)].priority for i in range(n)], dtype=np.int64)
+    priority = np.asarray([law.priority for law in laws],
+                          dtype=np.int64)[np.arange(n) % len(laws)]
     distributions = {
         law.priority: make_distribution(law.family, law.mean, law.shape)
         for law in laws
@@ -321,31 +297,20 @@ def _finalize(
     mnof_map: dict[int, float],
     mtbf_map: dict[int, float],
 ) -> Workload:
-    """Resolve storage and interval counts exactly like the platform."""
-    policy = make_policy(spec.policy.name, spec.policy.param)
+    """Plan every task with the one batched
+    :func:`~repro.core.placement.resolve_tasks` call the DES platform
+    also makes, and assemble the :class:`Workload`.  The checkpoint cost
+    is the uncontended quote (the DES adds congestion pricing on shared
+    backends, which the ``stats`` compare mode tolerates)."""
     storage = spec.storage.mode
-    n = te.size
-    x = np.empty(n, dtype=np.int64)
-    ckpt = np.empty(n)
-    rest = np.empty(n)
-    for i in range(n):
-        p = int(priority[i])
-        mnof = mnof_map.get(p, 0.0)
-        mtbf = mtbf_map.get(p, math.inf)
-        _mig, c_i, r_i = _resolve_storage(
-            storage, float(te[i]), mnof, float(mem[i])
-        )
-        ckpt[i] = c_i
-        rest[i] = r_i
-        profile = TaskProfile(
-            te=float(te[i]),
-            checkpoint_cost=c_i,
-            restart_cost=r_i,
-            mnof=mnof,
-            mtbf=mtbf,
-            priority=p,
-        )
-        x[i] = policy.interval_count(profile)
+    _local, ckpt, rest, x = resolve_tasks(
+        storage,
+        make_policy(spec.policy.name, spec.policy.param),
+        te,
+        mem,
+        by_priority(mnof_map, priority, 0.0),
+        by_priority(mtbf_map, priority, math.inf),
+    )
     ex = spec.execution
     cluster = ClusterConfig(
         n_hosts=ex.n_hosts,

@@ -271,6 +271,12 @@ class TestPlatformIntegration:
             tiny_trace, YoungPolicy(), **kw)
         assert f3.job_wprs().shape == yg.job_wprs().shape
 
+    def test_nonpositive_believed_mtbf_rejected(self, tiny_trace):
+        priority = next(tiny_trace.tasks()).priority
+        with pytest.raises(ValueError):
+            CloudPlatform(ClusterConfig(), seed=1).run_trace(
+                tiny_trace, YoungPolicy(), mtbf_by_priority={priority: -5.0})
+
     def test_wpr_within_unit_interval(self, tiny_trace):
         est = build_estimator(tiny_trace)
         res = CloudPlatform(ClusterConfig(), seed=3).run_trace(

@@ -1,16 +1,32 @@
-"""Unit tests for the §4.2.2 storage selector."""
+"""Unit tests for the §4.2.2 storage selector and the one
+task-resolution path (:func:`resolve_tasks`)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.placement import (
     expected_total_cost,
+    resolve_tasks,
     select_storage,
     select_storage_batch,
 )
+from repro.core.policies import (
+    DalyPolicy,
+    FixedCountPolicy,
+    FixedIntervalPolicy,
+    NoCheckpointPolicy,
+    OptimalCountPolicy,
+    TaskProfile,
+    YoungPolicy,
+)
 from repro.storage.blcr import BLCRModel, MigrationType
+from repro.verify.scenarios import build_workload, list_scenarios, make_policy
 
 
 class TestExpectedTotalCost:
@@ -87,15 +103,118 @@ class TestSelectStorageBatch:
                 blcr.checkpoint_cost_local if local_wins[i]
                 else blcr.checkpoint_cost_shared
             )
-            assert ckpt[i] == pytest.approx(expected_c)
+            assert ckpt[i] == expected_c
             expected_r = (
                 blcr.restart_cost_local if local_wins[i]
                 else blcr.restart_cost_shared
             )
-            assert rst[i] == pytest.approx(expected_r)
+            assert rst[i] == expected_r
 
     def test_validation(self):
         with pytest.raises(ValueError):
             select_storage_batch(np.array([0.0]), np.array([1.0]), np.array([10.0]))
         with pytest.raises(ValueError):
             select_storage_batch(np.array([10.0]), np.array([1.0]), np.array([-1.0]))
+        with pytest.raises(ValueError):
+            select_storage_batch(np.array([10.0]), np.array([-1.0]), np.array([10.0]))
+
+
+MODES = ("local", "nfs", "dmnfs", "shared", "auto")
+POLICIES = (
+    OptimalCountPolicy(),
+    YoungPolicy(),
+    DalyPolicy(),
+    FixedIntervalPolicy(120.0),
+    FixedCountPolicy(5),
+    NoCheckpointPolicy(),
+)
+
+
+def per_task_reference(mode, policy, te, mem_mb, mnof, mtbf):
+    """One task resolved the per-task way: ``select_storage`` and
+    ``BLCRModel`` for the storage target and costs, then the policy's
+    scalar ``interval_count`` on a :class:`TaskProfile`."""
+    blcr = BLCRModel(mem_mb=mem_mb)
+    if mode == "auto":
+        target = select_storage(te, mnof, blcr).target
+    else:
+        target = MigrationType.A if mode == "local" else MigrationType.B
+    c, r = blcr.checkpoint_cost(target), blcr.restart_cost(target)
+    x = policy.interval_count(TaskProfile(
+        te=te, checkpoint_cost=c, restart_cost=r, mnof=mnof, mtbf=mtbf))
+    return target is MigrationType.A, c, r, x
+
+
+class TestResolveTasks:
+    ARGS = dict(te=[100.0], mem_mb=[50.0], mnof=[1.0], mtbf=[500.0])
+
+    def _resolve(self, **overrides):
+        args = {**self.ARGS, **overrides}
+        return resolve_tasks("auto", YoungPolicy(), args["te"],
+                             args["mem_mb"], args["mnof"], args["mtbf"])
+
+    def test_rejects_nonpositive_te(self):
+        with pytest.raises(ValueError, match="te"):
+            self._resolve(te=[100.0, 0.0])
+
+    def test_rejects_nonpositive_mem(self):
+        with pytest.raises(ValueError, match="mem_mb"):
+            self._resolve(mem_mb=[-1.0])
+
+    def test_rejects_negative_mnof(self):
+        with pytest.raises(ValueError, match="mnof"):
+            self._resolve(mnof=[-0.5])
+
+    def test_rejects_nonpositive_mtbf(self):
+        with pytest.raises(ValueError, match="mtbf"):
+            self._resolve(mtbf=[-5.0])
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="storage mode"):
+            resolve_tasks("tape", YoungPolicy(), [1.0], [1.0], [0.0], [1.0])
+
+    @given(rows=st.lists(
+        st.tuples(
+            st.floats(min_value=1.0, max_value=1e5),
+            # memory inside and outside the measured [10, 240] MB range
+            st.one_of(st.floats(min_value=0.5, max_value=1000.0),
+                      st.sampled_from([1.0, 10.0, 240.0, 900.0])),
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0)),
+            st.one_of(st.just(math.inf),
+                      st.floats(min_value=1.0, max_value=1e6)),
+        ),
+        min_size=1, max_size=12,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_task_reference(self, rows):
+        """Every mode under every policy, bit for bit."""
+        te, mem, mnof, mtbf = (np.asarray(col, dtype=float)
+                               for col in zip(*rows))
+        for mode in MODES:
+            for policy in POLICIES:
+                got = resolve_tasks(mode, policy, te, mem, mnof, mtbf)
+                ref = [per_task_reference(mode, policy, *row) for row in rows]
+                for column, expected in zip(got, zip(*ref)):
+                    assert column.tolist() == list(expected), (mode, policy)
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in list_scenarios()])
+def test_build_workload_matches_per_task_loop(name):
+    """``build_workload`` plans every registered scenario exactly as the
+    per-task loop it replaced: each task's believed MNOF/MTBF looked up
+    by priority, then resolved on its own."""
+    spec = next(s for s in list_scenarios() if s.name == name)
+    w = build_workload(spec)
+    policy = make_policy(spec.policy.name, spec.policy.param)
+    ref = [
+        per_task_reference(
+            spec.storage.mode, policy, float(te), float(mem),
+            w.mnof_by_priority.get(int(p), 0.0),
+            w.mtbf_by_priority.get(int(p), math.inf),
+        )
+        for te, mem, p in zip(w.te, w.mem_mb, w.priority)
+    ]
+    _local, c, r, x = (list(col) for col in zip(*ref))
+    assert w.checkpoint_cost.tolist() == c
+    assert w.restart_cost.tolist() == r
+    assert w.intervals.tolist() == x

@@ -48,6 +48,33 @@ class TestTaskProfile:
         assert math.isinf(p.mtbf)
 
 
+ALL_POLICIES = {
+    "optimal": OptimalCountPolicy(),
+    "young": YoungPolicy(),
+    "daly": DalyPolicy(),
+    "fixed-interval": FixedIntervalPolicy(120.0),
+    "fixed-count": FixedCountPolicy(7),
+    "none": NoCheckpointPolicy(),
+}
+
+
+@pytest.mark.parametrize("name", list(ALL_POLICIES))
+def test_vectorized_matches_scalar(name):
+    """Every policy's batch form equals its per-task form, task by task."""
+    pol = ALL_POLICIES[name]
+    te = np.array([18.0, 100.0, 300.0, 500.0, 900.0, 1000.0, 2000.0])
+    c = np.array([2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 0.05])
+    r = np.array([0.0, 0.5, 0.0, 3.0, 0.0, 1.0, 2.0])
+    mnof = np.array([2.0, 0.0, 1.5, 0.3, 0.0, 4.0, 9.0])
+    mtbf = np.array([9.0, 50.0, 200.0, np.inf, np.inf, 100.0, 1000.0])
+    batch = pol.interval_counts(te, c, r, mnof, mtbf)
+    assert batch.dtype == np.int64
+    for i in range(te.size):
+        prof = TaskProfile(te=te[i], checkpoint_cost=c[i], restart_cost=r[i],
+                           mnof=mnof[i], mtbf=float(mtbf[i]))
+        assert batch[i] == pol.interval_count(prof), i
+
+
 class TestOptimalCountPolicy:
     def test_paper_example(self):
         p = TaskProfile(te=18.0, checkpoint_cost=2.0, mnof=2.0)
@@ -56,15 +83,6 @@ class TestOptimalCountPolicy:
     def test_zero_mnof_one_interval(self):
         p = TaskProfile(te=100.0, checkpoint_cost=1.0, mnof=0.0)
         assert OptimalCountPolicy().interval_count(p) == 1
-
-    def test_vectorized_matches_scalar(self):
-        pol = OptimalCountPolicy()
-        te = np.array([18.0, 300.0, 1000.0])
-        mnof = np.array([2.0, 1.5, 4.0])
-        batch = pol.interval_counts(te, 2.0, 0.0, mnof, np.inf)
-        for i in range(3):
-            prof = TaskProfile(te=te[i], checkpoint_cost=2.0, mnof=mnof[i])
-            assert batch[i] == pol.interval_count(prof)
 
     def test_checkpoint_interval(self):
         p = TaskProfile(te=18.0, checkpoint_cost=2.0, mnof=2.0)
@@ -80,17 +98,6 @@ class TestYoungPolicy:
     def test_infinite_mtbf_no_checkpoints(self):
         p = TaskProfile(te=100.0, checkpoint_cost=1.0)
         assert YoungPolicy().interval_count(p) == 1
-
-    def test_vectorized_matches_scalar(self):
-        pol = YoungPolicy()
-        te = np.array([100.0, 500.0, 900.0])
-        mtbf = np.array([50.0, 200.0, np.inf])
-        batch = pol.interval_counts(te, 1.0, 0.0, 0.0, mtbf)
-        for i in range(3):
-            prof = TaskProfile(
-                te=te[i], checkpoint_cost=1.0, mtbf=float(mtbf[i])
-            )
-            assert batch[i] == pol.interval_count(prof)
 
     def test_larger_mtbf_fewer_checkpoints(self):
         p_small = TaskProfile(te=600.0, checkpoint_cost=1.0, mtbf=50.0)
@@ -109,15 +116,6 @@ class TestDalyPolicy:
     def test_infinite_mtbf(self):
         p = TaskProfile(te=100.0, checkpoint_cost=1.0)
         assert DalyPolicy().interval_count(p) == 1
-
-    def test_vectorized_matches_scalar(self):
-        pol = DalyPolicy()
-        te = np.array([500.0, 2000.0])
-        mtbf = np.array([100.0, 1000.0])
-        batch = pol.interval_counts(te, 1.0, 0.0, 0.0, mtbf)
-        for i in range(2):
-            prof = TaskProfile(te=te[i], checkpoint_cost=1.0, mtbf=float(mtbf[i]))
-            assert batch[i] == pol.interval_count(prof)
 
 
 class TestFixedPolicies:
