@@ -3,7 +3,8 @@
 Compares a fresh ``run_des_bench.py`` payload against the committed
 ``BENCH_des.json``.  Absolute times are host-specific, so the guard
 compares *speedup ratios* (baseline engine vs current engine, baseline
-scheduler vs current scheduler, unsharded vs sharded — both sides of
+scheduler vs current scheduler, baseline executor vs current executor,
+unsharded vs sharded — both sides of
 each ratio measured on the same host in the same run): a >25% drop in
 a serial ratio fails.
 
@@ -64,6 +65,15 @@ def check(committed: dict, fresh: dict) -> list[str]:
               "workloads")
     else:
         ratio_check("scheduler.speedup", pinned["speedup"],
+                    current["speedup"])
+
+    pinned = committed["executor"]
+    current = fresh["executor"]
+    if current["n_tasks"] != pinned["n_tasks"]:
+        print("[skip] executor: committed and fresh runs used different "
+              "workloads")
+    else:
+        ratio_check("executor.speedup", pinned["speedup"],
                     current["speedup"])
 
     same_cpus = (committed["host"].get("cpu_count")

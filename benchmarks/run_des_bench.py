@@ -1,6 +1,7 @@
-"""Record the DES-tier perf trajectory: engine, scheduler and sharding.
+"""Record the DES-tier perf trajectory: engine, scheduler, executor and
+sharding.
 
-Five sections, written as ``BENCH_des.json`` (the committed perf
+Six sections, written as ``BENCH_des.json`` (the committed perf
 record the CI regression guard compares against):
 
 * ``event_loop`` — the engine microbenchmark (1k processes x 100
@@ -15,9 +16,18 @@ record the CI regression guard compares against):
   the vendored pre-incremental scheduler (``_scheduler_baseline.py``)
   and once with the current one.  Digest, event count, queue peak and
   makespan must be equal; ``speedup`` is baseline over current.
+* ``executor`` — the unsharded 2000-task ``exp-baseline-local`` run,
+  once with the vendored per-interval executor and memory-priced
+  devices (``_executor_baseline.py``) and once with the current
+  executor (checkpoints priced from the plan, contention-free local
+  segments as one wake).  Digest and every ``extra`` counter
+  (``n_events`` included) must be equal; ``speedup`` is baseline over
+  current.
 * ``sharding`` — a multi-host contention-free scenario batch through
   the unsharded event loop vs host-group sharding at workers 1/2/4,
-  with per-task alignment and digest worker-invariance asserted.  The
+  with per-task alignment and digest worker-invariance asserted (runs
+  too small to pay for pool dispatch shard in-process at any worker
+  count, see :func:`repro.des.sharding.shard_workers`).  The
   candidates are timed interleaved (like every section), so host drift
   lands on all of them rather than on one side of a ratio.  Two
   shapes: ``queue-deep`` (tasks >> VMs) and ``capacity-matched``
@@ -150,16 +160,19 @@ def bench_event_loop(repeats: int) -> dict:
 # ----------------------------------------------------------------------
 # Scheduler on a queue-deep unshardable run.
 # ----------------------------------------------------------------------
-def _unsharded_with(scheduler_cls, workload):
-    """``run_des_unsharded`` with the platform building ``scheduler_cls``."""
+def _unsharded_with(workload, **classes):
+    """``run_des_unsharded`` with the platform building the given
+    classes in place of its own (``GreedyScheduler=``, ``TaskExecutor=``)."""
     from repro.cluster import platform
 
-    current = platform.GreedyScheduler
-    platform.GreedyScheduler = scheduler_cls
+    current = {name: getattr(platform, name) for name in classes}
+    for name, cls in classes.items():
+        setattr(platform, name, cls)
     try:
         return run_des_unsharded(workload)
     finally:
-        platform.GreedyScheduler = current
+        for name, cls in current.items():
+            setattr(platform, name, cls)
 
 
 def bench_scheduler(repeats: int, quick: bool) -> dict:
@@ -171,20 +184,55 @@ def bench_scheduler(repeats: int, quick: bool) -> dict:
                            n_tasks=200 if quick else 600,
                            n_hosts=4).evolve(**{"storage.mode": "nfs"})
     workload = build_workload(spec)
-    base = _unsharded_with(baseline_scheduler.GreedyScheduler, workload)
-    cur = _unsharded_with(GreedyScheduler, workload)
+    base = _unsharded_with(
+        workload, GreedyScheduler=baseline_scheduler.GreedyScheduler)
+    cur = _unsharded_with(workload, GreedyScheduler=GreedyScheduler)
     assert base.digest == cur.digest and base.extra == cur.extra, \
         "current scheduler diverges from the baseline!"
     times = _best_of_interleaved(repeats, {
         "base": lambda: _unsharded_with(
-            baseline_scheduler.GreedyScheduler, workload),
-        "cur": lambda: _unsharded_with(GreedyScheduler, workload),
+            workload, GreedyScheduler=baseline_scheduler.GreedyScheduler),
+        "cur": lambda: _unsharded_with(
+            workload, GreedyScheduler=GreedyScheduler),
     })
     return {
         "n_tasks": spec.workload.n_tasks,
         "n_hosts": spec.execution.n_hosts,
         "storage": spec.storage.mode,
         "peak_queue_length": int(cur.extra["peak_queue_length"]),
+        "n_events": int(cur.extra["n_events"]),
+        "baseline_s": round(times["base"], 4),
+        "current_s": round(times["cur"], 4),
+        "speedup": round(times["base"] / times["cur"], 2),
+        "digest_equal": True,
+    }
+
+
+# ----------------------------------------------------------------------
+# Executor on a contention-free run.
+# ----------------------------------------------------------------------
+def bench_executor(repeats: int, quick: bool) -> dict:
+    import _executor_baseline as baseline_executor
+
+    from repro.cluster.executor import TaskExecutor
+
+    spec = get_scenario("exp-baseline-local").evolve(
+        **{"workload.n_tasks": 500 if quick else 2000})
+    workload = build_workload(spec)
+    base = _unsharded_with(
+        workload, TaskExecutor=baseline_executor.TaskExecutor)
+    cur = _unsharded_with(workload, TaskExecutor=TaskExecutor)
+    assert base.digest == cur.digest and base.extra == cur.extra, \
+        "current executor diverges from the baseline!"
+    times = _best_of_interleaved(repeats, {
+        "base": lambda: _unsharded_with(
+            workload, TaskExecutor=baseline_executor.TaskExecutor),
+        "cur": lambda: _unsharded_with(workload, TaskExecutor=TaskExecutor),
+    })
+    return {
+        "scenario": spec.name,
+        "n_tasks": spec.workload.n_tasks,
+        "storage": spec.storage.mode,
         "n_events": int(cur.extra["n_events"]),
         "baseline_s": round(times["base"], 4),
         "current_s": round(times["cur"], 4),
@@ -341,6 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "event_loop": bench_event_loop(args.repeats),
         "scheduler": bench_scheduler(args.repeats, args.quick),
+        "executor": bench_executor(args.repeats, args.quick),
         "sharding": bench_sharding(args.repeats, args.quick),
         "sharding_ops": bench_sharding_ops(args.repeats, args.quick),
         "sweep_fallback": bench_sweep_fallback(args.repeats),

@@ -242,8 +242,12 @@ def _execute(spec: RunSpec, *, trace=None, catalog=None) -> RunResult:
         tr = run_des(workload, workers=workers)
         if "n_shards" in tr.extra:
             # Sharded by host group; the plan (and therefore the whole
-            # result, extra included) is worker-count invariant.
-            workers_effective = min(workers, int(tr.extra["n_shards"]))
+            # result, extra included) is worker-count invariant.  Small
+            # runs dispatch their shards in-process (serial fallback).
+            from repro.des.sharding import shard_workers
+
+            workers_effective = min(shard_workers(spec, workers),
+                                    int(tr.extra["n_shards"]))
             shard_refused = False
         else:
             # run_des kept the single event loop — either the config

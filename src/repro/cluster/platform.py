@@ -6,8 +6,10 @@ tasks one after another, bag-of-task jobs fan out, every task is
 checkpointed per the configured policy, and failures are injected from
 the per-priority catalog.  Before any job starts, one
 :func:`~repro.core.placement.resolve_tasks` call plans every task of
-the trace (storage target, restart cost, interval count); each task's
-executor then reads its row.  The returned
+the trace (storage target, checkpoint and restart cost, interval
+count); each task's executor then reads its row.  Local-ramdisk tasks
+in a run with no host monitors and no ``until`` horizon run each
+segment as one wake (:mod:`repro.cluster.executor`).  The returned
 :class:`~repro.cluster.records.PlatformResult` carries per-task and
 per-job measurements (WPR, wall-clock, overheads, queueing).
 """
@@ -120,7 +122,7 @@ class CloudPlatform:
         tasks = list(trace.tasks())
         n = len(tasks)
         priority = np.fromiter((t.priority for t in tasks), np.int64, n)
-        local, _ckpt, restart, intervals = resolve_tasks(
+        local, ckpt, restart, intervals = resolve_tasks(
             cfg.storage,
             policy,
             np.fromiter((t.te for t in tasks), float, n),
@@ -128,10 +130,20 @@ class CloudPlatform:
             by_priority(mnof_by_priority or {}, priority, 0.0),
             by_priority(mtbf_by_priority or {}, priority, math.inf),
         )
-        local, restart, intervals = (
-            local.tolist(), restart.tolist(), intervals.tolist())
+        local, ckpt, restart, intervals = (
+            local.tolist(), ckpt.tolist(), restart.tolist(),
+            intervals.tolist())
         # Type-B tasks write to DM-NFS, unless the mode is plain "nfs".
         shared_device = nfs if cfg.storage == "nfs" else dmnfs
+        # Nothing but a task's own failure can interrupt it, and no
+        # record is read before the run ends: local segments are unseen
+        # and run as one wake, crediting the events they skip.
+        unobserved = cfg.host_mtbf is None and until is None
+        skipped = 0
+
+        def credit_skipped(n: int) -> None:
+            nonlocal skipped
+            skipped += n
 
         def start_task(task, row: int, jrec: JobRecord):
             """Record, plan and launch one task; returns its process."""
@@ -172,11 +184,14 @@ class CloudPlatform:
                 config=cfg,
                 task=task,
                 intervals=intervals[row],
+                checkpoint_cost=ckpt[row],
                 restart_cost=restart[row],
                 migration_type="A" if local[row] else "B",
                 device_for_vm=device_for_vm,
                 injector=injector,
                 record=record,
+                credit_skipped=(credit_skipped if unobserved and local[row]
+                                else None),
             )
             return env.process(executor.run(), name=f"task-{task.task_id}")
 
@@ -259,5 +274,5 @@ class CloudPlatform:
             jobs=job_records,
             makespan=max(finishes) if finishes else env.now,
             peak_queue_length=scheduler.peak_queue_length,
-            n_events=env.events_processed,
+            n_events=env.events_processed + skipped,
         )

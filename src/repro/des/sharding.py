@@ -68,6 +68,7 @@ __all__ = [
     "run_des_sharded",
     "run_shard",
     "shard_refusal_reason",
+    "shard_workers",
 ]
 
 
@@ -94,6 +95,25 @@ def shard_refusal_reason(cluster: ClusterConfig) -> str | None:
             "host; host-group shards would change who dies together"
         )
     return None
+
+
+def shard_workers(spec, workers: int) -> int:
+    """Worker count a sharded run of ``spec`` dispatches its shards on.
+
+    The sweep's overhead-aware rule
+    (:func:`~repro.parallel.sweep.effective_workers` over
+    :func:`~repro.parallel.sweep.estimate_spec_cost` of the spec as a
+    DES cell): a run estimated below the serial-fallback cost runs its
+    shards in-process, because pool dispatch would cost more than the
+    run.  Results never depend on it.
+    """
+    from repro.parallel.sweep import effective_workers, estimate_spec_cost
+
+    if workers <= 1:
+        return 1
+    if spec.execution.tier != "des":
+        spec = spec.evolve(**{"execution.tier": "des"})
+    return effective_workers(workers, [estimate_spec_cost(spec)])
 
 
 def plan_host_groups(
@@ -225,7 +245,7 @@ def run_des_sharded(workload, workers: int = 1):
         )
         for host_ids, job_idx in plan
     ]
-    parts = _execute(jobs, workers)
+    parts = _execute(jobs, shard_workers(workload.spec, workers))
 
     task_ids = np.concatenate([p["task_ids"] for p in parts])
     order = np.argsort(task_ids, kind="stable")

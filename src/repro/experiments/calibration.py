@@ -117,13 +117,14 @@ def table3(
     """
     rng = np.random.default_rng(seed)
     degrees = list(range(1, 6))
+    single = checkpoint_cost_nfs(mem_mb)
     rows = []
     stats: dict[int, dict[str, float]] = {}
     for x in degrees:
         costs = []
         for _ in range(n_trials):
             dmnfs = DMNFS(n_servers, rng)
-            admissions = [dmnfs.begin_checkpoint(mem_mb) for _ in range(x)]
+            admissions = [dmnfs.begin_checkpoint(single) for _ in range(x)]
             costs.extend(c for c, _ in admissions)
             for c, tok in admissions:
                 dmnfs.end_checkpoint(tok)

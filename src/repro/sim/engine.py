@@ -34,7 +34,14 @@ deliberately flattened:
   (interrupt) zeroes the generation, so a stale entry is recognized
   and skipped when it surfaces, exactly like a cancelled Timeout
   draining with no callbacks left.  This is the allocation-free wait the
-  cluster executor uses for its homogeneous interval/overhead waits.
+  cluster executor uses for its homogeneous interval/overhead waits;
+* a process may also wait until an *absolute* time: ``yield
+  env.wake_at(t)`` arms the same raw wake at ``t`` itself rather than
+  at ``now + delay``.  A model that computes a wake time by a chain of
+  float additions (``((now + a) + b) + c``) needs this to land exactly
+  where the chain of relative waits would have, because ``now + (t -
+  now)`` need not equal ``t`` in floating point.  The cluster executor
+  uses it to run a contention-free local segment as one wake.
 
 None of this changes observable behaviour: every entry still receives
 its ``(time, priority, seq)`` key in exactly the order the equivalent
@@ -263,6 +270,16 @@ class _RawTrigger:
 _RAW_WAKE = _RawTrigger()
 
 
+class _Armed:
+    """What :meth:`Environment.wake_at` returns: the wake is already
+    in the heap, so yielding this only suspends the process."""
+
+    __slots__ = ()
+
+
+_ARMED = _Armed()
+
+
 class Process(Event):
     """A running generator; also an event that triggers on completion.
 
@@ -345,6 +362,8 @@ class Process(Event):
                     target = self._throw(trigger._exc)
                 cls = target.__class__
                 if cls is not float and cls is not int:
+                    if target is _ARMED:
+                        return
                     if isinstance(target, Event):
                         if target._processed:
                             # Already fired: loop immediately with its
@@ -435,11 +454,17 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Total events processed so far.
+        """Total events processed so far: heap pops, stale entries
+        included.
 
         Two runs of the same model with the same seed must process the
         same number of events in the same order; the verification
         subsystem uses this count as a cheap whole-run determinism probe.
+        It counts only what this engine popped: a model that skips
+        events it can prove unobservable (the cluster executor's
+        one-wake segments) credits them in its own result —
+        :attr:`~repro.cluster.records.PlatformResult.n_events` is this
+        count plus those credits.
         """
         return self._processed_count
 
@@ -473,6 +498,27 @@ class Environment:
         self._seq = seq
         heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
         return ev
+
+    def wake_at(self, when: float) -> _Armed:
+        """Arm a raw wake of the active process at absolute time ``when``.
+
+        The process must yield the return value at once (``yield
+        env.wake_at(t)``).  The heap entry is ``(when, NORMAL, seq)``
+        with its seq taken here, so it orders exactly like a relative
+        raw wake armed at the same moment that lands on ``when``.
+        """
+        proc = self._active
+        if proc is None:
+            raise SimulationError("wake_at() called outside a process")
+        if when < self._now:
+            raise SimulationError(
+                f"process {proc.name!r} asked to wake at {when!r}, before "
+                f"now={self._now!r}")
+        seq = self._seq + 1
+        self._seq = seq
+        proc._wgen = seq
+        heappush(self._queue, (when, NORMAL, seq, None, proc))
+        return _ARMED
 
     def process(self, gen: Generator, name: str | None = None) -> Process:
         """Register a generator as a new :class:`Process`."""

@@ -25,6 +25,8 @@ matches the paper's "cost is linear in memory size" characterization.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -139,14 +141,23 @@ def contention_factor_nfs(parallel_degree: int) -> float:
     """
     if parallel_degree < 1:
         raise ValueError(f"parallel degree must be >= 1, got {parallel_degree}")
-    base = NFS_CONTENTION_AVG[0]
-    if parallel_degree <= len(NFS_CONTENTION_AVG):
-        return NFS_CONTENTION_AVG[parallel_degree - 1] / base
-    # Extend the measured linear trend: least-squares slope of Table 2.
+    ys = NFS_CONTENTION_AVG
+    if parallel_degree <= len(ys):
+        return ys[parallel_degree - 1] / ys[0]
+    # Extend the measured linear trend of Table 2.
+    return (ys[-1] + _nfs_trend_slope() * (parallel_degree - len(ys))) / ys[0]
+
+
+@functools.cache
+def _nfs_trend_slope() -> float:
+    """Least-squares slope of Table 2's NFS row.
+
+    Fitted on first use rather than at import, so runs that never see
+    more than five simultaneous writers never run numpy's least-squares
+    fit (and never page in its code).
+    """
     xs = np.arange(1, len(NFS_CONTENTION_AVG) + 1, dtype=float)
-    ys = np.asarray(NFS_CONTENTION_AVG)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return (ys[-1] + slope * (parallel_degree - len(ys))) / base
+    return float(np.polyfit(xs, np.asarray(NFS_CONTENTION_AVG), 1)[0])
 
 
 def dmnfs_cost(mem_mb: float, colliding: int = 1) -> float:

@@ -1,13 +1,16 @@
 """Stateful storage devices for the DES tier.
 
-Each device tracks how many checkpoints are in flight and prices a new
-checkpoint accordingly:
+Each device tracks how many checkpoints are in flight and adds its
+contention to the uncontended cost ``C`` the task's plan quotes for it
+(:func:`~repro.core.placement.resolve_tasks`):
 
 * :class:`LocalRamdisk` — per-host; cost flat in the parallel degree
-  (Table 2, local rows) but checkpoints are lost if the host dies and
-  restarting elsewhere pays the migration-type-A penalty.
+  (Table 2, local rows: it returns ``C``) but checkpoints are lost if
+  the host dies and restarting elsewhere pays the migration-type-A
+  penalty.
 * :class:`NFSServer` — one shared server; cost scales with the number of
-  simultaneous writers (Table 2, NFS rows).
+  simultaneous writers (Table 2, NFS rows: ``C`` times
+  :func:`~repro.storage.costmodel.contention_factor_nfs`).
 * :class:`DMNFS` — one NFS server per host with random selection, so
   simultaneous checkpoints rarely collide and the cost stays flat
   (Table 3).  This is the paper's scalability contribution on the
@@ -20,11 +23,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.storage.costmodel import (
-    checkpoint_cost_local,
-    checkpoint_cost_nfs,
-    contention_factor_nfs,
-)
+from repro.storage.costmodel import contention_factor_nfs
 
 __all__ = ["DMNFS", "LocalRamdisk", "NFSServer", "StorageDevice"]
 
@@ -38,11 +37,12 @@ class StorageDevice(ABC):
     kind: str = "abstract"
 
     @abstractmethod
-    def begin_checkpoint(self, mem_mb: float) -> tuple[float, object]:
-        """Price and admit one checkpoint.
+    def begin_checkpoint(self, cost: float) -> tuple[float, object]:
+        """Admit one checkpoint whose uncontended price is ``cost``.
 
-        Returns ``(cost_seconds, token)``; the caller must hand ``token``
-        back to :meth:`end_checkpoint` when the checkpoint completes.
+        Returns ``(cost_seconds, token)`` — ``cost`` with this device's
+        contention applied; the caller must hand ``token`` back to
+        :meth:`end_checkpoint` when the checkpoint completes.
         """
 
     @abstractmethod
@@ -65,9 +65,9 @@ class LocalRamdisk(StorageDevice):
         self.host_id = host_id
         self._active = 0
 
-    def begin_checkpoint(self, mem_mb: float) -> tuple[float, object]:
+    def begin_checkpoint(self, cost: float) -> tuple[float, object]:
         self._active += 1
-        return checkpoint_cost_local(mem_mb), self
+        return cost, self
 
     def end_checkpoint(self, token: object) -> None:
         if self._active <= 0:
@@ -95,11 +95,10 @@ class NFSServer(StorageDevice):
         self._active = 0
         self.peak_parallel = 0
 
-    def begin_checkpoint(self, mem_mb: float) -> tuple[float, object]:
+    def begin_checkpoint(self, cost: float) -> tuple[float, object]:
         self._active += 1
         self.peak_parallel = max(self.peak_parallel, self._active)
-        cost = checkpoint_cost_nfs(mem_mb) * contention_factor_nfs(self._active)
-        return cost, self
+        return cost * contention_factor_nfs(self._active), self
 
     def end_checkpoint(self, token: object) -> None:
         if self._active <= 0:
@@ -129,9 +128,9 @@ class DMNFS(StorageDevice):
         self.servers = [NFSServer(i) for i in range(n_servers)]
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
-    def begin_checkpoint(self, mem_mb: float) -> tuple[float, object]:
+    def begin_checkpoint(self, cost: float) -> tuple[float, object]:
         server = self.servers[int(self.rng.integers(0, len(self.servers)))]
-        return server.begin_checkpoint(mem_mb)
+        return server.begin_checkpoint(cost)
 
     def end_checkpoint(self, token: object) -> None:
         if not isinstance(token, NFSServer):

@@ -304,9 +304,11 @@ class TestWorkersEffective:
 
     def test_des_shardable_honors_workers(self, caplog):
         # Contention-free DES specs shard by host group: no refusal,
-        # real workers_effective, worker-invariant results.
+        # real workers_effective, worker-invariant results.  (1000 tasks:
+        # smaller runs fall back to in-process shards.)
         spec = api.scenario_spec("policy-no-checkpoint", tier="des",
-                                 workers=2)
+                                 workers=2).evolve(
+            **{"workload.n_tasks": 1000})
         with caplog.at_level(logging.INFO, logger="repro.api"):
             res = api.run(spec)
         assert "refuses to shard" not in caplog.text

@@ -24,6 +24,7 @@ from repro.des.sharding import (
     plan_host_groups,
     run_des_sharded,
     shard_refusal_reason,
+    shard_workers,
 )
 from repro.verify.runner import run_des, run_des_unsharded
 from repro.verify.scenarios import build_workload, get_scenario, list_scenarios
@@ -119,6 +120,37 @@ class TestWorkerInvariance:
         assert extras[0] == extras[1] == extras[2]
         summaries = [r.summary for r in results.values()]
         assert summaries[0] == summaries[1] == summaries[2]
+
+
+class TestSerialFallback:
+    """Runs below the sweep's serial-fallback cost dispatch their shards
+    in-process; larger ones keep the pool."""
+
+    def test_small_run_uses_no_pool(self, monkeypatch):
+        from repro import api
+        from repro.parallel import runner
+
+        spec = api.scenario_spec("exp-baseline-local", tier="des",
+                                 workers=4).evolve(
+            **{"workload.n_tasks": 200})
+        serial = api.run(spec.evolve(**{"execution.workers": 1}))
+
+        def no_pool(n_procs):
+            raise AssertionError("a 200-task DES run started a pool")
+
+        monkeypatch.setattr(runner, "get_pool", no_pool)
+        res = api.run(spec)
+        assert res.digest == serial.digest
+        assert res.extra == serial.extra
+        assert res.extra["workers_effective"] == 1.0
+
+    def test_large_runs_keep_the_pool(self):
+        spec = get_scenario("exp-baseline-local")
+        assert shard_workers(spec.evolve(**{"workload.n_tasks": 600}), 4) == 1
+        assert shard_workers(
+            spec.evolve(**{"workload.n_tasks": 1150}), 4) == 4
+        assert shard_workers(
+            spec.evolve(**{"workload.n_tasks": 1150}), 1) == 1
 
 
 class TestRefusal:

@@ -409,6 +409,77 @@ class TestRawWaits:
         assert at == [1.0]
 
 
+class TestAbsoluteWakes:
+    """``yield env.wake_at(t)`` is a raw wake armed at ``t`` itself."""
+
+    def test_wakes_at_the_exact_time(self):
+        now, t = 16.988302482342316, 55.83377559005746
+        # A relative wait of (t - now) would land one ulp late.
+        assert now + (t - now) != t
+        env = Environment()
+        at = []
+
+        def proc():
+            yield now
+            yield env.wake_at(t)
+            at.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert at == [t]
+
+    def test_orders_like_a_relative_wake_armed_at_the_same_moment(self):
+        env = Environment()
+        order = []
+
+        def absolute(tag):
+            yield env.wake_at(1.0)
+            order.append(tag)
+
+        def relative(tag):
+            yield 1.0
+            order.append(tag)
+
+        env.process(relative("a"))
+        env.process(absolute("b"))
+        env.process(relative("c"))
+        env.run()
+        assert order == ["a", "b", "c"]
+
+    def test_interrupt_cancels_it(self):
+        env = Environment()
+        causes = []
+
+        def victim():
+            try:
+                yield env.wake_at(10.0)
+                causes.append("woke")
+            except Interrupt as i:
+                causes.append((i.cause, env.now))
+
+        def attacker(v):
+            yield 1.0
+            v.interrupt("kill")
+
+        v = env.process(victim())
+        env.process(attacker(v))
+        env.run()
+        assert causes == [("kill", 1.0)]
+
+    def test_rejects_the_past_and_callers_outside_a_process(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.wake_at(1.0)
+
+        def proc():
+            yield 2.0
+            yield env.wake_at(1.0)
+
+        env.process(proc())
+        with pytest.raises(SimulationError):
+            env.run()
+
+
 class TestConditions:
     def test_any_of_first_wins(self):
         env = Environment()

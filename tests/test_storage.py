@@ -116,6 +116,18 @@ class TestContention:
         with pytest.raises(ValueError):
             contention_factor_nfs(0)
 
+    def test_trend_matches_polyfit_bit_for_bit(self):
+        xs = np.arange(1, len(NFS_CONTENTION_AVG) + 1, dtype=float)
+        ys = np.asarray(NFS_CONTENTION_AVG)
+        base = NFS_CONTENTION_AVG[0]
+        for d in range(1, 65):
+            if d <= len(ys):
+                want = NFS_CONTENTION_AVG[d - 1] / base
+            else:
+                slope = float(np.polyfit(xs, ys, 1)[0])
+                want = (ys[-1] + slope * (d - len(ys))) / base
+            assert contention_factor_nfs(d) == want
+
     def test_dmnfs_cost_single_writer(self):
         assert dmnfs_cost(160.0, 1) == pytest.approx(checkpoint_cost_nfs(160.0))
 
@@ -123,9 +135,9 @@ class TestContention:
 class TestDevices:
     def test_local_ramdisk_flat_pricing(self):
         d = LocalRamdisk()
-        c1, t1 = d.begin_checkpoint(160.0)
-        c2, t2 = d.begin_checkpoint(160.0)
-        assert c1 == c2  # no contention on ramdisk
+        c1, t1 = d.begin_checkpoint(checkpoint_cost_local(160.0))
+        c2, t2 = d.begin_checkpoint(checkpoint_cost_local(160.0))
+        assert c1 == c2 == checkpoint_cost_local(160.0)  # no contention
         assert d.in_flight == 2
         d.end_checkpoint(t1)
         d.end_checkpoint(t2)
@@ -138,23 +150,23 @@ class TestDevices:
 
     def test_nfs_contention_pricing(self):
         d = NFSServer()
-        c1, t1 = d.begin_checkpoint(160.0)
-        c2, t2 = d.begin_checkpoint(160.0)
+        c1, t1 = d.begin_checkpoint(checkpoint_cost_nfs(160.0))
+        c2, t2 = d.begin_checkpoint(checkpoint_cost_nfs(160.0))
         assert c2 > c1  # second concurrent writer pays more
         d.end_checkpoint(t1)
         d.end_checkpoint(t2)
-        c3, t3 = d.begin_checkpoint(160.0)
+        c3, t3 = d.begin_checkpoint(checkpoint_cost_nfs(160.0))
         assert c3 == pytest.approx(c1)  # back to single-writer price
         d.end_checkpoint(t3)
         assert d.peak_parallel == 2
 
     def test_dmnfs_spreads_load(self, rng):
         d = DMNFS(32, rng)
-        admissions = [d.begin_checkpoint(160.0) for _ in range(5)]
+        single = checkpoint_cost_nfs(160.0)
+        admissions = [d.begin_checkpoint(single) for _ in range(5)]
         costs = [c for c, _ in admissions]
         # With 32 servers and 5 writers, most writers pay the
         # single-writer price.
-        single = checkpoint_cost_nfs(160.0)
         assert np.median(costs) == pytest.approx(single)
         assert d.in_flight == 5
         for c, tok in admissions:
@@ -163,8 +175,8 @@ class TestDevices:
 
     def test_dmnfs_single_server_degrades_to_nfs(self, rng):
         d = DMNFS(1, rng)
-        c1, t1 = d.begin_checkpoint(160.0)
-        c2, t2 = d.begin_checkpoint(160.0)
+        c1, t1 = d.begin_checkpoint(checkpoint_cost_nfs(160.0))
+        c2, t2 = d.begin_checkpoint(checkpoint_cost_nfs(160.0))
         assert c2 > c1
         d.end_checkpoint(t1)
         d.end_checkpoint(t2)
