@@ -1,9 +1,9 @@
 """Record the Monte-Carlo hot-path and sweep-runner perf trajectory.
 
-Times the PR-1 baseline (:func:`repro.core.simulate.simulate_tasks`,
-one stream, per-round regrouping) against the blocked fast path and the
-sharded parallel runner on ≥100k-task batches, verifies the sharded
-digests are worker-count invariant, and writes the result as
+Times the blocked Monte-Carlo kernel
+(:func:`repro.core.simulate.simulate_tasks_blocked`) and the sharded
+parallel runner on ≥100k-task batches, verifies the sharded digests
+are worker-count invariant, and writes the result as
 ``BENCH_parallel.json`` — the committed perf record the CI benchmark
 smoke job extends on every push.
 
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._version import __version__
-from repro.core.simulate import simulate_tasks, simulate_tasks_blocked
+from repro.core.simulate import simulate_tasks_blocked
 from repro.failures.distributions import Exponential, Pareto
 from repro.experiments.common import policy_run_spec
 from repro.parallel import simulate_tasks_sharded
@@ -43,7 +43,7 @@ def _best_of(repeats, fn):
 
 
 def bench_hot_path(n_tasks: int, repeats: int) -> dict:
-    """Baseline vs blocked vs sharded on catalog- and per-task-law batches."""
+    """Blocked vs sharded on catalog- and per-task-law batches."""
     rng = np.random.default_rng(0)
     te = rng.uniform(100, 2000, n_tasks)
     x = np.maximum(1, (np.sqrt(te) / 3).astype(np.int64))
@@ -65,8 +65,6 @@ def bench_hot_path(n_tasks: int, repeats: int) -> dict:
     }
     out = {}
     for name, (dists, ids) in workloads.items():
-        t_base, res_base = _best_of(repeats, lambda: simulate_tasks(
-            te, x, c, r, ids, dists, np.random.default_rng(1)))
         t_blk, res_blk = _best_of(repeats, lambda: simulate_tasks_blocked(
             te, x, c, r, ids, dists, np.random.default_rng(1)))
         sharded = {}
@@ -78,12 +76,10 @@ def bench_hot_path(n_tasks: int, repeats: int) -> dict:
             digests.add(res_sh.digest())
         assert len(digests) == 1, "sharded digests differ across workers!"
         out[name] = {
-            "baseline_simulate_tasks_s": round(t_base, 4),
             "blocked_fast_path_s": round(t_blk, 4),
-            "speedup_blocked_vs_baseline": round(t_base / t_blk, 3),
             "sharded_s_by_workers": sharded,
             "sharded_digest_worker_invariant": True,
-            "mean_failures": round(res_base.summary()["mean_failures"], 3),
+            "mean_failures": round(res_blk.summary()["mean_failures"], 3),
             "blocked_mean_wallclock": round(
                 res_blk.summary()["mean_wallclock"], 3),
         }

@@ -10,11 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.simulate import (
-    simulate_tasks,
-    simulate_tasks_blocked,
-    simulate_tasks_replay,
-)
+from repro.core.simulate import simulate_tasks_blocked, simulate_tasks_replay
 from repro.failures.distributions import Exponential, Pareto
 from repro.failures.fitting import fit_all
 from repro.parallel import simulate_tasks_sharded
@@ -44,21 +40,6 @@ def test_mc_replay_throughput(benchmark, batch):
     te, x, c, r, mat = batch
     res = benchmark(lambda: simulate_tasks_replay(te, x, c, r, mat))
     assert res.completed.all()
-
-
-def test_mc_redraw_throughput(benchmark, batch):
-    """50k-task fresh-draw simulation with a two-family catalog."""
-    te, x, c, r, _ = batch
-    dists = {0: Exponential(1 / 300.0), 1: Pareto(100.0, 1.3)}
-    ids = (np.arange(N_TASKS) % 2)
-
-    def run():
-        return simulate_tasks(
-            te, x, c, r, ids, dists, np.random.default_rng(1)
-        )
-
-    res = benchmark(run)
-    assert res.n_tasks == N_TASKS
 
 
 def test_mc_blocked_redraw_throughput(benchmark, batch):

@@ -39,7 +39,6 @@ from repro.core import (
     optimal_interval_count_int,
     select_storage,
     simulate_task,
-    simulate_tasks,
     young_interval,
 )
 from repro.failures import google_like_catalog
@@ -76,7 +75,6 @@ __all__ = [
     "run",
     "select_storage",
     "simulate_task",
-    "simulate_tasks",
     "synthesize_trace",
     "young_interval",
 ]

@@ -49,7 +49,7 @@ from repro.core.simulate import (
     simulate_task,
     simulate_task_async_checkpoints,
     simulate_task_two_phase,
-    simulate_tasks,
+    simulate_tasks_blocked,
     simulate_tasks_replay,
 )
 
@@ -85,7 +85,7 @@ __all__ = [
     "simulate_task",
     "simulate_task_async_checkpoints",
     "simulate_task_two_phase",
-    "simulate_tasks",
+    "simulate_tasks_blocked",
     "simulate_tasks_replay",
     "theorem2_next_count",
     "young_interval",

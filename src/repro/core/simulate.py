@@ -13,19 +13,24 @@ intervals of length ``L = Te / x``; after each of the first ``x - 1``
 intervals a checkpoint costing ``C`` seconds is written.  The failure
 clock measures *uninterrupted execution time* (productive work plus
 checkpoint writes); when it fires, the task loses all progress since
-the last committed checkpoint, pays the restart cost ``R`` (plus an
-optional scheduling delay), and resumes from the checkpoint.  Because
-committed progress is always a multiple of ``L``, each uptime segment
-has the closed form used below:
+the last committed checkpoint, pays the restart cost ``R`` plus an
+optional scheduling delay ``d``, and resumes from the checkpoint.
+Because committed progress is always a multiple of ``L``, each uptime
+segment has a closed form, and every kernel here uses exactly this one:
 
-* time to finish from checkpoint ``m``: ``(x-1-m)(L+C) + L``
-* checkpoints committed in an uptime of ``u``: ``floor(u / (L+C))``
-  (capped at ``x-1-m``).
+* time to finish from checkpoint ``m``: ``(x-1-m)(L+C) + L`` — an
+  uptime ``u`` at least that long completes the task;
+* otherwise the failure commits ``min(u // (L+C), x-1-m)`` checkpoints
+  and charges ``u + (R + d)`` of wall-clock.
 
-The scalar reference implementation (:func:`simulate_task`) and the
-vectorized batch (:func:`simulate_tasks`) implement the same model and
-are cross-validated in the test suite; the DES tier adds placement and
-storage contention on top of the identical semantics.
+:func:`simulate_task` is the scalar form, driven by an injector.  The
+batch kernels share a single compacted round loop,
+:func:`_simulate_blocked_core`, and differ only in their *uptime
+source*: :func:`simulate_tasks_blocked` draws from per-id distribution
+laws, :func:`simulate_tasks_scaled` from per-task exponential scales,
+and :func:`simulate_tasks_replay` reads a recorded interval matrix.
+On identical uptimes all of them agree bit-for-bit; the DES tier adds
+placement and storage contention on top of the same semantics.
 """
 
 from __future__ import annotations
@@ -42,16 +47,16 @@ __all__ = [
     "TaskOutcome",
     "simulate_task",
     "simulate_task_two_phase",
-    "simulate_tasks",
     "simulate_tasks_blocked",
+    "simulate_tasks_replay",
     "simulate_tasks_scaled",
 ]
 
-#: How many segment rounds of failure samples the blocked fast path
-#: pre-draws per distribution at a time.  Purely a throughput knob for
-#: :func:`simulate_tasks_blocked` — results are deterministic for a
-#: fixed ``(rng seed, inputs, block_rounds)`` triple, but changing the
-#: block size changes the draw order (like changing the seed).
+#: Longest block of segment rounds the batch kernels take from their
+#: uptime source at once.  Fixed: redraw results depend on it (a
+#: different block size consumes the RNG stream in a different order,
+#: like a different seed), so it is part of the model's determinism
+#: key rather than a caller option.  Replay results do not depend on it.
 DEFAULT_BLOCK_ROUNDS = 8
 
 
@@ -119,7 +124,7 @@ def simulate_task(
         j = min(int(u // cycle), x - 1 - m)
         m += j
         fails += 1
-        wall += u + restart_cost + restart_delay
+        wall += u + (restart_cost + restart_delay)
     return TaskOutcome(
         te=te,
         wallclock=wall,
@@ -132,7 +137,7 @@ def simulate_task(
 
 @dataclass
 class SimulationResult:
-    """Batched outcome arrays from :func:`simulate_tasks`.
+    """Batched outcome arrays of the batch kernels.
 
     All arrays share one entry per task, in input order.
     """
@@ -200,7 +205,136 @@ class SimulationResult:
         return h.hexdigest()
 
 
-def simulate_tasks(
+def _validate_batch(
+    te, intervals, checkpoint_cost, restart_cost, state, restart_delay
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Broadcast and validate the shared per-task parameter arrays.
+
+    ``state`` is the per-task uptime-source state (see
+    :func:`_simulate_blocked_core`); it is broadcast with the rest and
+    returned contiguous, in its own dtype.
+    """
+    te_arr, x_arr, c_arr, r_arr, s_arr = np.broadcast_arrays(
+        np.asarray(te, dtype=float),
+        np.asarray(intervals, dtype=np.int64),
+        np.asarray(checkpoint_cost, dtype=float),
+        np.asarray(restart_cost, dtype=float),
+        np.asarray(state),
+    )
+    te_arr = np.ascontiguousarray(te_arr, dtype=float)
+    x_arr = np.ascontiguousarray(x_arr, dtype=np.int64)
+    c_arr = np.ascontiguousarray(c_arr, dtype=float)
+    r_arr = np.ascontiguousarray(r_arr, dtype=float)
+    if np.any(te_arr <= 0):
+        raise ValueError("all te must be positive")
+    if np.any(x_arr < 1):
+        raise ValueError("all interval counts must be >= 1")
+    if np.any(c_arr < 0) or np.any(r_arr < 0) or restart_delay < 0:
+        raise ValueError("costs and delays must be non-negative")
+    return te_arr, x_arr, c_arr, r_arr, np.ascontiguousarray(s_arr)
+
+
+# Inert lanes compute ``nan`` and ``inf // cycle`` (an ``inf`` uptime).
+@np.errstate(invalid="ignore")
+def _simulate_blocked_core(
+    te_arr: np.ndarray,
+    x_arr: np.ndarray,
+    c_arr: np.ndarray,
+    r_arr: np.ndarray,
+    state: np.ndarray,
+    draw_block,
+    restart_delay: float,
+    max_segments: int,
+    block_rounds: int = DEFAULT_BLOCK_ROUNDS,
+) -> SimulationResult:
+    """The one batch round loop; every batch kernel runs on it.
+
+    ``draw_block(state, start, k)`` is the *uptime source*: it returns
+    a ``(k, m)`` matrix whose row ``r`` holds segment round
+    ``start + r`` for the ``m`` still-live tasks described by ``state``
+    (a per-task array compacted alongside the working arrays as tasks
+    finish).  A source may ignore ``start``.
+
+    Rounds are taken in blocks that ramp geometrically (1, 2, 4, ...
+    ``block_rounds``): the first rounds, where most tasks are still
+    alive, take exactly what they consume, while the long tail of
+    survivors amortizes the per-block source overhead ``block_rounds``
+    times.  Finished tasks are squeezed out of every array once per
+    block boundary; within a block a finished slot is marked inert with
+    ``length = nan``, which makes its finish test ``u >= nan`` false
+    even for an ``inf`` uptime, and the junk its lanes accumulate is
+    never read.
+
+    A task still alive after ``max_segments`` rounds (i.e. after
+    ``max_segments`` failures) is reported with ``completed = False``
+    and the wallclock accumulated so far, as in :func:`simulate_task`.
+    """
+    if block_rounds < 1:
+        raise ValueError(f"block_rounds must be >= 1, got {block_rounds}")
+    n = te_arr.size
+    wall = np.zeros(n, dtype=float)
+    fails = np.zeros(n, dtype=np.int64)
+    completed = np.zeros(n, dtype=bool)
+
+    # Compacted working state: slot i describes original task idx[i].
+    # Every live task fails once in each round it does not finish, so
+    # a task's failure count is the round it finishes (or stops) in.
+    idx = np.arange(n)
+    length_w = te_arr / x_arr
+    cycle_w = length_w + c_arr
+    rem_w = (x_arr - 1).astype(float)  # remaining checkpoints (x - 1 - m)
+    fcost_w = r_arr + restart_delay  # wall-clock charge per failure
+    wall_w = np.zeros(n, dtype=float)
+
+    rounds = 0
+    k_next = 1
+    while idx.size and rounds < max_segments:
+        k = min(k_next, block_rounds, max_segments - rounds)
+        k_next = min(k_next * 2, block_rounds)
+        u_block = draw_block(state, rounds, k)
+        alive = np.ones(idx.size, dtype=bool)
+        n_alive = idx.size
+        for r in range(k):
+            u = u_block[r]
+            t_fin = rem_w * cycle_w + length_w
+            done = u >= t_fin  # inert slots have t_fin == nan -> False
+            n_done = np.count_nonzero(done)
+            if n_done:
+                idx_done = idx[done]
+                wall[idx_done] = wall_w[done] + t_fin[done]
+                fails[idx_done] = rounds + r
+                completed[idx_done] = True
+                alive[done] = False
+                length_w[done] = np.nan
+                n_alive -= n_done
+                if n_alive == 0:
+                    break
+            rem_w -= np.minimum(u // cycle_w, rem_w)
+            wall_w += u + fcost_w
+        rounds += k
+        if n_alive != idx.size:
+            idx = idx[alive]
+            length_w = length_w[alive]
+            cycle_w = cycle_w[alive]
+            rem_w = rem_w[alive]
+            fcost_w = fcost_w[alive]
+            wall_w = wall_w[alive]
+            state = state[alive]
+
+    if idx.size:  # truncated by the max_segments safety bound
+        wall[idx] = wall_w
+        fails[idx] = rounds
+
+    return SimulationResult(
+        te=te_arr.copy(),
+        wallclock=wall,
+        n_failures=fails,
+        intervals=x_arr.copy(),
+        completed=completed,
+    )
+
+
+def simulate_tasks_blocked(
     te: np.ndarray,
     intervals: np.ndarray,
     checkpoint_cost: np.ndarray,
@@ -223,9 +357,9 @@ def simulate_tasks(
     distributions:
         Mapping id → interval :class:`Distribution`.
     rng:
-        Randomness source (single stream; draws are grouped by
-        distribution id per segment round, so results are reproducible
-        for a fixed seed and input order).
+        Randomness source.  Each block of segment rounds draws one
+        ``(k, m)`` matrix per law, laws in a fixed order, so results
+        are reproducible for a fixed seed and input order.
     restart_delay:
         Extra wall-clock charged per failure on top of the restart cost
         (models scheduling/queueing; the DES measures it endogenously).
@@ -233,226 +367,8 @@ def simulate_tasks(
         Safety bound on failures per task; tasks exceeding it are
         reported with ``completed = False``.
 
-    Notes
-    -----
-    The loop runs once per *segment round*: in round ``k`` every task
-    that has survived ``k`` failures draws its next uptime.  Rounds
-    needed equal the maximum failure count over the batch, which the
-    calibrated catalogs keep small (heavy tails produce long quiet
-    intervals), so the run time is a handful of vectorized passes even
-    for 300k tasks.
-    """
-    te_arr, x_arr, c_arr, r_arr, d_arr = _validate_batch(
-        te, intervals, checkpoint_cost, restart_cost, dist_ids, restart_delay
-    )
-    missing = set(np.unique(d_arr).tolist()) - set(distributions)
-    if missing:
-        raise KeyError(f"no distribution registered for ids {sorted(missing)}")
-
-    n = te_arr.size
-    length = te_arr / x_arr
-    cycle = length + c_arr
-    m = np.zeros(n, dtype=np.int64)  # committed checkpoint index
-    wall = np.zeros(n, dtype=float)
-    fails = np.zeros(n, dtype=np.int64)
-    completed = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-
-    # Pre-group task indices by distribution id (stable order).
-    for _ in range(max_segments):
-        if active.size == 0:
-            break
-        u = np.empty(active.size, dtype=float)
-        ids_active = d_arr[active]
-        for did in sorted(distributions, key=repr):
-            sel = np.flatnonzero(ids_active == did)
-            if sel.size:
-                u[sel] = distributions[did].sample(rng, sel.size)
-        rem = x_arr[active] - 1 - m[active]
-        t_fin = rem * cycle[active] + length[active]
-        done = u >= t_fin
-        idx_done = active[done]
-        wall[idx_done] += t_fin[done]
-        completed[idx_done] = True
-        idx_cont = active[~done]
-        if idx_cont.size:
-            u_cont = u[~done]
-            j = np.minimum(
-                (u_cont // cycle[idx_cont]).astype(np.int64), rem[~done]
-            )
-            m[idx_cont] += j
-            fails[idx_cont] += 1
-            wall[idx_cont] += u_cont + r_arr[idx_cont] + restart_delay
-        active = idx_cont
-
-    return SimulationResult(
-        te=te_arr.copy(),
-        wallclock=wall,
-        n_failures=fails,
-        intervals=x_arr.copy(),
-        completed=completed,
-    )
-
-
-def _validate_batch(
-    te, intervals, checkpoint_cost, restart_cost, dist_ids, restart_delay
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Broadcast and validate the shared per-task parameter arrays."""
-    te_arr, x_arr, c_arr, r_arr, d_arr = np.broadcast_arrays(
-        np.asarray(te, dtype=float),
-        np.asarray(intervals, dtype=np.int64),
-        np.asarray(checkpoint_cost, dtype=float),
-        np.asarray(restart_cost, dtype=float),
-        np.asarray(dist_ids),
-    )
-    te_arr = np.ascontiguousarray(te_arr, dtype=float)
-    x_arr = np.ascontiguousarray(x_arr, dtype=np.int64)
-    c_arr = np.ascontiguousarray(c_arr, dtype=float)
-    r_arr = np.ascontiguousarray(r_arr, dtype=float)
-    if np.any(te_arr <= 0):
-        raise ValueError("all te must be positive")
-    if np.any(x_arr < 1):
-        raise ValueError("all interval counts must be >= 1")
-    if np.any(c_arr < 0) or np.any(r_arr < 0) or restart_delay < 0:
-        raise ValueError("costs and delays must be non-negative")
-    return te_arr, x_arr, c_arr, r_arr, d_arr
-
-
-def _simulate_blocked_core(
-    te_arr: np.ndarray,
-    x_arr: np.ndarray,
-    c_arr: np.ndarray,
-    r_arr: np.ndarray,
-    sample_state: np.ndarray,
-    draw_block,
-    restart_delay: float,
-    max_segments: int,
-    block_rounds: int,
-) -> SimulationResult:
-    """Shared compacted kernel of the blocked Monte-Carlo fast path.
-
-    ``draw_block(sample_state, k)`` returns a ``(k, m)`` matrix of
-    uptime draws — row ``r`` is segment round ``r`` for the ``m``
-    currently-live tasks described by ``sample_state`` (which is
-    compressed alongside the working arrays as tasks finish).
-
-    Two optimizations over the reference :func:`simulate_tasks` loop:
-
-    * failure samples are pre-drawn ``block_rounds`` rounds at a time,
-      so the per-round Python overhead of regrouping tasks by
-      distribution and issuing many small ``sample`` calls is paid once
-      per block instead of once per round;
-    * the working state is *compacted* — finished tasks are squeezed
-      out of every array — so later rounds run on dense arrays instead
-      of repeatedly fancy-indexing the full batch.
-
-    The truncation rule is identical to the scalar and reference vector
-    tiers: a task still alive after ``max_segments`` segment rounds
-    (i.e. after suffering ``max_segments`` failures) is reported with
-    ``completed = False`` and the wallclock accumulated so far.
-    """
-    if block_rounds < 1:
-        raise ValueError(f"block_rounds must be >= 1, got {block_rounds}")
-    n = te_arr.size
-    wall = np.zeros(n, dtype=float)
-    fails = np.zeros(n, dtype=np.int64)
-    completed = np.zeros(n, dtype=bool)
-
-    # Compacted working state: slot i describes original task idx[i].
-    idx = np.arange(n)
-    length_w = te_arr / x_arr
-    cycle_w = length_w + c_arr
-    rem_w = (x_arr - 1).astype(float)  # remaining checkpoints (x - 1 - m)
-    fcost_w = r_arr + restart_delay  # wall-clock charge per failure
-    wall_w = np.zeros(n, dtype=float)
-    fails_w = np.zeros(n, dtype=np.int64)
-
-    # Blocks ramp geometrically (1, 2, 4, ... block_rounds): the first
-    # rounds — where most tasks are still alive — draw exactly what
-    # they consume, while the long tail of survivors gets the full
-    # k-fold amortization of the per-block grouping overhead.  Total
-    # over-draw is bounded by one final block.
-    #
-    # Within a block, finished tasks are not squeezed out round by
-    # round; their slot is marked inert (``length = inf`` makes the
-    # finish test unreachable) and the junk its update ops accumulate
-    # is never read.  Compaction happens once per block boundary, so
-    # each round is a handful of full-width vector ops with no
-    # per-round gathers or compressions.
-    rounds = 0
-    k_next = 1
-    while idx.size and rounds < max_segments:
-        k = min(k_next, block_rounds, max_segments - rounds)
-        k_next = min(k_next * 2, block_rounds)
-        u_block = draw_block(sample_state, k)
-        alive = np.ones(idx.size, dtype=bool)
-        n_alive = idx.size
-        for r in range(k):
-            u = u_block[r]
-            t_fin = rem_w * cycle_w + length_w
-            done = u >= t_fin  # inert slots have t_fin == inf -> False
-            if done.any():
-                idx_done = idx[done]
-                wall[idx_done] = wall_w[done] + t_fin[done]
-                fails[idx_done] = fails_w[done]
-                completed[idx_done] = True
-                alive[done] = False
-                length_w[done] = np.inf
-                n_alive -= int(done.sum())
-                if n_alive == 0:
-                    break
-            rem_w -= np.minimum(np.floor(u / cycle_w), rem_w)
-            fails_w += 1
-            wall_w += u + fcost_w
-        rounds += k
-        if n_alive != idx.size:
-            idx = idx[alive]
-            length_w = length_w[alive]
-            cycle_w = cycle_w[alive]
-            rem_w = rem_w[alive]
-            fcost_w = fcost_w[alive]
-            wall_w = wall_w[alive]
-            fails_w = fails_w[alive]
-            sample_state = sample_state[alive]
-
-    if idx.size:  # truncated by the max_segments safety bound
-        wall[idx] = wall_w
-        fails[idx] = fails_w
-
-    return SimulationResult(
-        te=te_arr.copy(),
-        wallclock=wall,
-        n_failures=fails,
-        intervals=x_arr.copy(),
-        completed=completed,
-    )
-
-
-def simulate_tasks_blocked(
-    te: np.ndarray,
-    intervals: np.ndarray,
-    checkpoint_cost: np.ndarray,
-    restart_cost: np.ndarray,
-    dist_ids: np.ndarray,
-    distributions: dict[int, Distribution],
-    rng: np.random.Generator,
-    restart_delay: float = 0.0,
-    max_segments: int = 100_000,
-    block_rounds: int = DEFAULT_BLOCK_ROUNDS,
-) -> SimulationResult:
-    """Blocked fast path of :func:`simulate_tasks` (same model).
-
-    Semantically identical to the reference implementation — same
-    execution model, same truncation rule — but pre-draws failure
-    samples per distribution in blocks of ``block_rounds`` segment
-    rounds and compacts the working arrays as tasks finish, which
-    removes most of the per-round Python overhead on large batches.
-
-    Results are deterministic for a fixed ``(rng, inputs,
-    block_rounds)`` but consume the stream in a different order than
-    :func:`simulate_tasks`, so the two paths agree statistically, not
-    bit-for-bit.  The sharded parallel runner
-    (:mod:`repro.parallel`) builds on this path.
+    The sharded parallel runner (:mod:`repro.parallel`) builds on this
+    kernel.
     """
     te_arr, x_arr, c_arr, r_arr, d_arr = _validate_batch(
         te, intervals, checkpoint_cost, restart_cost, dist_ids, restart_delay
@@ -462,7 +378,7 @@ def simulate_tasks_blocked(
         raise KeyError(f"no distribution registered for ids {sorted(missing)}")
     dist_order = sorted(distributions, key=repr)
 
-    def draw_block(ids_live: np.ndarray, k: int) -> np.ndarray:
+    def draw_block(ids_live: np.ndarray, start: int, k: int) -> np.ndarray:
         out = np.empty((k, ids_live.size), dtype=float)
         for did in dist_order:
             sel = np.flatnonzero(ids_live == did)
@@ -471,8 +387,8 @@ def simulate_tasks_blocked(
         return out
 
     return _simulate_blocked_core(
-        te_arr, x_arr, c_arr, r_arr, np.ascontiguousarray(d_arr),
-        draw_block, restart_delay, max_segments, block_rounds,
+        te_arr, x_arr, c_arr, r_arr, d_arr,
+        draw_block, restart_delay, max_segments,
     )
 
 
@@ -485,30 +401,27 @@ def simulate_tasks_scaled(
     rng: np.random.Generator,
     restart_delay: float = 0.0,
     max_segments: int = 100_000,
-    block_rounds: int = DEFAULT_BLOCK_ROUNDS,
 ) -> SimulationResult:
     """Blocked Monte-Carlo with per-task exponential interval scales.
 
     The frailty model's redraw path: task ``i`` draws its uptimes from
-    ``Exponential(mean = interval_scale[i])``.  Same execution model,
-    truncation rule and blocked kernel as
-    :func:`simulate_tasks_blocked`, with the per-distribution grouping
-    replaced by one broadcast exponential draw.
+    ``Exponential(mean = interval_scale[i])``.  Same round loop and
+    truncation rule as :func:`simulate_tasks_blocked`, with the
+    per-distribution grouping replaced by one broadcast exponential draw.
     """
     te_arr, x_arr, c_arr, r_arr, s_arr = _validate_batch(
         te, intervals, checkpoint_cost, restart_cost,
         np.asarray(interval_scale, dtype=float), restart_delay,
     )
-    s_arr = np.ascontiguousarray(s_arr, dtype=float)
     if np.any(s_arr <= 0):
         raise ValueError("all interval scales must be positive")
 
-    def draw_block(scales_live: np.ndarray, k: int) -> np.ndarray:
+    def draw_block(scales_live: np.ndarray, start: int, k: int) -> np.ndarray:
         return rng.exponential(scales_live, size=(k, scales_live.size))
 
     return _simulate_blocked_core(
         te_arr, x_arr, c_arr, r_arr, s_arr,
-        draw_block, restart_delay, max_segments, block_rounds,
+        draw_block, restart_delay, max_segments,
     )
 
 
@@ -599,80 +512,42 @@ def simulate_tasks_replay(
     uninterrupted uptime before task ``i``'s (h+1)-st failure, padded
     with ``inf`` once the recorded failures are exhausted (the task then
     runs failure-free, mirroring the paper's ``kill -9`` replay of
-    Google trace events).
+    Google trace events).  Entries must be non-negative; ``nan`` is
+    rejected.
 
-    Same execution model as :func:`simulate_tasks`; the only difference
-    is where the uptimes come from, so oracle-prediction experiments
-    (Table 6) can give each policy *exactly* the failures the history
-    recorded.
+    The same round loop as :func:`simulate_tasks_blocked`, reading its
+    uptimes from the matrix instead of an RNG, so oracle-prediction
+    experiments (Table 6) can give each policy *exactly* the failures
+    the history recorded.  Every task completes: the round after the
+    last column sees an ``inf`` uptime.
     """
-    te_arr, x_arr, c_arr, r_arr = np.broadcast_arrays(
-        np.asarray(te, dtype=float),
-        np.asarray(intervals, dtype=np.int64),
-        np.asarray(checkpoint_cost, dtype=float),
-        np.asarray(restart_cost, dtype=float),
-    )
-    te_arr = np.ascontiguousarray(te_arr, dtype=float)
-    x_arr = np.ascontiguousarray(x_arr, dtype=np.int64)
-    c_arr = np.ascontiguousarray(c_arr, dtype=float)
-    r_arr = np.ascontiguousarray(r_arr, dtype=float)
     mat = np.asarray(interval_matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != te_arr.size:
+    if mat.ndim != 2:
+        raise ValueError(
+            f"interval_matrix must be (n_tasks, max_failures); got {mat.shape}"
+        )
+    te_arr, x_arr, c_arr, r_arr, rows = _validate_batch(
+        te, intervals, checkpoint_cost, restart_cost,
+        np.arange(mat.shape[0]), restart_delay,
+    )
+    if rows.size != mat.shape[0]:
         raise ValueError(
             f"interval_matrix must be (n_tasks, max_failures); got {mat.shape} "
             f"for {te_arr.size} tasks"
         )
-    if np.any(te_arr <= 0):
-        raise ValueError("all te must be positive")
-    if np.any(x_arr < 1):
-        raise ValueError("all interval counts must be >= 1")
+    if not np.all(mat >= 0):
+        raise ValueError("replay intervals must be non-negative (no nan)")
 
-    n = te_arr.size
-    max_rounds = mat.shape[1] + 1
-    length = te_arr / x_arr
-    cycle = length + c_arr
-    m = np.zeros(n, dtype=np.int64)
-    wall = np.zeros(n, dtype=float)
-    fails = np.zeros(n, dtype=np.int64)
-    completed = np.zeros(n, dtype=bool)
-    active = np.arange(n)
+    # Round-major, plus one all-``inf`` round that finishes every task.
+    uptimes = np.full((mat.shape[1] + 1, mat.shape[0]), np.inf)
+    uptimes[:-1] = mat.T
 
-    for rnd in range(max_rounds):
-        if active.size == 0:
-            break
-        u = (
-            mat[active, rnd]
-            if rnd < mat.shape[1]
-            else np.full(active.size, np.inf)
-        )
-        rem = x_arr[active] - 1 - m[active]
-        t_fin = rem * cycle[active] + length[active]
-        done = u >= t_fin
-        idx_done = active[done]
-        wall[idx_done] += t_fin[done]
-        completed[idx_done] = True
-        idx_cont = active[~done]
-        if idx_cont.size:
-            u_cont = u[~done]
-            j = np.minimum((u_cont // cycle[idx_cont]).astype(np.int64), rem[~done])
-            m[idx_cont] += j
-            fails[idx_cont] += 1
-            wall[idx_cont] += u_cont + r_arr[idx_cont] + restart_delay
-        active = idx_cont
+    def draw_block(rows_live: np.ndarray, start: int, k: int) -> np.ndarray:
+        return uptimes[start:start + k, rows_live]
 
-    # Tasks that drained their record but still run finish failure-free.
-    if active.size:
-        rem = x_arr[active] - 1 - m[active]
-        t_fin = rem * cycle[active] + length[active]
-        wall[active] += t_fin
-        completed[active] = True
-
-    return SimulationResult(
-        te=te_arr.copy(),
-        wallclock=wall,
-        n_failures=fails,
-        intervals=x_arr.copy(),
-        completed=completed,
+    return _simulate_blocked_core(
+        te_arr, x_arr, c_arr, r_arr, rows,
+        draw_block, restart_delay, max_segments=len(uptimes),
     )
 
 

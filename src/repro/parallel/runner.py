@@ -16,8 +16,8 @@ the reproducibility discipline the verify subsystem pins:
 Because no step depends on *where* a chunk ran, ``digest()`` of the
 merged result is bit-for-bit identical for any ``workers`` value —
 ``workers=1`` (the serial fallback, no pool involved) and ``workers=8``
-produce the same bytes.  Changing ``chunk_size`` or ``block_rounds``
-legitimately changes the draw order, exactly like changing the seed.
+produce the same bytes.  Changing ``chunk_size`` legitimately changes
+the draw order, exactly like changing the seed.
 
 Replay-mode sharding (:func:`simulate_tasks_replay_sharded`) consumes
 no randomness at all, so it is additionally bit-identical to the
@@ -35,7 +35,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.simulate import (
-    DEFAULT_BLOCK_ROUNDS,
     SimulationResult,
     simulate_tasks_blocked,
     simulate_tasks_replay,
@@ -257,7 +256,6 @@ def simulate_tasks_sharded(
     chunk_size: "int | None" = None,
     restart_delay: float = 0.0,
     max_segments: int = 100_000,
-    block_rounds: int = DEFAULT_BLOCK_ROUNDS,
 ) -> SimulationResult:
     """Sharded catalog-driven Monte-Carlo (blocked fast path per chunk).
 
@@ -284,7 +282,6 @@ def simulate_tasks_sharded(
             te_a, x_a, c_a, r_a, d_a, distributions,
             np.random.default_rng(np.random.SeedSequence(seed)),
             restart_delay=restart_delay, max_segments=max_segments,
-            block_rounds=block_rounds,
         )
     seeds = spawn_chunk_seeds(seed, len(chunks))
     jobs = []
@@ -303,7 +300,6 @@ def simulate_tasks_sharded(
                     restart_cost=r_a[sl], dist_ids=chunk_ids,
                     distributions=chunk_dists, seed_seq=seeds[i],
                     restart_delay=restart_delay, max_segments=max_segments,
-                    block_rounds=block_rounds,
                 ),
             )
         )
@@ -322,7 +318,6 @@ def simulate_tasks_scaled_sharded(
     chunk_size: "int | None" = None,
     restart_delay: float = 0.0,
     max_segments: int = 100_000,
-    block_rounds: int = DEFAULT_BLOCK_ROUNDS,
 ) -> SimulationResult:
     """Sharded per-task-exponential-scale Monte-Carlo (frailty redraw).
 
@@ -345,7 +340,6 @@ def simulate_tasks_scaled_sharded(
             te_a, x_a, c_a, r_a, s_a,
             np.random.default_rng(np.random.SeedSequence(seed)),
             restart_delay=restart_delay, max_segments=max_segments,
-            block_rounds=block_rounds,
         )
     seeds = spawn_chunk_seeds(seed, len(chunks))
     jobs = [
@@ -355,7 +349,7 @@ def simulate_tasks_scaled_sharded(
                 te=te_a[sl], intervals=x_a[sl], checkpoint_cost=c_a[sl],
                 restart_cost=r_a[sl], interval_scale=s_a[sl],
                 seed_seq=seeds[i], restart_delay=restart_delay,
-                max_segments=max_segments, block_rounds=block_rounds,
+                max_segments=max_segments,
             ),
         )
         for i, sl in enumerate(chunks)

@@ -2,8 +2,8 @@
 
 The package's credibility claim is that its three execution tiers —
 the scalar reference (:func:`repro.core.simulate.simulate_task`), the
-vectorized batch (:func:`repro.core.simulate.simulate_tasks`) and the
-DES cluster simulator (:class:`repro.cluster.platform.CloudPlatform`)
+vectorized batch (:func:`repro.core.simulate.simulate_tasks_blocked`)
+and the DES cluster simulator (:class:`repro.cluster.platform.CloudPlatform`)
 — implement one execution model.  This subsystem makes that claim
 continuously testable:
 

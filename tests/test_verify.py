@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.core.simulate import simulate_task, simulate_tasks
+from repro.core.simulate import simulate_task, simulate_tasks_blocked
 from repro.failures.catalog import ExplicitCatalog
 from repro.failures.distributions import Exponential, Weibull
 from repro.failures.injector import FailureInjector
@@ -121,15 +121,15 @@ class TestDeterminism:
         ]
         assert outs[0] == outs[1]
 
-    def test_simulate_tasks_same_seed(self):
+    def test_simulate_tasks_blocked_same_seed(self):
         dists = {0: Weibull(1.5, 500.0)}
         kwargs = dict(
             te=np.full(16, 300.0), intervals=np.full(16, 4),
             checkpoint_cost=np.full(16, 1.0), restart_cost=np.full(16, 2.0),
             dist_ids=np.zeros(16, dtype=int), distributions=dists,
         )
-        r1 = simulate_tasks(rng=np.random.default_rng(7), **kwargs)
-        r2 = simulate_tasks(rng=np.random.default_rng(7), **kwargs)
+        r1 = simulate_tasks_blocked(rng=np.random.default_rng(7), **kwargs)
+        r2 = simulate_tasks_blocked(rng=np.random.default_rng(7), **kwargs)
         assert r1.digest() == r2.digest()
 
 
