@@ -3,9 +3,11 @@
 Times the blocked Monte-Carlo kernel
 (:func:`repro.core.simulate.simulate_tasks_blocked`) and the sharded
 parallel runner on ≥100k-task batches, verifies the sharded digests
-are worker-count invariant, and writes the result as
-``BENCH_parallel.json`` — the committed perf record the CI benchmark
-smoke job extends on every push.
+are worker-count invariant, times the straggler tail of the
+``replay-campaign`` redraw kernels against the vendored round loop
+(``reference_round_loop`` in ``tests/test_span_scan_differential.py``),
+and writes the result as ``BENCH_parallel.json`` — the committed perf
+record the CI benchmark smoke job extends on every push.
 
 Usage::
 
@@ -19,16 +21,18 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro._version import __version__
+from repro.core import simulate
 from repro.core.simulate import simulate_tasks_blocked
 from repro.failures.distributions import Exponential, Pareto
-from repro.experiments.common import policy_run_spec
-from repro.parallel import simulate_tasks_sharded
+from repro.experiments.common import evaluate_policy, policy_run_spec
+from repro.parallel import runner, simulate_tasks_sharded
 from repro.parallel.sweep import run_specs
 
 
@@ -162,6 +166,96 @@ def bench_sweep(repeats: int) -> dict:
     }
 
 
+#: The ``replay-campaign`` redraw cells (e2ebench, ``--seed 1``): a
+#: 1000-job history trace, both estimations, base seeds 1001/1002.
+CAMPAIGN_POLICIES = ("optimal", "young", "daly", "none")
+CAMPAIGN_STORAGES = ("auto", "local", "shared")
+CAMPAIGN_ESTIMATIONS = ("priority", "oracle")
+CAMPAIGN_SEEDS = (1001, 1002)
+
+
+def _campaign_redraw_kernels() -> list[tuple[str, tuple, dict, dict]]:
+    """Record the scaled-kernel calls of the 48 campaign redraw cells:
+    ``(policy, args, kwargs, generator state)`` per call."""
+    calls = []
+    real = runner.simulate_tasks_scaled
+
+    def record(*args, rng, **kwargs):
+        calls.append((policy, args, kwargs, rng.bit_generator.state))
+        return real(*args, rng=rng, **kwargs)
+
+    runner.simulate_tasks_scaled = record
+    try:
+        for seed in CAMPAIGN_SEEDS:
+            for estimation in CAMPAIGN_ESTIMATIONS:
+                for policy in CAMPAIGN_POLICIES:
+                    for storage in CAMPAIGN_STORAGES:
+                        evaluate_policy(policy_run_spec(
+                            policy, storage=storage, n_jobs=1000,
+                            trace_seed=2013, estimation=estimation,
+                            failure_mode="redraw", seed=seed))
+    finally:
+        runner.simulate_tasks_scaled = real
+    return calls
+
+
+def bench_redraw_tail(repeats: int) -> dict:
+    """The campaign's redraw kernels on the span scan and on the
+    vendored round loop it replaced (same uptime sources).
+
+    The straggler tail — a few tasks stepped through up to
+    ``max_segments`` failures — is where the campaign's kernel time
+    goes; seconds are summed per policy over its 12 cells.
+    """
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from test_span_scan_differential import reference_round_loop
+
+    calls = _campaign_redraw_kernels()
+    span_core = simulate._simulate_blocked_core
+
+    def run_all(core):
+        simulate._simulate_blocked_core = core
+        try:
+            out = []
+            for policy, args, kwargs, state in calls:
+                rng = np.random.default_rng()
+                rng.bit_generator.state = state
+                t0 = time.perf_counter()
+                res = simulate.simulate_tasks_scaled(*args, rng=rng, **kwargs)
+                out.append((policy, time.perf_counter() - t0, res))
+            return out
+        finally:
+            simulate._simulate_blocked_core = span_core
+
+    best = {}
+    for _ in range(repeats):
+        for name, core in (("span_scan", span_core),
+                           ("round_loop", reference_round_loop)):
+            runs = run_all(core)
+            by_policy = {p: 0.0 for p in CAMPAIGN_POLICIES}
+            for policy, t, _ in runs:
+                by_policy[policy] += t
+            prev = best.get(name)
+            if prev is None or sum(by_policy.values()) < prev[0]:
+                best[name] = (sum(by_policy.values()), by_policy,
+                              [res.digest() for _, _, res in runs],
+                              sum(int(res.n_failures.sum())
+                                  for _, _, res in runs))
+    span, loop = best["span_scan"], best["round_loop"]
+    return {
+        "workload": (f"{len(calls)} simulate_tasks_scaled calls of the "
+                     "replay-campaign redraw cells (4 policies x 3 storage "
+                     "x 2 estimations x seeds 1001/1002, 1000-job trace)"),
+        "span_scan_s": round(span[0], 4),
+        "round_loop_s": round(loop[0], 4),
+        "speedup": round(loop[0] / span[0], 2),
+        "span_scan_s_by_policy": {p: round(t, 4) for p, t in span[1].items()},
+        "round_loop_s_by_policy": {p: round(t, 4) for p, t in loop[1].items()},
+        "simulated_failures": span[3],
+        "digests_identical": span[2] == loop[2],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_parallel.json")
@@ -183,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         "hot_path": bench_hot_path(args.n_tasks, args.repeats),
         "autotune": bench_autotune(args.n_tasks, args.repeats),
         "sweep": bench_sweep(args.repeats),
+        "redraw_tail": bench_redraw_tail(args.repeats),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))

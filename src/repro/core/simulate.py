@@ -31,10 +31,20 @@ laws, :func:`simulate_tasks_scaled` from per-task exponential scales,
 and :func:`simulate_tasks_replay` reads a recorded interval matrix.
 On identical uptimes all of them agree bit-for-bit; the DES tier adds
 placement and storage contention on top of the same semantics.
+
+The loop scans its rounds in *spans* of several blocks at once: the
+closed form above becomes cumulative sums down each task's column, so
+the long straggler tail (a few tasks failing up to ``max_segments``
+times) costs a few NumPy calls per span rather than per round.  Blocks
+drawn past a span's first finish are discarded and the generator is
+rewound to where block-by-block stepping would leave it, so every
+draw, and every result, is the one a round-at-a-time loop produces.
 """
 
 from __future__ import annotations
 
+import bisect
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +68,13 @@ __all__ = [
 #: like a different seed), so it is part of the model's determinism
 #: key rather than a caller option.  Replay results do not depend on it.
 DEFAULT_BLOCK_ROUNDS = 8
+
+#: Most uptimes one span of :func:`_simulate_blocked_core` draws at
+#: once: a span holds at most ``_SPAN_UPTIMES // (block_rounds * live)``
+#: blocks (and never fewer than one).  A speed and memory bound only:
+#: the span scan leaves the uptime stream exactly where block-by-block
+#: stepping would, so results do not depend on it.
+_SPAN_UPTIMES = 8192
 
 
 @dataclass(frozen=True)
@@ -96,12 +113,12 @@ def simulate_task(
     ``injector`` must expose ``next_failure_in() -> float`` (see
     :mod:`repro.failures.injector`); ``inf`` means no further failures.
     """
-    if te <= 0:
+    if not te > 0:
         raise ValueError(f"te must be positive, got {te}")
     if intervals < 1:
         raise ValueError(f"intervals must be >= 1, got {intervals}")
-    if checkpoint_cost < 0 or restart_cost < 0 or restart_delay < 0:
-        raise ValueError("costs and delays must be non-negative")
+    if not (checkpoint_cost >= 0 and restart_cost >= 0 and restart_delay >= 0):
+        raise ValueError("costs and delays must be non-negative (no nan)")
     x = int(intervals)
     length = te / x
     cycle = length + checkpoint_cost
@@ -225,16 +242,17 @@ def _validate_batch(
     x_arr = np.ascontiguousarray(x_arr, dtype=np.int64)
     c_arr = np.ascontiguousarray(c_arr, dtype=float)
     r_arr = np.ascontiguousarray(r_arr, dtype=float)
-    if np.any(te_arr <= 0):
-        raise ValueError("all te must be positive")
+    # Written so that ``nan`` fails every check.
+    if not np.all(te_arr > 0):
+        raise ValueError("all te must be positive (no nan)")
     if np.any(x_arr < 1):
         raise ValueError("all interval counts must be >= 1")
-    if np.any(c_arr < 0) or np.any(r_arr < 0) or restart_delay < 0:
-        raise ValueError("costs and delays must be non-negative")
+    if not (np.all(c_arr >= 0) and np.all(r_arr >= 0) and restart_delay >= 0):
+        raise ValueError("costs and delays must be non-negative (no nan)")
     return te_arr, x_arr, c_arr, r_arr, np.ascontiguousarray(s_arr)
 
 
-# Inert lanes compute ``nan`` and ``inf // cycle`` (an ``inf`` uptime).
+# ``inf // cycle`` is ``nan``; it only reaches rows after the finish.
 @np.errstate(invalid="ignore")
 def _simulate_blocked_core(
     te_arr: np.ndarray,
@@ -246,6 +264,7 @@ def _simulate_blocked_core(
     restart_delay: float,
     max_segments: int,
     block_rounds: int = DEFAULT_BLOCK_ROUNDS,
+    rng: np.random.Generator | None = None,
 ) -> SimulationResult:
     """The one batch round loop; every batch kernel runs on it.
 
@@ -253,17 +272,39 @@ def _simulate_blocked_core(
     a ``(k, m)`` matrix whose row ``r`` holds segment round
     ``start + r`` for the ``m`` still-live tasks described by ``state``
     (a per-task array compacted alongside the working arrays as tasks
-    finish).  A source may ignore ``start``.
+    finish).  A source may ignore ``start``.  A kernel whose source
+    draws from a generator passes that generator as ``rng``; the loop
+    then snapshots and restores it (see below).
 
     Rounds are taken in blocks that ramp geometrically (1, 2, 4, ...
     ``block_rounds``): the first rounds, where most tasks are still
     alive, take exactly what they consume, while the long tail of
-    survivors amortizes the per-block source overhead ``block_rounds``
-    times.  Finished tasks are squeezed out of every array once per
-    block boundary; within a block a finished slot is marked inert with
-    ``length = nan``, which makes its finish test ``u >= nan`` false
-    even for an ``inf`` uptime, and the junk its lanes accumulate is
-    never read.
+    survivors amortizes the per-block source overhead.  Each iteration
+    draws a *span* of consecutive blocks of that schedule, all at the
+    current live count, and scans it column-wise in whole-matrix ops:
+
+    * checkpoints left before round ``r`` are
+      ``max(rem - cumsum(u // cycle), 0)`` over the earlier rounds,
+      exactly the per-round saturating ``rem -= min(u // cycle, rem)``
+      because every operand is an integer-valued float (skipped when no
+      live task has a checkpoint left);
+    * round ``r`` finishes the task when ``u >= rem * cycle + L``;
+    * the wallclock after round ``r`` is a sequential ``cumsum`` of
+      ``u + (R + d)``, bit-identical to adding one round at a time.
+
+    The loop consumes the span up to the end of the first block in
+    which any task finishes, records each finished task at its first
+    finishing round and compacts.  The blocks after that one were drawn
+    for tasks that have since left, so the block-by-block schedule
+    would have drawn them at a smaller live count: the loop discards
+    them and *rewinds* ``rng`` to its state before the span, then
+    redraws the consumed blocks so the generator stands exactly where
+    block-by-block stepping leaves it (for every law: sample calls are
+    replayed, not assumed to concatenate).  Sources without ``rng``
+    must be stateless.  A span starts at one block, doubles after a
+    span without a finish and drops back to one after a finish; it
+    holds at most ``_SPAN_UPTIMES // (block_rounds * m)`` blocks, and
+    never fewer than one.
 
     A task still alive after ``max_segments`` rounds (i.e. after
     ``max_segments`` failures) is reported with ``completed = False``
@@ -287,43 +328,95 @@ def _simulate_blocked_core(
     wall_w = np.zeros(n, dtype=float)
 
     rounds = 0
-    k_next = 1
+    k_next = 1  # next block of the ramp
+    span = 1  # blocks per span
+    n_spans = n_rewound = 0
     while idx.size and rounds < max_segments:
-        k = min(k_next, block_rounds, max_segments - rounds)
-        k_next = min(k_next * 2, block_rounds)
-        u_block = draw_block(state, rounds, k)
-        alive = np.ones(idx.size, dtype=bool)
-        n_alive = idx.size
-        for r in range(k):
-            u = u_block[r]
-            t_fin = rem_w * cycle_w + length_w
-            done = u >= t_fin  # inert slots have t_fin == nan -> False
-            n_done = np.count_nonzero(done)
-            if n_done:
-                idx_done = idx[done]
-                wall[idx_done] = wall_w[done] + t_fin[done]
-                fails[idx_done] = rounds + r
-                completed[idx_done] = True
-                alive[done] = False
-                length_w[done] = np.nan
-                n_alive -= n_done
-                if n_alive == 0:
-                    break
-            rem_w -= np.minimum(u // cycle_w, rem_w)
-            wall_w += u + fcost_w
-        rounds += k
-        if n_alive != idx.size:
-            idx = idx[alive]
-            length_w = length_w[alive]
-            cycle_w = cycle_w[alive]
-            rem_w = rem_w[alive]
-            fcost_w = fcost_w[alive]
-            wall_w = wall_w[alive]
-            state = state[alive]
+        m = idx.size
+        n_blocks = min(span, max(1, _SPAN_UPTIMES // (block_rounds * m)))
+        snapshot = (rng.bit_generator.state
+                    if rng is not None and n_blocks > 1 else None)
+        ends, total, k = [], 0, k_next  # block ends, as rows of the span
+        left = max_segments - rounds
+        while len(ends) < n_blocks and total < left:
+            total = min(total + k, left)
+            ends.append(total)
+            k = min(2 * k, block_rounds)
+        starts = [0, *ends[:-1]]
+        parts = [draw_block(state, rounds + s, e - s)
+                 for s, e in zip(starts, ends)]
+        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        n_spans += 1
+
+        if rem_w.any():
+            commits = u // cycle_w
+            np.cumsum(commits, axis=0, out=commits)
+            t_fin = np.empty_like(u)  # checkpoints left before each round
+            t_fin[0] = rem_w
+            np.subtract(rem_w, commits[:-1], out=t_fin[1:])
+            np.maximum(t_fin[1:], 0.0, out=t_fin[1:])
+            t_fin *= cycle_w
+            t_fin += length_w
+        else:
+            commits = None
+            t_fin = length_w
+        done = u >= t_fin
+
+        # Consume through the first block with a finish; rewind the rest.
+        hit = np.flatnonzero(done.any(axis=1))
+        used = len(ends)
+        if hit.size:
+            used = bisect.bisect_right(ends, hit[0]) + 1
+        end = ends[used - 1]
+        if used < len(ends):
+            n_rewound += len(ends) - used
+            if snapshot is not None:
+                rng.bit_generator.state = snapshot
+                for s, e in zip(starts[:used], ends[:used]):
+                    draw_block(state, rounds + s, e - s)
+        k_next = min(k_next << used, block_rounds)
+        span = 1 if hit.size else 2 * span
+
+        walls = u[:end] + fcost_w
+        walls[0] += wall_w
+        np.cumsum(walls, axis=0, out=walls)  # wallclock after each round
+        if hit.size:
+            first = done[:end].argmax(axis=0)
+            fin = np.flatnonzero(done[first, np.arange(m)])
+            row = first[fin]
+            tasks = idx[fin]
+            t_done = length_w[fin] if commits is None else t_fin[row, fin]
+            wall[tasks] = (
+                np.where(row > 0, walls[row - 1, fin], wall_w[fin]) + t_done
+            )
+            fails[tasks] = rounds + row
+            completed[tasks] = True
+        rounds += end
+        wall_w = walls[end - 1]
+        if commits is not None:
+            rem_w = np.maximum(rem_w - commits[end - 1], 0.0)
+        if hit.size:
+            keep = np.ones(m, dtype=bool)
+            keep[fin] = False
+            idx = idx[keep]
+            length_w = length_w[keep]
+            cycle_w = cycle_w[keep]
+            rem_w = rem_w[keep]
+            fcost_w = fcost_w[keep]
+            wall_w = wall_w[keep]
+            state = state[keep]
 
     if idx.size:  # truncated by the max_segments safety bound
         wall[idx] = wall_w
         fails[idx] = rounds
+    # Not imported here, to keep it off the import path: a program that
+    # turned DEBUG on has imported ``logging`` itself.
+    logging = sys.modules.get("logging")
+    if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
+        logging.getLogger(__name__).debug(
+            "round loop: %d tasks, %d rounds, %d spans, %d rewound blocks, "
+            "%d truncated", n, rounds, n_spans, n_rewound, idx.size,
+        )
 
     return SimulationResult(
         te=te_arr.copy(),
@@ -388,7 +481,7 @@ def simulate_tasks_blocked(
 
     return _simulate_blocked_core(
         te_arr, x_arr, c_arr, r_arr, d_arr,
-        draw_block, restart_delay, max_segments,
+        draw_block, restart_delay, max_segments, rng=rng,
     )
 
 
@@ -413,15 +506,16 @@ def simulate_tasks_scaled(
         te, intervals, checkpoint_cost, restart_cost,
         np.asarray(interval_scale, dtype=float), restart_delay,
     )
-    if np.any(s_arr <= 0):
-        raise ValueError("all interval scales must be positive")
+    if not np.all(s_arr > 0):
+        raise ValueError("all interval scales must be positive (no nan)")
 
     def draw_block(scales_live: np.ndarray, start: int, k: int) -> np.ndarray:
-        return rng.exponential(scales_live, size=(k, scales_live.size))
+        # Bit-identical to rng.exponential(scales_live, (k, m)), cheaper.
+        return rng.standard_exponential((k, scales_live.size)) * scales_live
 
     return _simulate_blocked_core(
         te_arr, x_arr, c_arr, r_arr, s_arr,
-        draw_block, restart_delay, max_segments,
+        draw_block, restart_delay, max_segments, rng=rng,
     )
 
 
@@ -451,12 +545,12 @@ def simulate_task_async_checkpoints(
     Comparing against :func:`simulate_task` quantifies the benefit of
     the threaded design.
     """
-    if te <= 0:
+    if not te > 0:
         raise ValueError(f"te must be positive, got {te}")
     if intervals < 1:
         raise ValueError(f"intervals must be >= 1, got {intervals}")
-    if checkpoint_cost < 0 or restart_cost < 0 or restart_delay < 0:
-        raise ValueError("costs and delays must be non-negative")
+    if not (checkpoint_cost >= 0 and restart_cost >= 0 and restart_delay >= 0):
+        raise ValueError("costs and delays must be non-negative (no nan)")
     x = int(intervals)
     length = te / x
     c = checkpoint_cost

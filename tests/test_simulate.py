@@ -358,6 +358,44 @@ class TestBlockedFastPath:
                 np.random.default_rng(0))
 
 
+_NAN = float("nan")
+_GOOD = dict(te=100.0, checkpoint_cost=1.0, restart_cost=1.0,
+             restart_delay=0.0)
+
+
+class TestNanInputsRejected:
+    """A ``nan`` parameter used to pass validation and run the full
+    ``max_segments`` rounds into a silently truncated task."""
+
+    @pytest.mark.parametrize("param", sorted(_GOOD))
+    def test_scalar(self, param):
+        p = {**_GOOD, param: _NAN}
+        with pytest.raises(ValueError):
+            simulate_task(p["te"], 4, p["checkpoint_cost"], p["restart_cost"],
+                          _ConstantInjector(10.0),
+                          restart_delay=p["restart_delay"])
+
+    @pytest.mark.parametrize("param", sorted(_GOOD))
+    def test_blocked(self, param):
+        p = {**_GOOD, param: _NAN}
+        with pytest.raises(ValueError):
+            simulate_tasks_blocked(
+                np.array([50.0, p["te"]]), np.array([4, 4]),
+                p["checkpoint_cost"], p["restart_cost"], np.zeros(2, int),
+                {0: Exponential(1 / 100.0)}, np.random.default_rng(0),
+                restart_delay=p["restart_delay"])
+
+    @pytest.mark.parametrize("param", sorted(_GOOD) + ["interval_scale"])
+    def test_scaled(self, param):
+        p = {**_GOOD, "interval_scale": 100.0, param: _NAN}
+        with pytest.raises(ValueError):
+            simulate_tasks_scaled(
+                np.array([50.0, p["te"]]), np.array([4, 4]),
+                p["checkpoint_cost"], p["restart_cost"],
+                np.array([100.0, p["interval_scale"]]),
+                np.random.default_rng(0), restart_delay=p["restart_delay"])
+
+
 class TestTruncationRule:
     """max_segments truncation must be identical across tiers: after
     ``max_segments`` failures a task reports ``completed=False``, its

@@ -1,0 +1,276 @@
+"""Differential test: the span scan runs exactly like the round loop.
+
+``reference_round_loop`` below is the batch round loop the span scan
+replaced: one Python iteration of about ten NumPy calls per segment
+round, finished tasks kept as inert ``length = nan`` lanes until the
+block ends.  The span scan draws several blocks of the same schedule
+ahead, scans them column-wise and rewinds the generator past the
+blocks it did not consume, so for RNG-backed sources it must give the
+same bits *and* leave the generator where the round loop leaves it.
+Hypothesis holds the two bit-identical on the scaled source and on the
+blocked source with several laws — ``Mixture`` and ``Empirical``
+among them, whose draws do not concatenate, so every rewind shows —
+with ``x = 1`` tasks, restart delays and ``max_segments`` truncation
+landing inside a span.
+"""
+
+from __future__ import annotations
+
+import logging
+import re
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import simulate
+from repro.core.simulate import (
+    DEFAULT_BLOCK_ROUNDS,
+    SimulationResult,
+    simulate_tasks_blocked,
+    simulate_tasks_scaled,
+)
+from repro.failures.distributions import (
+    Empirical,
+    Exponential,
+    Mixture,
+    Pareto,
+    Weibull,
+)
+
+
+@np.errstate(invalid="ignore")
+def reference_round_loop(
+    te_arr, x_arr, c_arr, r_arr, state, draw_block, restart_delay,
+    max_segments, block_rounds=DEFAULT_BLOCK_ROUNDS, rng=None,
+):
+    """The round loop before the span scan (``rng`` is unused)."""
+    n = te_arr.size
+    wall = np.zeros(n, dtype=float)
+    fails = np.zeros(n, dtype=np.int64)
+    completed = np.zeros(n, dtype=bool)
+
+    idx = np.arange(n)
+    length_w = te_arr / x_arr
+    cycle_w = length_w + c_arr
+    rem_w = (x_arr - 1).astype(float)
+    fcost_w = r_arr + restart_delay
+    wall_w = np.zeros(n, dtype=float)
+
+    rounds = 0
+    k_next = 1
+    while idx.size and rounds < max_segments:
+        k = min(k_next, block_rounds, max_segments - rounds)
+        k_next = min(k_next * 2, block_rounds)
+        u_block = draw_block(state, rounds, k)
+        alive = np.ones(idx.size, dtype=bool)
+        n_alive = idx.size
+        for r in range(k):
+            u = u_block[r]
+            t_fin = rem_w * cycle_w + length_w
+            done = u >= t_fin  # inert slots have t_fin == nan -> False
+            n_done = np.count_nonzero(done)
+            if n_done:
+                idx_done = idx[done]
+                wall[idx_done] = wall_w[done] + t_fin[done]
+                fails[idx_done] = rounds + r
+                completed[idx_done] = True
+                alive[done] = False
+                length_w[done] = np.nan
+                n_alive -= n_done
+                if n_alive == 0:
+                    break
+            rem_w -= np.minimum(u // cycle_w, rem_w)
+            wall_w += u + fcost_w
+        rounds += k
+        if n_alive != idx.size:
+            idx = idx[alive]
+            length_w = length_w[alive]
+            cycle_w = cycle_w[alive]
+            rem_w = rem_w[alive]
+            fcost_w = fcost_w[alive]
+            wall_w = wall_w[alive]
+            state = state[alive]
+
+    if idx.size:
+        wall[idx] = wall_w
+        fails[idx] = rounds
+
+    return SimulationResult(
+        te=te_arr.copy(),
+        wallclock=wall,
+        n_failures=fails,
+        intervals=x_arr.copy(),
+        completed=completed,
+    )
+
+
+def run_pair(kernel, *args, seed, **kwargs):
+    """``kernel`` once on the span scan and once on the reference loop,
+    each with a fresh generator from ``seed``; returns both results and
+    the next draw of each generator (where the stream was left)."""
+    out = []
+    for core in (simulate._simulate_blocked_core, reference_round_loop):
+        saved = simulate._simulate_blocked_core
+        simulate._simulate_blocked_core = core
+        try:
+            rng = np.random.default_rng(seed)
+            res = kernel(*args, rng=rng, **kwargs)
+        finally:
+            simulate._simulate_blocked_core = saved
+        out.append((res, rng.random()))
+    return out
+
+
+def _assert_identical(pair):
+    (new, new_next), (ref, ref_next) = pair
+    assert new.wallclock.tolist() == ref.wallclock.tolist()
+    assert new.n_failures.tolist() == ref.n_failures.tolist()
+    assert new.completed.tolist() == ref.completed.tolist()
+    assert new.digest() == ref.digest()
+    assert new_next == ref_next  # the generator ends where it would
+
+
+LAWS = {
+    0: Exponential(1 / 40.0),
+    1: Mixture([Exponential(1 / 5.0), Pareto(30.0, 1.5)], [0.7, 0.3]),
+    2: Empirical([3.0, 8.0, 15.0, 60.0, 400.0]),
+    3: Weibull(0.7, 25.0),
+}
+
+
+@st.composite
+def _tasks(draw):
+    """A small batch whose tails run long: uptimes are short next to
+    the work, some tasks have one interval (no checkpoint to commit)."""
+    n = draw(st.integers(1, 10))
+    te = draw(st.lists(st.floats(1.0, 600.0), min_size=n, max_size=n))
+    x = draw(st.lists(st.one_of(st.just(1), st.integers(1, 40)),
+                      min_size=n, max_size=n))
+    c = draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n))
+    r = draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n))
+    d = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+    max_seg = draw(st.one_of(st.integers(1, 40), st.integers(40, 3000)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (np.array(te), np.array(x, dtype=np.int64), np.array(c),
+            np.array(r), d, max_seg, seed)
+
+
+class TestSpanScanMatchesRoundLoop:
+    @given(tasks=_tasks(), scale=st.lists(st.floats(0.5, 400.0),
+                                          min_size=10, max_size=10))
+    @settings(max_examples=120, deadline=None)
+    def test_scaled_source(self, tasks, scale):
+        te, x, c, r, d, max_seg, seed = tasks
+        scales = np.array(scale[:te.size])
+        _assert_identical(run_pair(
+            simulate_tasks_scaled, te, x, c, r, scales, seed=seed,
+            restart_delay=d, max_segments=max_seg))
+
+    @given(tasks=_tasks(),
+           ids=st.lists(st.sampled_from(sorted(LAWS)), min_size=10,
+                        max_size=10),
+           n_laws=st.integers(2, len(LAWS)))
+    @settings(max_examples=120, deadline=None)
+    def test_blocked_source_with_several_laws(self, tasks, ids, n_laws):
+        te, x, c, r, d, max_seg, seed = tasks
+        dist_ids = np.array(ids[:te.size]) % n_laws
+        laws = {k: LAWS[k] for k in range(n_laws)}
+        _assert_identical(run_pair(
+            simulate_tasks_blocked, te, x, c, r, dist_ids, laws, seed=seed,
+            restart_delay=d, max_segments=max_seg))
+
+    def test_truncation_mid_span_and_x1_tail(self):
+        """Long-running x=1 tasks (the Empirical one never finishes)
+        beside checkpointed ones, cut at round counts that are not block
+        or span boundaries."""
+        te = np.array([5000.0, 5000.0, 80.0, 900.0])
+        x = np.array([1, 1, 4, 30])
+        c, r = np.full(4, 2.0), np.full(4, 1.0)
+        ids = np.array([1, 2, 0, 1])
+        for max_seg in (1, 2, 3, 7, 9, 1237, 4099):
+            _assert_identical(run_pair(
+                simulate_tasks_blocked, te, x, c, r, ids, LAWS, seed=5,
+                restart_delay=0.5, max_segments=max_seg))
+            _assert_identical(run_pair(
+                simulate_tasks_scaled, te, x, c, r,
+                np.array([10.0, 20.0, 30.0, 15.0]), seed=5,
+                max_segments=max_seg))
+
+    def test_span_cap_does_not_change_results(self, monkeypatch):
+        """With the cap down to one block per span there is nothing to
+        rewind; digests and the stream position must not move."""
+        rng = np.random.default_rng(3)
+        n = 400
+        te = rng.uniform(10, 3000, n)
+        x = rng.integers(1, 12, n)
+        c, r = rng.uniform(0, 5, n), rng.uniform(0, 5, n)
+        ids = np.arange(n) % len(LAWS)
+        scales = rng.uniform(5, 300, n)
+
+        def digests():
+            out = []
+            for kernel, arg in ((simulate_tasks_blocked, (ids, LAWS)),
+                                (simulate_tasks_scaled, (scales,))):
+                g = np.random.default_rng(11)
+                res = kernel(te, x, c, r, *arg, g, restart_delay=1.0,
+                             max_segments=2000)
+                out.append((res.digest(), g.random()))
+            return out
+
+        wide = digests()
+        monkeypatch.setattr(simulate, "_SPAN_UPTIMES", 1)
+        assert digests() == wide
+
+
+class TestScaledDraws:
+    def test_standard_exponential_times_scale_is_exponential(self):
+        """The scaled source draws ``standard_exponential * scale``;
+        it must equal ``exponential(scale)`` bit for bit, stream
+        position included."""
+        scales = np.array([0.5, 3.0, 250.0, 1e4, 7.25])
+        for shape_k in (1, 8, 64):
+            a, b = np.random.default_rng(42), np.random.default_rng(42)
+            got = a.standard_exponential((shape_k, scales.size)) * scales
+            want = b.exponential(scales, size=(shape_k, scales.size))
+            assert got.tobytes() == want.tobytes()
+            assert a.random() == b.random()
+
+
+class TestDebugLog:
+    def test_one_line_per_call(self, caplog):
+        n = 6
+        with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+            simulate_tasks_blocked(
+                np.full(n, 1000.0), np.ones(n, dtype=np.int64), 0.0, 0.0,
+                np.zeros(n, dtype=np.int64), {0: Empirical([10.0])},
+                np.random.default_rng(0), max_segments=100)
+        records = [rec for rec in caplog.records
+                   if rec.name == "repro.core.simulate"]
+        assert len(records) == 1
+        msg = records[0].getMessage()
+        assert "6 tasks" in msg and "100 rounds" in msg
+        assert "6 truncated" in msg
+        assert "spans" in msg and "rewound blocks" in msg
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.core.simulate"):
+            simulate_tasks_scaled(np.array([10.0]), np.array([1]), 0.0, 0.0,
+                                  np.array([100.0]), np.random.default_rng(0))
+        assert not [rec for rec in caplog.records
+                    if rec.name == "repro.core.simulate"]
+
+
+def test_rewinds_happen(caplog):
+    """The Mixture and Empirical tails make the scan rewind (so the
+    differential tests above are not vacuous), and it still matches."""
+    rng = np.random.default_rng(1)
+    n = 30
+    with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+        _assert_identical(run_pair(
+            simulate_tasks_blocked, rng.uniform(50, 500, n),
+            rng.integers(1, 6, n), 1.0, 1.0, np.arange(n) % 2,
+            {0: LAWS[1], 1: LAWS[2]}, seed=9, max_segments=100))
+    msg = next(rec.getMessage() for rec in caplog.records
+               if rec.name == "repro.core.simulate")
+    assert int(re.search(r"(\d+) rewound blocks", msg).group(1)) > 0

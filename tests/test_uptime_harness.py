@@ -147,6 +147,23 @@ class TestSharedUptimes:
         # Resume from checkpoint 9: ten cycles left plus the final L.
         assert ref.wallclock == 1.0 + 0.5 + (10 * (0.05 + 0.05) + 0.05)
 
+    def test_commits_saturate_below_the_finish_time(self):
+        """te=558.1898350386851, x=22, C=0: the uptime ``22 * L`` rounds
+        to just below the finish time ``21 * L + L``, so the task fails
+        although ``u // L`` is 22 — one more than the 21 checkpoints it
+        has.  The commit count must saturate at 21 (the next round
+        needs ``L`` again), not run on to -1 (which would finish it on
+        any uptime).  The boundary uptime sits in round 1, so the next
+        round falls in the same span of the core on every schedule."""
+        te, x = np.array([558.1898350386851]), np.array([22])
+        c, r = np.array([0.0]), np.array([1.0])
+        u = 22 * (te[0] / 22)
+        assert u < 21 * (te[0] / 22) + te[0] / 22 and u // (te[0] / 22) == 22
+        mat = np.array([[1.0, u, 1.0, 1.0]])
+        _assert_all_paths_agree(te, x, c, r, mat, 0.0, 3)
+        out = simulate_task(te[0], 22, 0.0, 1.0, _RowInjector(mat[0]))
+        assert out.n_failures == 4
+
     def test_task_finished_mid_block_ignores_later_inf(self):
         """Task 0 finishes in round 1 (inside the second block of the
         ramp) and is then handed an ``inf`` uptime in round 2 while
