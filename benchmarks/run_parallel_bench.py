@@ -6,6 +6,7 @@ parallel runner on ≥100k-task batches, verifies the sharded digests
 are worker-count invariant, times the straggler tail of the
 ``replay-campaign`` redraw kernels against the vendored round loop
 (``reference_round_loop`` in ``tests/test_span_scan_differential.py``),
+times a 10k-task workload build with and without the DES tier's trace,
 and writes the result as ``BENCH_parallel.json`` — the committed perf
 record the CI benchmark smoke job extends on every push.
 
@@ -256,6 +257,35 @@ def bench_redraw_tail(repeats: int) -> dict:
     }
 
 
+def bench_workload_build(repeats: int) -> dict:
+    """``build_workload`` on a 10k-task spec, with and without the
+    DES tier's per-task trace, and one vector-tier ``api.run`` of it.
+
+    ``Workload.trace`` is built on first access, so only the DES tier
+    pays for the ``Task``/``Job`` objects; ``build_plus_trace_s`` is
+    what every tier paid when the build made them eagerly.
+    """
+    from repro import api
+    from repro.verify.scenarios import build_workload, get_scenario
+
+    n_tasks = 10_000
+    spec = get_scenario("exp-per-priority-spread").evolve(
+        **{"workload.n_tasks": n_tasks})
+    vector = spec.evolve(**{"execution.tier": "vector"})
+    t_build, _ = _best_of(repeats, lambda: build_workload(spec))
+    t_trace, trace = _best_of(repeats, lambda: build_workload(spec).trace)
+    t_vector, _ = _best_of(repeats, lambda: api.run(vector))
+    assert trace.n_tasks == n_tasks
+    return {
+        "workload": f"exp-per-priority-spread, {n_tasks} tasks",
+        "build_s": round(t_build, 4),
+        "build_plus_trace_s": round(t_trace, 4),
+        "build_us_per_task": round(1e6 * t_build / n_tasks, 2),
+        "trace_us_per_task": round(1e6 * (t_trace - t_build) / n_tasks, 2),
+        "vector_api_run_s": round(t_vector, 4),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_parallel.json")
@@ -278,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         "autotune": bench_autotune(args.n_tasks, args.repeats),
         "sweep": bench_sweep(args.repeats),
         "redraw_tail": bench_redraw_tail(args.repeats),
+        "workload_build": bench_workload_build(args.repeats),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))

@@ -208,8 +208,9 @@ def _plain(value):
 class FailureLawSpec:
     """One priority's failure-interval law (family + target mean).
 
-    ``mean`` is the target expected interval (the body mean for the
-    mixture family, whose Pareto tail makes the true mean larger);
+    ``priority`` is a Google priority, 1..12.  ``mean`` is the target
+    expected interval (the body mean for the mixture family, whose
+    Pareto tail makes the true mean larger);
     ``shape`` is family-specific: Weibull ``k``, Pareto ``alpha``,
     LogNormal ``sigma`` (unused for exponential/mixture).
     """
@@ -220,6 +221,11 @@ class FailureLawSpec:
     shape: float = 0.0
 
     def __post_init__(self) -> None:
+        if not 1 <= self.priority <= 12:
+            raise SpecError(
+                f"failure-law priority must be in 1..12 (Google priorities), "
+                f"got {self.priority!r}"
+            )
         _require(self.family, DISTRIBUTION_FAMILIES, "distribution family")
         _positive(self.mean, "failure-law mean")
         _non_negative(self.shape, "failure-law shape")

@@ -9,11 +9,14 @@ execution tiers must agree (``execution.compare``).  ``repro verify``,
 these specs directly; ``get_scenario(name).evolve(**{"execution.tier":
 "des"})`` is the same scenario on another tier.  The builder
 (:func:`build_workload`) turns a scalar/vector/DES-tier spec into a
-fully materialized :class:`Workload` — per-task parameter arrays for
-the scalar and vectorized tiers plus a
-:class:`~repro.trace.models.Trace` and
+:class:`Workload` — per-task parameter arrays (length, memory,
+priority, submit time, planned interval count and costs) that the
+scalar and vectorized tiers read directly, plus the
 :class:`~repro.cluster.config.ClusterConfig` for the DES tier — as a
-pure function of the spec (its ``execution.base_seed`` included).
+pure function of the spec (its ``execution.base_seed`` included).  The
+DES tier's :class:`~repro.trace.models.Trace` is built from those
+arrays on first access to :attr:`Workload.trace`, so the scalar and
+vectorized tiers never pay for the per-task ``Task``/``Job`` objects.
 
 Cross-tier alignment contract
 -----------------------------
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,7 +148,12 @@ def make_policy(policy: str, param: float = 0.0) -> CheckpointPolicy:
 
 @dataclass
 class Workload:
-    """A spec materialized into tier-ready inputs."""
+    """A spec materialized into tier-ready inputs.
+
+    The per-task arrays are all the scalar and vectorized tiers read.
+    :attr:`trace` is the DES tier's input, built on first access (a
+    ``google`` workload arrives with its synthesized trace instead).
+    """
 
     spec: RunSpec
     seed: int
@@ -152,13 +161,13 @@ class Workload:
     te: np.ndarray
     mem_mb: np.ndarray
     priority: np.ndarray
+    submit: np.ndarray
     intervals: np.ndarray
     checkpoint_cost: np.ndarray
     restart_cost: np.ndarray
     dist_ids: np.ndarray
     distributions: dict[int, Distribution]
     # DES-side inputs
-    trace: Trace
     cluster: ClusterConfig
     catalog: object
     mnof_by_priority: dict[int, float]
@@ -168,6 +177,21 @@ class Workload:
     def n_tasks(self) -> int:
         """Number of tasks in the workload."""
         return int(self.te.size)
+
+    @cached_property
+    def trace(self) -> Trace:
+        """The DES tier's trace: one single-task sequential job per task,
+        ``job_id == task_id``, submitted at ``submit``."""
+        jobs = []
+        for i, (te, mem, priority, submit) in enumerate(zip(
+            self.te.tolist(), self.mem_mb.tolist(),
+            self.priority.tolist(), self.submit.tolist(),
+        )):
+            task = Task(task_id=i, job_id=i, index=0, te=te, mem_mb=mem,
+                        priority=priority)
+            jobs.append(Job(job_id=i, job_type=JobType.SEQUENTIAL,
+                            submit_time=submit, tasks=(task,)))
+        return Trace(tuple(jobs))
 
 
 # ----------------------------------------------------------------------
@@ -222,29 +246,22 @@ def _build_synthetic(spec: RunSpec, seed: int) -> Workload:
         mnof_map[law.priority] = w.te_mean / law.mean
 
     submit = _arrival_times(w, n, rng)
-    jobs = []
-    for i in range(n):
-        task = Task(
-            task_id=i,
-            job_id=i,
-            index=0,
-            te=float(te[i]),
-            mem_mb=float(mem[i]),
-            priority=int(priority[i]),
+    # What Task/Job/Trace would reject, checked without building them
+    # (written so that NaN fails too).
+    if not np.all(te > 0):
+        raise ValueError(f"te must be positive, got {te[~(te > 0)][0]}")
+    if not np.all(mem > 0):
+        raise ValueError(f"mem_mb must be positive, got {mem[~(mem > 0)][0]}")
+    if not np.all(submit >= 0):
+        raise ValueError(
+            f"submit_time must be >= 0, got {submit[~(submit >= 0)][0]}"
         )
-        jobs.append(
-            Job(
-                job_id=i,
-                job_type=JobType.SEQUENTIAL,
-                submit_time=float(submit[i]),
-                tasks=(task,),
-            )
-        )
-    trace = Trace(tuple(jobs))
+    if np.any(submit[1:] < submit[:-1]):
+        raise ValueError("jobs must be sorted by submit_time")
     catalog = ExplicitCatalog(distributions)
     return _finalize(
-        spec, seed, te, mem, priority, priority.copy(), distributions,
-        trace, catalog, mnof_map, mtbf_map,
+        spec, seed, te, mem, priority, submit, priority.copy(),
+        distributions, None, catalog, mnof_map, mtbf_map,
     )
 
 
@@ -266,8 +283,10 @@ def _build_from_trace(spec: RunSpec, seed: int) -> Workload:
         length_max=w.te_max,
     )
     trace = synthesize_trace(tcfg, catalog=catalog, seed=seed)
-    tasks = list(trace.tasks())
-    tasks.sort(key=lambda t: t.task_id)
+    rows = sorted(((t, job.submit_time) for job in trace for t in job.tasks),
+                  key=lambda row: row[0].task_id)
+    tasks = [t for t, _ in rows]
+    submit = np.asarray([s for _, s in rows])
     te = np.asarray([t.te for t in tasks])
     mem = np.asarray([t.mem_mb for t in tasks])
     priority = np.asarray([t.priority for t in tasks], dtype=np.int64)
@@ -279,7 +298,7 @@ def _build_from_trace(spec: RunSpec, seed: int) -> Workload:
     mnof_map = {p: catalog.expected_mnof(p) for p in priorities}
     mtbf_map = {p: min(catalog.base(p), 1e9) for p in priorities}
     return _finalize(
-        spec, seed, te, mem, priority, dist_ids, distributions,
+        spec, seed, te, mem, priority, submit, dist_ids, distributions,
         trace, catalog, mnof_map, mtbf_map,
     )
 
@@ -290,9 +309,10 @@ def _finalize(
     te: np.ndarray,
     mem: np.ndarray,
     priority: np.ndarray,
+    submit: np.ndarray,
     dist_ids: np.ndarray,
     distributions: dict[int, Distribution],
-    trace: Trace,
+    trace: Trace | None,
     catalog: object,
     mnof_map: dict[int, float],
     mtbf_map: dict[int, float],
@@ -301,7 +321,9 @@ def _finalize(
     :func:`~repro.core.placement.resolve_tasks` call the DES platform
     also makes, and assemble the :class:`Workload`.  The checkpoint cost
     is the uncontended quote (the DES adds congestion pricing on shared
-    backends, which the ``stats`` compare mode tolerates)."""
+    backends, which the ``stats`` compare mode tolerates).  A given
+    ``trace`` fills :attr:`Workload.trace`'s cache; ``None`` leaves it
+    to be built from the arrays on first access."""
     storage = spec.storage.mode
     _local, ckpt, rest, x = resolve_tasks(
         storage,
@@ -322,23 +344,26 @@ def _finalize(
         host_mtbf=spec.failures.host_mtbf,
         host_repair_time=spec.failures.host_repair_time,
     )
-    return Workload(
+    workload = Workload(
         spec=spec,
         seed=seed,
         te=te,
         mem_mb=mem,
         priority=priority,
+        submit=submit,
         intervals=x,
         checkpoint_cost=ckpt,
         restart_cost=rest,
         dist_ids=dist_ids,
         distributions=distributions,
-        trace=trace,
         cluster=cluster,
         catalog=catalog,
         mnof_by_priority=mnof_map,
         mtbf_by_priority=mtbf_map,
     )
+    if trace is not None:
+        vars(workload)["trace"] = trace
+    return workload
 
 
 def build_workload(spec: RunSpec) -> Workload:

@@ -93,6 +93,15 @@ class TestValidation:
         with pytest.raises(SpecError, match="positive"):
             FailureLawSpec(priority=1, family="exponential", mean=-3.0)
 
+    @pytest.mark.parametrize("priority", [0, 13])
+    def test_priority_outside_google_range(self, priority):
+        with pytest.raises(SpecError, match=r"1\.\.12"):
+            FailureLawSpec(priority=priority, family="exponential", mean=10.0)
+        with pytest.raises(SpecError, match=r"1\.\.12"):
+            RunSpec.from_dict({"name": "bad-priority", "failures": {"laws": [
+                {"priority": priority, "family": "exponential",
+                 "mean": 10.0}]}})
+
     def test_duplicate_priorities(self):
         laws = (FailureLawSpec(1, "exponential", 10.0),
                 FailureLawSpec(1, "weibull", 20.0, 1.5))
@@ -245,7 +254,7 @@ _names = st.text(
     max_size=24)
 
 _laws = st.lists(
-    st.integers(min_value=0, max_value=11), min_size=1, max_size=4,
+    st.integers(min_value=1, max_value=12), min_size=1, max_size=4,
     unique=True,
 ).flatmap(lambda prios: st.tuples(*[
     st.builds(

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
+import pickle
+import zlib
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.cluster.config import ClusterConfig
 from repro.core.simulate import simulate_task, simulate_tasks_blocked
 from repro.failures.catalog import ExplicitCatalog
 from repro.failures.distributions import Exponential, Weibull
 from repro.failures.injector import FailureInjector
-from repro.spec import FailureLawSpec, FailureSpec
+from repro.failures.catalog import google_like_catalog
+from repro.spec import FailureLawSpec, FailureSpec, SpecError
+from repro.trace.models import Job, JobType, Task, Trace
 from repro.trace.synthesizer import TraceConfig, synthesize_trace
 from repro.verify import (
     SCENARIOS,
@@ -30,6 +36,7 @@ from repro.verify.golden import (
     write_golden,
 )
 from repro.verify.runner import run_des, run_scalar, run_vector
+from repro.verify import scenarios
 from repro.verify.scenarios import make_distribution, make_policy
 
 
@@ -89,6 +96,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(w1.te, w2.te)
         np.testing.assert_array_equal(w1.intervals, w2.intervals)
         np.testing.assert_array_equal(w1.checkpoint_cost, w2.checkpoint_cost)
+        np.testing.assert_array_equal(w1.submit, w2.submit)
 
     def test_base_seed_changes_workload(self):
         spec = get_scenario(QUICK)
@@ -131,6 +139,143 @@ class TestDeterminism:
         r1 = simulate_tasks_blocked(rng=np.random.default_rng(7), **kwargs)
         r2 = simulate_tasks_blocked(rng=np.random.default_rng(7), **kwargs)
         assert r1.digest() == r2.digest()
+
+
+def _workload_seed(spec) -> int:
+    base_seed = spec.execution.base_seed
+    return zlib.crc32(f"{base_seed}:{spec.name}".encode()) & 0x7FFFFFFF
+
+
+def eager_synthetic_trace(spec) -> Trace:
+    """The trace ``build_workload`` built eagerly, per task, for a
+    ``synthetic`` spec before :attr:`Workload.trace` became lazy: the
+    same RNG draws, then one ``Task``/``Job`` pair per task."""
+    rng = np.random.default_rng((_workload_seed(spec), 0xB11D))
+    w = spec.workload
+    n = w.n_tasks
+    if w.te_mode == "fixed":
+        te = np.full(n, float(w.te_mean))
+    else:
+        te = np.clip(rng.lognormal(math.log(w.te_mean), w.te_sigma, size=n),
+                     w.te_min, w.te_max)
+    mem = np.clip(rng.lognormal(math.log(w.mem_mean), w.mem_sigma, size=n),
+                  w.mem_min, w.mem_max)
+    laws = spec.failures.laws
+    priority = np.asarray([law.priority for law in laws],
+                          dtype=np.int64)[np.arange(n) % len(laws)]
+    if w.arrival == "batch":
+        submit = np.zeros(n)
+    elif w.arrival == "steady":
+        submit = np.cumsum(rng.exponential(1.0 / w.arrival_rate, size=n))
+    else:
+        n_bursts = (n + w.burst_size - 1) // w.burst_size
+        gaps = rng.exponential(w.burst_size / w.arrival_rate, size=n_bursts)
+        submit = np.repeat(np.cumsum(gaps), w.burst_size)[:n]
+    jobs = []
+    for i in range(n):
+        task = Task(task_id=i, job_id=i, index=0, te=float(te[i]),
+                    mem_mb=float(mem[i]), priority=int(priority[i]))
+        jobs.append(Job(job_id=i, job_type=JobType.SEQUENTIAL,
+                        submit_time=float(submit[i]), tasks=(task,)))
+    return Trace(tuple(jobs))
+
+
+def _job_rows(trace: Trace) -> list[tuple]:
+    return [
+        (job.job_id, job.job_type, job.submit_time,
+         tuple((t.task_id, t.te, t.mem_mb, t.priority) for t in job.tasks))
+        for job in trace
+    ]
+
+
+_SYNTHETIC = [s.name for s in SCENARIOS.values()
+              if s.workload.source == "synthetic"]
+_GOOGLE = [s.name for s in SCENARIOS.values()
+           if s.workload.source == "google"]
+
+
+class TestLazyTrace:
+    """``Workload.trace`` is built on first access, equal to the eager
+    per-task build, and only the DES tier ever builds it."""
+
+    @pytest.mark.parametrize("name", _SYNTHETIC)
+    @pytest.mark.parametrize("base_seed", [0, 5])
+    def test_synthetic_trace_matches_eager_build(self, name, base_seed):
+        spec = get_scenario(name).evolve(**{"execution.base_seed": base_seed})
+        w = build_workload(spec)
+        assert "trace" not in vars(w)
+        eager = eager_synthetic_trace(spec)
+        assert _job_rows(w.trace) == _job_rows(eager)
+        assert w.trace.jobs == eager.jobs
+
+    @pytest.mark.parametrize("name", _GOOGLE)
+    def test_google_trace_is_the_synthesized_one(self, name):
+        spec = get_scenario(name)
+        w = build_workload(spec)
+        ws = spec.workload
+        synthesized = synthesize_trace(
+            TraceConfig(n_jobs=ws.trace_jobs, arrival_rate=ws.arrival_rate,
+                        arrival_pattern=ws.trace_arrival,
+                        burst_size=ws.trace_burst_size, mem_max=ws.mem_max,
+                        length_max=ws.te_max),
+            catalog=google_like_catalog(), seed=_workload_seed(spec))
+        assert _job_rows(w.trace) == _job_rows(synthesized)
+        assert w.trace.jobs == synthesized.jobs
+        by_task = {t.task_id: job.submit_time
+                   for job in synthesized for t in job.tasks}
+        np.testing.assert_array_equal(
+            w.submit, [by_task[i] for i in range(w.n_tasks)])
+
+    def test_scalar_and_vector_never_build_the_trace(self):
+        w = build_workload(get_scenario(QUICK))
+        run_scalar(w)
+        run_vector(w)
+        assert "trace" not in vars(w)
+        run_des(w)
+        assert "trace" in vars(w)
+
+    @pytest.mark.parametrize("tier", ["scalar", "vector"])
+    def test_api_run_builds_no_task_objects(self, tier, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Task was built off the DES tier")
+
+        monkeypatch.setattr(scenarios, "Task", refuse)
+        api.run(get_scenario(QUICK).evolve(**{"execution.tier": tier}))
+
+    def test_workload_pickles_with_and_without_trace(self):
+        w = build_workload(get_scenario(QUICK))
+        cold = pickle.loads(pickle.dumps(w))
+        assert "trace" not in vars(cold)
+        assert cold.trace.jobs == w.trace.jobs
+        warm = pickle.loads(pickle.dumps(w))
+        assert "trace" in vars(warm) and warm.trace.jobs == w.trace.jobs
+
+    @pytest.mark.parametrize("tier", ["scalar", "vector", "des"])
+    @pytest.mark.parametrize("priority", [0, 13])
+    def test_out_of_range_priority_rejected_on_every_tier(self, tier,
+                                                          priority):
+        with pytest.raises(SpecError, match=r"1\.\.12"):
+            api.run(get_scenario(QUICK).evolve(**{
+                "execution.tier": tier,
+                "failures.laws": [{"priority": priority,
+                                   "family": "exponential",
+                                   "mean": 600.0}],
+            }))
+
+    @pytest.mark.parametrize("tier", ["scalar", "vector", "des"])
+    @pytest.mark.parametrize("field,message", [
+        ("te", "te must be positive"), ("mem", "mem_mb must be positive"),
+    ])
+    def test_non_positive_task_arrays_rejected(self, tier, field, message):
+        # A huge sigma underflows some lognormal draws to exactly 0.0,
+        # which a zero lower clip lets through.
+        spec = get_scenario(QUICK).evolve(**{
+            "execution.tier": tier,
+            f"workload.{field}_sigma": 1000.0,
+            f"workload.{field}_min": 0.0,
+        })
+        with pytest.raises(ValueError, match=message):
+            api.run(spec)
 
 
 class TestCrossTierAgreement:
