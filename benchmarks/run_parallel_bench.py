@@ -33,7 +33,7 @@ from repro.core import simulate
 from repro.core.simulate import simulate_tasks_blocked
 from repro.failures.distributions import Exponential, Pareto
 from repro.experiments.common import evaluate_policy, policy_run_spec
-from repro.parallel import runner, simulate_tasks_sharded
+from repro.parallel import simulate_tasks_sharded
 from repro.parallel.sweep import run_specs
 
 
@@ -179,13 +179,13 @@ def _campaign_redraw_kernels() -> list[tuple[str, tuple, dict, dict]]:
     """Record the scaled-kernel calls of the 48 campaign redraw cells:
     ``(policy, args, kwargs, generator state)`` per call."""
     calls = []
-    real = runner.simulate_tasks_scaled
+    real = simulate.simulate_tasks_scaled
 
     def record(*args, rng, **kwargs):
         calls.append((policy, args, kwargs, rng.bit_generator.state))
         return real(*args, rng=rng, **kwargs)
 
-    runner.simulate_tasks_scaled = record
+    simulate.simulate_tasks_scaled = record
     try:
         for seed in CAMPAIGN_SEEDS:
             for estimation in CAMPAIGN_ESTIMATIONS:
@@ -196,7 +196,7 @@ def _campaign_redraw_kernels() -> list[tuple[str, tuple, dict, dict]]:
                             trace_seed=2013, estimation=estimation,
                             failure_mode="redraw", seed=seed))
     finally:
-        runner.simulate_tasks_scaled = real
+        simulate.simulate_tasks_scaled = real
     return calls
 
 

@@ -144,7 +144,6 @@ def run(
     spec: RunSpec,
     *,
     trace=None,
-    catalog=None,
     store: "ResultStore | str | Path | None" = None,
     reuse: bool = True,
 ) -> RunResult:
@@ -153,9 +152,8 @@ def run(
     A pure function of the spec: equal specs produce bit-identical
     result digests, for every ``execution.workers`` value.  ``trace``
     optionally overrides the replay tier's materialized trace (for
-    pre-filtered job samples) and ``catalog`` backs redraw mode when
-    that override lacks frailty scales; both are rejected on the other
-    tiers because their workloads are fully described by the spec.
+    pre-filtered job samples); it is rejected on the other tiers
+    because their workloads are fully described by the spec.
 
     ``store`` (a :class:`~repro.store.ResultStore` or a path) makes
     the run content-addressed: with ``reuse=True`` (default) a cached
@@ -163,9 +161,9 @@ def run(
     (``result.cached`` is set, per-task arrays absent); on a miss the
     spec executes and its record is persisted.  ``reuse=False`` always
     executes but still writes the record through — for callers that
-    need the arrays yet want to warm the store.  The overrides are
-    rejected together with ``store`` because they change the
-    computation without changing the digest.
+    need the arrays yet want to warm the store.  The ``trace``
+    override is rejected together with ``store`` because it changes
+    the computation without changing the digest.
 
     ``execution.workers`` fans out the vector and replay tiers, and —
     for contention-free scenarios (local storage, no host crashes) —
@@ -179,12 +177,11 @@ def run(
     ``extra`` and log the reason on the ``repro.api`` logger.
     """
     if store is not None:
-        if trace is not None or catalog is not None:
+        if trace is not None:
             raise SpecError(
                 "store-backed runs must be fully described by the spec "
-                "(the trace/catalog overrides change the computation "
-                "without changing spec_digest); drop store= or the "
-                "overrides"
+                "(the trace override changes the computation without "
+                "changing spec_digest); drop store= or trace="
             )
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
@@ -192,13 +189,13 @@ def run(
             record = store.get(spec.spec_digest(), on_corrupt="miss")
             if record is not None and record.spec is not None:
                 return RunResult.from_record(record)
-    result = _execute(spec, trace=trace, catalog=catalog)
+    result = _execute(spec, trace=trace)
     if store is not None:
         store.put(RunRecord.from_result(result))
     return result
 
 
-def _execute(spec: RunSpec, *, trace=None, catalog=None) -> RunResult:
+def _execute(spec: RunSpec, *, trace=None) -> RunResult:
     """The uncached execution path behind :func:`run`."""
     t0 = time.perf_counter()
     tier = spec.execution.tier
@@ -206,7 +203,7 @@ def _execute(spec: RunSpec, *, trace=None, catalog=None) -> RunResult:
     if tier == "replay":
         from repro.experiments.common import evaluate_policy
 
-        pr = evaluate_policy(spec, catalog=catalog, trace=trace)
+        pr = evaluate_policy(spec, trace=trace)
         sim = pr.sim
         return RunResult(
             spec=spec,
@@ -225,10 +222,8 @@ def _execute(spec: RunSpec, *, trace=None, catalog=None) -> RunResult:
             sim=sim,
             policy_run=pr,
         )
-    if trace is not None or catalog is not None:
-        raise SpecError(
-            "the trace/catalog overrides only apply to the replay tier"
-        )
+    if trace is not None:
+        raise SpecError("the trace override only applies to the replay tier")
     workload = build_workload(spec)
     if tier == "scalar":
         tr = run_scalar(workload)

@@ -32,11 +32,12 @@ and waits once, at the absolute time of completion or failure
 
 *When.*  The task checkpoints to a local ramdisk, which prices every
 checkpoint at the flat planned C (Table 2, local rows) and whose
-in-flight count nobody reads; the run has no host monitors (nothing
-interrupts a task but its own failure); and it has no ``until``
-horizon (nothing reads a record mid-segment).  Shared devices (NFS
-in-flight counts set other tasks' prices) and host-crash runs (a host
-monitor may interrupt at any instant) keep the per-interval loop.
+in-flight count nobody reads; and the run has no host monitors
+(nothing interrupts a task but its own failure).  The platform runs
+every trace to its last completion, so nothing reads a record
+mid-segment.  Shared devices (NFS in-flight counts set other tasks'
+prices) and host-crash runs (a host monitor may interrupt at any
+instant) keep the per-interval loop.
 
 *Boundary rule.*  The per-interval model arms the segment's first wake
 before the watchdog arms the failure deadline, and every later wake
@@ -112,7 +113,7 @@ class TaskExecutor:
         When given, run each segment as one wake and pass this callable
         the per-interval-model events each segment skipped (see the
         module docstring for when a caller may: local ramdisk, no host
-        monitors, no ``until`` horizon); ``None`` keeps the
+        monitors); ``None`` keeps the
         per-interval loop.
     """
 

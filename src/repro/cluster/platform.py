@@ -8,8 +8,8 @@ the per-priority catalog.  Before any job starts, one
 :func:`~repro.core.placement.resolve_tasks` call plans every task of
 the trace (storage target, checkpoint and restart cost, interval
 count); each task's executor then reads its row.  Local-ramdisk tasks
-in a run with no host monitors and no ``until`` horizon run each
-segment as one wake (:mod:`repro.cluster.executor`).  The returned
+in a run with no host monitors run each segment as one wake
+(:mod:`repro.cluster.executor`).  The returned
 :class:`~repro.cluster.records.PlatformResult` carries per-task and
 per-job measurements (WPR, wall-clock, overheads, queueing).
 """
@@ -66,13 +66,7 @@ class CloudPlatform:
     # ------------------------------------------------------------------
     def _build(self):
         cfg = self.config
-        # Contention-free deployments (per-host ramdisk checkpoints, no
-        # host-crash monitors) have no shared resource coupling
-        # concurrently running tasks, so the engine's no-contention
-        # mode applies: fan-out joins skip condition-event bookkeeping.
-        env = Environment(
-            no_contention=(cfg.storage == "local" and cfg.host_mtbf is None)
-        )
+        env = Environment()
         hosts: list[PhysicalHost] = []
         vm_id = 0
         for h in range(cfg.n_hosts):
@@ -95,7 +89,6 @@ class CloudPlatform:
         mnof_by_priority: dict[int, float] | None = None,
         mtbf_by_priority: dict[int, float] | None = None,
         replay_history: bool = False,
-        until: float | None = None,
     ) -> PlatformResult:
         """Execute ``trace`` under ``policy`` and collect records.
 
@@ -111,8 +104,6 @@ class CloudPlatform:
             intervals (trace-driven injection, like the paper's
             ``kill -9`` replays); otherwise fresh intervals are drawn
             from the catalog.
-        until:
-            Optional simulation-time horizon (default: run to quiescence).
         """
         cfg = self.config
         env, hosts, scheduler, nfs, dmnfs = self._build()
@@ -138,7 +129,10 @@ class CloudPlatform:
         # Nothing but a task's own failure can interrupt it, and no
         # record is read before the run ends: local segments are unseen
         # and run as one wake, crediting the events they skip.
-        unobserved = cfg.host_mtbf is None and until is None
+        unobserved = cfg.host_mtbf is None
+        # Per-host ramdisk checkpoints and no host-crash monitors: no
+        # shared resource couples concurrently running tasks.
+        no_contention = cfg.storage == "local" and unobserved
         skipped = 0
 
         def credit_skipped(n: int) -> None:
@@ -203,7 +197,7 @@ class CloudPlatform:
                     yield start_task(task, row, jrec)
             else:
                 procs = [start_task(task, row, jrec) for row, task in rows]
-                if env.no_contention:
+                if no_contention:
                     # A completed Process stays yieldable, so joining
                     # the fan-out one process at a time observes the
                     # same completion instant as an AllOf — without the
@@ -254,9 +248,7 @@ class CloudPlatform:
                 job_process(job, first_row, jrec), name=f"job-{job.job_id}"))
             first_row += job.n_tasks
 
-        if until is not None:
-            env.run(until=until)
-        elif cfg.host_mtbf is not None:
+        if cfg.host_mtbf is not None:
             # Host monitors run forever; stop once every job completed.
             env.run(until=env.all_of(job_procs))
         else:

@@ -460,16 +460,19 @@ def simulate_tasks_blocked(
         Safety bound on failures per task; tasks exceeding it are
         reported with ``completed = False``.
 
-    The sharded parallel runner (:mod:`repro.parallel`) builds on this
-    kernel.
+    The sharded parallel runner (:mod:`repro.parallel`) runs this
+    kernel once per chunk.
     """
     te_arr, x_arr, c_arr, r_arr, d_arr = _validate_batch(
         te, intervals, checkpoint_cost, restart_cost, dist_ids, restart_delay
     )
-    missing = set(np.unique(d_arr).tolist()) - set(distributions)
+    present = set(np.unique(d_arr).tolist())
+    missing = present - set(distributions)
     if missing:
         raise KeyError(f"no distribution registered for ids {sorted(missing)}")
-    dist_order = sorted(distributions, key=repr)
+    # Laws absent from the batch never draw, so skipping them keeps the
+    # stream; a chunk of a per-task-law batch loops over its own laws.
+    dist_order = sorted((k for k in distributions if k in present), key=repr)
 
     def draw_block(ids_live: np.ndarray, start: int, k: int) -> np.ndarray:
         out = np.empty((k, ids_live.size), dtype=float)

@@ -3,10 +3,11 @@
 The DES tier historically ran one pure-Python event loop per scenario —
 the only execution tier ``ExecutionSpec.workers`` could not scale.
 This module decomposes a *contention-free* cluster run into independent
-sub-simulations and executes them through the same
-:func:`repro.parallel.runner._execute` seam the vectorized tier uses,
-so a DES batch fans out over a process pool (or runs serially at
-``workers=1``) with bit-identical results either way.
+sub-simulations and maps :func:`run_shard` over them with
+:func:`repro.parallel.runner._execute`, the function the vectorized
+tier's chunks run through, so a DES batch fans out over a process pool
+(or runs serially at ``workers=1``) with bit-identical results either
+way.
 
 Why the decomposition is exact
 ------------------------------
@@ -229,23 +230,21 @@ def run_des_sharded(workload, workers: int = 1):
         # Degenerate (empty trace): nothing to decompose.
         return run_des_unsharded(workload)
     policy = workload.spec.policy
-    jobs = [
-        (
-            "des",
-            {
-                "cluster": _sub_cluster(workload.cluster, host_ids),
-                "catalog": workload.catalog,
-                "seed": workload.seed,
-                "jobs": tuple(trace_jobs[j] for j in job_idx),
-                "policy": policy.name,
-                "policy_param": policy.param,
-                "mnof_by_priority": workload.mnof_by_priority,
-                "mtbf_by_priority": workload.mtbf_by_priority,
-            },
-        )
+    payloads = [
+        {
+            "cluster": _sub_cluster(workload.cluster, host_ids),
+            "catalog": workload.catalog,
+            "seed": workload.seed,
+            "jobs": tuple(trace_jobs[j] for j in job_idx),
+            "policy": policy.name,
+            "policy_param": policy.param,
+            "mnof_by_priority": workload.mnof_by_priority,
+            "mtbf_by_priority": workload.mtbf_by_priority,
+        }
         for host_ids, job_idx in plan
     ]
-    parts = _execute(jobs, shard_workers(workload.spec, workers))
+    parts = _execute(run_shard, payloads,
+                     shard_workers(workload.spec, workers))
 
     task_ids = np.concatenate([p["task_ids"] for p in parts])
     order = np.argsort(task_ids, kind="stable")

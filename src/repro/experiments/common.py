@@ -38,7 +38,6 @@ from repro.metrics.wpr import wpr_from_arrays
 from repro.parallel.runner import (
     simulate_tasks_replay_sharded,
     simulate_tasks_scaled_sharded,
-    simulate_tasks_sharded,
 )
 from repro.spec import (
     ExecutionSpec,
@@ -285,9 +284,7 @@ def policy_run_spec(
     )
 
 
-def evaluate_policy(
-    spec: RunSpec, *, trace: Trace | None = None, catalog=None
-) -> PolicyRun:
+def evaluate_policy(spec: RunSpec, *, trace: Trace | None = None) -> PolicyRun:
     """Run one replay-tier policy evaluation (see module docstring).
 
     Build the spec with :func:`policy_run_spec` (or any replay-tier
@@ -300,8 +297,9 @@ def evaluate_policy(
     Engine semantics: ``failures.mode`` is ``"replay"`` (each task
     re-experiences its historical intervals — identical failures
     across policies) or ``"redraw"`` (fresh intervals from the frailty
-    ground truth, or from ``catalog`` when a ``trace`` override lacks
-    per-task scales).  ``policy.length_cap`` restricts the
+    ground truth; a ``trace`` override without per-task
+    ``interval_scale`` cannot redraw and raises :class:`SpecError`).
+    ``policy.length_cap`` restricts the
     priority-group estimation to tasks at most that long (the paper's
     RL-capped estimation for Figs. 11–13).  ``storage.mode`` picks the
     checkpoint backend per :func:`~repro.core.placement.storage_costs`.
@@ -339,16 +337,10 @@ def evaluate_policy(
             seed=seed, restart_delay=restart_delay, workers=workers,
         )
     else:
-        if catalog is None:
-            raise ValueError(
-                "failures.mode='redraw' without per-task scales requires "
-                "a catalog"
-            )
-        dists = {p: catalog.interval_distribution(int(p))
-                 for p in np.unique(flat.priority)}
-        sim = simulate_tasks_sharded(
-            flat.te, counts, ckpt_cost, rst_cost, flat.priority, dists,
-            seed=seed, restart_delay=restart_delay, workers=workers,
+        raise SpecError(
+            f"{spec.name}: failures.mode='redraw' needs every task's "
+            "interval_scale, and this trace has tasks whose scales are "
+            "missing; use failures.mode='replay'"
         )
 
     job_wpr = wpr_from_arrays(flat.te, sim.wallclock, flat.job_index)

@@ -1,16 +1,16 @@
-"""Deterministic parallel execution: sharded batches and grid sweeps.
+"""Deterministic parallel execution: chunked batches and grid sweeps.
 
-* :mod:`repro.parallel.runner` — splits a Monte-Carlo task batch into
-  fixed-size chunks, spawns one independent RNG stream per chunk via
-  ``np.random.SeedSequence.spawn``, executes the chunks serially or on
-  a ``multiprocessing`` pool, and merges the per-chunk results back in
-  input order.  Digests are bit-for-bit identical for any worker
-  count.
+* :mod:`repro.parallel.runner` — the sharded Monte-Carlo entry points.
+  One chunk loop splits a task batch into fixed-size chunks, gives a
+  seeded kernel one ``np.random.SeedSequence.spawn`` stream per chunk,
+  runs the chunks serially or on the shared ``multiprocessing`` pool,
+  and merges the per-chunk results back in input order.  Digests are
+  bit-for-bit identical for any worker count.
 * :mod:`repro.parallel.sweep` — the ``repro sweep`` experiment-grid
   runner (policy × storage × trace size × seed), parallelized over
-  grid points with the same determinism guarantee.  Imported lazily by
-  the CLI; import it explicitly (``import repro.parallel.sweep``) when
-  using it as a library.
+  grid points on the same pool with the same determinism guarantee.
+  Imported lazily by the CLI; import it explicitly
+  (``import repro.parallel.sweep``) when using it as a library.
 """
 
 from repro.parallel.runner import (

@@ -1,15 +1,19 @@
-"""Deterministic sharded execution of Monte-Carlo task batches.
+"""Deterministic chunked execution of Monte-Carlo task batches.
 
 The paper's headline sweeps simulate hundreds of thousands of tasks;
-this module scales the vectorized tier across cores without giving up
-the reproducibility discipline the verify subsystem pins:
+this module scales the batch kernels of :mod:`repro.core.simulate`
+across cores without giving up the reproducibility discipline the
+verify subsystem pins.  The three public wrappers
+(:func:`simulate_tasks_sharded`, :func:`simulate_tasks_scaled_sharded`,
+:func:`simulate_tasks_replay_sharded`) validate their batch once, name
+their kernel, per-task arrays and chunk size, and hand the rest to one
+chunk loop, :func:`_run_chunked`:
 
 * a batch is split into fixed-size chunks **by ``chunk_size`` only** —
   never by worker count — so the work decomposition is a pure function
   of the inputs;
-* chunk ``i`` simulates on its own independent RNG stream, spawned as
-  ``np.random.SeedSequence(seed).spawn(n_chunks)[i]`` (the same
-  construction trace-driven schedulers use for per-shard replay);
+* for a seeded kernel, chunk ``i`` simulates on its own independent RNG
+  stream, spawned as ``np.random.SeedSequence(seed).spawn(n_chunks)[i]``;
 * per-chunk :class:`~repro.core.simulate.SimulationResult` arrays are
   merged back in input order.
 
@@ -23,6 +27,12 @@ Replay-mode sharding (:func:`simulate_tasks_replay_sharded`) consumes
 no randomness at all, so it is additionally bit-identical to the
 *unsharded* :func:`~repro.core.simulate.simulate_tasks_replay` for any
 chunk size.
+
+The shared process pool (:func:`get_pool`) also serves the grid
+runner (:mod:`repro.parallel.sweep`).  :func:`_execute` maps any
+module-level function over a list of payloads, serially or on that
+pool; the DES host-group shards (:mod:`repro.des.sharding`) run through
+it too, so this module knows nothing of the DES.
 """
 
 from __future__ import annotations
@@ -34,12 +44,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.simulate import (
-    SimulationResult,
-    simulate_tasks_blocked,
-    simulate_tasks_replay,
-    simulate_tasks_scaled,
-)
+from repro.core import simulate
+from repro.core.simulate import SimulationResult, _validate_batch
 
 __all__ = [
     "AUTO_LAW_HEAVY",
@@ -199,50 +205,55 @@ def merge_results(parts: Sequence[SimulationResult]) -> SimulationResult:
 
 
 # ----------------------------------------------------------------------
-# Chunk workers (module-level so they pickle under any start method).
+# The chunk loop.
 # ----------------------------------------------------------------------
-def _run_chunk(job: tuple[str, dict]):
-    """Execute one chunk job: ``(mode, kwargs)``."""
-    mode, kwargs = job
-    if mode == "redraw":
-        seed_seq = kwargs.pop("seed_seq")
-        return simulate_tasks_blocked(
-            rng=np.random.default_rng(seed_seq), **kwargs
-        )
-    if mode == "scaled":
-        seed_seq = kwargs.pop("seed_seq")
-        return simulate_tasks_scaled(
-            rng=np.random.default_rng(seed_seq), **kwargs
-        )
-    if mode == "replay":
-        return simulate_tasks_replay(**kwargs)
-    if mode == "des":
-        # One host-group shard of a DES run (see repro.des.sharding).
-        # Imported lazily: the DES stack is heavy and chunk workers for
-        # the vectorized modes never need it.
-        from repro.des.sharding import run_shard
+def _run_chunk(payload) -> SimulationResult:
+    """Run one chunk: ``(kernel, per-task array slices, seed, kwargs)``.
 
-        return run_shard(kwargs)
-    raise ValueError(f"unknown chunk mode {mode!r}")
+    A seeded chunk gets ``rng=np.random.default_rng(seed)``.  Module
+    level so it pickles under any start method.
+    """
+    kernel, arrays, seed_seq, kwargs = payload
+    if seed_seq is not None:
+        kwargs = {**kwargs, "rng": np.random.default_rng(seed_seq)}
+    return kernel(*arrays, **kwargs)
 
 
-def _execute(jobs: list[tuple[str, dict]], workers: int) -> list:
-    """Run chunk jobs serially or on the shared pool, preserving order."""
+def _execute(fn, payloads: list, workers: int) -> list:
+    """Map the module-level ``fn`` over ``payloads``, serially or on
+    the shared pool, preserving order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_procs = min(workers, len(jobs))
+    n_procs = min(workers, len(payloads))
     if n_procs <= 1:
-        return [_run_chunk(job) for job in jobs]
-    return get_pool(n_procs).map(_run_chunk, jobs)
+        return [fn(p) for p in payloads]
+    return get_pool(n_procs).map(fn, payloads)
+
+
+def _run_chunked(kernel, arrays, kwargs, chunk_size, workers, seed=None):
+    """Run ``kernel`` over ``arrays`` chunk by chunk and merge in order.
+
+    ``arrays`` are the validated per-task arrays, sliced along their
+    first axis by :func:`plan_chunks`; ``kwargs`` go to every chunk
+    unchanged.  With a ``seed`` (SeedSequence entropy) chunk ``i``
+    draws from ``spawn_chunk_seeds(seed, n_chunks)[i]``.  An empty
+    batch runs as one empty chunk.
+    """
+    chunks = plan_chunks(len(arrays[0]), chunk_size) or [slice(0, 0)]
+    seeds = ([None] * len(chunks) if seed is None
+             else spawn_chunk_seeds(seed, len(chunks)))
+    payloads = [
+        (kernel, tuple(a[sl] for a in arrays), seed_seq, kwargs)
+        for sl, seed_seq in zip(chunks, seeds)
+    ]
+    return merge_results(_execute(_run_chunk, payloads, workers))
 
 
 # ----------------------------------------------------------------------
-# Sharded entry points.
+# Sharded entry points.  Each looks its kernel up on
+# ``repro.core.simulate`` at call time, so a patched module attribute
+# (a profiler's or a test's) is the function every chunk runs.
 # ----------------------------------------------------------------------
-def _broadcast(*arrays) -> list[np.ndarray]:
-    return [np.ascontiguousarray(a) for a in np.broadcast_arrays(*arrays)]
-
-
 def simulate_tasks_sharded(
     te,
     intervals,
@@ -267,43 +278,16 @@ def simulate_tasks_sharded(
     function of the inputs, so the digest is as reproducible as with
     an explicit size.
     """
-    te_a, x_a, c_a, r_a, d_a = _broadcast(
-        np.asarray(te, dtype=float),
-        np.asarray(intervals, dtype=np.int64),
-        np.asarray(checkpoint_cost, dtype=float),
-        np.asarray(restart_cost, dtype=float),
-        np.asarray(dist_ids),
-    )
+    arrays = _validate_batch(te, intervals, checkpoint_cost, restart_cost,
+                             dist_ids, restart_delay)
     if chunk_size is None:
-        chunk_size = auto_chunk_size(te_a.size, len(distributions))
-    chunks = plan_chunks(te_a.size, chunk_size)
-    if not chunks:
-        return simulate_tasks_blocked(
-            te_a, x_a, c_a, r_a, d_a, distributions,
-            np.random.default_rng(np.random.SeedSequence(seed)),
-            restart_delay=restart_delay, max_segments=max_segments,
-        )
-    seeds = spawn_chunk_seeds(seed, len(chunks))
-    jobs = []
-    for i, sl in enumerate(chunks):
-        # Ship only the laws the chunk references: with many (e.g.
-        # per-task) distributions this shrinks both the pickled payload
-        # and the per-block grouping loop inside the chunk.
-        chunk_ids = d_a[sl]
-        used = set(np.unique(chunk_ids).tolist())
-        chunk_dists = {k: v for k, v in distributions.items() if k in used}
-        jobs.append(
-            (
-                "redraw",
-                dict(
-                    te=te_a[sl], intervals=x_a[sl], checkpoint_cost=c_a[sl],
-                    restart_cost=r_a[sl], dist_ids=chunk_ids,
-                    distributions=chunk_dists, seed_seq=seeds[i],
-                    restart_delay=restart_delay, max_segments=max_segments,
-                ),
-            )
-        )
-    return merge_results(_execute(jobs, workers))
+        chunk_size = auto_chunk_size(arrays[0].size, len(distributions))
+    return _run_chunked(
+        simulate.simulate_tasks_blocked, arrays,
+        dict(distributions=distributions, restart_delay=restart_delay,
+             max_segments=max_segments),
+        chunk_size, workers, seed=seed,
+    )
 
 
 def simulate_tasks_scaled_sharded(
@@ -325,36 +309,16 @@ def simulate_tasks_scaled_sharded(
     carries its own scale, the shape :func:`auto_chunk_size` gives
     large chunks.
     """
-    te_a, x_a, c_a, r_a, s_a = _broadcast(
-        np.asarray(te, dtype=float),
-        np.asarray(intervals, dtype=np.int64),
-        np.asarray(checkpoint_cost, dtype=float),
-        np.asarray(restart_cost, dtype=float),
-        np.asarray(interval_scale, dtype=float),
-    )
+    arrays = _validate_batch(te, intervals, checkpoint_cost, restart_cost,
+                             np.asarray(interval_scale, dtype=float),
+                             restart_delay)
     if chunk_size is None:
-        chunk_size = auto_chunk_size(te_a.size, te_a.size)
-    chunks = plan_chunks(te_a.size, chunk_size)
-    if not chunks:
-        return simulate_tasks_scaled(
-            te_a, x_a, c_a, r_a, s_a,
-            np.random.default_rng(np.random.SeedSequence(seed)),
-            restart_delay=restart_delay, max_segments=max_segments,
-        )
-    seeds = spawn_chunk_seeds(seed, len(chunks))
-    jobs = [
-        (
-            "scaled",
-            dict(
-                te=te_a[sl], intervals=x_a[sl], checkpoint_cost=c_a[sl],
-                restart_cost=r_a[sl], interval_scale=s_a[sl],
-                seed_seq=seeds[i], restart_delay=restart_delay,
-                max_segments=max_segments,
-            ),
-        )
-        for i, sl in enumerate(chunks)
-    ]
-    return merge_results(_execute(jobs, workers))
+        chunk_size = auto_chunk_size(arrays[0].size, arrays[0].size)
+    return _run_chunked(
+        simulate.simulate_tasks_scaled, arrays,
+        dict(restart_delay=restart_delay, max_segments=max_segments),
+        chunk_size, workers, seed=seed,
+    )
 
 
 def simulate_tasks_replay_sharded(
@@ -377,33 +341,21 @@ def simulate_tasks_replay_sharded(
     :data:`DEFAULT_CHUNK_SIZE`.
     """
     mat = np.asarray(interval_matrix, dtype=float)
-    te_a, x_a, c_a, r_a = _broadcast(
-        np.asarray(te, dtype=float),
-        np.asarray(intervals, dtype=np.int64),
-        np.asarray(checkpoint_cost, dtype=float),
-        np.asarray(restart_cost, dtype=float),
-    )
-    if mat.ndim != 2 or mat.shape[0] != te_a.size:
+    if mat.ndim != 2:
+        raise ValueError(
+            f"interval_matrix must be (n_tasks, max_failures); got {mat.shape}"
+        )
+    *params, rows = _validate_batch(te, intervals, checkpoint_cost,
+                                    restart_cost, np.arange(mat.shape[0]),
+                                    restart_delay)
+    if rows.size != mat.shape[0]:
         raise ValueError(
             f"interval_matrix must be (n_tasks, max_failures); got {mat.shape} "
-            f"for {te_a.size} tasks"
+            f"for {rows.size} tasks"
         )
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_SIZE
-    chunks = plan_chunks(te_a.size, chunk_size)
-    if not chunks:
-        return simulate_tasks_replay(
-            te_a, x_a, c_a, r_a, mat, restart_delay=restart_delay
-        )
-    jobs = [
-        (
-            "replay",
-            dict(
-                te=te_a[sl], intervals=x_a[sl], checkpoint_cost=c_a[sl],
-                restart_cost=r_a[sl], interval_matrix=mat[sl],
-                restart_delay=restart_delay,
-            ),
-        )
-        for sl in chunks
-    ]
-    return merge_results(_execute(jobs, workers))
+    return _run_chunked(
+        simulate.simulate_tasks_replay, (*params, mat),
+        dict(restart_delay=restart_delay), chunk_size, workers,
+    )

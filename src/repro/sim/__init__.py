@@ -3,13 +3,16 @@
 A small, deterministic, generator-based process simulator in the style
 of SimPy, used as the substrate for the cloud-cluster model
 (:mod:`repro.cluster`).  Processes are Python generators that ``yield``
-events; the :class:`~repro.sim.engine.Environment` advances virtual time
-and resumes processes when the events they wait on trigger.
+events or bare delays; the :class:`~repro.sim.engine.Environment`
+advances virtual time and resumes processes when what they wait on
+triggers.
 
-The engine is intentionally minimal but complete for this project's
-needs: timeouts, generic events, process interruption (used to model
-task kill/evict events), ``AnyOf``/``AllOf`` conditions, and capacity
-resources / stores (used to model NFS server channels and VM slots).
+The engine holds only what the cluster model uses: timeouts and
+absolute-time wakes, generic events, process interruption (task
+kill/evict events), and the :class:`~repro.sim.engine.AllOf` condition
+that joins a bag-of-tasks fan-out.  VM slots and checkpoint devices
+are modelled in :mod:`repro.cluster` and :mod:`repro.storage`, not
+here.
 
 Determinism: events scheduled at the same timestamp are processed in
 FIFO scheduling order (a monotonically increasing sequence number breaks
@@ -18,7 +21,6 @@ ties), so a fixed seed yields a bit-identical trajectory.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -26,17 +28,13 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
     "Process",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

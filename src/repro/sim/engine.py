@@ -24,7 +24,7 @@ deliberately flattened:
   remains the debugging/test API);
 * :meth:`Environment.timeout` and the :class:`Process` bootstrap build
   their events by direct slot assignment and push the heap entry
-  inline, skipping the generic ``Event.__init__``/``_schedule`` chain;
+  inline, skipping the generic ``Event.__init__`` chain;
 * a process may ``yield`` a bare ``float``/``int`` delay instead of a
   :class:`Timeout`.  The engine then pushes a *raw wake* heap entry
   ``(time, priority, seq, None, process)`` — no event object, no
@@ -63,7 +63,6 @@ from typing import Any, Callable
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
@@ -72,8 +71,8 @@ __all__ = [
     "Timeout",
 ]
 
-#: Scheduling priority for "urgent" events (resource releases) so that a
-#: release at time ``t`` is observed by an acquire at the same ``t``.
+#: Scheduling priority for "urgent" events (interrupt deliveries), which
+#: sort before every other event at the same timestamp.
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -106,8 +105,7 @@ class Event:
 
     An event starts *pending*, may be *triggered* with either a value
     (:meth:`succeed`) or an exception (:meth:`fail`), and once processed
-    invokes its callbacks exactly once.  Events are also usable as
-    condition operands via ``&`` and ``|``.
+    invokes its callbacks exactly once.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_exc", "_triggered", "_processed")
@@ -171,12 +169,6 @@ class Event:
         return self
 
     # ------------------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else (
             "triggered" if self._triggered else "pending")
@@ -203,8 +195,8 @@ class Timeout(Event):
         heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
 
-class _ConditionBase(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
+class AllOf(Event):
+    """Triggers when *all* operand events have triggered."""
 
     __slots__ = ("events", "_count")
 
@@ -224,35 +216,14 @@ class _ConditionBase(Event):
                 assert ev.callbacks is not None
                 ev.callbacks.append(self._check)
 
-    def _matched(self) -> bool:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def _check(self, ev: Event) -> None:
         if self._triggered:
             return
         self._count += 1
         if ev._exc is not None:
             self.fail(ev._exc)
-        elif self._matched():
+        elif self._count >= len(self.events):
             self.succeed({e: e._value for e in self.events if e._processed or e is ev})
-
-
-class AnyOf(_ConditionBase):
-    """Triggers when *any* operand event triggers."""
-
-    __slots__ = ()
-
-    def _matched(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_ConditionBase):
-    """Triggers when *all* operand events have triggered."""
-
-    __slots__ = ()
-
-    def _matched(self) -> bool:
-        return self._count >= len(self.events)
 
 
 class _RawTrigger:
@@ -418,23 +389,11 @@ class Environment:
     ----------
     initial_time:
         Starting value of :attr:`now`.
-    no_contention:
-        Declares that the model built on this environment has no shared
-        resource whose state couples concurrently running processes
-        (for the cluster tier: local checkpoint storage, no host-crash
-        monitors).  Model code may consult the flag to skip
-        condition-event bookkeeping — e.g. join a fan-out by yielding
-        each process in turn instead of allocating an :class:`AllOf`
-        (a completed :class:`Process` stays yieldable, so the sequential
-        join observes the same completion times).  The engine's own
-        semantics are identical in both modes.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active", "_processed_count",
-                 "no_contention")
+    __slots__ = ("_now", "_queue", "_seq", "_active", "_processed_count")
 
-    def __init__(self, initial_time: float = 0.0, *,
-                 no_contention: bool = False):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: entries are ``(time, priority, seq, event)`` for events and
         #: ``(time, priority, seq, None, process)`` for raw wakes (the
@@ -444,7 +403,6 @@ class Environment:
         self._seq = 0
         self._active: Process | None = None
         self._processed_count = 0
-        self.no_contention = bool(no_contention)
 
     # ------------------------------------------------------------------
     @property
@@ -472,10 +430,6 @@ class Environment:
     def active_process(self) -> Process | None:
         """The process currently being resumed, if any."""
         return self._active
-
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._seq += 1
-        heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
     # -- factories ------------------------------------------------------
     def event(self) -> Event:
@@ -523,10 +477,6 @@ class Environment:
     def process(self, gen: Generator, name: str | None = None) -> Process:
         """Register a generator as a new :class:`Process`."""
         return Process(self, gen, name)
-
-    def any_of(self, events: list[Event]) -> AnyOf:
-        """Condition event triggering on the first of ``events``."""
-        return AnyOf(self, events)
 
     def all_of(self, events: list[Event]) -> AllOf:
         """Condition event triggering once all ``events`` have fired."""

@@ -7,11 +7,12 @@ The contract of the one-description-of-a-run design:
 * the vector and replay tiers stay worker-count invariant when driven
   through specs;
 * ``evaluate_policy`` takes only a replay-tier spec (plus the
-  ``trace=``/``catalog=`` overrides) and rejects anything else loudly.
+  ``trace=`` override) and rejects anything else loudly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import warnings
@@ -29,6 +30,7 @@ from repro.experiments.common import (
 )
 import repro.spec as spec_mod
 from repro.spec import RunSpec, SpecError
+from repro.trace.models import Trace
 from repro.verify.golden import load_golden
 from repro.verify.runner import run_scenario
 from repro.verify.scenarios import get_scenario, list_scenarios
@@ -97,6 +99,26 @@ class TestRunFacade:
         spec = api.scenario_spec("exp-baseline-local")
         with pytest.raises(SpecError, match="replay"):
             api.run(spec, trace=default_trace(50, 5))
+
+    def test_redraw_on_trace_without_scales_rejected(self):
+        # A trace override whose tasks carry no interval_scale has no
+        # law to redraw from: the run says so instead of guessing one.
+        base = default_trace(50, 5)
+        unscaled = Trace(tuple(
+            dataclasses.replace(job, tasks=tuple(
+                dataclasses.replace(t, interval_scale=0.0)
+                for t in job.tasks))
+            for job in base))
+        spec = policy_run_spec("young", n_jobs=50, trace_seed=5)
+        with pytest.raises(SpecError, match="scales are missing"):
+            api.run(spec.evolve(**{"failures.mode": "redraw"}),
+                    trace=unscaled)
+        # Replay needs no scales: the same trace still runs.
+        assert api.run(spec, trace=unscaled).summary["n_tasks"] > 0
+        with pytest.raises(TypeError, match="catalog"):
+            api.run(spec, trace=unscaled, catalog=object())
+        with pytest.raises(TypeError, match="catalog"):
+            evaluate_policy(spec, catalog=object())
 
     def test_result_report_is_json_ready(self):
         res = api.run(api.scenario_spec("short-tasks"))

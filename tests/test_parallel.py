@@ -225,6 +225,114 @@ class TestShardedDeterminism:
             merge_results([])
 
 
+def _replay_matrix(n: int) -> np.ndarray:
+    rng = np.random.default_rng(3)
+    mat = np.full((n, 3), np.inf)
+    k = rng.integers(0, 4, n)
+    for col in range(3):
+        rows = k > col
+        mat[rows, col] = rng.uniform(10, 800, int(rows.sum()))
+    return mat
+
+
+_DISTS = {0: Exponential(1 / 300.0), 1: Pareto(100.0, 1.3)}
+
+#: ``wrapper name -> (kernel attribute on repro.core.simulate, per-task
+#: state for n tasks, sharded call, extra kernel args, seeded)``.
+SHARDED = {
+    "blocked": (
+        "simulate_tasks_blocked", lambda n: np.arange(n) % 2,
+        lambda *a, **kw: simulate_tasks_sharded(*a, _DISTS, seed=11, **kw),
+        (_DISTS,), True,
+    ),
+    "scaled": (
+        "simulate_tasks_scaled", lambda n: np.linspace(150.0, 900.0, n),
+        lambda *a, **kw: simulate_tasks_scaled_sharded(*a, seed=11, **kw),
+        (), True,
+    ),
+    "replay": (
+        "simulate_tasks_replay", _replay_matrix,
+        simulate_tasks_replay_sharded, (), False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARDED))
+class TestChunkDriver:
+    """The one chunk loop behind every sharded wrapper."""
+
+    def _reference(self, name, te, x, c, r, chunk_size):
+        """Each chunk run by hand on the core kernel, merged in order."""
+        from repro.core import simulate
+
+        attr, state, _, extra, seeded = SHARDED[name]
+        kernel = getattr(simulate, attr)
+        chunks = plan_chunks(te.size, chunk_size)
+        seeds = spawn_chunk_seeds(11, len(chunks))
+        st = state(te.size)
+        parts = []
+        for sl, seed_seq in zip(chunks, seeds):
+            rng = (np.random.default_rng(seed_seq),) if seeded else ()
+            parts.append(kernel(te[sl], x[sl], c[sl], r[sl], st[sl],
+                                *extra, *rng))
+        return merge_results(parts)
+
+    def test_empty_batch(self, name):
+        _, state, call, _, _ = SHARDED[name]
+        empty = np.empty(0)
+        for w in (1, 2):
+            res = call(empty, np.empty(0, dtype=np.int64), empty, empty,
+                       state(0), workers=w, chunk_size=64)
+            assert res.n_tasks == 0
+            assert res.wallclock.shape == (0,)
+
+    def test_ragged_last_chunk_matches_per_chunk_kernels(self, name, batch):
+        te, x, c, r = (a[:1000] for a in batch)
+        _, state, call, _, _ = SHARDED[name]
+        assert len(plan_chunks(te.size, 300)) == 4  # last chunk: 100
+        ref = self._reference(name, te, x, c, r, 300).digest()
+        for w in (1, 2):
+            res = call(te, x, c, r, state(te.size), workers=w,
+                       chunk_size=300)
+            assert res.n_tasks == te.size
+            assert res.digest() == ref
+
+    def test_zero_chunk_size_raises(self, name, batch):
+        te, x, c, r = batch
+        _, state, call, _, _ = SHARDED[name]
+        with pytest.raises(ValueError, match="chunk_size"):
+            call(te, x, c, r, state(te.size), chunk_size=0)
+
+    def test_scalar_te_broadcasts_against_per_task_state(self, name, batch):
+        _, x, c, r = batch
+        _, state, call, _, _ = SHARDED[name]
+        full = np.full(x.size, 500.0)
+        scalar = call(500.0, x, c, r, state(x.size), chunk_size=700)
+        assert scalar.n_tasks == x.size
+        assert scalar.digest() == call(full, x, c, r, state(x.size),
+                                       chunk_size=700).digest()
+
+    def test_chunks_call_the_module_attribute(self, name, batch, monkeypatch):
+        # A profiler patches the kernels on repro.core.simulate; every
+        # chunk must run whatever that attribute holds at call time.
+        from repro.core import simulate
+
+        attr, state, call, _, _ = SHARDED[name]
+        original = getattr(simulate, attr)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        te, x, c, r = batch
+        expected = call(te, x, c, r, state(te.size), chunk_size=1000)
+        monkeypatch.setattr(simulate, attr, spy)
+        res = call(te, x, c, r, state(te.size), workers=1, chunk_size=1000)
+        assert calls == [1000, 1000, 1000]
+        assert res.digest() == expected.digest()
+
+
 class TestGoldenScenarioOutcomes:
     """Worker-count invariance on the pinned verification scenarios."""
 

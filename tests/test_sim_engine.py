@@ -6,13 +6,10 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
-    Resource,
     SimulationError,
-    Store,
     Timeout,
 )
 
@@ -481,22 +478,6 @@ class TestAbsoluteWakes:
 
 
 class TestConditions:
-    def test_any_of_first_wins(self):
-        env = Environment()
-        results = []
-
-        def proc():
-            t1 = env.timeout(1.0, "fast")
-            t2 = env.timeout(5.0, "slow")
-            res = yield (t1 | t2)
-            results.append(res)
-
-        env.process(proc())
-        env.run()
-        assert env.now == 5.0  # t2 still fires later
-        (res,) = results
-        assert list(res.values()) == ["fast"]
-
     def test_all_of_waits_for_everything(self):
         env = Environment()
         at = []
@@ -504,7 +485,7 @@ class TestConditions:
         def proc():
             t1 = env.timeout(1.0)
             t2 = env.timeout(4.0)
-            yield (t1 & t2)
+            yield env.all_of([t1, t2])
             at.append(env.now)
 
         env.process(proc())
@@ -516,150 +497,8 @@ class TestConditions:
         cond = AllOf(env, [])
         assert cond.triggered
 
-    def test_any_of_helper(self):
-        env = Environment()
-        cond = env.any_of([env.timeout(1.0), env.timeout(2.0)])
-        assert isinstance(cond, AnyOf)
-
     def test_mixed_environment_rejected(self):
         env1, env2 = Environment(), Environment()
         with pytest.raises(SimulationError):
             AllOf(env1, [env1.timeout(1.0), env2.timeout(1.0)])
 
-
-class TestResource:
-    def test_capacity_enforced(self):
-        env = Environment()
-        res = Resource(env, capacity=2)
-        held_at = {}
-
-        def proc(tag, hold):
-            req = res.request()
-            yield req
-            held_at[tag] = env.now
-            yield env.timeout(hold)
-            res.release(req)
-
-        env.process(proc("a", 2.0))
-        env.process(proc("b", 2.0))
-        env.process(proc("c", 1.0))
-        env.run()
-        assert held_at["a"] == 0.0
-        assert held_at["b"] == 0.0
-        assert held_at["c"] == 2.0  # waits for a slot
-
-    def test_fifo_order(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        order = []
-
-        def proc(tag):
-            req = res.request()
-            yield req
-            order.append(tag)
-            yield env.timeout(1.0)
-            res.release(req)
-
-        for tag in "abcd":
-            env.process(proc(tag))
-        env.run()
-        assert order == list("abcd")
-
-    def test_release_idempotent(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        req = res.request()
-        env.run()
-        res.release(req)
-        res.release(req)  # second release is a no-op
-        assert res.count == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Resource(Environment(), capacity=0)
-
-    def test_queue_length_and_count(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        r1 = res.request()
-        res.request()
-        assert res.count == 1
-        assert res.queue_length == 1
-        res.release(r1)
-        assert res.count == 1  # second request granted
-        assert res.queue_length == 0
-
-    def test_context_manager_releases(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def proc():
-            with res.request() as req:
-                yield req
-                yield env.timeout(1.0)
-
-        env.process(proc())
-        env.run()
-        assert res.count == 0
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-        got = []
-
-        def proc():
-            got.append((yield store.get()))
-
-        env.process(proc())
-        env.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        got_at = []
-
-        def getter():
-            yield store.get()
-            got_at.append(env.now)
-
-        def putter():
-            yield env.timeout(3.0)
-            store.put("item")
-
-        env.process(getter())
-        env.process(putter())
-        env.run()
-        assert got_at == [3.0]
-
-    def test_fifo_items_and_getters(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def getter(tag):
-            item = yield store.get()
-            got.append((tag, item))
-
-        env.process(getter("g1"))
-        env.process(getter("g2"))
-
-        def putter():
-            yield env.timeout(1.0)
-            store.put("first")
-            store.put("second")
-
-        env.process(putter())
-        env.run()
-        assert got == [("g1", "first"), ("g2", "second")]
-
-    def test_len_and_items(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        assert store.items == (1, 2)
