@@ -7,11 +7,14 @@ law), and never recomputes otherwise — which Theorem 2 proves is
 optimal, since with an unchanged MNOF the re-optimized count is exactly
 the old count minus one.
 
-The class is deliberately simulation-framework-agnostic: both the DES
-executor and the fast Monte-Carlo tier drive it through the same three
-entry points (:meth:`next_checkpoint_in`, :meth:`on_checkpoint`,
-:meth:`on_mnof_change`), mirroring Algorithm 1's countdown loop without
-the polling sleep.
+The class is the runtime view of Algorithm 1 for a caller that runs a
+task itself: three entry points (:meth:`next_checkpoint_in`,
+:meth:`on_checkpoint`, :meth:`on_mnof_change`) mirror its countdown
+loop without the polling sleep.  ``examples/quickstart.py`` walks one
+task through it, and the tests check Theorem 2 on it.  The simulation
+tiers do not drive it: they compute the same plans in closed form
+(:func:`repro.core.simulate.simulate_task_two_phase` is the mid-run
+replan of lines 9–12).
 """
 
 from __future__ import annotations

@@ -16,14 +16,22 @@ checkpoint writes); when it fires, the task loses all progress since
 the last committed checkpoint, pays the restart cost ``R`` plus an
 optional scheduling delay ``d``, and resumes from the checkpoint.
 Because committed progress is always a multiple of ``L``, each uptime
-segment has a closed form, and every kernel here uses exactly this one:
+segment has a closed form, and every blocking-checkpoint kernel here
+uses exactly this one:
 
 * time to finish from checkpoint ``m``: ``(x-1-m)(L+C) + L`` — an
   uptime ``u`` at least that long completes the task;
 * otherwise the failure commits ``min(u // (L+C), x-1-m)`` checkpoints
   and charges ``u + (R + d)`` of wall-clock.
 
-:func:`simulate_task` is the scalar form, driven by an injector.  The
+:func:`simulate_task` is the scalar form, driven by an injector.
+:func:`simulate_task_two_phase` (Fig. 14's mid-run priority change)
+walks the same form twice: up to the switch at ``s = f * Te`` on the
+first grid, whose last position at or before ``s`` is the integer
+``min(int(f * x), x - 1)``, then on the rest of the task.
+:func:`simulate_task_async_checkpoints` is the non-blocking variant:
+writes overlap execution and a failure during one voids it, but a
+failure is charged ``u + (R + d)`` there too.  The
 batch kernels share a single compacted round loop,
 :func:`_simulate_blocked_core`, and differ only in their *uptime
 source*: :func:`simulate_tasks_blocked` draws from per-id distribution
@@ -584,7 +592,7 @@ def simulate_task_async_checkpoints(
             j = 0
         m += j
         fails += 1
-        wall += u + restart_cost + restart_delay
+        wall += u + (restart_cost + restart_delay)
     return TaskOutcome(
         te=te,
         wallclock=wall,
@@ -648,71 +656,6 @@ def simulate_tasks_replay(
     )
 
 
-class _Grid:
-    """Equidistant checkpoint grid anchored at ``anchor``.
-
-    Interior positions sit at ``anchor + k * length`` for
-    ``k = 1 .. count - 1`` (the final interval ends at ``te`` with no
-    trailing checkpoint).  Provides the closed-form uptime arithmetic
-    shared by all scalar simulations.
-    """
-
-    __slots__ = ("anchor", "length", "count", "te", "c")
-
-    def __init__(self, anchor: float, te: float, count: int, c: float):
-        self.anchor = anchor
-        self.te = te
-        self.count = max(1, int(count))
-        self.length = (te - anchor) / self.count
-        self.c = c
-
-    def positions_after(self, live: float) -> int:
-        """Number of interior positions strictly greater than ``live``."""
-        if self.count <= 1:
-            return 0
-        # position index k satisfies anchor + k*length > live, k <= count-1
-        k_min = int(np.floor((live - self.anchor) / self.length + 1e-12)) + 1
-        return max(0, self.count - max(k_min, 1))
-
-    def next_position(self, live: float) -> float | None:
-        """First interior position strictly greater than ``live``."""
-        n = self.positions_after(live)
-        if n == 0:
-            return None
-        k = self.count - n
-        return self.anchor + k * self.length
-
-    def time_to_finish(self, live: float) -> float:
-        """Uninterrupted time from ``live`` to completion, paying ``c``
-        per remaining interior checkpoint."""
-        return (self.te - live) + self.c * self.positions_after(live)
-
-    def time_to_reach(self, live: float, target: float) -> float:
-        """Uninterrupted time from ``live`` to progress ``target``
-        (checkpoints at positions ≤ ``target`` are written en route)."""
-        between = self.positions_after(live) - self.positions_after(target)
-        return (target - live) + self.c * between
-
-    def commits_within(self, live: float, uptime: float) -> tuple[int, float]:
-        """How many checkpoints commit while running ``uptime`` seconds
-        from ``live`` (failure at the end — no completion).
-
-        Returns ``(committed, new_saved)``; ``new_saved`` is only
-        meaningful when ``committed > 0``.
-        """
-        nxt = self.next_position(live)
-        if nxt is None:
-            return 0, live
-        g1 = (nxt - live) + self.c
-        if uptime < g1:
-            return 0, live
-        cyc = self.length + self.c
-        extra = int((uptime - g1) // cyc)
-        committed = min(1 + extra, self.positions_after(live))
-        new_saved = nxt + (committed - 1) * self.length
-        return committed, new_saved
-
-
 def simulate_task_two_phase(
     te: float,
     checkpoint_cost: float,
@@ -730,7 +673,7 @@ def simulate_task_two_phase(
     """Simulate a task whose failure regime changes mid-execution.
 
     This drives the Fig. 14 experiment: once the task's *live* progress
-    first reaches ``switch_fraction * te``, its priority is retuned —
+    first reaches ``s = switch_fraction * te``, its priority is retuned —
     the failure-interval law switches from ``dist_phase1`` to
     ``dist_phase2`` and the renewal clock resets (the preemption process
     restarts under the new priority).
@@ -743,92 +686,75 @@ def simulate_task_two_phase(
     static baseline, whose intervals are mis-sized for the new regime.
 
     ``mnof_*`` are the *believed* whole-task MNOF values under each
-    regime; failure draws always use the true ``dist_*``.
+    regime; failure draws always use the true ``dist_*``, one
+    ``dist.sample(rng, 1)`` per segment (the segment that reaches ``s``
+    included), and ``max_segments`` bounds the segments of both phases.
+
+    Every segment follows :func:`simulate_task`'s closed form.  The
+    phase-1 grid has ``x1`` intervals of ``L = te / x1``; its last
+    position at or before the switch is ``j_s = min(int(switch_fraction
+    * x1), x1 - 1)`` (position ``p`` is at or before ``s`` exactly when
+    ``p <= switch_fraction * x1`` — an integer rule, so a switch landing
+    on a position is never decided by rounding).  Phase 1 races the
+    switch from checkpoint ``m`` and commits at most ``j_s - m``
+    checkpoints per failure; the static run resumes its first phase-2
+    segment ``s - j_s * L`` past checkpoint ``j_s``.
     """
     from repro.core.formulas import optimal_interval_count_int
 
-    if te <= 0:
+    if not te > 0:
         raise ValueError(f"te must be positive, got {te}")
+    if not checkpoint_cost > 0:
+        raise ValueError(f"checkpoint cost must be positive, got {checkpoint_cost}")
+    if not (restart_cost >= 0 and restart_delay >= 0):
+        raise ValueError("restart cost and delay must be non-negative (no nan)")
+    if not (mnof_phase1 >= 0 and mnof_phase2 >= 0):
+        raise ValueError("MNOF values must be non-negative (no nan)")
     if not 0 < switch_fraction < 1:
         raise ValueError(f"switch_fraction must lie in (0,1), got {switch_fraction}")
-    if checkpoint_cost <= 0:
-        raise ValueError(f"checkpoint cost must be positive, got {checkpoint_cost}")
 
-    switch_at = switch_fraction * te
-    x1 = max(1, int(optimal_interval_count_int(te, mnof_phase1, checkpoint_cost)))
-    grid = _Grid(0.0, te, x1, checkpoint_cost)
-
-    saved = 0.0  # committed progress (rollback target)
-    live = 0.0  # current uncommitted progress
+    fail_cost = restart_cost + restart_delay
     wall = 0.0
     fails = 0
-    ckpts = 0
-    in_phase2 = False
+    budget = max_segments
 
-    for _ in range(max_segments):
-        dist = dist_phase2 if in_phase2 else dist_phase1
-        u = float(dist.sample(rng, 1)[0])
+    def walk(dist, m, last, length, tail, off=0.0):
+        """Run segments from ``off`` past checkpoint ``m`` until progress
+        ``last * length + tail`` is reached, committing no checkpoint
+        past ``last``; returns ``(m, reached)``."""
+        nonlocal wall, fails, budget
+        cycle = length + checkpoint_cost
+        while budget > 0:
+            budget -= 1
+            u = float(dist.sample(rng, 1)[0])
+            t_end = (last - m) * cycle + tail - off
+            if u >= t_end:
+                wall += t_end
+                return last, True
+            m += min(int((u + off) // cycle), last - m)
+            off = 0.0
+            fails += 1
+            wall += u + fail_cost
+        return m, False
 
-        if not in_phase2 and live < switch_at:
-            w_cross = grid.time_to_reach(live, switch_at)
-            t_fin = grid.time_to_finish(live)
-            # Completion before the switch is impossible by construction
-            # (switch_at < te), so only failure-vs-crossing competes.
-            if u < min(w_cross, t_fin):
-                committed, new_saved = grid.commits_within(live, u)
-                if committed:
-                    saved = new_saved
-                    ckpts += committed
-                live = saved
-                wall += u + restart_cost + restart_delay
-                fails += 1
-                continue
-            # Crossed into phase 2 uninterrupted.
-            committed = grid.positions_after(live) - grid.positions_after(switch_at)
-            if committed:
-                saved = grid.next_position(live) + (committed - 1) * grid.length  # type: ignore[operator]
-                ckpts += committed
-            wall += w_cross
-            live = switch_at
-            in_phase2 = True
-            if adaptive:
-                # Immediate checkpoint anchors the recomputed grid.
-                wall += checkpoint_cost
-                ckpts += 1
-                saved = live
-                remaining = te - saved
-                mnof_rem = mnof_phase2 * remaining / te
-                x2 = max(
-                    1,
-                    int(
-                        optimal_interval_count_int(
-                            remaining, mnof_rem, checkpoint_cost
-                        )
-                    ),
-                )
-                grid = _Grid(saved, te, x2, checkpoint_cost)
-            continue
+    switch_at = switch_fraction * te
+    x1 = int(optimal_interval_count_int(te, mnof_phase1, checkpoint_cost))
+    length = te / x1
+    j_s = min(int(switch_fraction * x1), x1 - 1)
+    past = switch_at - j_s * length  # the switch's offset past position j_s
 
-        # Single-regime segment (phase 2, or phase 1 past the switch).
-        t_fin = grid.time_to_finish(live)
-        if u >= t_fin:
-            wall += t_fin
-            ckpts += grid.positions_after(live)
-            return TaskOutcome(
-                te=te,
-                wallclock=wall,
-                n_failures=fails,
-                n_checkpoints=ckpts,
-                intervals=x1,
-                completed=True,
-            )
-        committed, new_saved = grid.commits_within(live, u)
-        if committed:
-            saved = new_saved
-            ckpts += committed
-        live = saved
-        wall += u + restart_cost + restart_delay
-        fails += 1
+    ckpts, switched = walk(dist_phase1, 0, j_s, length, past)
+    completed = False
+    if switched and adaptive:
+        # Immediate checkpoint at the switch anchors the recomputed grid.
+        wall += checkpoint_cost
+        remaining = te - switch_at
+        mnof_rem = mnof_phase2 * remaining / te
+        x2 = int(optimal_interval_count_int(remaining, mnof_rem, checkpoint_cost))
+        m2, completed = walk(dist_phase2, 0, x2 - 1, remaining / x2, remaining / x2)
+        ckpts += 1 + m2
+    elif switched:
+        ckpts, completed = walk(dist_phase2, j_s, x1 - 1, length, length, past)
 
     return TaskOutcome(
         te=te,
@@ -836,5 +762,5 @@ def simulate_task_two_phase(
         n_failures=fails,
         n_checkpoints=ckpts,
         intervals=x1,
-        completed=False,
+        completed=completed,
     )

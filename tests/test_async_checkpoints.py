@@ -58,6 +58,16 @@ class TestAsyncCommitWindow:
         # All 3 committed (uptimes 27/52/77 <= 99); resume from 75.
         assert out.wallclock == pytest.approx(99.0 + 5.0 + 25.0)
 
+    def test_failure_charge_is_u_plus_restart_and_delay(self):
+        """One failure, cut there: the wallclock is that one charge,
+        ``u + (R + d)`` as in every other kernel."""
+        out = simulate_task_async_checkpoints(
+            100.0, 1, 0.0, 0.2, TraceReplayInjector([0.1]),
+            restart_delay=0.3, max_segments=1,
+        )
+        assert not out.completed and out.n_failures == 1
+        assert out.wallclock == 0.1 + (0.2 + 0.3)
+
 
 class TestAsyncVsBlockingUnderFailures:
     def test_async_never_slower_on_average(self, rng):

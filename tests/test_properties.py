@@ -15,7 +15,7 @@ from repro.core.formulas import (
     optimal_interval_count_int,
 )
 from repro.core.placement import select_storage, select_storage_batch
-from repro.core.simulate import _Grid, simulate_task, simulate_tasks_replay
+from repro.core.simulate import simulate_task, simulate_tasks_replay
 from repro.failures.injector import TraceReplayInjector
 from repro.metrics.cdf import ecdf
 from repro.metrics.wpr import wpr_from_arrays
@@ -95,26 +95,6 @@ class TestSimulationProperties:
         ref = simulate_task(te, x, c, r, TraceReplayInjector(intervals))
         assert batch.wallclock[0] == pytest.approx(ref.wallclock, rel=1e-12)
         assert batch.n_failures[0] == ref.n_failures
-
-    @given(
-        te=st.floats(min_value=10.0, max_value=1000.0),
-        x=st.integers(min_value=1, max_value=30),
-        c=st.floats(min_value=0.01, max_value=3.0),
-        live_frac=st.floats(min_value=0.0, max_value=0.999),
-        uptime=st.floats(min_value=0.0, max_value=5000.0),
-    )
-    @settings(max_examples=200)
-    def test_grid_arithmetic(self, te, x, c, live_frac, uptime):
-        g = _Grid(0.0, te, x, c)
-        live = live_frac * te
-        n_after = g.positions_after(live)
-        assert 0 <= n_after <= x - 1
-        assert g.time_to_finish(live) >= (te - live) - 1e-9
-        committed, new_saved = g.commits_within(live, uptime)
-        assert 0 <= committed <= n_after
-        if committed:
-            assert new_saved > live - 1e-9
-            assert new_saved < te
 
 
 class TestAdaptiveProperties:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.formulas import optimal_interval_count_int
 from repro.core.simulate import (
-    _Grid,
     _simulate_blocked_core,
     simulate_task,
     simulate_task_two_phase,
@@ -24,6 +24,16 @@ from repro.core.simulate import (
 )
 from repro.failures.distributions import Empirical, Exponential
 from repro.failures.injector import FailureInjector, TraceReplayInjector
+
+
+class _ScriptedLaw:
+    """Failure law whose draws pop from a fixed list of uptimes."""
+
+    def __init__(self, uptimes):
+        self.uptimes = list(uptimes)
+
+    def sample(self, rng, size=1):
+        return np.array([self.uptimes.pop(0)])
 
 
 class _ConstantInjector:
@@ -211,37 +221,6 @@ class TestReplayValidation:
         assert res.completed[0] and res.n_failures[0] == 1
 
 
-class TestGrid:
-    def test_positions_and_times(self):
-        g = _Grid(0.0, 100.0, 4, 2.0)  # positions at 25, 50, 75
-        assert g.positions_after(0.0) == 3
-        assert g.positions_after(25.0) == 2
-        assert g.positions_after(80.0) == 0
-        assert g.next_position(30.0) == pytest.approx(50.0)
-        assert g.next_position(80.0) is None
-        assert g.time_to_finish(0.0) == pytest.approx(100 + 3 * 2)
-        assert g.time_to_finish(75.0) == pytest.approx(25.0)
-        assert g.time_to_reach(0.0, 60.0) == pytest.approx(60 + 2 * 2)
-
-    def test_commits_within(self):
-        g = _Grid(0.0, 100.0, 4, 2.0)
-        # uptime 26 < 27 needed to commit the first checkpoint
-        assert g.commits_within(0.0, 26.9)[0] == 0
-        committed, saved = g.commits_within(0.0, 27.0)
-        assert committed == 1 and saved == pytest.approx(25.0)
-        committed, saved = g.commits_within(0.0, 80.0)
-        assert committed == 2 and saved == pytest.approx(50.0)
-        # cap at remaining positions
-        committed, _ = g.commits_within(0.0, 1e9)
-        assert committed == 3
-
-    def test_single_interval_grid(self):
-        g = _Grid(0.0, 50.0, 1, 2.0)
-        assert g.positions_after(0.0) == 0
-        assert g.time_to_finish(0.0) == pytest.approx(50.0)
-        assert g.commits_within(0.0, 1000.0) == (0, 0.0)
-
-
 class TestTwoPhase:
     def test_no_failures_completes_with_phase1_plan(self):
         calm = Exponential(1e-9)
@@ -303,6 +282,61 @@ class TestTwoPhase:
                                     switch_fraction=1.5)
         with pytest.raises(ValueError):
             simulate_task_two_phase(1.0, 0.0, 1.0, d, d, 1.0, 1.0, rng)
+
+    @pytest.mark.parametrize("bad", [
+        {"te": np.nan}, {"checkpoint_cost": np.nan},
+        {"restart_cost": np.nan}, {"restart_cost": -30.0},
+        {"restart_delay": np.nan}, {"restart_delay": -30.0},
+        {"mnof_phase1": np.nan}, {"mnof_phase2": np.nan},
+        {"mnof_phase1": -1.0}, {"switch_fraction": np.nan},
+    ])
+    def test_rejects_nan_and_negative_inputs(self, bad):
+        args = dict(te=100.0, checkpoint_cost=1.0, restart_cost=1.0,
+                    dist_phase1=Exponential(1.0), dist_phase2=Exponential(1.0),
+                    mnof_phase1=1.0, mnof_phase2=1.0,
+                    rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            simulate_task_two_phase(**{**args, **bad})
+
+    def test_adaptive_phase2_is_simulate_task_on_the_rest(self):
+        """te=100, x1=10 (L=10, C=1), switch at 55 (j_s=5).  Phase 1
+        fails at 23 (checkpoints 1-2 committed) and then reaches the
+        switch; from there the run is ``simulate_task`` on the
+        remaining 45 s with the recomputed x2."""
+        phase1 = _ScriptedLaw([23.0, 40.0])
+        phase2_uptimes = [12.0, 3.0, 30.0]
+        phase2 = _ScriptedLaw(phase2_uptimes + [np.inf])
+        out = simulate_task_two_phase(
+            100.0, 1.0, 2.0, phase1, phase2, 2.0, 8.0,
+            np.random.default_rng(0), switch_fraction=0.55, restart_delay=0.5,
+        )
+        assert out.intervals == 10
+        assert not phase1.uptimes and not phase2.uptimes
+        x2 = optimal_interval_count_int(45.0, 8.0 * 45.0 / 100.0, 1.0)
+        rest = simulate_task(45.0, x2, 1.0, 2.0,
+                             TraceReplayInjector(phase2_uptimes),
+                             restart_delay=0.5)
+        assert out.completed == rest.completed
+        assert out.n_failures == 1 + rest.n_failures
+        assert out.n_checkpoints == 5 + 1 + rest.n_checkpoints
+        phase1_wall = 23.0 + 2.5 + 3 * 11.0 + 5.0
+        assert out.wallclock == pytest.approx(phase1_wall + 1.0 + rest.wallclock)
+
+    def test_switch_on_a_position_counts_it_before_the_switch(self):
+        """x1 = 6 puts position 3 on the switch in exact arithmetic,
+        where the float ``0.5 * te // L`` says 2.0; the integer rule
+        writes position 3 before the adaptive checkpoint."""
+        te, mnof = 95.62767002516944, 0.691358024691358
+        assert optimal_interval_count_int(te, mnof, 1.0) == 6
+        assert 0.5 * te // (te / 6) == 2.0
+        calm = _ScriptedLaw([np.inf] * 2)
+        out = simulate_task_two_phase(te, 1.0, 1.0, calm, calm, mnof, mnof,
+                                      np.random.default_rng(0))
+        rest = te - 0.5 * te
+        x2 = optimal_interval_count_int(rest, mnof * rest / te, 1.0)
+        assert out.completed and out.n_failures == 0
+        assert out.n_checkpoints == 3 + 1 + (x2 - 1)
+        assert out.wallclock == pytest.approx(te + out.n_checkpoints * 1.0)
 
 
 class TestBlockedFastPath:
