@@ -7,7 +7,9 @@ are worker-count invariant, times the straggler tail of the
 ``replay-campaign`` redraw kernels against the vendored round loop
 (``reference_round_loop`` in ``tests/test_span_scan_differential.py``),
 times a 10k-task workload build with and without the DES tier's trace,
-and writes the result as ``BENCH_parallel.json`` — the committed perf
+times the scalar tier against its vendored per-task loop
+(``reference_run_scalar`` in ``tests/test_scalar_tier.py``), and
+writes the result as ``BENCH_parallel.json`` — the committed perf
 record the CI benchmark smoke job extends on every push.
 
 Usage::
@@ -286,6 +288,37 @@ def bench_workload_build(repeats: int) -> dict:
     }
 
 
+def bench_scalar_tier(repeats: int) -> dict:
+    """The scalar tier on a 10k-task workload against the per-task loop
+    it replaced (``reference_run_scalar`` in
+    ``tests/test_scalar_tier.py``: one ``default_rng((seed, i))`` and
+    one ``simulate_task`` per task)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from test_scalar_tier import reference_run_scalar
+
+    from repro.core.simulate import SimulationResult
+    from repro.verify.runner import run_scalar
+    from repro.verify.scenarios import build_workload, get_scenario
+
+    n_tasks = 10_000
+    workload = build_workload(get_scenario("exp-per-priority-spread").evolve(
+        **{"workload.n_tasks": n_tasks}))
+    t_loop, (wall, fails, completed) = _best_of(
+        repeats, lambda: reference_run_scalar(workload))
+    t_tier, tier = _best_of(repeats, lambda: run_scalar(workload))
+    loop_digest = SimulationResult(
+        te=workload.te, wallclock=wall, n_failures=fails,
+        intervals=workload.intervals, completed=completed,
+    ).digest()
+    return {
+        "workload": f"exp-per-priority-spread, {n_tasks} tasks",
+        "per_task_loop_us_per_task": round(1e6 * t_loop / n_tasks, 2),
+        "run_scalar_us_per_task": round(1e6 * t_tier / n_tasks, 2),
+        "speedup": round(t_loop / t_tier, 2),
+        "digests_identical": tier.digest == loop_digest,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_parallel.json")
@@ -309,6 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": bench_sweep(args.repeats),
         "redraw_tail": bench_redraw_tail(args.repeats),
         "workload_build": bench_workload_build(args.repeats),
+        "scalar_tier": bench_scalar_tier(args.repeats),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))

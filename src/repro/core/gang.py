@@ -133,8 +133,9 @@ def weak_scaling_table(
         x_naive = max(1, gang_interval_count(
             te, [rank_mnof], checkpoint_cost, restart_cost))
         wpr = {}
-        for label, x in (("aware", x_aware), ("naive", x_naive)):
-            rng = np.random.default_rng((seed, m, hash(label) & 0xFFFF))
+        # A fixed stream id per policy: ``hash(str)`` differs per process.
+        for label, x, stream in (("aware", x_aware, 0), ("naive", x_naive, 1)):
+            rng = np.random.default_rng((seed, m, stream))
             total_wall = 0.0
             for _ in range(n_samples):
                 out = simulate_gang(

@@ -17,6 +17,8 @@ Public surface:
 * :mod:`repro.failures.renewal` — renewal-process utilities (failure
   time sequences, failure counts in a window).
 * :mod:`repro.failures.injector` — failure schedules for the DES tier.
+* :mod:`repro.failures.streams` — every task's ``default_rng((seed,
+  task_id))`` stream state, seeded in one NumPy batch.
 * :mod:`repro.failures.catalog` — per-priority failure models
   calibrated to the paper's Table 7 / Fig. 4 shapes.
 """
@@ -43,6 +45,7 @@ from repro.failures.fitting import (
 )
 from repro.failures.renewal import RenewalProcess, failure_count_in_window
 from repro.failures.injector import FailureInjector, TraceReplayInjector
+from repro.failures.streams import task_stream_states
 from repro.failures.catalog import PriorityFailureModel, google_like_catalog
 
 __all__ = [
@@ -68,4 +71,5 @@ __all__ = [
     "fit_all",
     "google_like_catalog",
     "ks_statistic",
+    "task_stream_states",
 ]

@@ -1,9 +1,17 @@
 """The differential runner: one workload through all three tiers.
 
-Tier A (**scalar**) is the reference: :func:`repro.core.simulate.
-simulate_task` per task, each with a failure injector seeded
-``(seed, task_id)`` — the same construction the DES platform uses, so
-the two tiers consume identical uptime draw sequences.  Tier B
+Tier A (**scalar**) is the reference.  Task ``i`` draws its uptimes
+from ``default_rng((seed, i))`` — the stream the DES platform seeds
+its failure injector with, so the two tiers consume identical uptime
+draw sequences.  The streams' states are computed in batch
+(:func:`repro.failures.streams.task_stream_states`), each task's
+first rounds are drawn in one call, and all tasks run those rounds at
+once on the shared round loop
+(:func:`repro.core.simulate._simulate_blocked_core`).  Tasks still
+running after them, and tasks whose law is a ``Mixture``, are rerun
+from their stream's start by :func:`repro.core.simulate.simulate_task`
+with a :class:`~repro.failures.injector.FailureInjector`; results are
+those of that per-task loop, bit for bit.  Tier B
 (**vector**) is the sharded Monte-Carlo runner
 (:func:`repro.parallel.simulate_tasks_sharded`, blocked fast path,
 per-chunk ``SeedSequence``-spawned streams — worker-count invariant).
@@ -31,8 +39,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.platform import CloudPlatform
-from repro.core.simulate import SimulationResult, simulate_task
+from repro.core.simulate import (
+    SimulationResult,
+    _simulate_blocked_core,
+    _validate_batch,
+    simulate_task,
+)
+from repro.failures.distributions import (
+    Empirical,
+    Exponential,
+    Geometric,
+    Laplace,
+    LogNormal,
+    Normal,
+    Pareto,
+    Weibull,
+)
 from repro.failures.injector import FailureInjector
+from repro.failures.streams import task_stream_states
 from repro.parallel.runner import simulate_tasks_sharded
 from repro.verify.compare import (
     Check,
@@ -55,6 +79,17 @@ __all__ = ["ScenarioResult", "TierResult", "comparable_task_arrays",
 STATS_WALL_SLACK = 0.15
 STATS_FAIL_REL = 0.25
 STATS_FAIL_ABS = 0.3
+
+#: Uptimes the scalar tier draws per task up front, in one ``sample``
+#: call.  Most tasks finish within them; the rest are rerun per task.
+_ROUNDS = 8
+#: Tasks the scalar tier seeds and draws at once (bounds its memory).
+_CHUNK = 1024
+#: Laws whose ``sample(rng, k)`` returns exactly ``k`` successive
+#: ``sample(rng, 1)`` draws.  :class:`~repro.failures.distributions.
+#: Mixture` draws all ``k`` component choices first, so it is not one.
+_BATCH_LAWS = (Empirical, Exponential, Geometric, Laplace, LogNormal,
+               Normal, Pareto, Weibull)
 
 
 @dataclass
@@ -152,28 +187,75 @@ def comparable_task_arrays(records, cfg):
 
 
 def run_scalar(workload: Workload) -> TierResult:
-    """Tier A: the scalar reference, injectors seeded like the DES."""
+    """Tier A: the scalar reference, task streams seeded like the DES.
+
+    Task ``i`` draws its uptimes from ``default_rng((seed, i))``, whose
+    state :func:`~repro.failures.streams.task_stream_states` computes
+    in batches of :data:`_CHUNK` tasks.  Each task's first
+    :data:`_ROUNDS` uptimes (one ``sample`` call, equal to that many
+    single draws for every law in :data:`_BATCH_LAWS`) feed the batch
+    round loop; a task that has not finished by then, or whose law is
+    not in :data:`_BATCH_LAWS`, is rerun from its stream's start by
+    :func:`~repro.core.simulate.simulate_task`.  Neither constant
+    changes a result.
+    """
     n = workload.n_tasks
-    cfg = workload.cluster
+    budget = workload.cluster.max_failures_per_task
+    dists = workload.distributions
     wall = np.empty(n)
     fails = np.empty(n, dtype=np.int64)
     completed = np.empty(n, dtype=bool)
-    for i in range(n):
-        injector = FailureInjector(
-            workload.distributions[int(workload.dist_ids[i])],
-            np.random.default_rng((workload.seed, i)),
-            max_failures=cfg.max_failures_per_task,
-        )
-        out = simulate_task(
-            te=float(workload.te[i]),
-            intervals=int(workload.intervals[i]),
-            checkpoint_cost=float(workload.checkpoint_cost[i]),
-            restart_cost=float(workload.restart_cost[i]),
-            injector=injector,
-        )
-        wall[i] = out.wallclock
-        fails[i] = out.n_failures
-        completed[i] = out.completed
+
+    rng = np.random.default_rng()
+
+    def seek(state_inc):  # make ``rng`` draw as default_rng((seed, i))
+        state, inc = state_inc
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+
+    for lo in range(0, n, _CHUNK):
+        ids = np.arange(lo, min(lo + _CHUNK, n))
+        states = task_stream_states(workload.seed, ids)
+        laws = [dists[d] for d in workload.dist_ids[ids].tolist()]
+        batch = np.array([type(law) in _BATCH_LAWS for law in laws],
+                         dtype=bool)
+        rows = np.flatnonzero(batch)
+        redo = np.flatnonzero(~batch)
+        if rows.size:
+            uptimes = np.empty((_ROUNDS, rows.size))
+            for col, row in enumerate(rows.tolist()):
+                seek(states[row])
+                uptimes[:, col] = laws[row].sample(rng, _ROUNDS)
+            if budget < _ROUNDS:
+                uptimes[budget:] = np.inf  # the injector's exhausted budget
+            task = ids[rows]
+            out = _simulate_blocked_core(
+                *_validate_batch(workload.te[task], workload.intervals[task],
+                                 workload.checkpoint_cost[task],
+                                 workload.restart_cost[task],
+                                 np.arange(rows.size), 0.0),
+                lambda live, start, k: uptimes[start:start + k, live],
+                0.0, max_segments=_ROUNDS,
+            )
+            wall[task] = out.wallclock
+            fails[task] = out.n_failures
+            completed[task] = out.completed
+            redo = np.concatenate([redo, rows[~out.completed]])
+        for row in redo.tolist():
+            i = lo + row
+            seek(states[row])
+            res = simulate_task(
+                te=float(workload.te[i]),
+                intervals=int(workload.intervals[i]),
+                checkpoint_cost=float(workload.checkpoint_cost[i]),
+                restart_cost=float(workload.restart_cost[i]),
+                injector=FailureInjector(laws[row], rng, max_failures=budget),
+            )
+            wall[i] = res.wallclock
+            fails[i] = res.n_failures
+            completed[i] = res.completed
     result = SimulationResult(
         te=workload.te.copy(),
         wallclock=wall,

@@ -22,8 +22,11 @@ Cross-tier alignment contract
 -----------------------------
 The DES seeds each task's failure injector as
 ``default_rng((seed, task_id))`` and quotes uncontended checkpoint
-costs on contention-free storage, so a scalar run with identically
-seeded injectors consumes the *identical* uptime draw sequence.  Under
+costs on contention-free storage.  The scalar tier draws each task's
+uptimes from the same ``default_rng((seed, task_id))`` stream, only
+with the streams' states computed in batch
+(:func:`repro.failures.streams.task_stream_states`), so it consumes
+the *identical* uptime draw sequence.  Under
 ``compare="exact"`` the differential runner therefore demands per-task
 bit-level agreement of failure counts and float-accumulation-level
 agreement of overhead-adjusted wallclocks.  ``"stats"`` scenarios

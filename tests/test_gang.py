@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,29 @@ class TestWeakScaling:
         assert by_m[64].improvement > 0.01
         # And the advantage grows with the gang size.
         assert by_m[64].improvement > by_m[16].improvement - 0.005
+
+    def test_rows_independent_of_hash_seed(self):
+        # Each policy's stream is seeded by a fixed id, never by the
+        # per-process randomised ``hash`` of a string.
+        code = (
+            "from repro.core.gang import weak_scaling_table\n"
+            "print(weak_scaling_table(rank_counts=(4,), n_samples=50))\n"
+        )
+        repo_root = Path(__file__).parents[1]
+        rows = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(repo_root / "src")]
+                + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            env["PYTHONHASHSEED"] = hash_seed
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True,
+                text=True, check=True, cwd=repo_root, env=env,
+            )
+            rows.append(out.stdout)
+        assert rows[0] == rows[1]
 
     def test_row_fields(self):
         (row,) = weak_scaling_table(rank_counts=(4,), n_samples=20)
