@@ -6,7 +6,9 @@ parallel runner on ≥100k-task batches, verifies the sharded digests
 are worker-count invariant, times the straggler tail of the
 ``replay-campaign`` redraw kernels against the vendored round loop
 (``reference_round_loop`` in ``tests/test_span_scan_differential.py``),
-times a 10k-task workload build with and without the DES tier's trace,
+times one campaign round's cells and its wall on a 2-worker pool in grid
+order and under the sweep runner's cost-ordered dispatch, times a
+10k-task workload build with and without the DES tier's trace,
 times the scalar tier against its vendored per-task loop
 (``reference_run_scalar`` in ``tests/test_scalar_tier.py``), and
 writes the result as ``BENCH_parallel.json`` — the committed perf
@@ -259,6 +261,80 @@ def bench_redraw_tail(repeats: int) -> dict:
     }
 
 
+def bench_campaign_dispatch(repeats: int) -> dict:
+    """Per-cell walls of one 24-cell ``replay-campaign`` round and its
+    wall on a 2-worker pool under two schedules.
+
+    The median cell wall per (failure mode, policy), serial with warm
+    trace caches, is where the redraw weights of
+    :func:`~repro.parallel.sweep.estimate_spec_cost` come from.  The
+    pool then runs the whole campaign in grid order with ``Pool.map``'s
+    default chunking (the schedule equal cell costs gave) and through
+    :func:`~repro.parallel.sweep.run_specs` (longest first, one cell
+    per request); both take the median of ``repeats`` alternating runs.
+    """
+    import statistics
+
+    from repro import api
+    from repro.parallel.runner import get_pool, shutdown_pool
+    from repro.parallel.sweep import _run_spec_cell, estimate_spec_cost
+
+    cells = [
+        policy_run_spec(policy, storage=storage, n_jobs=1000,
+                        trace_seed=2013, estimation="priority",
+                        failure_mode=mode, seed=CAMPAIGN_SEEDS[0])
+        for policy in CAMPAIGN_POLICIES
+        for storage in CAMPAIGN_STORAGES
+        for mode in ("replay", "redraw")
+    ]
+    walls: dict[tuple[str, str], list[float]] = {}
+    for rep in range(repeats + 1):  # the first pass fills the caches
+        for spec in cells:
+            t0 = time.perf_counter()
+            api.run(spec)
+            if rep:
+                walls.setdefault((spec.failures.mode, spec.policy.name),
+                                 []).append(time.perf_counter() - t0)
+
+    shutdown_pool()
+    pool = get_pool(2)  # forked now, so the workers start warm
+    jobs = [(spec.to_dict(), None) for spec in cells]
+    grid_s, dispatch_s = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        grid = pool.map(_run_spec_cell, jobs)
+        grid_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        report = run_specs(cells, workers=2)
+        dispatch_s.append(time.perf_counter() - t0)
+    shutdown_pool()
+    assert ([c["digest"] for c in grid]
+            == [c["digest"] for c in report["points"]]), \
+        "campaign digests depend on the schedule!"
+    cost = {(spec.failures.mode, spec.policy.name): estimate_spec_cost(spec)
+            for spec in cells}
+    grid_med = statistics.median(grid_s)
+    dispatch_med = statistics.median(dispatch_s)
+    return {
+        "workload": ("one replay-campaign round: 4 policies x 3 storage x "
+                     "2 failure modes, priority estimation, base seed "
+                     f"{CAMPAIGN_SEEDS[0]}, 1000-job trace"),
+        "median_cell_ms": {
+            mode: {p: round(1e3 * statistics.median(walls[mode, p]), 2)
+                   for p in CAMPAIGN_POLICIES}
+            for mode in ("replay", "redraw")},
+        "estimated_cost": {
+            mode: {p: cost[mode, p] for p in CAMPAIGN_POLICIES}
+            for mode in ("replay", "redraw")},
+        "serial_s": round(sum(sum(v) for v in walls.values()) / repeats, 4),
+        "workers2_grid_order_s": round(grid_med, 4),
+        "workers2_dispatch_s": round(dispatch_med, 4),
+        "workers2_effective": report["workers_effective"],
+        "speedup": round(grid_med / dispatch_med, 2),
+        "digests_identical": True,
+    }
+
+
 def bench_workload_build(repeats: int) -> dict:
     """``build_workload`` on a 10k-task spec, with and without the
     DES tier's per-task trace, and one vector-tier ``api.run`` of it.
@@ -341,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         "autotune": bench_autotune(args.n_tasks, args.repeats),
         "sweep": bench_sweep(args.repeats),
         "redraw_tail": bench_redraw_tail(args.repeats),
+        "campaign_dispatch": bench_campaign_dispatch(args.repeats),
         "workload_build": bench_workload_build(args.repeats),
         "scalar_tier": bench_scalar_tier(args.repeats),
     }

@@ -260,6 +260,29 @@ def _validate_batch(
     return te_arr, x_arr, c_arr, r_arr, np.ascontiguousarray(s_arr)
 
 
+def _block_ends(k: int, n_blocks: int, block_rounds: int,
+                left: int) -> list[int]:
+    """Ends, as rows of the span, of its ``n_blocks`` blocks.
+
+    The schedule ramps from a block of ``k`` rounds, doubling up to
+    ``block_rounds`` (the last ramp step is capped there, so any
+    ``block_rounds`` works, not only powers of two), and the last block
+    is cut at ``left``, the rounds left before ``max_segments``.  Only
+    the ramp (at most ``log2(block_rounds)`` blocks) is stepped in
+    Python; the full blocks after it are one ``range``.
+    """
+    ends, total = [], 0
+    while k < block_rounds and len(ends) < n_blocks and total < left:
+        total = min(total + k, left)
+        ends.append(total)
+        k = min(2 * k, block_rounds)
+    if len(ends) < n_blocks and total < left:
+        last = min(total + (n_blocks - len(ends)) * block_rounds, left)
+        ends.extend(range(total + block_rounds, last, block_rounds))
+        ends.append(last)
+    return ends
+
+
 # ``inf // cycle`` is ``nan``; it only reaches rows after the finish.
 @np.errstate(invalid="ignore")
 def _simulate_blocked_core(
@@ -268,7 +291,7 @@ def _simulate_blocked_core(
     c_arr: np.ndarray,
     r_arr: np.ndarray,
     state: np.ndarray,
-    draw_block,
+    draw,
     restart_delay: float,
     max_segments: int,
     block_rounds: int = DEFAULT_BLOCK_ROUNDS,
@@ -276,20 +299,27 @@ def _simulate_blocked_core(
 ) -> SimulationResult:
     """The one batch round loop; every batch kernel runs on it.
 
-    ``draw_block(state, start, k)`` is the *uptime source*: it returns
-    a ``(k, m)`` matrix whose row ``r`` holds segment round
-    ``start + r`` for the ``m`` still-live tasks described by ``state``
-    (a per-task array compacted alongside the working arrays as tasks
-    finish).  A source may ignore ``start``.  A kernel whose source
-    draws from a generator passes that generator as ``rng``; the loop
-    then snapshots and restores it (see below).
+    ``draw(state, start, ends)`` is the *uptime source*: ``ends`` lists
+    the ends of consecutive blocks of segment rounds, counted from
+    ``start`` (so block ``b`` covers rows ``ends[b-1]:ends[b]``, the
+    first from row 0), and the source returns an ``(ends[-1], m)``
+    matrix whose row ``r`` holds segment round ``start + r`` for the
+    ``m`` still-live tasks described by ``state`` (a per-task array
+    compacted alongside the working arrays as tasks finish).  A source
+    may ignore ``start`` and the inner block ends, but one drawing from
+    a generator must leave it where one draw per block would: the
+    scaled source draws the span at once, because its draws
+    concatenate; the per-law source steps block by block.  A kernel
+    whose source draws from a generator passes that generator as
+    ``rng``; the loop then snapshots and restores it (see below).
 
     Rounds are taken in blocks that ramp geometrically (1, 2, 4, ...
     ``block_rounds``): the first rounds, where most tasks are still
     alive, take exactly what they consume, while the long tail of
     survivors amortizes the per-block source overhead.  Each iteration
     draws a *span* of consecutive blocks of that schedule, all at the
-    current live count, and scans it column-wise in whole-matrix ops:
+    current live count, in one source call, and scans it column-wise
+    in whole-matrix ops:
 
     * checkpoints left before round ``r`` are
       ``max(rem - cumsum(u // cycle), 0)`` over the earlier rounds,
@@ -305,10 +335,11 @@ def _simulate_blocked_core(
     finishing round and compacts.  The blocks after that one were drawn
     for tasks that have since left, so the block-by-block schedule
     would have drawn them at a smaller live count: the loop discards
-    them and *rewinds* ``rng`` to its state before the span, then
-    redraws the consumed blocks so the generator stands exactly where
-    block-by-block stepping leaves it (for every law: sample calls are
-    replayed, not assumed to concatenate).  Sources without ``rng``
+    them, *rewinds* ``rng`` to its state before the span and calls
+    ``draw(state, start, ends[:used])`` for the ``used`` consumed
+    blocks, so the generator stands exactly where block-by-block
+    stepping leaves it (for every law: the source replays its sample
+    calls, nothing assumes they concatenate).  Sources without ``rng``
     must be stateless.  A span starts at one block, doubles after a
     span without a finish and drops back to one after a finish; it
     holds at most ``_SPAN_UPTIMES // (block_rounds * m)`` blocks, and
@@ -344,16 +375,9 @@ def _simulate_blocked_core(
         n_blocks = min(span, max(1, _SPAN_UPTIMES // (block_rounds * m)))
         snapshot = (rng.bit_generator.state
                     if rng is not None and n_blocks > 1 else None)
-        ends, total, k = [], 0, k_next  # block ends, as rows of the span
-        left = max_segments - rounds
-        while len(ends) < n_blocks and total < left:
-            total = min(total + k, left)
-            ends.append(total)
-            k = min(2 * k, block_rounds)
-        starts = [0, *ends[:-1]]
-        parts = [draw_block(state, rounds + s, e - s)
-                 for s, e in zip(starts, ends)]
-        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        ends = _block_ends(k_next, n_blocks, block_rounds,
+                           max_segments - rounds)
+        u = draw(state, rounds, ends)
         n_spans += 1
 
         if rem_w.any():
@@ -380,8 +404,7 @@ def _simulate_blocked_core(
             n_rewound += len(ends) - used
             if snapshot is not None:
                 rng.bit_generator.state = snapshot
-                for s, e in zip(starts[:used], ends[:used]):
-                    draw_block(state, rounds + s, e - s)
+                draw(state, rounds, ends[:used])
         k_next = min(k_next << used, block_rounds)
         span = 1 if hit.size else 2 * span
 
@@ -482,17 +505,22 @@ def simulate_tasks_blocked(
     # stream; a chunk of a per-task-law batch loops over its own laws.
     dist_order = sorted((k for k in distributions if k in present), key=repr)
 
-    def draw_block(ids_live: np.ndarray, start: int, k: int) -> np.ndarray:
-        out = np.empty((k, ids_live.size), dtype=float)
-        for did in dist_order:
-            sel = np.flatnonzero(ids_live == did)
-            if sel.size:
-                out[:, sel] = distributions[did].sample(rng, (k, sel.size))
+    def draw(ids_live: np.ndarray, start: int, ends: list[int]) -> np.ndarray:
+        # Laws interleave within each block and ``Mixture`` draws do not
+        # concatenate, so this source steps block by block.
+        groups = [(distributions[did], sel) for did in dist_order
+                  if (sel := np.flatnonzero(ids_live == did)).size]
+        out = np.empty((ends[-1], ids_live.size), dtype=float)
+        lo = 0
+        for hi in ends:
+            for law, sel in groups:
+                out[lo:hi, sel] = law.sample(rng, (hi - lo, sel.size))
+            lo = hi
         return out
 
     return _simulate_blocked_core(
         te_arr, x_arr, c_arr, r_arr, d_arr,
-        draw_block, restart_delay, max_segments, rng=rng,
+        draw, restart_delay, max_segments, rng=rng,
     )
 
 
@@ -520,13 +548,15 @@ def simulate_tasks_scaled(
     if not np.all(s_arr > 0):
         raise ValueError("all interval scales must be positive (no nan)")
 
-    def draw_block(scales_live: np.ndarray, start: int, k: int) -> np.ndarray:
-        # Bit-identical to rng.exponential(scales_live, (k, m)), cheaper.
-        return rng.standard_exponential((k, scales_live.size)) * scales_live
+    def draw(scales: np.ndarray, start: int, ends: list[int]) -> np.ndarray:
+        # One call for the whole span: NumPy fills the matrix row by row,
+        # so it equals the per-block draws stacked.  ``* scales`` is
+        # bit-identical to rng.exponential(scales, ...), and cheaper.
+        return rng.standard_exponential((ends[-1], scales.size)) * scales
 
     return _simulate_blocked_core(
         te_arr, x_arr, c_arr, r_arr, s_arr,
-        draw_block, restart_delay, max_segments, rng=rng,
+        draw, restart_delay, max_segments, rng=rng,
     )
 
 
@@ -647,12 +677,12 @@ def simulate_tasks_replay(
     uptimes = np.full((mat.shape[1] + 1, mat.shape[0]), np.inf)
     uptimes[:-1] = mat.T
 
-    def draw_block(rows_live: np.ndarray, start: int, k: int) -> np.ndarray:
-        return uptimes[start:start + k, rows_live]
+    def draw(rows_live: np.ndarray, start: int, ends: list[int]) -> np.ndarray:
+        return uptimes[start:start + ends[-1], rows_live]
 
     return _simulate_blocked_core(
         te_arr, x_arr, c_arr, r_arr, rows,
-        draw_block, restart_delay, max_segments=len(uptimes),
+        draw, restart_delay, max_segments=len(uptimes),
     )
 
 

@@ -10,7 +10,8 @@ with caching):
 2. attach believed failure statistics — either *oracle* (each task's
    own historical failure count / mean interval, Table 6) or
    *priority* (group estimates mined from the trace history, the
-   deployable setting of Figs. 9–13);
+   deployable setting of Figs. 9–13) — steps 1 and 2 run once per
+   evaluation trace and process, cached beside the trace itself;
 3. pick each task's storage target under ``storage.mode`` (the
    §4.2.2 comparison for ``auto``), which fixes its checkpoint and
    restart costs;
@@ -27,7 +28,7 @@ with caching):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -124,14 +125,16 @@ def trace_cache_stats() -> dict[str, int]:
 
 
 def clear_trace_cache() -> None:
-    """Drop every memoized evaluation trace.
+    """Drop every memoized evaluation trace and its per-task inputs.
 
-    Traces already handed out stay valid (callers hold their own
-    wrappers over frozen job tuples); this only releases the
-    process-wide memory so long-lived workers can bound their
-    footprint.
+    Traces and arrays already handed out stay valid (callers hold
+    their own wrappers over frozen job tuples and read-only arrays);
+    this only releases the process-wide memory so long-lived workers
+    can bound their footprint.
     """
     _default_trace_cached.cache_clear()
+    _flat_cached.cache_clear()
+    _estimates_cached.cache_clear()
 
 
 @dataclass
@@ -189,6 +192,32 @@ def flatten_trace(trace: Trace) -> FlatTasks:
         hist_intervals=mat,
         interval_scale=np.asarray(scales, dtype=float),
     )
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=8)
+def _flat_cached(n_jobs: int, seed: int, only_failed_jobs: bool) -> FlatTasks:
+    """:func:`flatten_trace` of a :func:`default_trace`, arrays read-only."""
+    flat = flatten_trace(default_trace(n_jobs, seed, only_failed_jobs))
+    for f in fields(flat):
+        _read_only(getattr(flat, f.name))
+    return flat
+
+
+@lru_cache(maxsize=32)
+def _estimates_cached(
+    n_jobs: int, seed: int, only_failed_jobs: bool,
+    estimation: str, length_cap: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_estimates` over :func:`_flat_cached`, arrays read-only."""
+    mnof, mtbf = _estimates(_flat_cached(n_jobs, seed, only_failed_jobs),
+                            default_trace(n_jobs, seed, only_failed_jobs),
+                            estimation, length_cap)
+    return _read_only(mnof), _read_only(mtbf)
 
 
 @dataclass
@@ -294,6 +323,13 @@ def evaluate_policy(spec: RunSpec, *, trace: Trace | None = None) -> PolicyRun:
         evaluate_policy(policy_run_spec("optimal", estimation="oracle"))
         evaluate_policy(spec, trace=filter_by_length(base, 1000.0))
 
+    Without ``trace=``, the flattened trace and the per-task estimates
+    come from a process-wide cache next to :func:`default_trace`'s,
+    keyed on the workload's trace fields and on ``(estimation,
+    length_cap)``; their arrays are read-only, since every cell over
+    the same trace shares them (:func:`clear_trace_cache` drops them).
+    A ``trace=`` override is flattened and estimated afresh.
+
     Engine semantics: ``failures.mode`` is ``"replay"`` (each task
     re-experiences its historical intervals — identical failures
     across policies) or ``"redraw"`` (fresh intervals from the frailty
@@ -315,13 +351,18 @@ def evaluate_policy(spec: RunSpec, *, trace: Trace | None = None) -> PolicyRun:
             f"{spec.name}: evaluate_policy runs the 'replay' tier; this "
             f"spec targets {ex.tier!r} — use repro.api.run(spec)"
         )
-    if trace is None:
-        trace = default_trace(w.n_jobs, w.trace_seed, w.only_failed_jobs)
     policy = make_policy(pol.name, pol.param)
     length_cap = pol.length_cap if pol.length_cap is not None else math.inf
     restart_delay, seed, workers = ex.restart_delay, ex.base_seed, ex.workers
-    flat = flatten_trace(trace)
-    mnof, mtbf = _estimates(flat, trace, pol.estimation, length_cap)
+    if trace is None:
+        # Every cell over one trace shares its per-task inputs; the
+        # wrapper is the caller's own (as in default_trace).
+        key = (w.n_jobs, w.trace_seed, w.only_failed_jobs)
+        flat = replace(_flat_cached(*key))
+        mnof, mtbf = _estimates_cached(*key, pol.estimation, length_cap)
+    else:
+        flat = flatten_trace(trace)
+        mnof, mtbf = _estimates(flat, trace, pol.estimation, length_cap)
     _local, ckpt_cost, rst_cost, counts = resolve_tasks(
         spec.storage.mode, policy, flat.te, flat.mem_mb, mnof, mtbf)
     if spec.failures.mode == "replay":

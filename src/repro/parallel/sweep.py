@@ -32,11 +32,16 @@ Scheduling
 ----------
 Large grids mix second-long and minute-long cells.  Cells are
 *dispatched* longest-first (by :func:`estimate_spec_cost`, a pure
-heuristic of the spec) so the expensive cells start while the pool is
-fresh, which cuts tail latency; cells are *merged* back in grid order,
-so the report — and every digest in it — is identical for any worker
-count and any cost model (:func:`dispatch_order` only permutes the
-execution schedule, never the output).
+heuristic of the spec: workload size times a per-tier factor, and for
+replay-tier redraw cells a per-policy weight, since a redraw cell
+without checkpoints costs ~30 replay cells) and handed to the pool one
+cell per request, so the expensive cells start first, each on the next
+free worker, which cuts tail latency.  Cells are *merged* back in grid
+order, so the report — and every digest in it — is identical for any
+worker count and any cost model (:func:`dispatch_order` only permutes
+the execution schedule, never the output).  The schedule decision
+(effective workers, serial fallback, cost sum, chunk size) is logged
+at DEBUG on ``repro.parallel.sweep``.
 
 Every cell is persisted as a :class:`~repro.store.RunRecord`; with
 ``--store DIR`` the grid executes through a content-addressed
@@ -87,9 +92,18 @@ __all__ = [
 # never touches results, so a wildly wrong estimate costs wall-clock,
 # not correctness.
 # ----------------------------------------------------------------------
-#: relative per-task cost of each execution tier (the scalar reference
-#: loop is pure Python per task; the DES pays the event loop).
+#: relative per-task cost of each execution tier (the scalar tier
+#: seeds per-task streams and reruns its long-lived tasks one by one;
+#: the DES pays the event loop).
 _TIER_COST = {"vector": 1.0, "replay": 1.5, "scalar": 25.0, "des": 60.0}
+
+#: Weight of a replay-tier cell under ``failures.mode="redraw"``, by
+#: policy, against a replay-mode cell: the fewer checkpoints a policy
+#: takes, the longer the redraw kernel's tail of tasks failing up to
+#: ``max_segments`` times.  These are median cell walls over a
+#: replay-mode cell's, from the ``campaign_dispatch`` section of
+#: ``BENCH_parallel.json``; policies not listed weigh 1.
+_REDRAW_POLICY_WEIGHT = {"none": 32.0, "young": 7.0, "daly": 6.0}
 
 #: rough tasks-per-job of the synthesized evaluation traces.
 _TASKS_PER_TRACE_JOB = 4.0
@@ -100,8 +114,9 @@ def estimate_spec_cost(spec: RunSpec) -> float:
     """Estimated relative cost of one cell (a pure function of the spec).
 
     Workload size (tasks for synthetic batches, jobs × average tasks
-    per job for trace-driven workloads) scaled by a per-tier factor.
-    Used only to pick the dispatch order of grid cells.
+    per job for trace-driven workloads) scaled by a per-tier factor,
+    and for replay-tier redraw cells by the policy's weight.  Used only
+    to pick the dispatch order of grid cells and the serial fallback.
     """
     w = spec.workload
     if w.source == "synthetic":
@@ -110,7 +125,10 @@ def estimate_spec_cost(spec: RunSpec) -> float:
         size = _TASKS_PER_TRACE_JOB * w.trace_jobs
     else:  # "history"
         size = _TASKS_PER_HISTORY_JOB * w.n_jobs
-    return size * _TIER_COST[spec.execution.tier]
+    cost = size * _TIER_COST[spec.execution.tier]
+    if spec.failures.mode == "redraw":  # replay-tier specs only
+        cost *= _REDRAW_POLICY_WEIGHT.get(spec.policy.name, 1.0)
+    return cost
 
 
 #: Estimated-cost floor below which a grid runs serially even when
@@ -151,6 +169,13 @@ def dispatch_order(costs) -> list[int]:
     """
     return sorted(range(len(costs)),
                   key=lambda i: (-float(costs[i]), i))
+
+
+#: Cells a pool worker takes per request.  One, so that the costly
+#: cells dispatched first each go to the next free worker instead of
+#: being batched behind one another (``Pool.map`` would otherwise chunk
+#: a 24-cell grid on two workers by three).
+_CHUNKSIZE = 1
 
 
 def _merge_in_grid_order(order: list[int], done: list) -> list:
@@ -247,11 +272,23 @@ def run_specs(specs: list[RunSpec], workers: int = 1, store=None) -> dict:
     costs = [estimate_spec_cost(s) for s in specs]
     order = dispatch_order(costs)
     dispatch = [jobs[i] for i in order]
-    n_procs = min(effective_workers(workers, costs), len(jobs))
+    n_effective = effective_workers(workers, costs)
+    n_procs = min(n_effective, len(jobs))
+    # Not imported here, as in repro.core.simulate: a program that
+    # turned DEBUG on has imported ``logging`` itself.
+    logging = sys.modules.get("logging")
+    if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
+        logging.getLogger(__name__).debug(
+            "grid of %d cells: workers %d, workers_effective %d, serial "
+            "fallback %s, cost sum %.0f, chunksize %s", len(jobs), workers,
+            n_procs, workers > 1 and n_effective == 1, sum(costs),
+            _CHUNKSIZE if n_procs > 1 else "-",
+        )
     if n_procs <= 1:
         done = [_run_spec_cell(j) for j in dispatch]
     else:
-        done = get_pool(n_procs).map(_run_spec_cell, dispatch)
+        done = get_pool(n_procs).map(_run_spec_cell, dispatch,
+                                     chunksize=_CHUNKSIZE)
     cells = _merge_in_grid_order(order, done)
     return {
         "command": "repro sweep",

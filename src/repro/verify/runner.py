@@ -236,7 +236,7 @@ def run_scalar(workload: Workload) -> TierResult:
                                  workload.checkpoint_cost[task],
                                  workload.restart_cost[task],
                                  np.arange(rows.size), 0.0),
-                lambda live, start, k: uptimes[start:start + k, live],
+                lambda live, s, ends: uptimes[s:s + ends[-1], live],
                 0.0, max_segments=_ROUNDS,
             )
             wall[task] = out.wallclock

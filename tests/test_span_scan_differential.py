@@ -11,15 +11,20 @@ Hypothesis holds the two bit-identical on the scaled source and on the
 blocked source with several laws — ``Mixture`` and ``Empirical``
 among them, whose draws do not concatenate, so every rewind shows —
 with ``x = 1`` tasks, restart delays and ``max_segments`` truncation
-landing inside a span.
+landing inside a span.  The scaled and replay sources draw a whole
+span in one call; they are also held to the reference at block sizes
+that are not powers of two, where a ramp that assumes doubling lands
+on ``block_rounds`` would go wrong.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +32,9 @@ from repro.core import simulate
 from repro.core.simulate import (
     DEFAULT_BLOCK_ROUNDS,
     SimulationResult,
+    _block_ends,
     simulate_tasks_blocked,
+    simulate_tasks_replay,
     simulate_tasks_scaled,
 )
 from repro.failures.distributions import (
@@ -41,7 +48,7 @@ from repro.failures.distributions import (
 
 @np.errstate(invalid="ignore")
 def reference_round_loop(
-    te_arr, x_arr, c_arr, r_arr, state, draw_block, restart_delay,
+    te_arr, x_arr, c_arr, r_arr, state, draw, restart_delay,
     max_segments, block_rounds=DEFAULT_BLOCK_ROUNDS, rng=None,
 ):
     """The round loop before the span scan (``rng`` is unused)."""
@@ -62,7 +69,7 @@ def reference_round_loop(
     while idx.size and rounds < max_segments:
         k = min(k_next, block_rounds, max_segments - rounds)
         k_next = min(k_next * 2, block_rounds)
-        u_block = draw_block(state, rounds, k)
+        u_block = draw(state, rounds, [k])  # one block per call
         alive = np.ones(idx.size, dtype=bool)
         n_alive = idx.size
         for r in range(k):
@@ -274,3 +281,133 @@ def test_rewinds_happen(caplog):
     msg = next(rec.getMessage() for rec in caplog.records
                if rec.name == "repro.core.simulate")
     assert int(re.search(r"(\d+) rewound blocks", msg).group(1)) > 0
+
+
+def run_pair_at(block_rounds, kernel, *args, seed=None, **kwargs):
+    """``kernel`` on the span scan and on the reference loop, both at
+    ``block_rounds``; returns each result with its generator's final
+    ``bit_generator.state`` (``None`` for a stateless kernel)."""
+    out = []
+    for core in (simulate._simulate_blocked_core, reference_round_loop):
+        saved = simulate._simulate_blocked_core
+        simulate._simulate_blocked_core = functools.partial(
+            core, block_rounds=block_rounds)
+        try:
+            if seed is None:
+                out.append((kernel(*args, **kwargs), None))
+            else:
+                rng = np.random.default_rng(seed)
+                res = kernel(*args, rng=rng, **kwargs)
+                out.append((res, rng.bit_generator.state))
+        finally:
+            simulate._simulate_blocked_core = saved
+    return out
+
+
+def _assert_identical_state(pair):
+    (new, new_state), (ref, ref_state) = pair
+    assert new.wallclock.tolist() == ref.wallclock.tolist()
+    assert new.n_failures.tolist() == ref.n_failures.tolist()
+    assert new.completed.tolist() == ref.completed.tolist()
+    assert new.digest() == ref.digest()
+    assert new_state == ref_state
+
+
+def _rewound_blocks(caplog) -> int:
+    return sum(int(re.search(r"(\d+) rewound blocks", rec.getMessage())
+                   .group(1))
+               for rec in caplog.records if rec.name == "repro.core.simulate")
+
+
+BLOCK_ROUNDS = (3, 6, 8)
+
+
+class TestWholeSpanSources:
+    """The scaled and replay sources draw each span in one call."""
+
+    @given(tasks=_tasks(), scale=st.lists(st.floats(0.5, 400.0),
+                                          min_size=10, max_size=10),
+           block_rounds=st.sampled_from(BLOCK_ROUNDS))
+    @settings(max_examples=120, deadline=None)
+    def test_scaled_source_at_any_block_size(self, tasks, scale,
+                                             block_rounds):
+        te, x, c, r, d, max_seg, seed = tasks
+        _assert_identical_state(run_pair_at(
+            block_rounds, simulate_tasks_scaled, te, x, c, r,
+            np.array(scale[:te.size]), seed=seed, restart_delay=d,
+            max_segments=max_seg))
+
+    @given(tasks=_tasks(), block_rounds=st.sampled_from(BLOCK_ROUNDS),
+           data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_replay_source_at_any_block_size(self, tasks, block_rounds,
+                                             data):
+        te, x, c, r, d, _, _ = tasks
+        cols = data.draw(st.integers(0, 60))
+        mat = np.array(data.draw(st.lists(
+            st.lists(st.one_of(st.floats(0.0, 200.0), st.just(np.inf)),
+                     min_size=cols, max_size=cols),
+            min_size=te.size, max_size=te.size)), dtype=float)
+        _assert_identical_state(run_pair_at(
+            block_rounds, simulate_tasks_replay, te, x, c, r,
+            mat.reshape(te.size, cols), restart_delay=d))
+
+    @pytest.mark.parametrize("block_rounds", BLOCK_ROUNDS)
+    def test_rewinds_truncation_and_x1(self, block_rounds, caplog):
+        """A scaled batch of one-interval tasks beside checkpointed
+        ones, whose tail rewinds, cut at round counts inside spans."""
+        rng = np.random.default_rng(4)
+        n = 24
+        te = rng.uniform(50, 5000, n)
+        x = np.where(np.arange(n) % 3 == 0, 1, rng.integers(1, 30, n))
+        scales = rng.uniform(5, 200, n)
+        with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+            for max_seg in (1, 2, 5, 7, 11, 100, 1237, 5000):
+                _assert_identical_state(run_pair_at(
+                    block_rounds, simulate_tasks_scaled, te, x, 2.0, 1.0,
+                    scales, seed=max_seg, restart_delay=0.5,
+                    max_segments=max_seg))
+        assert _rewound_blocks(caplog) > 0
+
+
+def _reference_block_ends(k, n_blocks, block_rounds, left):
+    """The schedule stepped one block at a time."""
+    ends, total = [], 0
+    while len(ends) < n_blocks and total < left:
+        total = min(total + k, left)
+        ends.append(total)
+        k = min(2 * k, block_rounds)
+    return ends
+
+
+class TestBlockEnds:
+    @given(block_rounds=st.integers(1, 20), ramp=st.integers(0, 6),
+           n_blocks=st.integers(1, 1100), left=st.integers(1, 10_000))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_block_by_block_schedule(self, block_rounds, ramp,
+                                             n_blocks, left):
+        k = min(1 << ramp, block_rounds)
+        assert (_block_ends(k, n_blocks, block_rounds, left)
+                == _reference_block_ends(k, n_blocks, block_rounds, left))
+
+    def test_ramp_caps_at_block_rounds(self):
+        assert _block_ends(1, 6, 6, 100) == [1, 3, 7, 13, 19, 25]
+        assert _block_ends(1, 4, 3, 100) == [1, 3, 6, 9]
+        assert _block_ends(4, 3, 8, 10) == [4, 10]
+
+
+class TestSpanDrawConcatenates:
+    def test_standard_exponential_rows_concatenate(self):
+        """The scaled source's whole-span draw relies on this: one
+        ``(K, m)`` call equals the per-block calls stacked, and leaves
+        the generator at the same place.  Pinned so that a NumPy change
+        breaking it fails here rather than shifting every redraw."""
+        m = 7
+        for ends in ([1], [1, 3, 7], [1, 3, 7, 15, 23, 31], [5, 11, 12]):
+            a, b = np.random.default_rng(13), np.random.default_rng(13)
+            whole = a.standard_exponential((ends[-1], m))
+            parts = np.concatenate([
+                b.standard_exponential((hi - lo, m))
+                for lo, hi in zip([0, *ends[:-1]], ends)])
+            assert whole.tobytes() == parts.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state

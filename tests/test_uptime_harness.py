@@ -51,7 +51,8 @@ def _matrix_source(mat: np.ndarray):
     """Uptime source giving round ``h`` of task ``i`` as ``mat[i, h]``
     (``inf`` past the last column)."""
 
-    def draw(rows: np.ndarray, start: int, k: int) -> np.ndarray:
+    def draw(rows: np.ndarray, start: int, ends: list[int]) -> np.ndarray:
+        k = ends[-1]
         out = np.full((k, rows.size), np.inf)
         for r in range(k):
             if start + r < mat.shape[1]:
