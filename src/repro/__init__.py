@@ -16,8 +16,9 @@ Quickstart::
     # Te = 18 s, E(Y) = 2 failures expected, C = 2 s  ->  x* = 3
     x = optimal_interval_count(te=18.0, mnof=2.0, c=2.0)
 
-See README.md for the architecture overview and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced table and figure.
+See README.md ("Architecture", "Install & run") for the package
+layout and the commands that reproduce each table and figure; the
+reports' notes quote the paper's values.
 """
 
 from repro._version import __version__

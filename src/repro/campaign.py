@@ -128,6 +128,11 @@ class CampaignSpec:
             if key in seen:
                 raise SpecError(f"{self.name}: duplicate axis {key!r}")
             seen.add(key)
+            if not isinstance(values, (list, tuple)):
+                raise SpecError(
+                    f"{self.name}: axis {key!r} must be a list of values, "
+                    f"got {values!r}"
+                )
             if not values:
                 raise SpecError(f"{self.name}: axis {key!r} has no values")
         for key, _ in self.overrides:

@@ -76,7 +76,7 @@ class JobRecord:
 
     @property
     def wpr(self) -> float:
-        """Task-time-weighted WPR (DESIGN.md §5)."""
+        """Task-time-weighted WPR (see :mod:`repro.metrics.wpr`)."""
         return job_wpr(
             [t.te for t in self.tasks],
             [t.wallclock for t in self.tasks],

@@ -36,8 +36,6 @@ from repro.core.policies import (
 from repro.core.estimators import (
     GroupStats,
     GroupedFailureEstimator,
-    OnlineMean,
-    ewma,
     mnof_from_counts,
     mtbf_from_intervals,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "GroupStats",
     "GroupedFailureEstimator",
     "NoCheckpointPolicy",
-    "OnlineMean",
     "OptimalCountPolicy",
     "SimulationResult",
     "StorageDecision",
@@ -71,7 +68,6 @@ __all__ = [
     "TaskProfile",
     "YoungPolicy",
     "daly_interval",
-    "ewma",
     "expected_failures_exponential",
     "expected_total_cost",
     "expected_wallclock",

@@ -11,22 +11,19 @@ cap (Table 7).  The crucial asymmetry it exploits:
   sample MTBF, picks intervals that are far too long for short tasks.
 
 :class:`GroupedFailureEstimator` implements exactly the paper's
-estimation procedure; :class:`OnlineMean` and :func:`ewma` support the
-adaptive runtime (Algorithm 1) when MNOF drifts.
+estimation procedure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GroupStats",
     "GroupedFailureEstimator",
-    "OnlineMean",
-    "ewma",
     "mnof_from_counts",
     "mtbf_from_intervals",
 ]
@@ -174,51 +171,3 @@ class GroupedFailureEstimator:
             except KeyError:
                 continue
         return out
-
-
-@dataclass
-class OnlineMean:
-    """Numerically stable streaming mean/variance (Welford).
-
-    Used by the adaptive runtime to track a task group's MNOF as new
-    task completions arrive.
-    """
-
-    n: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def update(self, value: float) -> "OnlineMean":
-        """Fold one observation into the running statistics."""
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (value - self.mean)
-        return self
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0 until two observations arrive)."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-
-def ewma(values, alpha: float = 0.2) -> float:
-    """Exponentially weighted moving average of ``values`` (newest last).
-
-    ``alpha`` is the weight of the most recent observation; used as an
-    alternative MNOF tracker when the failure regime drifts quickly.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("ewma needs at least one value")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    acc = float(arr[0])
-    for v in arr[1:]:
-        acc = alpha * float(v) + (1.0 - alpha) * acc
-    return acc

@@ -6,8 +6,8 @@ rows/series the paper reports; :mod:`repro.experiments.registry` maps
 experiment ids (``fig9``, ``tab6``, ...) to those functions, and
 ``repro-experiments`` (see :mod:`repro.cli`) renders them as text.
 
-See DESIGN.md §4 for the per-experiment index and EXPERIMENTS.md for
-paper-vs-measured values.
+``repro experiments --list`` prints the experiment index (README.md,
+"Install & run"); the reports' notes quote the paper's values.
 """
 
 from repro.experiments.registry import (

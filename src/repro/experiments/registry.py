@@ -67,7 +67,6 @@ def _load_all() -> None:
         traces,
         validation,
     )
-    from repro.verify import experiment  # noqa: F401  (registers "verify")
 
 
 def get_experiment(exp_id: str) -> Callable[..., ExperimentReport]:

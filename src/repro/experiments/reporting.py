@@ -1,8 +1,8 @@
 """Plain-text rendering helpers for experiment reports.
 
 Everything an experiment prints goes through these helpers so reports
-stay uniform: fixed-width ASCII tables, inline CDF sparklines, and
-consistent number formatting.
+stay uniform: fixed-width ASCII tables and consistent number
+formatting.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-import numpy as np
-
-__all__ = ["fmt", "records_table", "render_cdf_sparkline", "render_table"]
+__all__ = ["fmt", "records_table", "render_table"]
 
 
 def fmt(value: Any, digits: int = 3) -> str:
@@ -97,27 +95,3 @@ def records_table(
     headers = (["name", "tier", "spec", "digest"]
                + list(_RECORD_SUMMARY_KEYS) + list(extra_keys))
     return render_table(headers, rows, title=title)
-
-
-def render_cdf_sparkline(
-    values,
-    points: Sequence[float] | None = None,
-    width: int = 10,
-    label: str = "",
-) -> str:
-    """One-line textual CDF: value of the ECDF at ``width`` quantile
-    probes (or explicit ``points``), e.g. for eyeballing Fig. 9-style
-    comparisons in a terminal."""
-    arr = np.sort(np.asarray(values, dtype=float).ravel())
-    if arr.size == 0:
-        raise ValueError("need at least one value")
-    if points is None:
-        lo, hi = arr[0], arr[-1]
-        points = list(np.linspace(lo, hi, width))
-    probes = np.asarray(points, dtype=float)
-    cdf = np.searchsorted(arr, probes, side="right") / arr.size
-    body = " ".join(
-        f"{p:.3g}:{c:.2f}" for p, c in zip(probes, cdf)
-    )
-    prefix = f"{label}: " if label else ""
-    return f"{prefix}{body}"

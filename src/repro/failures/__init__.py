@@ -14,8 +14,6 @@ Public surface:
 * :mod:`repro.failures.fitting` — maximum-likelihood fitting across a
   catalog of candidate families plus Kolmogorov–Smirnov ranking
   (reproduces Fig. 5).
-* :mod:`repro.failures.renewal` — renewal-process utilities (failure
-  time sequences, failure counts in a window).
 * :mod:`repro.failures.injector` — failure schedules for the DES tier.
 * :mod:`repro.failures.streams` — every task's ``default_rng((seed,
   task_id))`` stream state, seeded in one NumPy batch.
@@ -43,7 +41,6 @@ from repro.failures.fitting import (
     fit_all,
     ks_statistic,
 )
-from repro.failures.renewal import RenewalProcess, failure_count_in_window
 from repro.failures.injector import FailureInjector, TraceReplayInjector
 from repro.failures.streams import task_stream_states
 from repro.failures.catalog import PriorityFailureModel, google_like_catalog
@@ -61,13 +58,11 @@ __all__ = [
     "Normal",
     "Pareto",
     "PriorityFailureModel",
-    "RenewalProcess",
     "TraceReplayInjector",
     "Weibull",
     "ad_statistic",
     "best_fit",
     "distribution_from_name",
-    "failure_count_in_window",
     "fit_all",
     "google_like_catalog",
     "ks_statistic",

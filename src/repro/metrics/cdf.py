@@ -1,10 +1,10 @@
-"""Empirical CDF utilities used by every figure reproduction."""
+"""Empirical CDF utilities: the ECDF, tail fractions and quantiles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cdf_at", "ecdf", "fraction_above", "fraction_below", "quantile"]
+__all__ = ["ecdf", "fraction_above", "fraction_below", "quantile"]
 
 
 def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
@@ -19,15 +19,6 @@ def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("ecdf needs at least one value")
     ys = np.arange(1, xs.size + 1) / xs.size
     return xs, ys
-
-
-def cdf_at(values, points) -> np.ndarray:
-    """ECDF of ``values`` evaluated at ``points`` (right-continuous)."""
-    xs = np.sort(np.asarray(values, dtype=float).ravel())
-    if xs.size == 0:
-        raise ValueError("cdf_at needs at least one value")
-    pts = np.asarray(points, dtype=float)
-    return np.searchsorted(xs, pts, side="right") / xs.size
 
 
 def fraction_below(values, threshold: float) -> float:

@@ -5,7 +5,7 @@ execution saved by checkpoints divided by the duration from submission
 to completion, including every fault-tolerance and scheduling overhead.
 
 For multi-task jobs the paper leaves aggregation implicit; we use the
-task-time-weighted form ``Σ work_i / Σ Tw_i`` (DESIGN.md §5), which
+task-time-weighted form ``Σ work_i / Σ Tw_i``, which
 coincides with the paper's definition for sequential-task jobs and
 preserves orderings for bag-of-task jobs.
 

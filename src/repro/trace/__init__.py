@@ -4,9 +4,9 @@ The paper replays a one-month Google production trace (jobs made of
 sequential tasks or bags-of-tasks, with per-task memory footprints,
 lengths, priorities 1–12, and kill/evict failure events).  That trace
 is proprietary, so :mod:`repro.trace.synthesizer` generates a
-statistically matched stand-in (see DESIGN.md §2 for the substitution
-argument); the remaining modules provide the models, statistics and IO
-the evaluation needs:
+statistically matched stand-in (its module docstring lists the
+calibration targets); the remaining modules provide the models and
+statistics the evaluation needs:
 
 * :mod:`repro.trace.models` — :class:`Job`, :class:`Task`,
   :class:`JobType` dataclasses.
@@ -14,7 +14,6 @@ the evaluation needs:
   :func:`synthesize_trace`.
 * :mod:`repro.trace.stats` — Fig. 4/8 CDFs, Table 7 MNOF/MTBF tables,
   estimator construction.
-* :mod:`repro.trace.io` — JSONL persistence.
 * :mod:`repro.trace.sampler` — §5.1 sample-job selection rules.
 """
 
@@ -27,7 +26,6 @@ from repro.trace.stats import (
     job_memory_cdf,
     mnof_mtbf_table,
 )
-from repro.trace.io import load_trace, save_trace
 from repro.trace.sampler import failed_job_sample, filter_by_length
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "interval_cdf_by_priority",
     "job_length_cdf",
     "job_memory_cdf",
-    "load_trace",
     "mnof_mtbf_table",
-    "save_trace",
     "synthesize_trace",
 ]

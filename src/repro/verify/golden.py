@@ -15,7 +15,7 @@ result store, the sweep reports, and the campaign reports use — so a
 golden file also snapshots the exact spec (the registered scenario at
 that tier) that produced the pin (vector/DES records carry
 ``digest: null``: their draw order is not part of the pin).
-Version-1 files migrate on read.
+A file of an older version fails the ``golden:version`` check.
 
 ``repro verify --update-golden`` regenerates the files; the payload
 records enough summary statistics to make diffs reviewable.
@@ -138,46 +138,17 @@ def write_golden(result: ScenarioResult, golden_dir: Path | None = None) -> Path
     return path
 
 
-def _migrate_golden_v1(payload: dict) -> dict:
-    """v1 -> v2: wrap the bespoke tier dicts into record shape.
-
-    Version-1 sections carried only ``digest``/``summary``/``extra``;
-    the record fields a v1 file cannot know (spec snapshot, spec
-    digest) are filled with empty markers — ``compare_with_golden``
-    never reads them, so old pins keep checking until regenerated.
-    """
-    out = dict(payload)
-    for tier in ("scalar", "vector", "des"):
-        section = dict(out.get(tier, {}))
-        out[tier] = {
-            "record_version": 2,
-            "spec_digest": "",
-            "name": out.get("scenario", "unknown"),
-            "tier": tier,
-            "seed": out.get("seed", 0),
-            "digest": section.get("digest"),
-            "summary": section.get("summary", {}),
-            "extra": section.get("extra", {}),
-            "spec": None,
-        }
-    out["version"] = 2
-    return out
-
-
 def load_golden(name: str, golden_dir: Path | None = None) -> dict | None:
     """Load a scenario's golden payload (``None`` when absent).
 
-    Older schema versions migrate on read, mirroring the result
-    store's contract: a golden corpus written by an earlier build
-    keeps serving a newer one.
+    The payload is returned as written: a file whose ``version`` is not
+    :data:`GOLDEN_VERSION` fails :func:`compare_with_golden`'s
+    ``golden:version`` check and must be regenerated.
     """
     path = golden_path(name, golden_dir)
     if not path.exists():
         return None
-    payload = json.loads(path.read_text())
-    if payload.get("version") == 1:
-        payload = _migrate_golden_v1(payload)
-    return payload
+    return json.loads(path.read_text())
 
 
 def _tol_check(

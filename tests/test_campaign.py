@@ -82,6 +82,13 @@ class TestCampaignSpec:
             CampaignSpec.from_dict({**small_campaign().to_dict(),
                                     "campaign_version": 99})
 
+    @pytest.mark.parametrize("scalar", ["abc", 5], ids=["str", "int"])
+    def test_scalar_axis_rejected(self, scalar):
+        data = {**small_campaign().to_dict(), "axes": {"description": scalar}}
+        with pytest.raises(SpecError,
+                           match="axis 'description' must be a list"):
+            CampaignSpec.from_dict(data)
+
     def test_expand_grid_order_and_overrides(self):
         camp = small_campaign(overrides=(("execution.base_seed", 7),))
         cells = camp.expand()
@@ -250,6 +257,17 @@ class TestCampaignCLI:
         path.write_text("{not json")
         assert campaign_main(["status", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scalar", ["abc", 5], ids=["str", "int"])
+    def test_scalar_axis_exits_2(self, tmp_path, capsys, scalar):
+        path = tmp_path / "scalar-axis.json"
+        data = small_campaign().to_dict()
+        data["axes"] = {"execution.base_seed": scalar}
+        path.write_text(json.dumps(data))
+        assert campaign_main(["run", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "axis 'execution.base_seed' must be a list" in err
+        assert not (tmp_path / "unit.store").exists()
 
     def test_toplevel_cli_dispatches_campaign(self, tmp_path, capsys):
         from repro.cli import main as toplevel

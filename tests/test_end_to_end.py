@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.experiments.common import evaluate_policy, policy_run_spec
 from repro.experiments.registry import run_experiment
-from repro.trace.io import load_trace, save_trace
 from repro.trace.sampler import failed_job_sample
 from repro.trace.synthesizer import TraceConfig, synthesize_trace
 
@@ -27,24 +26,6 @@ class TestDeterminism:
         r2 = evaluate_policy(spec, trace=trace)
         np.testing.assert_array_equal(r1.job_wpr, r2.job_wpr)
         np.testing.assert_array_equal(r1.sim.wallclock, r2.sim.wallclock)
-
-
-class TestPersistencePipeline:
-    def test_saved_trace_evaluates_identically(self, tmp_path):
-        """Saving and reloading a trace must not change any result —
-        the cache-the-trace workflow the IO layer exists for."""
-        trace = failed_job_sample(
-            synthesize_trace(TraceConfig(n_jobs=300), seed=3), 0.5
-        )
-        path = tmp_path / "trace.jsonl"
-        save_trace(trace, path)
-        reloaded = load_trace(path)
-        for policy in ("optimal", "young"):
-            spec = policy_run_spec(policy, estimation="priority")
-            r1 = evaluate_policy(spec, trace=trace)
-            r2 = evaluate_policy(spec, trace=reloaded)
-            np.testing.assert_allclose(r1.job_wpr, r2.job_wpr)
-            np.testing.assert_allclose(r1.job_wall, r2.job_wall)
 
 
 class TestPolicyGapRobustness:

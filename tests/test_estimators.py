@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.estimators import (
     GroupedFailureEstimator,
-    OnlineMean,
-    ewma,
     mnof_from_counts,
     mtbf_from_intervals,
 )
@@ -96,39 +93,3 @@ class TestGroupedEstimator:
             e.add_task(1, 10.0, -1, [])
         with pytest.raises(ValueError):
             e.add_task(1, 10.0, 1, [-5.0])
-
-
-class TestOnlineMean:
-    def test_matches_numpy(self, rng):
-        data = rng.normal(10.0, 3.0, 500)
-        om = OnlineMean()
-        for v in data:
-            om.update(float(v))
-        assert om.mean == pytest.approx(float(np.mean(data)))
-        assert om.variance == pytest.approx(float(np.var(data, ddof=1)))
-        assert om.std == pytest.approx(float(np.std(data, ddof=1)))
-
-    def test_single_value(self):
-        om = OnlineMean().update(5.0)
-        assert om.mean == 5.0
-        assert om.variance == 0.0
-
-
-class TestEwma:
-    def test_single_value(self):
-        assert ewma([3.0]) == 3.0
-
-    def test_recency_weighting(self):
-        assert ewma([0.0, 10.0], alpha=0.5) == 5.0
-        assert ewma([0.0, 10.0], alpha=0.9) == 9.0
-
-    def test_alpha_one_returns_last(self):
-        assert ewma([1.0, 2.0, 7.0], alpha=1.0) == 7.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ewma([])
-        with pytest.raises(ValueError):
-            ewma([1.0], alpha=0.0)
-        with pytest.raises(ValueError):
-            ewma([1.0], alpha=1.5)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.metrics.cdf import cdf_at, ecdf, fraction_above, fraction_below, quantile
+from repro.metrics.cdf import ecdf, fraction_above, fraction_below, quantile
 from repro.metrics.summary import compare_wallclock, group_min_avg_max
 from repro.metrics.wpr import job_wpr, task_wpr, wpr_from_arrays
 
@@ -58,11 +58,6 @@ class TestCDF:
         xs, ys = ecdf([3.0, 1.0, 2.0])
         np.testing.assert_allclose(xs, [1, 2, 3])
         np.testing.assert_allclose(ys, [1 / 3, 2 / 3, 1.0])
-
-    def test_cdf_at(self):
-        vals = [1.0, 2.0, 3.0, 4.0]
-        np.testing.assert_allclose(cdf_at(vals, [0.5, 2.0, 10.0]),
-                                   [0.0, 0.5, 1.0])
 
     def test_fractions(self):
         vals = [1.0, 2.0, 3.0, 4.0]

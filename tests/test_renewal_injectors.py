@@ -1,68 +1,13 @@
-"""Unit tests for renewal processes and failure injectors."""
+"""Unit tests for the failure injectors."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.failures.distributions import Exponential, Pareto
+from repro.failures.distributions import Exponential
 from repro.failures.injector import FailureInjector, TraceReplayInjector
-from repro.failures.renewal import RenewalProcess, failure_count_in_window
-
-
-class TestRenewalProcess:
-    def test_intervals_shape_and_positivity(self, rng):
-        rp = RenewalProcess(Exponential(0.01), rng)
-        ivs = rp.intervals(100)
-        assert ivs.shape == (100,)
-        assert np.all(ivs > 0)
-
-    def test_intervals_negative_n_rejected(self, rng):
-        with pytest.raises(ValueError):
-            RenewalProcess(Exponential(1.0), rng).intervals(-1)
-
-    def test_arrival_times_sorted_below_horizon(self, rng):
-        rp = RenewalProcess(Exponential(0.1), rng)
-        times = rp.arrival_times(100.0)
-        assert np.all(np.diff(times) > 0)
-        assert np.all(times < 100.0)
-
-    def test_arrival_times_zero_horizon(self, rng):
-        rp = RenewalProcess(Exponential(0.1), rng)
-        assert rp.arrival_times(0.0).size == 0
-
-    def test_poisson_rate_recovered(self, rng):
-        rp = RenewalProcess(Exponential(0.05), rng)
-        counts = [rp.arrival_times(1000.0).size for _ in range(200)]
-        assert np.mean(counts) == pytest.approx(50.0, rel=0.1)
-
-    def test_next_interval_consumes_rng(self):
-        r1 = RenewalProcess(Exponential(1.0), np.random.default_rng(3))
-        r2 = RenewalProcess(Exponential(1.0), np.random.default_rng(3))
-        assert r1.next_interval() == r2.next_interval()
-
-
-class TestFailureCountInWindow:
-    def test_zero_work_zero_failures(self, rng):
-        out = failure_count_in_window(Exponential(1.0), 0.0, rng, 10)
-        assert np.all(out == 0)
-
-    def test_negative_work_rejected(self, rng):
-        with pytest.raises(ValueError):
-            failure_count_in_window(Exponential(1.0), -1.0, rng)
-
-    def test_exponential_mean_matches_poisson(self, rng):
-        # Progress-preserving counting of exp(λ) intervals over work W
-        # is Poisson with mean λW.
-        out = failure_count_in_window(Exponential(0.01), 500.0, rng, 5000)
-        assert np.mean(out) == pytest.approx(5.0, rel=0.1)
-
-    def test_heavy_tail_counts_finite(self, rng):
-        out = failure_count_in_window(Pareto(10.0, 1.1), 1000.0, rng, 500)
-        assert np.all(out >= 0)
-        assert np.isfinite(np.mean(out))
 
 
 class TestFailureInjector:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.experiments.registry import run_experiment
-from repro.experiments.reporting import fmt, render_cdf_sparkline, render_table
+from repro.experiments.reporting import fmt, render_table
 
 
 class TestFmt:
@@ -49,19 +49,6 @@ class TestRenderTable:
     def test_values_present(self):
         txt = render_table(["x"], [[123.456]])
         assert "123.456" in txt
-
-
-class TestSparkline:
-    def test_basic(self):
-        out = render_cdf_sparkline([1.0, 2.0, 3.0, 4.0], points=[2.0, 4.0],
-                                   label="wpr")
-        assert out.startswith("wpr: ")
-        assert "2:0.50" in out
-        assert "4:1.00" in out
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            render_cdf_sparkline([])
 
 
 class TestCrossValidation:

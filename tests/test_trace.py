@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.trace.io import load_trace, save_trace
 from repro.trace.models import Job, JobType, Task, Trace
 from repro.trace.sampler import failed_job_sample, filter_by_length
 from repro.trace.stats import (
@@ -212,34 +211,6 @@ class TestStats:
             for st in rows:
                 assert st.mnof >= 0
                 assert st.mtbf > 0
-
-
-class TestIO:
-    def test_roundtrip(self, small_trace, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        save_trace(small_trace, path)
-        loaded = load_trace(path)
-        assert loaded == small_trace
-
-    def test_malformed_line_reports_location(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"v": 1, "job_id": 0}\n')
-        with pytest.raises(ValueError, match="bad.jsonl:1"):
-            load_trace(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "ver.jsonl"
-        path.write_text('{"v": 99, "job_id": 0, "job_type": "ST", '
-                        '"submit_time": 0, "tasks": []}\n')
-        with pytest.raises(ValueError, match="version"):
-            load_trace(path)
-
-    def test_blank_lines_skipped(self, small_trace, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        save_trace(small_trace, path)
-        content = path.read_text()
-        path.write_text("\n" + content + "\n\n")
-        assert load_trace(path) == small_trace
 
 
 class TestSamplers:

@@ -423,16 +423,6 @@ class TestVerifyCLI:
         assert "fig9" in capsys.readouterr().out.split()
 
 
-class TestVerifyExperiment:
-    def test_registered_and_runs(self):
-        from repro.experiments.registry import run_experiment
-
-        report = run_experiment("verify")
-        assert report.data["passed"] is True
-        assert report.data["total_violations"] == 0
-        assert len(report.data["scenarios"]) >= 3
-
-
 class TestSupportingInfra:
     def test_explicit_catalog_interface(self):
         cat = ExplicitCatalog({1: Exponential(0.01), 5: Weibull(1.5, 300.0)})
@@ -491,8 +481,8 @@ class TestSupportingInfra:
 
 
 class TestGoldenMigration:
-    """Golden schema v2: tier sections are pinned RunRecord dicts, and
-    version-1 files keep working through migration on read."""
+    """Golden schema v2: tier sections are pinned RunRecord dicts, and a
+    file of any other version fails the ``golden:version`` check."""
 
     def test_v2_sections_are_pinned_records(self, tmp_path):
         from repro.store import RECORD_VERSION
@@ -515,7 +505,7 @@ class TestGoldenMigration:
         assert payload["vector"]["digest"] is None
         assert payload["des"]["digest"] is None
 
-    def test_v1_file_migrates_on_read_and_passes(self, tmp_path):
+    def test_v1_file_fails_version_check(self, tmp_path):
         from repro.verify.golden import golden_path, load_golden
 
         result = run_scenario(get_scenario(QUICK))
@@ -535,11 +525,12 @@ class TestGoldenMigration:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(v1))
         golden = load_golden(QUICK, tmp_path)
-        assert golden["version"] == 2
-        assert golden["scalar"]["digest"] == tiers["scalar"].digest
+        assert golden == v1  # returned as written, not migrated
         checks = compare_with_golden(result, golden)
-        assert all(c.passed for c in checks), \
-            [c.name for c in checks if not c.passed]
+        assert [(c.name, c.passed) for c in checks] == [
+            ("golden:version", False)
+        ]
+        assert checks[0].observed == 1.0
 
     def test_verify_cli_store_writes_tier_records(self, tmp_path, capsys):
         from repro.store import ResultStore
