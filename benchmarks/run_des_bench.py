@@ -1,7 +1,7 @@
 """Record the DES-tier perf trajectory: engine, scheduler, executor and
 sharding.
 
-Six sections, written as ``BENCH_des.json`` (the committed perf
+Seven sections, written as ``BENCH_des.json`` (the committed perf
 record the CI regression guard compares against):
 
 * ``event_loop`` — the engine microbenchmark (1k processes x 100
@@ -23,6 +23,14 @@ record the CI regression guard compares against):
   segments as one wake).  Digest and every ``extra`` counter
   (``n_events`` included) must be equal; ``speedup`` is baseline over
   current.
+* ``contended`` — the six ``des-contended`` op shapes of
+  ``e2ebench/workloads.py`` (shared storage, host crashes) through
+  ``run_des_unsharded``, once with the vendored per-interval executor
+  (a failure watchdog process per segment, memory-priced devices) and
+  once with the current loop, whose failure deadline is a process-free
+  alarm.  Digest and every ``extra`` counter
+  must be equal; each row records both sides' heap pops next to the
+  ``n_events`` they both report.
 * ``sharding`` — a multi-host contention-free scenario batch through
   the unsharded event loop vs host-group sharding at workers 1/2/4,
   with per-task alignment and digest worker-invariance asserted (runs
@@ -44,7 +52,10 @@ record the CI regression guard compares against):
 Usage::
 
     PYTHONPATH=src python benchmarks/run_des_bench.py [--out PATH]
-        [--repeats K] [--quick]
+        [--repeats K] [--quick] [--only SECTION ...]
+
+``--only`` re-records the named sections and keeps every other section
+of the existing ``--out`` file.
 """
 
 from __future__ import annotations
@@ -162,7 +173,8 @@ def bench_event_loop(repeats: int) -> dict:
 # ----------------------------------------------------------------------
 def _unsharded_with(workload, **classes):
     """``run_des_unsharded`` with the platform building the given
-    classes in place of its own (``GreedyScheduler=``, ``TaskExecutor=``)."""
+    classes in place of its own (``GreedyScheduler=``, ``TaskExecutor=``,
+    ``Environment=``)."""
     from repro.cluster import platform
 
     current = {name: getattr(platform, name) for name in classes}
@@ -239,6 +251,88 @@ def bench_executor(repeats: int, quick: bool) -> dict:
         "speedup": round(times["base"] / times["cur"], 2),
         "digest_equal": True,
     }
+
+
+# ----------------------------------------------------------------------
+# Executor on the queue-deep shared-storage and host-crash ops.
+# ----------------------------------------------------------------------
+#: the ``des-contended`` op shapes: label -> (scenario, overrides)
+CONTENDED_OPS = {
+    "storage-nfs-contended": ("storage-nfs-contended",
+                              {"workload.n_tasks": 600}),
+    "host-crashes-shared": ("host-crashes-shared", {"workload.n_tasks": 500}),
+    "host-crashes-local-wipe": ("host-crashes-local-wipe",
+                                {"workload.n_tasks": 500}),
+    "storage-auto-selection": ("storage-auto-selection",
+                               {"workload.n_tasks": 600}),
+    "storage-dmnfs": ("storage-dmnfs", {"workload.n_tasks": 400}),
+    "storage-nfs-contended-young": ("storage-nfs-contended",
+                                    {"workload.n_tasks": 600,
+                                     "policy.name": "young"}),
+}
+
+
+def _heap_pops(workload, executor) -> int:
+    """Entries the event loop popped in one run with ``executor``."""
+    from repro.sim.engine import Environment
+
+    envs = []
+
+    class Counting(Environment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            envs.append(self)
+
+    _unsharded_with(workload, TaskExecutor=executor, Environment=Counting)
+    (env,) = envs
+    return env.events_processed
+
+
+def bench_contended(repeats: int, quick: bool) -> dict:
+    import _executor_baseline as baseline_executor
+
+    from repro.cluster.executor import TaskExecutor
+
+    out = {}
+    for label, (name, overrides) in CONTENDED_OPS.items():
+        if quick:
+            overrides = {**overrides, "workload.n_tasks": 100}
+        spec = get_scenario(name).evolve(**overrides)
+        workload = build_workload(spec)
+        base = _unsharded_with(
+            workload, TaskExecutor=baseline_executor.TaskExecutor)
+        cur = _unsharded_with(workload, TaskExecutor=TaskExecutor)
+        assert base.digest == cur.digest and base.extra == cur.extra, \
+            f"{label}: current executor diverges from the baseline!"
+        times = _best_of_interleaved(repeats, {
+            "base": lambda: _unsharded_with(
+                workload, TaskExecutor=baseline_executor.TaskExecutor),
+            "cur": lambda: _unsharded_with(
+                workload, TaskExecutor=TaskExecutor),
+        })
+        out[label] = {
+            "n_tasks": spec.workload.n_tasks,
+            "storage": spec.storage.mode,
+            "host_mtbf": spec.failures.host_mtbf,
+            "peak_queue_length": int(cur.extra["peak_queue_length"]),
+            "n_events": int(cur.extra["n_events"]),
+            "heap_pops_baseline": _heap_pops(
+                workload, baseline_executor.TaskExecutor),
+            "heap_pops_current": _heap_pops(workload, TaskExecutor),
+            "baseline_s": round(times["base"], 4),
+            "current_s": round(times["cur"], 4),
+            "speedup": round(times["base"] / times["cur"], 2),
+            "digest_equal": True,
+        }
+    t_base = sum(row["baseline_s"] for row in out.values())
+    t_cur = sum(row["current_s"] for row in out.values())
+    out["total"] = {
+        "baseline_s": round(t_base, 4),
+        "current_s": round(t_cur, 4),
+        "speedup": round(t_base / t_cur, 2),
+        "cpu_count": os.cpu_count(),
+    }
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -368,12 +462,27 @@ def bench_sweep_fallback(repeats: int) -> dict:
     }
 
 
+#: section name -> ``bench(repeats, quick)``, in payload order
+SECTIONS = {
+    "event_loop": lambda repeats, quick: bench_event_loop(repeats),
+    "scheduler": bench_scheduler,
+    "executor": bench_executor,
+    "contended": bench_contended,
+    "sharding": bench_sharding,
+    "sharding_ops": bench_sharding_ops,
+    "sweep_fallback": lambda repeats, quick: bench_sweep_fallback(repeats),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_des.json")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--quick", action="store_true",
                         help="smaller scheduler and sharding shapes")
+    parser.add_argument("--only", nargs="+", choices=sorted(SECTIONS),
+                        help="re-record these sections, keep the rest "
+                             "of --out")
     args = parser.parse_args(argv)
 
     payload = {
@@ -387,13 +496,13 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
         },
-        "event_loop": bench_event_loop(args.repeats),
-        "scheduler": bench_scheduler(args.repeats, args.quick),
-        "executor": bench_executor(args.repeats, args.quick),
-        "sharding": bench_sharding(args.repeats, args.quick),
-        "sharding_ops": bench_sharding_ops(args.repeats, args.quick),
-        "sweep_fallback": bench_sweep_fallback(args.repeats),
     }
+    kept = json.loads(Path(args.out).read_text()) if args.only else {}
+    for name, bench in SECTIONS.items():
+        if args.only is None or name in args.only:
+            payload[name] = bench(args.repeats, args.quick)
+        else:
+            payload[name] = kept[name]
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     print(f"[written to {args.out}]")

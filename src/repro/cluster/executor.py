@@ -5,10 +5,11 @@ One :class:`TaskExecutor` drives one task through the cluster:
 1. acquire a VM from the greedy scheduler (queue wait is endogenous);
 2. run equidistant intervals, writing checkpoints on the task's storage
    target, which adds its contention to the planned checkpoint cost;
-3. when the failure watchdog fires (uptime drawn from the injector),
-   lose the progress since the last committed checkpoint, release the
-   VM, pay detection + restart (migration) costs, and resume from the
-   checkpoint on a newly acquired VM;
+3. when the failure deadline (uptime drawn from the injector) comes
+   before the next interval or checkpoint end, lose the progress since
+   the last committed checkpoint, release the VM, pay detection +
+   restart (migration) costs, and resume from the checkpoint on a newly
+   acquired VM;
 4. record everything in a :class:`~repro.cluster.records.TaskRecord`.
 
 The plan (interval count, uncontended checkpoint cost, restart cost,
@@ -17,18 +18,59 @@ migration type) is the task's row of the platform's one
 Formula (3) against Young's formula under identical placement and
 contention conditions.
 
+The reference model
+-------------------
+A *segment* is the run of intervals and checkpoints between one
+placement and the next failure or completion.  The model the executor
+reproduces waits once per interval end and once per checkpoint end,
+and arms the failure as a separate *watchdog* process that sleeps
+``uptime`` and then interrupts the task; completing the segment or a
+host crash cancels the watchdog.  Every count below, and
+:attr:`~repro.cluster.records.PlatformResult.n_events`, is that
+model's.
+
+*Boundary rule.*  The reference model arms the segment's first wake
+before the watchdog arms the failure deadline, and every later wake
+after it, so at an exactly equal time the first wake wins the tie and
+every later wake loses it: a task whose first interval ends exactly at
+its deadline completes that interval (and the task, if it was the
+last one); a checkpoint that would end exactly at the deadline is
+lost.
+
+Per-interval segments
+---------------------
+The executor runs no watchdog.  Before each interval or checkpoint
+wait it compares the wait's end (``now + length``, or ``now + cost``
+after ``begin_checkpoint``) with the deadline ``now + uptime`` taken at
+the segment start, and waits on whichever comes first, by the boundary
+rule.  It waits on the deadline through a
+:class:`~repro.sim.engine.Deadline`, a raw wake under the heap key the
+watchdog's deadline entry would have had, so the entries of every
+other task at the same instant are served in the watchdog's order.  A
+checkpoint cut by the deadline still runs ``end_checkpoint``.  Host
+monitors interrupt the task process directly.
+
+*Events.*  A segment with a finite uptime credits through
+``credit_skipped`` the watchdog's interrupt and exit, and its start
+unless the deadline had to push one to learn its key.  It also
+reports through ``credit_stale`` the time ``T`` of the stale heap
+entry the reference model would have left behind: the watchdog's
+deadline on completion, the end of the cut wait on failure, and on a
+host crash whichever of the two the task was not waiting on (none if
+the crash came before the watchdog's start).  The platform counts a
+stale entry only if its run would have popped it (every one in a run
+that drains, those with ``T`` at or before the stop time in a
+host-monitor run: an entry armed before the last completion sorts
+before the stop event at the same instant).
+
 One-wake segments
 -----------------
-A *segment* is the run of intervals and checkpoints between one
-placement and the next failure or completion.  Per interval it costs
-two heap events (interval end, checkpoint end) plus a watchdog
-process.  When nothing outside the task can observe an instant inside
-the segment, the executor runs it as **one wake** instead: it walks
-the segment's interval and checkpoint ends in place, with the same
-float additions the per-interval waits make (``t = t + length``, ``t =
-t + C``), compares each with the failure deadline ``now + uptime``,
-and waits once, at the absolute time of completion or failure
-(:meth:`~repro.sim.engine.Environment.wake_at`), with no watchdog.
+When nothing outside the task can observe an instant inside the
+segment, the executor runs it as **one wake**: it walks the segment's
+interval and checkpoint ends in place, with the same float additions
+the per-interval waits make (``t = t + length``, ``t = t + C``),
+compares each with the deadline by the boundary rule, and waits once,
+at the absolute time of completion or failure.
 
 *When.*  The task checkpoints to a local ramdisk, which prices every
 checkpoint at the flat planned C (Table 2, local rows) and whose
@@ -37,32 +79,24 @@ in-flight count nobody reads; and the run has no host monitors
 every trace to its last completion, so nothing reads a record
 mid-segment.  Shared devices (NFS in-flight counts set other tasks'
 prices) and host-crash runs (a host monitor may interrupt at any
-instant) keep the per-interval loop.
-
-*Boundary rule.*  The per-interval model arms the segment's first wake
-before the watchdog arms the failure deadline, and every later wake
-after it, so at an exactly equal time the first wake wins the tie and
-every later wake loses it: a task whose first interval ends exactly at
-its deadline completes that interval (and the task, if it was the
-last one); a checkpoint that would end exactly at the deadline is
-lost.  The walk applies the same rule.  Checkpoint counts and overhead
+instant) keep the per-interval loop.  Checkpoint counts and overhead
 are added one checkpoint at a time, as the per-interval loop adds them.
 
-*Events.*  The skipped wakes are credited through the executor's
-``credit_skipped`` callable and the platform adds them to the engine's
-own count, so :attr:`~repro.cluster.records.PlatformResult.n_events`
-equals the per-interval model's.  With ``i`` the interval and checkpoint wakes
-that would have fired, the per-interval model processes ``i`` wakes
-plus four watchdog events on completion (its start, the cancelling
-interrupt, its exit, its stale deadline), ``i`` alone with an infinite
-uptime (no watchdog), and ``i`` plus five on failure (start, deadline,
-interrupt, exit, the task's stale wake); the one-wake segment
-processes one, so it credits ``i - 1 + 4``, ``i - 1`` and ``i + 4``.
+*Events.*  Such a run drains, so every stale entry counts and the
+segment credits everything through ``credit_skipped``.  With ``i`` the
+interval and checkpoint wakes the reference model would have
+processed, it processes ``i`` wakes plus four watchdog events on
+completion (its start, the cancelling interrupt, its exit, its stale
+deadline), ``i`` alone with an infinite uptime (no watchdog), and ``i``
+plus five on failure (start, deadline, interrupt, exit, the task's
+stale wake); the one-wake segment processes one, so it credits ``i -
+1 + 4``, ``i - 1`` and ``i + 4``.
 
-Same-instant ties *between different tasks* are outside this rule:
-the one wake takes its heap sequence number at the segment start,
-where the per-interval model took the last wake's at the previous
-checkpoint end, so an entry of another task landing at the bit-equal
+Same-instant ties *between different tasks* are outside the boundary
+rule for one-wake segments: the one wake takes its heap sequence
+number at the segment start, where the reference model took the last
+wake's at the previous checkpoint end (and the watchdog's after the
+segment start), so an entry of another task landing at the bit-equal
 instant may be served in the other order.  The differential test
 (``tests/test_executor_differential.py``) builds one such tie: the
 task records agree, the queue peak does not.
@@ -74,7 +108,7 @@ from typing import Callable
 
 from repro.cluster.records import TaskRecord
 from repro.cluster.scheduler import GreedyScheduler
-from repro.sim.engine import Environment, Interrupt, Process
+from repro.sim.engine import Environment, Interrupt
 from repro.storage.devices import StorageDevice
 from repro.trace.models import Task
 
@@ -110,11 +144,14 @@ class TaskExecutor:
     record:
         Mutable record collecting the measurements.
     credit_skipped:
-        When given, run each segment as one wake and pass this callable
-        the per-interval-model events each segment skipped (see the
-        module docstring for when a caller may: local ramdisk, no host
-        monitors); ``None`` keeps the
-        per-interval loop.
+        Called with the number of reference-model events a segment
+        skipped (module docstring).
+    credit_stale:
+        Called with the time of each stale heap entry a segment of the
+        per-interval loop skipped.
+    one_wake:
+        Run each segment as one wake; only for a task on a local ramdisk
+        in a run without host monitors (module docstring).
     """
 
     def __init__(
@@ -130,7 +167,9 @@ class TaskExecutor:
         device_for_vm: Callable[[object], StorageDevice],
         injector,
         record: TaskRecord,
-        credit_skipped: Callable[[int], None] | None = None,
+        credit_skipped: Callable[[int], None],
+        credit_stale: Callable[[float], None],
+        one_wake: bool = False,
     ):
         self.env = env
         self.scheduler = scheduler
@@ -144,19 +183,13 @@ class TaskExecutor:
         self.injector = injector
         self.record = record
         self.credit_skipped = credit_skipped
+        self.credit_stale = credit_stale
+        self.one_wake = one_wake
 
     # ------------------------------------------------------------------
     # The waits below yield bare floats (the engine's allocation-free
     # raw-wake path) instead of Timeout objects; the scheduling order
     # and event counts are identical — see the engine module docstring.
-    def _watchdog(self, victim: Process, delay: float):
-        """Interrupt ``victim`` after ``delay`` (cancelled by interrupt)."""
-        try:
-            yield float(delay)
-            victim.interrupt("task-failure")
-        except Interrupt:
-            return
-
     def _walk(self, t: float, committed: int, length: float,
               deadline: float):
         """Walk a one-wake segment from time ``t`` (module docstring).
@@ -164,7 +197,7 @@ class TaskExecutor:
         Returns ``(end, committed, last_commit_at, wakes, completed)``:
         the completion or failure time, the intervals durably done by
         then, the time of the last commit, and how many interval and
-        checkpoint wakes the per-interval model would have processed.
+        checkpoint wakes the reference model would have processed.
         """
         x = self.intervals
         cost = self.checkpoint_cost
@@ -233,11 +266,11 @@ class TaskExecutor:
             vm.current_process = env.active_process
             uptime = self.injector.next_failure_in()
 
-            if self.credit_skipped is not None:
-                watched = uptime != _INF
+            watched = uptime != _INF
+            deadline = env.now + float(uptime) if watched else _INF
+            if self.one_wake:
                 end, committed, last_commit_at, wakes, done = self._walk(
-                    env.now, committed, length,
-                    env.now + float(uptime) if watched else _INF)
+                    env.now, committed, length, deadline)
                 yield env.wake_at(end)
                 if done:
                     self.credit_skipped(wakes - 1 + (4 if watched else 0))
@@ -246,25 +279,39 @@ class TaskExecutor:
                 cause = "task-failure"
             else:
                 device = self.device_for_vm(vm)
-                me = env.active_process
-                dog = (
-                    env.process(self._watchdog(me, uptime),
-                                name=f"dog-{task.task_id}")
-                    if uptime != _INF
-                    else None
-                )
+                if watched:
+                    # Armed right before the first wait (engine contract).
+                    watch = env.deadline(uptime)
+                    # The reference watchdog's interrupt and exit, and
+                    # its start unless the deadline pushed one itself.
+                    self.credit_skipped(3 if watch.reserved else 2)
                 last_commit_at = env.now
+                first = True
+                on_deadline = False
                 try:
-                    while committed < x:
-                        if committed == x - 1:
-                            # Final interval: run to completion, no checkpoint.
-                            yield length
-                            committed = x
+                    while True:
+                        due = env.now + length
+                        # The first wake wins a tie with the deadline,
+                        # later ones lose.
+                        if due > deadline or (due == deadline and not first):
+                            on_deadline = True
+                            yield watch.wait()
                             break
+                        first = False
                         yield length
+                        if committed == x - 1:
+                            # Final interval: the task completes.
+                            if watched:
+                                self.credit_stale(deadline)
+                            return self._finish(vm, True)
                         cost, token = device.begin_checkpoint(
                             self.checkpoint_cost)
                         try:
+                            due = env.now + cost
+                            if due >= deadline:
+                                on_deadline = True
+                                yield watch.wait()
+                                break
                             yield cost
                         finally:
                             device.end_checkpoint(token)
@@ -272,16 +319,15 @@ class TaskExecutor:
                         rec.n_checkpoints += 1
                         rec.checkpoint_overhead += cost
                         last_commit_at = env.now
-                    # Segment completed the task: cancel the watchdog.
-                    if dog is not None:
-                        dog.interrupt()
-                    return self._finish(vm, True)
+                    self.credit_stale(due)
+                    cause = "task-failure"
                 except Interrupt as itr:
-                    # Cancel the task-failure watchdog if another source
-                    # (the host monitor) interrupted us, so it cannot
-                    # fire later.
-                    if dog is not None and dog.is_alive:
-                        dog.interrupt()
+                    # A host crash: of the reference's two stale entries
+                    # (the wait, the watchdog's deadline) one is real.
+                    if on_deadline:
+                        self.credit_stale(due)
+                    elif watched and watch.started:
+                        self.credit_stale(deadline)
                     cause = itr.cause
 
             # Failure: lose progress since the last committed checkpoint.

@@ -8,10 +8,15 @@ the per-priority catalog.  Before any job starts, one
 :func:`~repro.core.placement.resolve_tasks` call plans every task of
 the trace (storage target, checkpoint and restart cost, interval
 count); each task's executor then reads its row.  Local-ramdisk tasks
-in a run with no host monitors run each segment as one wake
-(:mod:`repro.cluster.executor`).  The returned
-:class:`~repro.cluster.records.PlatformResult` carries per-task and
-per-job measurements (WPR, wall-clock, overheads, queueing).
+in a run with no host monitors run each segment as one wake, every
+other task the watchdog-free per-interval loop
+(:mod:`repro.cluster.executor`).  A task draws its failures from
+``default_rng((seed, task_id))``; one
+:func:`~repro.failures.streams.task_stream_states` call computes every
+such state for the trace (:func:`~repro.failures.streams.stream_injector`).
+The returned :class:`~repro.cluster.records.PlatformResult` carries
+per-task and per-job measurements (WPR, wall-clock, overheads,
+queueing).
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from repro.core.placement import by_priority, resolve_tasks
 from repro.core.policies import CheckpointPolicy
 from repro.failures.catalog import PriorityFailureModel, google_like_catalog
 from repro.failures.distributions import Exponential
-from repro.failures.injector import FailureInjector, TraceReplayInjector
+from repro.failures.injector import TraceReplayInjector
+from repro.failures.streams import stream_injector, task_stream_states
 from repro.sim.engine import Environment
 from repro.storage.devices import DMNFS, NFSServer, StorageDevice
 from repro.trace.models import Job, JobType, Trace
@@ -133,11 +139,20 @@ class CloudPlatform:
         # Per-host ramdisk checkpoints and no host-crash monitors: no
         # shared resource couples concurrently running tasks.
         no_contention = cfg.storage == "local" and unobserved
+        # Reference-model events the executors skip (executor module
+        # docstring): counted at once, or as stale entries' times.
         skipped = 0
+        stale: list[float] = []
 
         def credit_skipped(n: int) -> None:
             nonlocal skipped
             skipped += n
+
+        if not replay_history:
+            # Every task's default_rng((seed, task_id)) state, in one batch.
+            streams = task_stream_states(
+                self.seed, [t.task_id for t in tasks])
+            shared_rng = np.random.default_rng()
 
         def start_task(task, row: int, jrec: JobRecord):
             """Record, plan and launch one task; returns its process."""
@@ -151,17 +166,14 @@ class CloudPlatform:
             jrec.tasks.append(record)
             if replay_history:
                 injector = TraceReplayInjector(task.failure_intervals)
-            elif task.interval_scale > 0:
-                # Frailty ground truth: the task's private exponential law.
-                injector = FailureInjector(
-                    Exponential(1.0 / task.interval_scale),
-                    np.random.default_rng((self.seed, task.task_id)),
-                    max_failures=cfg.max_failures_per_task,
-                )
             else:
-                injector = FailureInjector(
-                    self.catalog.interval_distribution(task.priority),
-                    np.random.default_rng((self.seed, task.task_id)),
+                injector = stream_injector(
+                    # Frailty ground truth: the task's private
+                    # exponential law.
+                    Exponential(1.0 / task.interval_scale)
+                    if task.interval_scale > 0
+                    else self.catalog.interval_distribution(task.priority),
+                    shared_rng, streams[row], self.seed, task.task_id,
                     max_failures=cfg.max_failures_per_task,
                 )
 
@@ -184,8 +196,9 @@ class CloudPlatform:
                 device_for_vm=device_for_vm,
                 injector=injector,
                 record=record,
-                credit_skipped=(credit_skipped if unobserved and local[row]
-                                else None),
+                credit_skipped=credit_skipped,
+                credit_stale=stale.append,
+                one_wake=unobserved and local[row],
             )
             return env.process(executor.run(), name=f"task-{task.task_id}")
 
@@ -250,12 +263,14 @@ class CloudPlatform:
 
         if cfg.host_mtbf is not None:
             # Host monitors run forever; stop once every job completed.
+            # The reference model pops a stale entry only by then.
             env.run(until=env.all_of(job_procs))
+            skipped += sum(1 for t in stale if t <= env.now)
         else:
             env.run()
-        # env.now is inflated by cancelled watchdog timeouts that drain
-        # at their original (possibly huge) deadlines; the meaningful
-        # makespan is the last task completion.
+            skipped += len(stale)
+        # env.now is the last event's time, which may be a stale wake
+        # of a cancelled wait; the makespan is the last task completion.
         finishes = [
             t.finish_time
             for j in job_records

@@ -16,7 +16,8 @@ Public surface:
   (reproduces Fig. 5).
 * :mod:`repro.failures.injector` — failure schedules for the DES tier.
 * :mod:`repro.failures.streams` — every task's ``default_rng((seed,
-  task_id))`` stream state, seeded in one NumPy batch.
+  task_id))`` stream state, seeded in one NumPy batch, and the DES
+  injector that draws from it.
 * :mod:`repro.failures.catalog` — per-priority failure models
   calibrated to the paper's Table 7 / Fig. 4 shapes.
 """

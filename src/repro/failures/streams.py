@@ -16,13 +16,45 @@ was most of a scalar-tier run (``BENCH_parallel.json``,
 :func:`task_stream_states` computes both in NumPy for a whole batch of
 task ids, so a caller sets each task's ``(state, inc)`` on one reused
 generator and draws exactly what ``default_rng((seed, i))`` draws.
+
+Both tiers then draw each task's first :data:`_ROUNDS` uptimes in one
+``sample`` call on that shared generator (:func:`seek`): the scalar
+tier feeds them to its batch round loop, the DES hands them out one
+failure at a time through a :class:`BatchSeededInjector`.  Only laws in
+:data:`_BATCH_LAWS` may be drawn this way.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["task_stream_states"]
+from repro.failures.distributions import (
+    Distribution,
+    Empirical,
+    Exponential,
+    Geometric,
+    Laplace,
+    LogNormal,
+    Normal,
+    Pareto,
+    Weibull,
+)
+from repro.failures.injector import FailureInjector
+
+__all__ = ["BatchSeededInjector", "seek", "stream_injector",
+           "task_stream_states"]
+
+#: Uptimes drawn per task up front, in one ``sample`` call.  Most tasks
+#: need no more; no result depends on the value.
+_ROUNDS = 8
+#: Laws whose ``sample(rng, k)`` returns exactly ``k`` successive
+#: ``sample(rng, 1)`` draws and leaves the generator where they would.
+#: :class:`~repro.failures.distributions.Mixture` draws all ``k``
+#: component choices first, so it is not one.
+_BATCH_LAWS = (Empirical, Exponential, Geometric, Laplace, LogNormal,
+               Normal, Pareto, Weibull)
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -139,3 +171,69 @@ def task_stream_states(seed, task_ids) -> list[tuple[int, int]]:
         else:
             out.append(_fallback(seed, task_id))
     return out
+
+
+def seek(rng: np.random.Generator, state_inc: tuple[int, int]) -> None:
+    """Make the PCG64 generator ``rng`` draw as ``default_rng((seed, i))``
+    from the start, given that stream's ``(state, inc)``."""
+    state, inc = state_inc
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+
+
+class BatchSeededInjector(FailureInjector):
+    """``FailureInjector(law, default_rng((seed, task_id)), max_failures)``
+    without building that generator for the first :data:`_ROUNDS` draws.
+
+    At its first draw the injector seeks ``shared`` (a generator other
+    injectors also use) to the task's ``state_inc`` and draws
+    :data:`_ROUNDS` uptimes in one ``sample`` call.  Past those it builds
+    ``default_rng((seed, task_id))``, skips the same draws with one
+    ``sample`` call and continues there.  ``law`` must be in
+    :data:`_BATCH_LAWS`, for which both give the single draws'
+    values and generator state.
+    """
+
+    def __init__(self, law: Distribution, shared: np.random.Generator,
+                 state_inc: tuple[int, int], seed, task_id: int,
+                 max_failures: int | None = None):
+        super().__init__(law, None, max_failures=max_failures)
+        self._shared = shared
+        self._state_inc = state_inc
+        self._seed = seed
+        self._task_id = task_id
+        self._head: list[float] = []
+        self._drawn = 0
+
+    def next_failure_in(self) -> float:
+        """As :meth:`FailureInjector.next_failure_in`, draw for draw."""
+        if self.max_failures is not None and self.failures_seen >= self.max_failures:
+            return math.inf
+        self.failures_seen += 1
+        k = self._drawn
+        self._drawn = k + 1
+        if k < _ROUNDS:
+            if k == 0:
+                seek(self._shared, self._state_inc)
+                self._head = self.interval_dist.sample(
+                    self._shared, _ROUNDS).tolist()
+            return float(self._head[k])
+        if k == _ROUNDS:
+            self.rng = np.random.default_rng((self._seed, self._task_id))
+            self.interval_dist.sample(self.rng, _ROUNDS)
+        return float(self.interval_dist.sample(self.rng, 1)[0])
+
+
+def stream_injector(law: Distribution, shared: np.random.Generator,
+                    state_inc: tuple[int, int], seed, task_id: int,
+                    max_failures: int | None = None) -> FailureInjector:
+    """The injector drawing ``law`` from ``default_rng((seed, task_id))``:
+    batch-seeded on ``shared`` for a law in :data:`_BATCH_LAWS`, on its
+    own generator otherwise."""
+    if type(law) in _BATCH_LAWS:
+        return BatchSeededInjector(law, shared, state_inc, seed, task_id,
+                                   max_failures)
+    return FailureInjector(law, np.random.default_rng((seed, task_id)),
+                           max_failures=max_failures)

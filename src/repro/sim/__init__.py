@@ -9,8 +9,10 @@ triggers.
 
 The engine holds only what the cluster model uses: timeouts and
 absolute-time wakes, generic events, process interruption (task
-kill/evict events), and the :class:`~repro.sim.engine.AllOf` condition
-that joins a bag-of-tasks fan-out.  VM slots and checkpoint devices
+kill/evict events), the :class:`~repro.sim.engine.Deadline` that
+stands in for a watchdog process, and the
+:class:`~repro.sim.engine.AllOf` condition that joins a bag-of-tasks
+fan-out.  VM slots and checkpoint devices
 are modelled in :mod:`repro.cluster` and :mod:`repro.storage`, not
 here.
 
@@ -21,6 +23,7 @@ ties), so a fixed seed yields a bit-identical trajectory.
 
 from repro.sim.engine import (
     AllOf,
+    Deadline,
     Environment,
     Event,
     Interrupt,
@@ -31,6 +34,7 @@ from repro.sim.engine import (
 
 __all__ = [
     "AllOf",
+    "Deadline",
     "Environment",
     "Event",
     "Interrupt",

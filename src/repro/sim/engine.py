@@ -41,7 +41,11 @@ deliberately flattened:
   float additions (``((now + a) + b) + c``) needs this to land exactly
   where the chain of relative waits would have, because ``now + (t -
   now)`` need not equal ``t`` in floating point.  The cluster executor
-  uses it to run a contention-free local segment as one wake.
+  uses it to run a contention-free local segment as one wake;
+* a :class:`Deadline` stands in for a watchdog process that sleeps and
+  then interrupts its owner: the owner waits on it as on a raw wake
+  under the key the watchdog's deadline entry would have had, and
+  nothing is pushed unless the owner waits on it.
 
 None of this changes observable behaviour: every entry still receives
 its ``(time, priority, seq)`` key in exactly the order the equivalent
@@ -63,6 +67,7 @@ from typing import Any, Callable
 
 __all__ = [
     "AllOf",
+    "Deadline",
     "Environment",
     "Event",
     "Interrupt",
@@ -382,6 +387,97 @@ class Process(Event):
             env._active = None
 
 
+class Deadline:
+    """A watchdog's deadline, pushed only if its owner waits on it.
+
+    A watchdog process started now (``yield delay``, then interrupt the
+    owner) pushes a start entry at ``now``; when that entry pops, the
+    watchdog's ``yield`` takes the seq of its deadline entry at
+    :attr:`when` ``= now + delay``.  A ``Deadline`` holds that time and
+    that seq, and :meth:`wait` arms a raw wake of its owner under the
+    deadline entry's key, so every other entry orders around the wake
+    exactly as around the watchdog's, same-instant ties included.  A
+    deadline nobody waits on pushes nothing.
+
+    Create it in the owner's process right before the owner arms its
+    next wait, with nothing scheduled in between, after a raw wake (so
+    no other callback of the same event runs before the next pop).  The
+    owner waits on one thing at a time and settles a tie between its
+    own wake and the deadline itself; the deadline's key orders it
+    against every other entry.
+
+    If no queued entry sorts before the start entry, that entry would
+    pop right after the owner arms its next wait, so the deadline's
+    seq would sort after every entry queued now and before every later
+    push but that wait.  The seq ``env._seq + 0.5`` sorts the same way
+    against every entry the deadline can be pending with, so it is
+    taken at once and nothing is pushed for the start
+    (:attr:`reserved`).  Otherwise the start entry is pushed and popped
+    for real (one processed event, like the watchdog's): its pop takes
+    the seq, and arms the owner's wake if the owner waits on the
+    deadline already.
+    """
+
+    __slots__ = ("env", "owner", "when", "seq", "reserved", "_wgen",
+                 "_resume_cb")
+
+    def __init__(self, env: "Environment", delay: float):
+        if delay < 0:
+            raise SimulationError(f"deadline with negative delay {delay!r}")
+        owner = env._active
+        if owner is None:
+            raise SimulationError("deadline() called outside a process")
+        self.env = env
+        self.owner = owner
+        now = env._now
+        self.when = now + delay
+        queue = env._queue
+        head = queue[0] if queue else None
+        if head is None or head[0] > now or head[1] > NORMAL:
+            self.seq = env._seq + 0.5
+            self.reserved = True
+        else:
+            # The raw-wake dispatch reads ``_wgen`` and calls
+            # ``_resume_cb``.
+            seq = env._seq + 1
+            env._seq = seq
+            self._wgen = seq
+            self._resume_cb = self._start
+            self.seq = None
+            self.reserved = False
+            heappush(queue, (now, NORMAL, seq, None, self))
+
+    @property
+    def started(self) -> bool:
+        """Whether the watchdog's start entry has popped: from then on
+        its deadline entry would be in the heap."""
+        return self.seq is not None
+
+    def _start(self, _trigger) -> None:
+        env = self.env
+        seq = env._seq + 1
+        env._seq = seq
+        self.seq = seq
+        owner = self.owner
+        if owner._wgen == self._wgen:
+            # The owner waits on the deadline (and was not interrupted).
+            owner._wgen = seq
+            heappush(env._queue, (self.when, NORMAL, seq, None, owner))
+
+    def wait(self) -> _Armed:
+        """Arm the owner's wake at :attr:`when`; the owner must yield the
+        return value at once (``yield deadline.wait()``)."""
+        owner = self.owner
+        if self.seq is None:
+            # Armed by the start entry's pop, under the seq it takes.
+            owner._wgen = self._wgen
+        else:
+            owner._wgen = self.seq
+            heappush(self.env._queue,
+                     (self.when, NORMAL, self.seq, None, owner))
+        return _ARMED
+
+
 class Environment:
     """The simulation clock and event loop.
 
@@ -420,7 +516,8 @@ class Environment:
         subsystem uses this count as a cheap whole-run determinism probe.
         It counts only what this engine popped: a model that skips
         events it can prove unobservable (the cluster executor's
-        one-wake segments) credits them in its own result —
+        one-wake segments, the watchdog its deadlines stand in for)
+        credits them in its own result —
         :attr:`~repro.cluster.records.PlatformResult.n_events` is this
         count plus those credits.
         """
@@ -473,6 +570,10 @@ class Environment:
         proc._wgen = seq
         heappush(self._queue, (when, NORMAL, seq, None, proc))
         return _ARMED
+
+    def deadline(self, delay: float) -> Deadline:
+        """The active process's :class:`Deadline` ``delay`` from now."""
+        return Deadline(self, float(delay))
 
     def process(self, gen: Generator, name: str | None = None) -> Process:
         """Register a generator as a new :class:`Process`."""

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from repro.core.estimators import GroupStats, GroupedFailureEstimator
+from repro.metrics.cdf import ecdf
 from repro.trace.models import JobType, Trace
 
 __all__ = [
@@ -41,15 +42,6 @@ def build_estimator(trace: Trace, use_observed: bool = True) -> GroupedFailureEs
     return est
 
 
-def _ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted sample plus the right-continuous empirical CDF heights."""
-    xs = np.sort(np.asarray(values, dtype=float))
-    if xs.size == 0:
-        return xs, xs
-    ys = np.arange(1, xs.size + 1) / xs.size
-    return xs, ys
-
-
 def interval_cdf_by_priority(trace: Trace) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Fig. 4: per-priority ECDF of uninterrupted task intervals.
 
@@ -60,7 +52,7 @@ def interval_cdf_by_priority(trace: Trace) -> dict[int, tuple[np.ndarray, np.nda
     for task in trace.tasks():
         if task.failure_intervals:
             pools.setdefault(task.priority, []).extend(task.failure_intervals)
-    return {p: _ecdf(np.asarray(v)) for p, v in sorted(pools.items())}
+    return {p: ecdf(v) for p, v in sorted(pools.items())}
 
 
 def all_intervals(trace: Trace, priority: int | None = None) -> np.ndarray:
@@ -72,31 +64,30 @@ def all_intervals(trace: Trace, priority: int | None = None) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
+def _cdf_by_structure(trace: Trace, value) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """ECDF of ``value(job)`` over ST / BoT / mixture jobs; a structure
+    with no jobs gets two empty arrays."""
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for group, job_type in (("ST", JobType.SEQUENTIAL),
+                            ("BOT", JobType.BAG_OF_TASKS), ("mix", None)):
+        vals = np.asarray([value(j) for j in trace
+                           if job_type is None or j.job_type is job_type],
+                          dtype=float)
+        out[group] = ecdf(vals) if vals.size else (vals, vals)
+    return out
+
+
 def job_memory_cdf(trace: Trace) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Fig. 8(a): ECDF of job memory size for ST / BoT / mixture.
 
     Job memory is the largest task footprint (what placement must fit).
     """
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    st = np.asarray([j.max_mem_mb for j in trace if j.job_type is JobType.SEQUENTIAL])
-    bot = np.asarray([j.max_mem_mb for j in trace if j.job_type is JobType.BAG_OF_TASKS])
-    mix = np.asarray([j.max_mem_mb for j in trace])
-    out["ST"] = _ecdf(st)
-    out["BOT"] = _ecdf(bot)
-    out["mix"] = _ecdf(mix)
-    return out
+    return _cdf_by_structure(trace, lambda j: j.max_mem_mb)
 
 
 def job_length_cdf(trace: Trace) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Fig. 8(b): ECDF of job execution length for ST / BoT / mixture."""
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    st = np.asarray([j.length for j in trace if j.job_type is JobType.SEQUENTIAL])
-    bot = np.asarray([j.length for j in trace if j.job_type is JobType.BAG_OF_TASKS])
-    mix = np.asarray([j.length for j in trace])
-    out["ST"] = _ecdf(st)
-    out["BOT"] = _ecdf(bot)
-    out["mix"] = _ecdf(mix)
-    return out
+    return _cdf_by_structure(trace, lambda j: j.length)
 
 
 def mnof_mtbf_table(

@@ -45,18 +45,13 @@ from repro.core.simulate import (
     _validate_batch,
     simulate_task,
 )
-from repro.failures.distributions import (
-    Empirical,
-    Exponential,
-    Geometric,
-    Laplace,
-    LogNormal,
-    Normal,
-    Pareto,
-    Weibull,
-)
 from repro.failures.injector import FailureInjector
-from repro.failures.streams import task_stream_states
+from repro.failures.streams import (
+    _BATCH_LAWS,
+    _ROUNDS,
+    seek,
+    task_stream_states,
+)
 from repro.parallel.runner import simulate_tasks_sharded
 from repro.verify.compare import (
     Check,
@@ -80,16 +75,8 @@ STATS_WALL_SLACK = 0.15
 STATS_FAIL_REL = 0.25
 STATS_FAIL_ABS = 0.3
 
-#: Uptimes the scalar tier draws per task up front, in one ``sample``
-#: call.  Most tasks finish within them; the rest are rerun per task.
-_ROUNDS = 8
 #: Tasks the scalar tier seeds and draws at once (bounds its memory).
 _CHUNK = 1024
-#: Laws whose ``sample(rng, k)`` returns exactly ``k`` successive
-#: ``sample(rng, 1)`` draws.  :class:`~repro.failures.distributions.
-#: Mixture` draws all ``k`` component choices first, so it is not one.
-_BATCH_LAWS = (Empirical, Exponential, Geometric, Laplace, LogNormal,
-               Normal, Pareto, Weibull)
 
 
 @dataclass
@@ -208,13 +195,6 @@ def run_scalar(workload: Workload) -> TierResult:
 
     rng = np.random.default_rng()
 
-    def seek(state_inc):  # make ``rng`` draw as default_rng((seed, i))
-        state, inc = state_inc
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-
     for lo in range(0, n, _CHUNK):
         ids = np.arange(lo, min(lo + _CHUNK, n))
         states = task_stream_states(workload.seed, ids)
@@ -226,7 +206,7 @@ def run_scalar(workload: Workload) -> TierResult:
         if rows.size:
             uptimes = np.empty((_ROUNDS, rows.size))
             for col, row in enumerate(rows.tolist()):
-                seek(states[row])
+                seek(rng, states[row])
                 uptimes[:, col] = laws[row].sample(rng, _ROUNDS)
             if budget < _ROUNDS:
                 uptimes[budget:] = np.inf  # the injector's exhausted budget
@@ -245,7 +225,7 @@ def run_scalar(workload: Workload) -> TierResult:
             redo = np.concatenate([redo, rows[~out.completed]])
         for row in redo.tolist():
             i = lo + row
-            seek(states[row])
+            seek(rng, states[row])
             res = simulate_task(
                 te=float(workload.te[i]),
                 intervals=int(workload.intervals[i]),

@@ -1,15 +1,17 @@
-"""Differential test: one-wake segments run exactly like the per-interval
-model.
+"""Differential test: the executor runs exactly like the watchdog model.
 
-``ReferenceExecutor`` below is the per-interval executor the one-wake
-fast path replaced: a watchdog process per segment, one heap wake per
+``ReferenceExecutor`` below is the per-interval executor the current
+one replaced: a watchdog process per segment, one heap wake per
 interval end and per checkpoint end, and every checkpoint priced by
 the device from the task's memory.  Hypothesis runs small traces —
-sequential and bag jobs, local or ``auto`` storage, no host monitors,
-one to three hosts with one or two VMs — through
-:class:`~repro.cluster.platform.CloudPlatform` once with each executor
-and requires identical task records, makespan, queue peak and event
-count.  Failures replay per-task interval lists
+sequential and bag jobs, local, ``auto``, ``nfs`` or ``dmnfs``
+storage, with or without host-crash monitors, one to three hosts with
+one or two VMs — through :class:`~repro.cluster.platform.CloudPlatform`
+once with each executor and requires identical task records,
+makespan, queue peak and event count.  Local tasks without host
+monitors take the one-wake path, every other task the per-interval
+loop with a process-free failure alarm.  Failures replay per-task
+interval lists
 (:class:`~repro.failures.injector.TraceReplayInjector`) drawn from the
 segment's own boundaries (interval and checkpoint ends, ``te/x + C``,
 ``te + (x-1)C``, ...) as well as free values, so deadlines land
@@ -193,7 +195,9 @@ def build_case(case):
         n_hosts=case["n_hosts"], vms_per_host=case["vms"],
         storage=case["storage"], placement_overhead=case["placement"],
         failure_detection_delay=case["detection"],
-        max_failures_per_task=case["max_failures"])
+        max_failures_per_task=case["max_failures"],
+        host_mtbf=case.get("host_mtbf"),
+        host_repair_time=case.get("repair", 120.0))
     policy = make_policy(*case["policy"])
     mnof = {p: case["mnof"] for p in (1, 5, 9)}
     flat = [task for _, _, tasks in case["jobs"] for task in tasks]
@@ -223,7 +227,7 @@ def build_case(case):
 
 def _run(case):
     config, trace, policy, mnof = build_case(case)
-    res = CloudPlatform(config, seed=0).run_trace(
+    res = CloudPlatform(config, seed=case.get("seed", 0)).run_trace(
         trace, policy, mnof_by_priority=mnof, replay_history=True)
     return ([dataclasses.astuple(r) for r in res.task_records],
             res.makespan, res.peak_queue_length, res.n_events)
@@ -247,18 +251,24 @@ job_spec = st.tuples(
     st.lists(task_spec, min_size=1, max_size=3),
 )
 cases = st.fixed_dictionaries({
-    "storage": st.sampled_from(["local", "auto"]),
+    "storage": st.sampled_from(["local", "auto", "nfs", "dmnfs"]),
     "n_hosts": st.integers(1, 3),
     "vms": st.integers(1, 2),
     "placement": st.sampled_from([0.0, 0.5]),
     "detection": st.sampled_from([0.0, 1.0]),
-    "max_failures": st.sampled_from([2, 10_000]),
+    "max_failures": st.sampled_from([1, 2, 10_000]),
     "policy": st.one_of(
         st.tuples(st.just("fixed-count"), st.integers(1, 5)),
         st.sampled_from([("optimal", 0.0), ("young", 0.0), ("none", 0.0)])),
     "mnof": st.sampled_from([0.0, 0.5, 2.0, 6.0]),
     "jobs": st.lists(job_spec, min_size=1, max_size=4),
+    "host_mtbf": st.sampled_from([None, None, 60.0, 400.0]),
+    "repair": st.sampled_from([0.0, 30.0]),
+    "seed": st.integers(0, 3),
 })
+
+#: Host 0's first crash at seed 0 is this many host MTBFs in.
+_FIRST_CRASH = float(np.random.default_rng((0, 0x4057, 0)).exponential(1.0))
 
 
 def _single_task(te, x, uptime_index):
@@ -270,6 +280,16 @@ def _single_task(te, x, uptime_index):
         "policy": ("fixed-count", x), "mnof": 0.0,
         "jobs": [(True, 0.0, [(te, 160.0, 5, [("boundary", uptime_index)])])],
     }
+
+
+def _host_crash(storage, uptime, te, x=1, max_failures=2):
+    """One task on one host whose crash at ``100 * _FIRST_CRASH``
+    lands inside the task's first segment."""
+    case = _single_task(te, x, 0)
+    case.update(storage=storage, max_failures=max_failures,
+                host_mtbf=100.0, repair=30.0, seed=0,
+                jobs=[(True, 0.0, [(te, 160.0, 5, [("free", uptime)])])])
+    return case
 
 
 @settings(max_examples=400, deadline=None)
@@ -284,6 +304,40 @@ def _single_task(te, x, uptime_index):
 @example(case=_single_task(2.0, 2, 1))
 # ... and the final interval end: the task fails at the finish line.
 @example(case=_single_task(2.0, 2, 2))
+# The same ties on shared storage, in the per-interval loop.
+@example(case={**_single_task(2.0, 2, 0), "storage": "nfs"})
+@example(case={**_single_task(2.0, 1, 0), "storage": "nfs"})
+@example(case={**_single_task(2.0, 2, 1), "storage": "dmnfs"})
+@example(case={**_single_task(2.0, 2, 2), "storage": "auto"})
+# Two tasks' checkpoints begin at the same instant on NFS, one of them
+# at its deadline: the failing checkpoint must end before the other
+# prices its own, as the watchdog's earlier heap entry made it.
+@example(case={
+    "storage": "nfs", "n_hosts": 2, "vms": 2, "placement": 0.0,
+    "detection": 0.0, "max_failures": 1, "policy": ("optimal", 0.0),
+    "mnof": 2.0, "host_mtbf": None, "repair": 0.0, "seed": 0,
+    "jobs": [(False, 0.0, [(1.0, 10.0, 1, []), (1.0, 10.0, 1, []),
+                           (3.0, 64.0, 1, [("boundary", 0)])]),
+             (False, 1.0, [(1.0, 10.0, 1, [])])]})
+# Both tasks start at t=0, the second behind the first's deadline start:
+# the second's first interval ends at the first's deadline (1.125),
+# inside its checkpoint, and begins its own checkpoint before the
+# deadline cuts the first's, as behind the watchdog.
+@example(case={
+    "storage": "nfs", "n_hosts": 1, "vms": 2, "placement": 0.0,
+    "detection": 1.0, "max_failures": 10_000, "policy": ("fixed-count", 2),
+    "mnof": 0.0, "host_mtbf": None, "repair": 0.0, "seed": 0,
+    "jobs": [(False, 0.0, [(2.0, 10.0, 5, [("free", 1.125)]),
+                           (2.25, 10.0, 5, [])])]})
+# A host crash while the task waits on its deadline (uptime before the
+# interval end), and while it waits on the interval end; both run to
+# the failure budget.
+@example(case=_host_crash("local", 100 * _FIRST_CRASH + 5.0,
+                          100 * _FIRST_CRASH + 50.0))
+@example(case=_host_crash("nfs", 100 * _FIRST_CRASH + 5.0,
+                          100 * _FIRST_CRASH + 50.0))
+@example(case=_host_crash("dmnfs", 100 * _FIRST_CRASH + 80.0,
+                          100 * _FIRST_CRASH + 50.0, x=3))
 def test_one_wake_segments_match_per_interval_model(case):
     new = _run(case)
     with _reference_executor():

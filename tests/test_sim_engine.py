@@ -477,6 +477,103 @@ class TestAbsoluteWakes:
             env.run()
 
 
+def _deadline_scenario(use_watchdog):
+    """Victims waiting on a deadline at an instant other processes'
+    wakes share, armed with :meth:`Environment.deadline` or with the
+    watchdog process it stands in for.  Returns the log."""
+    env = Environment()
+    log = []
+
+    def victim(tag, start, delay):
+        yield start
+        if use_watchdog:
+            me = env.active_process
+
+            def dog():
+                try:
+                    yield delay
+                    me.interrupt()
+                except Interrupt:
+                    pass
+
+            watchdog = env.process(dog())
+            try:
+                yield 100.0
+            except Interrupt as i:
+                if i.cause is not None:
+                    watchdog.interrupt()
+                log.append((tag, i.cause or "deadline", env.now))
+        else:
+            try:
+                yield env.deadline(delay).wait()
+                log.append((tag, "deadline", env.now))
+            except Interrupt as i:
+                log.append((tag, i.cause, env.now))
+
+    def bystander(tag, *waits):
+        for w in waits:
+            yield w
+        log.append((tag, "woke", env.now))
+
+    def attacker(at, target):
+        yield at
+        target.interrupt("kill")
+
+    # Alone at t=1 (no start entry needed): a wake armed before the
+    # deadline wins the tie at t=2, one armed after loses it.
+    env.process(victim("alone", 1.0, 1.0))
+    env.process(bystander("armed-before", 2.0))
+    env.process(bystander("armed-after", 1.5, 0.5))
+    # At t=3 behind another wake of the same instant: that one's wait,
+    # armed before the watchdog's start would pop, wins the tie at t=4.
+    env.process(victim("behind", 3.0, 1.0))
+    env.process(bystander("same-instant", 3.0, 1.0))
+    # Killed at its deadline's own instant, before the start pops: the
+    # deadline never fires.
+    doomed = env.process(victim("doomed", 5.0, 1.0))
+    env.process(attacker(5.0, doomed))
+    env.run()
+    return log
+
+
+class TestDeadlines:
+    """A deadline orders like the watchdog process it stands in for."""
+
+    def test_orders_like_a_watchdog_process(self):
+        log = _deadline_scenario(use_watchdog=False)
+        assert log == _deadline_scenario(use_watchdog=True)
+        assert log == [
+            ("armed-before", "woke", 2.0), ("alone", "deadline", 2.0),
+            ("armed-after", "woke", 2.0),
+            ("same-instant", "woke", 4.0), ("behind", "deadline", 4.0),
+            ("doomed", "kill", 5.0)]
+
+    def test_pushes_nothing_unless_waited_on(self):
+        env = Environment()
+
+        def proc():
+            env.deadline(5.0)
+            yield 1.0
+
+        env.process(proc())
+        env.run()
+        # Bootstrap, the one wait, exit: no entry for the deadline.
+        assert (env.events_processed, env.now) == (3, 1.0)
+
+    def test_rejects_negative_delays_and_callers_outside_a_process(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.deadline(1.0)
+
+        def proc():
+            yield 0.5
+            env.deadline(-1.0)
+
+        env.process(proc())
+        with pytest.raises(SimulationError):
+            env.run()
+
+
 class TestConditions:
     def test_all_of_waits_for_everything(self):
         env = Environment()

@@ -2,7 +2,9 @@
 
 The reference is NumPy's own ``default_rng`` at test time, so a NumPy
 release that changes ``SeedSequence`` or PCG64 seeding fails here
-instead of silently moving every scalar-tier and DES result.
+instead of silently moving every scalar-tier and DES result.  The DES's
+batch-seeded injector is held to a ``FailureInjector`` on that
+generator, draw for draw.
 """
 
 from __future__ import annotations
@@ -12,7 +14,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.failures.streams import task_stream_states
+from repro.failures.distributions import (
+    Empirical,
+    Exponential,
+    Geometric,
+    Laplace,
+    LogNormal,
+    Mixture,
+    Normal,
+    Pareto,
+    Weibull,
+)
+from repro.failures.injector import FailureInjector
+from repro.failures.streams import (
+    _BATCH_LAWS,
+    _ROUNDS,
+    BatchSeededInjector,
+    stream_injector,
+    task_stream_states,
+)
 
 SEEDS = (0, 1, 2**31 - 1, 2**32, 2**40 + 7)
 #: batch-computed ids, including both ends of the uint32 word
@@ -91,3 +111,60 @@ def test_invalid_values_raise_like_default_rng():
 )
 def test_hypothesis_seeds(seed, ids):
     _assert_streams(seed, ids)
+
+
+#: one instance of every batch law
+LAWS = (
+    Empirical([3.0, 40.0, 41.5, 900.0, 12.0]),
+    Exponential(1.0 / 600.0),
+    Geometric(0.01),
+    Laplace(500.0, 200.0),
+    LogNormal(5.0, 1.5),
+    Normal(300.0, 250.0),
+    Pareto(10.0, 1.3),
+    Weibull(0.7, 800.0),
+)
+#: draws per injector: past the batch, and past a reset
+N_DRAWS = 3 * _ROUNDS
+
+
+def test_every_batch_law_is_covered():
+    assert {type(law) for law in LAWS} == set(_BATCH_LAWS)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("max_failures", [0, 3, 8, None])
+@pytest.mark.parametrize("seed,task_id", [(0, 0), (7, 1234), (2**40 + 7, 5),
+                                          (3, FALLBACK_IDS[0]),
+                                          (0, FALLBACK_IDS[1])])
+def test_batch_seeded_injector_matches_failure_injector(
+        law, max_failures, seed, task_id):
+    # Another task's injector draws from the shared generator in between.
+    state, other = task_stream_states(seed, [task_id, 99])
+    shared = np.random.default_rng()
+    injector = stream_injector(law, shared, state, seed, task_id,
+                               max_failures)
+    neighbour = stream_injector(law, shared, other, seed, 99)
+    ref = FailureInjector(law, np.random.default_rng((seed, task_id)),
+                          max_failures=max_failures)
+    assert isinstance(injector, BatchSeededInjector)
+    got, want = [], []
+    for k in range(N_DRAWS):
+        if k == _ROUNDS + 2:
+            injector.reset()
+            ref.reset()
+        got.append(injector.next_failure_in())
+        want.append(ref.next_failure_in())
+        neighbour.next_failure_in()
+    assert got == want
+    assert injector.failures_seen == ref.failures_seen
+
+
+def test_mixture_keeps_its_own_generator():
+    law = Mixture([Exponential(0.01), Pareto(5.0, 1.5)], [0.3, 0.7])
+    injector = stream_injector(law, np.random.default_rng(),
+                               task_stream_states(4, [11])[0], 4, 11)
+    ref = FailureInjector(law, np.random.default_rng((4, 11)))
+    assert not isinstance(injector, BatchSeededInjector)
+    assert [injector.next_failure_in() for _ in range(N_DRAWS)] == \
+        [ref.next_failure_in() for _ in range(N_DRAWS)]

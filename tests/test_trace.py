@@ -204,6 +204,17 @@ class TestStats:
         assert set(mem) == set(length) == {"ST", "BOT", "mix"}
         assert mem["mix"][0].size == len(small_trace)
 
+    def test_empty_pools_give_empty_arrays(self):
+        bot_only = Trace((Job(job_id=0, job_type=JobType.BAG_OF_TASKS,
+                              submit_time=0.0,
+                              tasks=(_task(0, 0, 0), _task(1, 0, 1))),))
+        for cdfs in (job_memory_cdf(bot_only), job_length_cdf(bot_only)):
+            xs, ys = cdfs["ST"]
+            assert xs.size == ys.size == 0
+            assert cdfs["BOT"][0].size == cdfs["mix"][0].size == 1
+        # No task failed: no priority has an interval pool.
+        assert interval_cdf_by_priority(bot_only) == {}
+
     def test_mnof_mtbf_table_shape(self, small_trace):
         tables = mnof_mtbf_table(small_trace, length_caps=(1000.0, math.inf))
         assert set(tables) == {"ST", "BOT", "mix"}
