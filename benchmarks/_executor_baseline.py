@@ -4,12 +4,12 @@ vendored as the benchmark baseline.
 A snapshot of ``TaskExecutor.run`` (``src/repro/cluster/executor.py``)
 and of the storage devices (``src/repro/storage/devices.py``, with
 ``contention_factor_nfs`` from ``costmodel.py``) as of git ce2d30c,
-before checkpoints were priced from the task's plan, contention-free
-local segments ran as one wake and the per-interval loop dropped its
-failure watchdog.  ``run_des_bench.py`` measures the executor speedup
-against it.  Two adaptations let it drive the current platform: the
-constructor accepts (and ignores) the plan's checkpoint cost, the
-event-credit callables and the one-wake flag, and each device the
+before checkpoints were priced from the task's plan, local segments
+ran as one wake and the per-interval loop dropped its failure
+watchdog.  ``run_des_bench.py`` measures the executor speedup against
+it.  Two adaptations let it drive the current platform: the
+constructor accepts (and ignores) the plan's checkpoint cost and the
+event-credit and -debit callables, and each device the
 platform hands out is mirrored by a snapshot device of the same kind
 (a DM-NFS mirror shares the original's generator, so server draws are
 unchanged).  Not part of the package — benchmarks only.
@@ -113,7 +113,7 @@ class TaskExecutor:
     def __init__(self, *, env, scheduler, config, task, intervals,
                  restart_cost, migration_type, device_for_vm, injector,
                  record, checkpoint_cost=None, credit_skipped=None,
-                 credit_stale=None, one_wake=False):
+                 credit_stale=None, debit_stale=None):
         self.env = env
         self.scheduler = scheduler
         self.config = config

@@ -3,7 +3,8 @@
 Compares a fresh ``run_des_bench.py`` payload against the committed
 ``BENCH_des.json``.  Absolute times are host-specific, so the guard
 compares *speedup ratios* (baseline engine vs current engine, baseline
-scheduler vs current scheduler, baseline executor vs current executor,
+scheduler vs current scheduler, baseline executor vs current executor
+on the contention-free run and in total over the contended op shapes,
 unsharded vs sharded — both sides of
 each ratio measured on the same host in the same run): a >25% drop in
 a serial ratio fails.
@@ -75,6 +76,18 @@ def check(committed: dict, fresh: dict) -> list[str]:
     else:
         ratio_check("executor.speedup", pinned["speedup"],
                     current["speedup"])
+
+    pinned = committed["contended"]
+    current = fresh["contended"]
+    sizes = {label: row["n_tasks"] for label, row in pinned.items()
+             if label != "total"}
+    if sizes != {label: current[label]["n_tasks"] for label in sizes
+                 if label in current}:
+        print("[skip] contended: committed and fresh runs used different "
+              "workloads")
+    else:
+        ratio_check("contended.total.speedup", pinned["total"]["speedup"],
+                    current["total"]["speedup"])
 
     same_cpus = (committed["host"].get("cpu_count")
                  == fresh["host"].get("cpu_count"))

@@ -27,8 +27,9 @@ record the CI regression guard compares against):
   ``e2ebench/workloads.py`` (shared storage, host crashes) through
   ``run_des_unsharded``, once with the vendored per-interval executor
   (a failure watchdog process per segment, memory-priced devices) and
-  once with the current loop, whose failure deadline is a process-free
-  alarm.  Digest and every ``extra`` counter
+  once with the current executor (a process-free failure alarm on
+  shared storage, one wake per local segment, host crashes included).
+  Digest and every ``extra`` counter
   must be equal; each row records both sides' heap pops next to the
   ``n_events`` they both report.
 * ``sharding`` — a multi-host contention-free scenario batch through

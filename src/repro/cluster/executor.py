@@ -37,12 +37,23 @@ its deadline completes that interval (and the task, if it was the
 last one); a checkpoint that would end exactly at the deadline is
 lost.
 
+*Stale entries.*  A cancelled wait leaves a stale heap entry that the
+reference model pops (and counts) only if its run gets that far: every
+one in a run that drains, those at or before the stop time in a
+host-monitor run, which stops at the last job completion (an entry
+armed before the last completion sorts before the stop event at the
+same instant).  A segment reports the time of each such entry through
+``credit_stale`` and the platform counts it by that rule; events that
+always count go through ``credit_skipped``.
+
 Per-interval segments
 ---------------------
-The executor runs no watchdog.  Before each interval or checkpoint
-wait it compares the wait's end (``now + length``, or ``now + cost``
-after ``begin_checkpoint``) with the deadline ``now + uptime`` taken at
-the segment start, and waits on whichever comes first, by the boundary
+A task on shared storage runs each wait: NFS in-flight counts set
+other tasks' checkpoint prices, so every instant is observable.  The
+executor runs no watchdog.  Before each interval or checkpoint wait it
+compares the wait's end (``now + length``, or ``now + cost`` after
+``begin_checkpoint``) with the deadline ``now + uptime`` taken at the
+segment start, and waits on whichever comes first, by the boundary
 rule.  It waits on the deadline through a
 :class:`~repro.sim.engine.Deadline`, a raw wake under the heap key the
 watchdog's deadline entry would have had, so the entries of every
@@ -50,47 +61,49 @@ other task at the same instant are served in the watchdog's order.  A
 checkpoint cut by the deadline still runs ``end_checkpoint``.  Host
 monitors interrupt the task process directly.
 
-*Events.*  A segment with a finite uptime credits through
-``credit_skipped`` the watchdog's interrupt and exit, and its start
-unless the deadline had to push one to learn its key.  It also
-reports through ``credit_stale`` the time ``T`` of the stale heap
-entry the reference model would have left behind: the watchdog's
-deadline on completion, the end of the cut wait on failure, and on a
-host crash whichever of the two the task was not waiting on (none if
-the crash came before the watchdog's start).  The platform counts a
-stale entry only if its run would have popped it (every one in a run
-that drains, those with ``T`` at or before the stop time in a
-host-monitor run: an entry armed before the last completion sorts
-before the stop event at the same instant).
+*Events.*  A segment with a finite uptime credits the watchdog's
+interrupt and exit, and its start unless the deadline had to push one
+to learn its key.  Its stale entry is the watchdog's deadline on
+completion, the end of the cut wait on failure, and on a host crash
+whichever of the two the task was not waiting on (none if the crash
+came before the watchdog's start).
 
 One-wake segments
 -----------------
-When nothing outside the task can observe an instant inside the
-segment, the executor runs it as **one wake**: it walks the segment's
-interval and checkpoint ends in place, with the same float additions
-the per-interval waits make (``t = t + length``, ``t = t + C``),
-compares each with the deadline by the boundary rule, and waits once,
-at the absolute time of completion or failure.
+A task on a local ramdisk runs each segment as **one wake**: it walks
+the segment's interval and checkpoint ends in place, with the same
+float additions the per-interval waits make (``t = t + length``, ``t =
+t + C``), compares each with the deadline by the boundary rule, and
+waits once, at the absolute time of completion or failure.  The
+ramdisk prices every checkpoint at the flat planned C (Table 2, local
+rows) and nobody reads its in-flight count, and the platform runs
+every trace to its last completion, so no other task and no reader of
+the record can observe an instant inside the segment.  The walk writes
+nothing; the checkpoints it passed are added to the record when the
+wake pops, one at a time as the per-interval loop adds them.
 
-*When.*  The task checkpoints to a local ramdisk, which prices every
-checkpoint at the flat planned C (Table 2, local rows) and whose
-in-flight count nobody reads; and the run has no host monitors
-(nothing interrupts a task but its own failure).  The platform runs
-every trace to its last completion, so nothing reads a record
-mid-segment.  Shared devices (NFS in-flight counts set other tasks'
-prices) and host-crash runs (a host monitor may interrupt at any
-instant) keep the per-interval loop.  Checkpoint counts and overhead
-are added one checkpoint at a time, as the per-interval loop adds them.
+*Host crashes.*  A host monitor may interrupt the wake at any instant.
+The executor then settles the segment by walking the same float chain
+from the segment start to the crash instant: the wakes strictly before
+the crash are done (their checkpoints count), and the wait in progress
+at the crash is the reference model's stale entry.  The crash wipes the
+ramdisk, so the task restarts from scratch as on every type-A host
+failure.
 
-*Events.*  Such a run drains, so every stale entry counts and the
-segment credits everything through ``credit_skipped``.  With ``i`` the
-interval and checkpoint wakes the reference model would have
-processed, it processes ``i`` wakes plus four watchdog events on
-completion (its start, the cancelling interrupt, its exit, its stale
-deadline), ``i`` alone with an infinite uptime (no watchdog), and ``i``
-plus five on failure (start, deadline, interrupt, exit, the task's
-stale wake); the one-wake segment processes one, so it credits ``i -
-1 + 4``, ``i - 1`` and ``i + 4``.
+*Events.*  With ``i`` the interval and checkpoint wakes the reference
+model would have processed, the one wake stands in for ``i`` wakes
+plus the watchdog's events; it processes one itself.
+
+- Completion: ``i - 1 + 3`` (the watchdog's start, interrupt and
+  exit) plus the stale deadline; ``i - 1`` with an infinite uptime
+  (no watchdog).
+- Failure: ``i + 3`` (the watchdog's start, deadline, interrupt and
+  exit, less the one wake) plus the end of the cut wait.
+- Host crash: ``i``, ``+ 3`` if the segment is watched, plus the end
+  of the wait in progress and the deadline (unless the crash came at
+  the segment start, before the watchdog's start), minus the segment's
+  own wake, which the engine now pops as a stale entry: it is reported
+  through ``debit_stale`` and counted off by the same stop-time rule.
 
 Same-instant ties *between different tasks* are outside the boundary
 rule for one-wake segments: the one wake takes its heap sequence
@@ -99,7 +112,10 @@ wake's at the previous checkpoint end (and the watchdog's after the
 segment start), so an entry of another task landing at the bit-equal
 instant may be served in the other order.  The differential test
 (``tests/test_executor_differential.py``) builds one such tie: the
-task records agree, the queue peak does not.
+task records agree, the queue peak does not.  The same holds for a host
+crash at the bit-equal instant of a wake: the settlement treats the
+wake as in progress, which is the reference order when the crash entry
+was armed first.
 """
 
 from __future__ import annotations
@@ -134,11 +150,13 @@ class TaskExecutor:
     restart_cost:
         Seconds each restart costs under this task's migration type.
     migration_type:
-        ``"A"`` when checkpoints are local, ``"B"`` when shared.
+        ``"A"`` when checkpoints are local (each segment runs as one
+        wake), ``"B"`` when shared (module docstring).
     device_for_vm:
         Callable mapping the currently held VM to the storage device
-        checkpoints are written to (the local-ramdisk target moves with
-        the task; shared targets are fixed).
+        checkpoints are written to.  Only the per-interval loop asks: a
+        one-wake segment prices its checkpoints at the planned cost and
+        touches no device.
     injector:
         Failure injector (``next_failure_in() -> float``).
     record:
@@ -147,11 +165,11 @@ class TaskExecutor:
         Called with the number of reference-model events a segment
         skipped (module docstring).
     credit_stale:
-        Called with the time of each stale heap entry a segment of the
-        per-interval loop skipped.
-    one_wake:
-        Run each segment as one wake; only for a task on a local ramdisk
-        in a run without host monitors (module docstring).
+        Called with the time of each stale heap entry of the reference
+        model that a segment skipped.
+    debit_stale:
+        Called with the time of each stale heap entry a segment left
+        that the reference model would not have (a crashed one wake).
     """
 
     def __init__(
@@ -169,7 +187,7 @@ class TaskExecutor:
         record: TaskRecord,
         credit_skipped: Callable[[int], None],
         credit_stale: Callable[[float], None],
-        one_wake: bool = False,
+        debit_stale: Callable[[float], None],
     ):
         self.env = env
         self.scheduler = scheduler
@@ -184,43 +202,44 @@ class TaskExecutor:
         self.record = record
         self.credit_skipped = credit_skipped
         self.credit_stale = credit_stale
-        self.one_wake = one_wake
+        self.debit_stale = debit_stale
 
     # ------------------------------------------------------------------
     # The waits below yield bare floats (the engine's allocation-free
     # raw-wake path) instead of Timeout objects; the scheduling order
     # and event counts are identical — see the engine module docstring.
-    def _walk(self, t: float, committed: int, length: float,
-              deadline: float):
-        """Walk a one-wake segment from time ``t`` (module docstring).
+    def _walk(self, t: float, committed: int, length: float, stop: float,
+              first_wins: bool):
+        """Walk a one-wake segment from time ``t`` to ``stop`` (module
+        docstring), writing nothing.
 
-        Returns ``(end, committed, last_commit_at, wakes, completed)``:
-        the completion or failure time, the intervals durably done by
-        then, the time of the last commit, and how many interval and
-        checkpoint wakes the reference model would have processed.
+        The first wake wins a tie with ``stop`` if ``first_wins``, every
+        later wake loses it.  Returns ``(end, committed, last_commit_at,
+        wakes, cut)``: the completion time, or ``stop`` if the walk got
+        there first; the checkpoints committed by then; the time of the
+        last commit; how many interval and checkpoint wakes the
+        reference model would have processed; and the end of the wait
+        ``stop`` cuts (``None`` on completion).
         """
         x = self.intervals
         cost = self.checkpoint_cost
-        rec = self.record
         last_commit_at = t
         wakes = 0
         while True:
             t_next = t + length
-            # The first wake wins a tie with the deadline, later ones lose.
-            if t_next > deadline or (wakes and t_next == deadline):
-                return deadline, committed, last_commit_at, wakes, False
+            if t_next > stop or (t_next == stop
+                                 and (wakes or not first_wins)):
+                return stop, committed, last_commit_at, wakes, t_next
             wakes += 1
             t = t_next
             if committed == x - 1:
-                return t, x, last_commit_at, wakes, True
+                return t, committed, last_commit_at, wakes, None
             t_next = t + cost
-            if t_next >= deadline:
-                return deadline, committed, last_commit_at, wakes, False
+            if t_next >= stop:
+                return stop, committed, last_commit_at, wakes, t_next
             wakes += 1
             t = t_next
             committed += 1
-            rec.n_checkpoints += 1
-            rec.checkpoint_overhead += cost
             last_commit_at = t
 
     def _finish(self, vm, completed: bool) -> TaskRecord:
@@ -246,6 +265,8 @@ class TaskExecutor:
         length = float(task.te / x)
         committed = 0  # completed intervals whose checkpoint is durable
         restart_due = 0.0  # restart cost owed at the next placement
+        # Checkpoints on a local ramdisk: each segment is one wake.
+        one_wake = self.migration_type == "A"
 
         while committed < x:
             # -- placement --------------------------------------------------
@@ -262,35 +283,71 @@ class TaskExecutor:
                 restart_due = 0.0
 
             # Register for host-failure interrupts only while actually
-            # executing (the try block below catches them).
+            # executing (the try blocks below catch them).
             vm.current_process = env.active_process
             uptime = self.injector.next_failure_in()
 
             watched = uptime != _INF
             deadline = env.now + float(uptime) if watched else _INF
-            if self.one_wake:
-                end, committed, last_commit_at, wakes, done = self._walk(
-                    env.now, committed, length, deadline)
-                yield env.wake_at(end)
-                if done:
-                    self.credit_skipped(wakes - 1 + (4 if watched else 0))
+            if one_wake:
+                start = env.now
+                end, done_to, last_commit_at, wakes, cut = self._walk(
+                    start, committed, length, deadline, True)
+                try:
+                    yield env.wake_at(end)
+                except Interrupt as itr:
+                    # A host crash: settle the segment at this instant.
+                    # Wakes strictly before it are done; the wait in
+                    # progress is the reference model's stale entry.
+                    _, done_to, last_commit_at, wakes, cut = self._walk(
+                        start, committed, length, env.now, False)
+                    self.credit_skipped(wakes + 3 if watched else wakes)
+                    self.credit_stale(cut)
+                    # The watchdog's deadline entry, once its start
+                    # popped: a crash at the segment start came first.
+                    if watched and env.now > start:
+                        self.credit_stale(deadline)
+                    # The engine pops this segment's own wake, now stale.
+                    self.debit_stale(end)
+                    cause = itr.cause
+                else:
+                    if cut is None:
+                        if watched:
+                            self.credit_skipped(wakes - 1 + 3)
+                            self.credit_stale(deadline)
+                        else:
+                            self.credit_skipped(wakes - 1)
+                    else:
+                        self.credit_skipped(wakes + 3)
+                        self.credit_stale(cut)
+                    cause = "task-failure"
+                # The checkpoints passed, one at a time as the
+                # per-interval loop adds them.
+                rec.n_checkpoints += done_to - committed
+                for _ in range(done_to - committed):
+                    rec.checkpoint_overhead += self.checkpoint_cost
+                if cut is None:
                     return self._finish(vm, True)
-                self.credit_skipped(wakes + 4)
-                cause = "task-failure"
+                committed = done_to
             else:
                 device = self.device_for_vm(vm)
+                begin_checkpoint = device.begin_checkpoint
+                end_checkpoint = device.end_checkpoint
+                planned_cost = self.checkpoint_cost
                 if watched:
                     # Armed right before the first wait (engine contract).
                     watch = env.deadline(uptime)
                     # The reference watchdog's interrupt and exit, and
                     # its start unless the deadline pushed one itself.
                     self.credit_skipped(3 if watch.reserved else 2)
-                last_commit_at = env.now
+                # ``now`` tracks env.now: a raw wait of ``d`` wakes at
+                # exactly ``now + d``.
+                now = last_commit_at = env.now
                 first = True
                 on_deadline = False
                 try:
                     while True:
-                        due = env.now + length
+                        due = now + length
                         # The first wake wins a tie with the deadline,
                         # later ones lose.
                         if due > deadline or (due == deadline and not first):
@@ -299,26 +356,26 @@ class TaskExecutor:
                             break
                         first = False
                         yield length
+                        now = due
                         if committed == x - 1:
                             # Final interval: the task completes.
                             if watched:
                                 self.credit_stale(deadline)
                             return self._finish(vm, True)
-                        cost, token = device.begin_checkpoint(
-                            self.checkpoint_cost)
+                        cost, token = begin_checkpoint(planned_cost)
                         try:
-                            due = env.now + cost
+                            due = now + cost
                             if due >= deadline:
                                 on_deadline = True
                                 yield watch.wait()
                                 break
                             yield cost
                         finally:
-                            device.end_checkpoint(token)
+                            end_checkpoint(token)
+                        now = last_commit_at = due
                         committed += 1
                         rec.n_checkpoints += 1
                         rec.checkpoint_overhead += cost
-                        last_commit_at = env.now
                     self.credit_stale(due)
                     cause = "task-failure"
                 except Interrupt as itr:

@@ -8,15 +8,18 @@ the per-priority catalog.  Before any job starts, one
 :func:`~repro.core.placement.resolve_tasks` call plans every task of
 the trace (storage target, checkpoint and restart cost, interval
 count); each task's executor then reads its row.  Local-ramdisk tasks
-in a run with no host monitors run each segment as one wake, every
-other task the watchdog-free per-interval loop
+run each segment as one wake, which a host crash settles at the crash
+instant; shared-storage tasks run the watchdog-free per-interval loop
 (:mod:`repro.cluster.executor`).  A task draws its failures from
 ``default_rng((seed, task_id))``; one
 :func:`~repro.failures.streams.task_stream_states` call computes every
 such state for the trace (:func:`~repro.failures.streams.stream_injector`).
-The returned :class:`~repro.cluster.records.PlatformResult` carries
-per-task and per-job measurements (WPR, wall-clock, overheads,
-queueing).
+Each job process starts at its submit time and each host monitor at
+its first crash (``Environment.process(at=)``), so nothing waits from
+t=0.  The returned :class:`~repro.cluster.records.PlatformResult`
+carries per-task and per-job measurements (WPR, wall-clock, overheads,
+queueing); its ``n_events`` is the reference model's count (executor
+module docstring).
 """
 
 from __future__ import annotations
@@ -132,17 +135,16 @@ class CloudPlatform:
             intervals.tolist())
         # Type-B tasks write to DM-NFS, unless the mode is plain "nfs".
         shared_device = nfs if cfg.storage == "nfs" else dmnfs
-        # Nothing but a task's own failure can interrupt it, and no
-        # record is read before the run ends: local segments are unseen
-        # and run as one wake, crediting the events they skip.
-        unobserved = cfg.host_mtbf is None
         # Per-host ramdisk checkpoints and no host-crash monitors: no
         # shared resource couples concurrently running tasks.
-        no_contention = cfg.storage == "local" and unobserved
+        no_contention = cfg.storage == "local" and cfg.host_mtbf is None
         # Reference-model events the executors skip (executor module
-        # docstring): counted at once, or as stale entries' times.
+        # docstring): counted at once, or as the times of stale entries
+        # the reference model would have left (``stale``) and of
+        # entries this run leaves in its stead (``unstale``).
         skipped = 0
         stale: list[float] = []
+        unstale: list[float] = []
 
         def credit_skipped(n: int) -> None:
             nonlocal skipped
@@ -198,12 +200,12 @@ class CloudPlatform:
                 record=record,
                 credit_skipped=credit_skipped,
                 credit_stale=stale.append,
-                one_wake=unobserved and local[row],
+                debit_stale=unstale.append,
             )
             return env.process(executor.run(), name=f"task-{task.task_id}")
 
         def job_process(job: Job, first_row: int, jrec: JobRecord):
-            yield max(0.0, job.submit_time - env.now)
+            """Started at the job's submit time (``env.process(at=)``)."""
             rows = enumerate(job.tasks, first_row)
             if job.job_type is JobType.SEQUENTIAL:
                 for row, task in rows:
@@ -223,9 +225,9 @@ class CloudPlatform:
         def host_lifecycle(host, mtbf: float, repair: float, hrng):
             """§2 liveness model: the host crashes at exponential times,
             killing every task running on its VMs; after repair it
-            rejoins and queued work can use it again."""
+            rejoins and queued work can use it again.  Started at its
+            first crash (``env.process(at=)``)."""
             while True:
-                yield float(hrng.exponential(mtbf))
                 scheduler.set_host_up(host, False)
                 host.n_crashes += 1
                 for vm in host.vms:
@@ -234,18 +236,22 @@ class CloudPlatform:
                         proc.interrupt("host-failure")
                 yield float(repair)
                 scheduler.set_host_up(host, True)
+                yield float(hrng.exponential(mtbf))
 
+        # Monitors and jobs start at their first event rather than with
+        # a wait from t=0: every entry pushed here precedes every later
+        # push either way, so the pop order is unchanged and only the
+        # t=0 bootstrap pops go, credited here.
         if cfg.host_mtbf is not None:
             for host in hosts:
+                hrng = np.random.default_rng((self.seed, 0x4057, host.host_id))
                 env.process(
-                    host_lifecycle(
-                        host,
-                        cfg.host_mtbf,
-                        cfg.host_repair_time,
-                        np.random.default_rng((self.seed, 0x4057, host.host_id)),
-                    ),
+                    host_lifecycle(host, cfg.host_mtbf, cfg.host_repair_time,
+                                   hrng),
                     name=f"host-monitor-{host.host_id}",
+                    at=float(hrng.exponential(cfg.host_mtbf)),
                 )
+                skipped += 1
 
         job_procs = []
         first_row = 0
@@ -258,17 +264,20 @@ class CloudPlatform:
             )
             job_records.append(jrec)
             job_procs.append(env.process(
-                job_process(job, first_row, jrec), name=f"job-{job.job_id}"))
+                job_process(job, first_row, jrec), name=f"job-{job.job_id}",
+                at=max(0.0, float(job.submit_time))))
             first_row += job.n_tasks
+        skipped += len(job_procs)
 
         if cfg.host_mtbf is not None:
             # Host monitors run forever; stop once every job completed.
             # The reference model pops a stale entry only by then.
             env.run(until=env.all_of(job_procs))
-            skipped += sum(1 for t in stale if t <= env.now)
+            skipped += (sum(1 for t in stale if t <= env.now)
+                        - sum(1 for t in unstale if t <= env.now))
         else:
             env.run()
-            skipped += len(stale)
+            skipped += len(stale) - len(unstale)
         # env.now is the last event's time, which may be a stale wake
         # of a cancelled wait; the makespan is the last task completion.
         finishes = [

@@ -41,11 +41,19 @@ deliberately flattened:
   float additions (``((now + a) + b) + c``) needs this to land exactly
   where the chain of relative waits would have, because ``now + (t -
   now)`` need not equal ``t`` in floating point.  The cluster executor
-  uses it to run a contention-free local segment as one wake;
+  uses it to run a local-ramdisk segment as one wake;
 * a :class:`Deadline` stands in for a watchdog process that sleeps and
   then interrupts its owner: the owner waits on it as on a raw wake
   under the key the watchdog's deadline entry would have had, and
-  nothing is pushed unless the owner waits on it.
+  nothing is pushed unless the owner waits on it;
+* ``env.process(gen, at=t)`` pushes the bootstrap entry at ``t``, so a
+  process that would only wait from now until ``t`` costs no bootstrap
+  pop (see :meth:`Environment.process` for when the order is the same);
+* nothing the engine holds is a reference cycle once it is done with
+  it: a finished :class:`Process` drops its cached bound methods, and a
+  :class:`Deadline` its start callback once that entry pops.  A finished
+  process, its generator and its return value thus die by reference
+  count instead of waiting for the cyclic collector.
 
 None of this changes observable behaviour: every entry still receives
 its ``(time, priority, seq)`` key in exactly the order the equivalent
@@ -272,24 +280,33 @@ class Process(Event):
     __slots__ = ("gen", "_target", "name", "_send", "_throw", "_resume_cb",
                  "_wgen")
 
-    def __init__(self, env: "Environment", gen: Generator, name: str | None = None):
+    def __init__(self, env: "Environment", gen: Generator,
+                 name: str | None = None, at: float | None = None):
+        if at is None:
+            at = env._now
+        elif at < env._now:
+            raise SimulationError(
+                f"process {name!r} asked to start at {at!r}, before "
+                f"now={env._now!r}")
         super().__init__(env)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Event | None = None
         # Bound methods cached once: every wait of this process reuses
         # the same callback object instead of re-binding per resume.
+        # ``_retire`` drops them when the generator finishes.
         self._send = gen.send
         self._throw = gen.throw
         self._resume_cb = self._resume
-        # Bootstrap: resume the generator as soon as the sim starts,
-        # via a raw wake.  The wake generation IS the armed entry's
-        # unique heap seq (``_wgen == entry seq`` means live), so
-        # arming costs no extra counter and the entry no extra slot.
+        # Bootstrap: resume the generator at ``at`` (as soon as the sim
+        # starts by default), via a raw wake.  The wake generation IS
+        # the armed entry's unique heap seq (``_wgen == entry seq``
+        # means live), so arming costs no extra counter and the entry
+        # no extra slot.
         seq = env._seq + 1
         env._seq = seq
         self._wgen = seq
-        heappush(env._queue, (env._now, NORMAL, seq, None, self))
+        heappush(env._queue, (at, NORMAL, seq, None, self))
 
     @property
     def is_alive(self) -> bool:
@@ -373,18 +390,28 @@ class Process(Event):
                          (env._now + target, NORMAL, seq, None, self))
                 return
         except StopIteration as stop:
-            self._target = None
+            self._retire()
             self.succeed(stop.value)
         except Interrupt:
             # Interrupt escaped the generator: treat as normal termination
             # with the interrupt cause as the value (a killed task).
-            self._target = None
+            self._retire()
             self.succeed(None)
         except BaseException as exc:
-            self._target = None
+            self._retire()
             self.fail(exc)
         finally:
             env._active = None
+
+    def _retire(self) -> None:
+        """Drop what only a live generator needs.  ``_resume_cb`` is a
+        bound method of this process, so keeping it would leave every
+        finished process as cyclic garbage for the collector; without
+        it the process, its generator and its return value die by
+        reference count.  A finished process stays yieldable
+        (``_processed``) and :meth:`interrupt` on it is a no-op."""
+        self._target = None
+        self._send = self._throw = self._resume_cb = None
 
 
 class Deadline:
@@ -454,6 +481,8 @@ class Deadline:
         return self.seq is not None
 
     def _start(self, _trigger) -> None:
+        # Popped once: drop the bound method that points back at self.
+        self._resume_cb = None
         env = self.env
         seq = env._seq + 1
         env._seq = seq
@@ -575,9 +604,21 @@ class Environment:
         """The active process's :class:`Deadline` ``delay`` from now."""
         return Deadline(self, float(delay))
 
-    def process(self, gen: Generator, name: str | None = None) -> Process:
-        """Register a generator as a new :class:`Process`."""
-        return Process(self, gen, name)
+    def process(self, gen: Generator, name: str | None = None,
+                at: float | None = None) -> Process:
+        """Register a generator as a new :class:`Process`.
+
+        The generator first runs at absolute time ``at`` (default: now);
+        ``at < now`` raises :class:`SimulationError`.  Against a process
+        started now whose first statement is ``yield at - now``, this
+        saves one processed event (the bootstrap pop at ``now``) and
+        takes the entry's seq at creation instead of at that pop.  The
+        two orders agree when every process created before that pop
+        starts this way: the bootstrap pops would run in creation order
+        and push nothing but their own waits, so each wait's seq keeps
+        its place among the others and before every later push.
+        """
+        return Process(self, gen, name, at)
 
     def all_of(self, events: list[Event]) -> AllOf:
         """Condition event triggering once all ``events`` have fired."""

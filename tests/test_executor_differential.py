@@ -8,9 +8,10 @@ sequential and bag jobs, local, ``auto``, ``nfs`` or ``dmnfs``
 storage, with or without host-crash monitors, one to three hosts with
 one or two VMs — through :class:`~repro.cluster.platform.CloudPlatform`
 once with each executor and requires identical task records,
-makespan, queue peak and event count.  Local tasks without host
-monitors take the one-wake path, every other task the per-interval
-loop with a process-free failure alarm.  Failures replay per-task
+makespan, queue peak and event count.  Local tasks take the one-wake
+path (a host crash settles the segment by walking it to the crash),
+shared-storage tasks the per-interval loop with a process-free failure
+alarm.  Failures replay per-task
 interval lists
 (:class:`~repro.failures.injector.TraceReplayInjector`) drawn from the
 segment's own boundaries (interval and checkpoint ends, ``te/x + C``,
@@ -282,14 +283,27 @@ def _single_task(te, x, uptime_index):
     }
 
 
-def _host_crash(storage, uptime, te, x=1, max_failures=2):
+def _host_crash(storage, uptime, te, x=1, max_failures=2, submit=0.0):
     """One task on one host whose crash at ``100 * _FIRST_CRASH``
-    lands inside the task's first segment."""
+    lands inside the task's first segment (failure-free if ``uptime``
+    is ``None``)."""
     case = _single_task(te, x, 0)
+    fails = [] if uptime is None else [("free", uptime)]
     case.update(storage=storage, max_failures=max_failures,
                 host_mtbf=100.0, repair=30.0, seed=0,
-                jobs=[(True, 0.0, [(te, 160.0, 5, [("free", uptime)])])])
+                jobs=[(True, submit, [(te, 160.0, 5, fails)])])
     return case
+
+
+#: The crash instant of :func:`_host_crash`, the host's next crash
+#: (after a 30 s repair), and the planned checkpoint cost of its 160 MB
+#: task on a local ramdisk.
+_CRASH = 100 * _FIRST_CRASH
+_NEXT_CRASH = (_CRASH + 30.0) + 100 * float(
+    np.random.default_rng((0, 0x4057, 0)).exponential(1.0, 2)[1])
+_LOCAL_C = float(resolve_tasks(
+    "local", make_policy("fixed-count", 3), np.array([1.0]),
+    np.array([160.0]), np.zeros(1), np.full(1, math.inf))[1][0])
 
 
 @settings(max_examples=400, deadline=None)
@@ -338,6 +352,33 @@ def _host_crash(storage, uptime, te, x=1, max_failures=2):
                           100 * _FIRST_CRASH + 50.0))
 @example(case=_host_crash("dmnfs", 100 * _FIRST_CRASH + 80.0,
                           100 * _FIRST_CRASH + 50.0, x=3))
+# Host crashes settling a one-wake local segment.  Before the first
+# interval end, with the deadline (the segment's one-wake target) after
+# the crash:
+@example(case=_host_crash("local", _CRASH + 100.0, 2 * (_CRASH + 7.0), x=2))
+# Inside the second checkpoint, after one commit, with no task failure:
+# one checkpoint counts, and the wipe still restarts from scratch.
+@example(case=_host_crash("local", None,
+                          1.5 * (_CRASH - 1.5 * _LOCAL_C), x=3))
+# In a segment that would have completed (the deadline lies past the
+# completion): the retries run past the segment's own stale wake, which
+# the engine pops and the segment debits.
+@example(case=_host_crash("local", 40.0, 20.0, max_failures=10_000,
+                          submit=_CRASH - 10.0))
+# A crash that spends the failure budget: the run stops at the crash,
+# before the segment's own wake (no debit) and both reference-model
+# stale entries (no credit).
+@example(case=_host_crash("local", _CRASH + 80.0, _CRASH + 50.0,
+                          max_failures=1))
+# A crash at the bit-equal end of the first interval, armed before the
+# task's wake: the wake is in progress, not done.
+@example(case=_host_crash("local", None, 2 * _CRASH, x=2))
+# The next crash lands at the bit-equal start of a segment (the first
+# crash hit the placement wait, before the task registered): the
+# watchdog of the reference model never started, so its deadline is
+# no stale entry.
+@example(case={**_host_crash("local", 5.0, 2.0, max_failures=10_000),
+               "placement": _NEXT_CRASH})
 def test_one_wake_segments_match_per_interval_model(case):
     new = _run(case)
     with _reference_executor():

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
 from repro.cluster import CloudPlatform, ClusterConfig
+from repro.cluster.executor import TaskExecutor
+from repro.cluster.records import TaskRecord
+from repro.sim.engine import Process
 from repro.core.policies import FixedCountPolicy, NoCheckpointPolicy
 from repro.trace.models import Job, JobType, Task, Trace
 
@@ -82,6 +88,37 @@ class TestHostFailures:
             _bot_trace(), FixedCountPolicy(10))
         assert r1.mean_wpr() == r2.mean_wpr()
         assert r1.makespan == r2.makespan
+
+class TestFinishedWorkIsFreedByRefcount:
+    def test_no_task_or_job_state_in_cyclic_garbage(self):
+        """Finished task and job processes, their generators, executors
+        and records die by reference count, host crashes included; only
+        the never-ending host monitors and VM <-> host links are left
+        for the cyclic collector."""
+        cfg = ClusterConfig(n_hosts=3, vms_per_host=2, host_mtbf=1500.0,
+                            host_repair_time=50.0, storage="local")
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            res = CloudPlatform(cfg, seed=5).run_trace(
+                _bot_trace(n_tasks=8), FixedCountPolicy(10))
+            assert sum(t.n_failures for t in res.task_records) > 0
+            del res
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        leaked = [
+            o for o in garbage
+            if isinstance(o, (TaskExecutor, TaskRecord))
+            or (isinstance(o, Process)
+                and o.name.startswith(("task-", "job-")))
+            or (isinstance(o, types.GeneratorType)
+                and o.__name__ in ("run", "job_process"))
+        ]
+        assert leaked == []
+        assert any(isinstance(o, Process) for o in garbage)  # monitors
 
 
 class TestCrashBeforeTheTaskRegisters:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from repro.sim import (
@@ -249,6 +252,30 @@ class TestProcesses:
         env.run()
         assert sink == ["inner"]
 
+    def test_finished_process_releases_itself(self):
+        """A finished process keeps no bound method (of itself or its
+        generator), so it dies by reference count, yet stays yieldable
+        and ignores interrupts."""
+        env = Environment()
+        got = []
+
+        def child():
+            yield 1.0
+            return "done"
+
+        def parent(p):
+            yield 2.0
+            got.append((yield p))  # finished at t=1: resumes inline
+
+        p = env.process(child())
+        env.process(parent(p))
+        env.run()
+        assert got == ["done"] and not p.is_alive
+        methods = (types.MethodType, types.BuiltinMethodType)
+        assert not [r for r in gc.get_referents(p) if isinstance(r, methods)]
+        p.interrupt("late")
+        assert env.peek() == float("inf")
+
     def test_immediately_processed_event_resumes_inline(self):
         env = Environment()
         seen = []
@@ -477,6 +504,57 @@ class TestAbsoluteWakes:
             env.run()
 
 
+def _deferred_scenario(use_at):
+    """Processes created before the run that start later, with
+    ``process(at=)`` or with a first statement that waits until then.
+    Returns the log and the processed-event count."""
+    env = Environment()
+    log = []
+
+    def deferred(tag, at, waits):
+        if not use_at:
+            yield at - env.now
+        log.append((tag, "start", env.now))
+        for w in waits:
+            yield w
+            log.append((tag, w, env.now))
+        if tag == "a":
+            env.process(deferred("a-child", env.now, [0.0]))
+
+    # Ties at t=1 (two starts), t=2 (a start and two wakes) and t=2.5.
+    starts = [("a", 1.0, [1.0, 0.5]), ("b", 1.0, [0.5, 1.0]),
+              ("c", 0.0, [2.0]), ("d", 2.0, [0.5])]
+    for tag, at, waits in starts:
+        gen = deferred(tag, at, waits)
+        env.process(gen, at=at) if use_at else env.process(gen)
+    env.run()
+    return log, env.events_processed
+
+
+class TestDeferredStarts:
+    """``process(at=)``: the bootstrap entry sits at ``at``."""
+
+    def test_orders_like_a_first_wait_and_saves_the_bootstrap_pop(self):
+        log, events = _deferred_scenario(use_at=True)
+        ref_log, ref_events = _deferred_scenario(use_at=False)
+        assert log == ref_log
+        assert [e[0] for e in log if e[1] == "start"] == \
+            ["c", "a", "b", "d", "a-child"]
+        # One processed event fewer per process, the child included.
+        assert events == ref_events - 5
+
+    def test_rejects_the_past(self):
+        env = Environment()
+
+        def proc():
+            yield 1.0
+
+        env.run(until=1.0)
+        env.process(proc(), at=1.0)  # now is fine
+        with pytest.raises(SimulationError):
+            env.process(proc(), at=0.5)
+
+
 def _deadline_scenario(use_watchdog):
     """Victims waiting on a deadline at an instant other processes'
     wakes share, armed with :meth:`Environment.deadline` or with the
@@ -547,6 +625,23 @@ class TestDeadlines:
             ("armed-after", "woke", 2.0),
             ("same-instant", "woke", 4.0), ("behind", "deadline", 4.0),
             ("doomed", "kill", 5.0)]
+
+    def test_releases_its_start_callback_once_popped(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            yield 0.0
+            env.timeout(0.0)  # queued at now: the start entry is pushed
+            watch = env.deadline(2.0)
+            seen.append(watch)
+            yield 1.0
+
+        env.process(proc())
+        env.run()
+        (watch,) = seen
+        assert watch.started and not watch.reserved
+        assert watch._resume_cb is None
 
     def test_pushes_nothing_unless_waited_on(self):
         env = Environment()
