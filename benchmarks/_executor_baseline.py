@@ -8,11 +8,10 @@ before checkpoints were priced from the task's plan, local segments
 ran as one wake and the per-interval loop dropped its failure
 watchdog.  ``run_des_bench.py`` measures the executor speedup against
 it.  Two adaptations let it drive the current platform: the
-constructor accepts (and ignores) the plan's checkpoint cost and the
-event-credit and -debit callables, and each device the
-platform hands out is mirrored by a snapshot device of the same kind
-(a DM-NFS mirror shares the original's generator, so server draws are
-unchanged).  Not part of the package — benchmarks only.
+constructor accepts (and ignores) the plan's checkpoint cost, and each
+device the platform hands out is mirrored by a snapshot device of the
+same kind (a DM-NFS mirror shares the original's generator, so server
+draws are unchanged).  Not part of the package — benchmarks only.
 """
 
 from __future__ import annotations
@@ -112,8 +111,7 @@ class TaskExecutor:
 
     def __init__(self, *, env, scheduler, config, task, intervals,
                  restart_cost, migration_type, device_for_vm, injector,
-                 record, checkpoint_cost=None, credit_skipped=None,
-                 credit_stale=None, debit_stale=None):
+                 record, checkpoint_cost=None):
         self.env = env
         self.scheduler = scheduler
         self.config = config

@@ -14,24 +14,23 @@ record the CI regression guard compares against):
 * ``scheduler`` — a queue-deep shared-storage scenario (NFS
   checkpoints, so it cannot shard) on the single event loop, once with
   the vendored pre-incremental scheduler (``_scheduler_baseline.py``)
-  and once with the current one.  Digest, event count, queue peak and
-  makespan must be equal; ``speedup`` is baseline over current.
+  and once with the current one.  Digest, queue peak and makespan must
+  be equal; ``speedup`` is baseline over current.
 * ``executor`` — the unsharded 2000-task ``exp-baseline-local`` run,
   once with the vendored per-interval executor and memory-priced
   devices (``_executor_baseline.py``) and once with the current
   executor (checkpoints priced from the plan, contention-free local
-  segments as one wake).  Digest and every ``extra`` counter
-  (``n_events`` included) must be equal; ``speedup`` is baseline over
-  current.
+  segments as one wake).  Digest and every ``extra`` counter but
+  ``n_events`` must be equal; each side reports its own event count
+  (heap pops); ``speedup`` is baseline over current.
 * ``contended`` — the six ``des-contended`` op shapes of
   ``e2ebench/workloads.py`` (shared storage, host crashes) through
   ``run_des_unsharded``, once with the vendored per-interval executor
   (a failure watchdog process per segment, memory-priced devices) and
   once with the current executor (a process-free failure alarm on
   shared storage, one wake per local segment, host crashes included).
-  Digest and every ``extra`` counter
-  must be equal; each row records both sides' heap pops next to the
-  ``n_events`` they both report.
+  Digest and every ``extra`` counter but ``n_events`` must be equal;
+  each row records both sides' event counts (heap pops).
 * ``sharding`` — a multi-host contention-free scenario batch through
   the unsharded event loop vs host-group sharding at workers 1/2/4,
   with per-task alignment and digest worker-invariance asserted (runs
@@ -174,8 +173,8 @@ def bench_event_loop(repeats: int) -> dict:
 # ----------------------------------------------------------------------
 def _unsharded_with(workload, **classes):
     """``run_des_unsharded`` with the platform building the given
-    classes in place of its own (``GreedyScheduler=``, ``TaskExecutor=``,
-    ``Environment=``)."""
+    classes in place of its own (``GreedyScheduler=``,
+    ``TaskExecutor=``)."""
     from repro.cluster import platform
 
     current = {name: getattr(platform, name) for name in classes}
@@ -186,6 +185,16 @@ def _unsharded_with(workload, **classes):
     finally:
         for name, cls in current.items():
             setattr(platform, name, cls)
+
+
+def _assert_same_run(base, cur, label: str) -> None:
+    """Equal digests and ``extra`` counters, except the event counts:
+    each side's ``n_events`` is its own engine's heap pops."""
+    def counters(run):
+        return {k: v for k, v in run.extra.items() if k != "n_events"}
+
+    assert base.digest == cur.digest and counters(base) == counters(cur), \
+        f"{label} diverges from the baseline!"
 
 
 def bench_scheduler(repeats: int, quick: bool) -> dict:
@@ -200,8 +209,7 @@ def bench_scheduler(repeats: int, quick: bool) -> dict:
     base = _unsharded_with(
         workload, GreedyScheduler=baseline_scheduler.GreedyScheduler)
     cur = _unsharded_with(workload, GreedyScheduler=GreedyScheduler)
-    assert base.digest == cur.digest and base.extra == cur.extra, \
-        "current scheduler diverges from the baseline!"
+    _assert_same_run(base, cur, "current scheduler")
     times = _best_of_interleaved(repeats, {
         "base": lambda: _unsharded_with(
             workload, GreedyScheduler=baseline_scheduler.GreedyScheduler),
@@ -235,8 +243,7 @@ def bench_executor(repeats: int, quick: bool) -> dict:
     base = _unsharded_with(
         workload, TaskExecutor=baseline_executor.TaskExecutor)
     cur = _unsharded_with(workload, TaskExecutor=TaskExecutor)
-    assert base.digest == cur.digest and base.extra == cur.extra, \
-        "current executor diverges from the baseline!"
+    _assert_same_run(base, cur, "current executor")
     times = _best_of_interleaved(repeats, {
         "base": lambda: _unsharded_with(
             workload, TaskExecutor=baseline_executor.TaskExecutor),
@@ -246,6 +253,7 @@ def bench_executor(repeats: int, quick: bool) -> dict:
         "scenario": spec.name,
         "n_tasks": spec.workload.n_tasks,
         "storage": spec.storage.mode,
+        "n_events_baseline": int(base.extra["n_events"]),
         "n_events": int(cur.extra["n_events"]),
         "baseline_s": round(times["base"], 4),
         "current_s": round(times["cur"], 4),
@@ -273,22 +281,6 @@ CONTENDED_OPS = {
 }
 
 
-def _heap_pops(workload, executor) -> int:
-    """Entries the event loop popped in one run with ``executor``."""
-    from repro.sim.engine import Environment
-
-    envs = []
-
-    class Counting(Environment):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            envs.append(self)
-
-    _unsharded_with(workload, TaskExecutor=executor, Environment=Counting)
-    (env,) = envs
-    return env.events_processed
-
-
 def bench_contended(repeats: int, quick: bool) -> dict:
     import _executor_baseline as baseline_executor
 
@@ -303,8 +295,7 @@ def bench_contended(repeats: int, quick: bool) -> dict:
         base = _unsharded_with(
             workload, TaskExecutor=baseline_executor.TaskExecutor)
         cur = _unsharded_with(workload, TaskExecutor=TaskExecutor)
-        assert base.digest == cur.digest and base.extra == cur.extra, \
-            f"{label}: current executor diverges from the baseline!"
+        _assert_same_run(base, cur, f"{label}: current executor")
         times = _best_of_interleaved(repeats, {
             "base": lambda: _unsharded_with(
                 workload, TaskExecutor=baseline_executor.TaskExecutor),
@@ -316,10 +307,8 @@ def bench_contended(repeats: int, quick: bool) -> dict:
             "storage": spec.storage.mode,
             "host_mtbf": spec.failures.host_mtbf,
             "peak_queue_length": int(cur.extra["peak_queue_length"]),
+            "n_events_baseline": int(base.extra["n_events"]),
             "n_events": int(cur.extra["n_events"]),
-            "heap_pops_baseline": _heap_pops(
-                workload, baseline_executor.TaskExecutor),
-            "heap_pops_current": _heap_pops(workload, TaskExecutor),
             "baseline_s": round(times["base"], 4),
             "current_s": round(times["cur"], 4),
             "speedup": round(times["base"] / times["cur"], 2),

@@ -18,55 +18,31 @@ migration type) is the task's row of the platform's one
 Formula (3) against Young's formula under identical placement and
 contention conditions.
 
-The reference model
--------------------
 A *segment* is the run of intervals and checkpoints between one
-placement and the next failure or completion.  The model the executor
-reproduces waits once per interval end and once per checkpoint end,
-and arms the failure as a separate *watchdog* process that sleeps
-``uptime`` and then interrupts the task; completing the segment or a
-host crash cancels the watchdog.  Every count below, and
-:attr:`~repro.cluster.records.PlatformResult.n_events`, is that
-model's.
+placement and the next failure or completion.  Its failure deadline
+lies ``uptime`` after the segment start, with ``uptime`` drawn from the
+injector when the segment starts.
 
-*Boundary rule.*  The reference model arms the segment's first wake
-before the watchdog arms the failure deadline, and every later wake
-after it, so at an exactly equal time the first wake wins the tie and
-every later wake loses it: a task whose first interval ends exactly at
-its deadline completes that interval (and the task, if it was the
-last one); a checkpoint that would end exactly at the deadline is
-lost.
-
-*Stale entries.*  A cancelled wait leaves a stale heap entry that the
-reference model pops (and counts) only if its run gets that far: every
-one in a run that drains, those at or before the stop time in a
-host-monitor run, which stops at the last job completion (an entry
-armed before the last completion sorts before the stop event at the
-same instant).  A segment reports the time of each such entry through
-``credit_stale`` and the platform counts it by that rule; events that
-always count go through ``credit_skipped``.
+*Boundary rule.*  At an exactly equal time the segment's first wake
+wins the tie with the deadline and every later wake loses it: a task
+whose first interval ends exactly at its deadline completes that
+interval (and the task, if it was the last one); a checkpoint that
+would end exactly at the deadline is lost.
 
 Per-interval segments
 ---------------------
 A task on shared storage runs each wait: NFS in-flight counts set
-other tasks' checkpoint prices, so every instant is observable.  The
-executor runs no watchdog.  Before each interval or checkpoint wait it
-compares the wait's end (``now + length``, or ``now + cost`` after
-``begin_checkpoint``) with the deadline ``now + uptime`` taken at the
-segment start, and waits on whichever comes first, by the boundary
-rule.  It waits on the deadline through a
-:class:`~repro.sim.engine.Deadline`, a raw wake under the heap key the
-watchdog's deadline entry would have had, so the entries of every
-other task at the same instant are served in the watchdog's order.  A
-checkpoint cut by the deadline still runs ``end_checkpoint``.  Host
-monitors interrupt the task process directly.
-
-*Events.*  A segment with a finite uptime credits the watchdog's
-interrupt and exit, and its start unless the deadline had to push one
-to learn its key.  Its stale entry is the watchdog's deadline on
-completion, the end of the cut wait on failure, and on a host crash
-whichever of the two the task was not waiting on (none if the crash
-came before the watchdog's start).
+other tasks' checkpoint prices, so every instant is observable.  Before
+each interval or checkpoint wait the executor compares the wait's end
+(``now + length``, or ``now + cost`` after ``begin_checkpoint``) with
+the deadline and waits on whichever comes first, by the boundary rule.
+It waits on the deadline through a :class:`~repro.sim.engine.Deadline`,
+whose heap key orders the failure among other tasks' entries at the
+same instant as a failure watchdog started at the segment start would:
+an NFS checkpoint the deadline cuts ends before another task, arriving
+at the same instant later, prices its own.  A checkpoint cut by the
+deadline still runs ``end_checkpoint``.  Host monitors interrupt the
+task process directly.
 
 One-wake segments
 -----------------
@@ -86,36 +62,16 @@ wake pops, one at a time as the per-interval loop adds them.
 The executor then settles the segment by walking the same float chain
 from the segment start to the crash instant: the wakes strictly before
 the crash are done (their checkpoints count), and the wait in progress
-at the crash is the reference model's stale entry.  The crash wipes the
-ramdisk, so the task restarts from scratch as on every type-A host
-failure.
+at the crash, including one ending at the bit-equal instant, is lost.
+The crash wipes the ramdisk, so the task restarts from scratch as on
+every type-A host failure.
 
-*Events.*  With ``i`` the interval and checkpoint wakes the reference
-model would have processed, the one wake stands in for ``i`` wakes
-plus the watchdog's events; it processes one itself.
-
-- Completion: ``i - 1 + 3`` (the watchdog's start, interrupt and
-  exit) plus the stale deadline; ``i - 1`` with an infinite uptime
-  (no watchdog).
-- Failure: ``i + 3`` (the watchdog's start, deadline, interrupt and
-  exit, less the one wake) plus the end of the cut wait.
-- Host crash: ``i``, ``+ 3`` if the segment is watched, plus the end
-  of the wait in progress and the deadline (unless the crash came at
-  the segment start, before the watchdog's start), minus the segment's
-  own wake, which the engine now pops as a stale entry: it is reported
-  through ``debit_stale`` and counted off by the same stop-time rule.
-
-Same-instant ties *between different tasks* are outside the boundary
-rule for one-wake segments: the one wake takes its heap sequence
-number at the segment start, where the reference model took the last
-wake's at the previous checkpoint end (and the watchdog's after the
-segment start), so an entry of another task landing at the bit-equal
-instant may be served in the other order.  The differential test
-(``tests/test_executor_differential.py``) builds one such tie: the
-task records agree, the queue peak does not.  The same holds for a host
-crash at the bit-equal instant of a wake: the settlement treats the
-wake as in progress, which is the reference order when the crash entry
-was armed first.
+*Ties between tasks.*  The one wake takes its heap sequence number at
+the segment start, so among other tasks' entries at the bit-equal
+instant it is served in segment-start order, where per-interval waits
+would be served in the order of the previous checkpoint end.  The
+differential test (``tests/test_executor_differential.py``) builds one
+such tie: the task records agree, the queue peak does not.
 """
 
 from __future__ import annotations
@@ -161,15 +117,6 @@ class TaskExecutor:
         Failure injector (``next_failure_in() -> float``).
     record:
         Mutable record collecting the measurements.
-    credit_skipped:
-        Called with the number of reference-model events a segment
-        skipped (module docstring).
-    credit_stale:
-        Called with the time of each stale heap entry of the reference
-        model that a segment skipped.
-    debit_stale:
-        Called with the time of each stale heap entry a segment left
-        that the reference model would not have (a crashed one wake).
     """
 
     def __init__(
@@ -185,9 +132,6 @@ class TaskExecutor:
         device_for_vm: Callable[[object], StorageDevice],
         injector,
         record: TaskRecord,
-        credit_skipped: Callable[[int], None],
-        credit_stale: Callable[[float], None],
-        debit_stale: Callable[[float], None],
     ):
         self.env = env
         self.scheduler = scheduler
@@ -200,14 +144,11 @@ class TaskExecutor:
         self.device_for_vm = device_for_vm
         self.injector = injector
         self.record = record
-        self.credit_skipped = credit_skipped
-        self.credit_stale = credit_stale
-        self.debit_stale = debit_stale
 
     # ------------------------------------------------------------------
     # The waits below yield bare floats (the engine's allocation-free
-    # raw-wake path) instead of Timeout objects; the scheduling order
-    # and event counts are identical — see the engine module docstring.
+    # raw-wake path) instead of Timeout objects; the scheduling order is
+    # identical — see the engine module docstring.
     def _walk(self, t: float, committed: int, length: float, stop: float,
               first_wins: bool):
         """Walk a one-wake segment from time ``t`` to ``stop`` (module
@@ -215,29 +156,24 @@ class TaskExecutor:
 
         The first wake wins a tie with ``stop`` if ``first_wins``, every
         later wake loses it.  Returns ``(end, committed, last_commit_at,
-        wakes, cut)``: the completion time, or ``stop`` if the walk got
-        there first; the checkpoints committed by then; the time of the
-        last commit; how many interval and checkpoint wakes the
-        reference model would have processed; and the end of the wait
-        ``stop`` cuts (``None`` on completion).
+        cut)``: the completion time, or ``stop`` if the walk got there
+        first; the checkpoints committed by then; the time of the last
+        commit; and whether ``stop`` cut the segment.
         """
         x = self.intervals
         cost = self.checkpoint_cost
         last_commit_at = t
-        wakes = 0
         while True:
             t_next = t + length
-            if t_next > stop or (t_next == stop
-                                 and (wakes or not first_wins)):
-                return stop, committed, last_commit_at, wakes, t_next
-            wakes += 1
+            if t_next > stop or (t_next == stop and not first_wins):
+                return stop, committed, last_commit_at, True
+            first_wins = False
             t = t_next
             if committed == x - 1:
-                return t, committed, last_commit_at, wakes, None
+                return t, committed, last_commit_at, False
             t_next = t + cost
             if t_next >= stop:
-                return stop, committed, last_commit_at, wakes, t_next
-            wakes += 1
+                return stop, committed, last_commit_at, True
             t = t_next
             committed += 1
             last_commit_at = t
@@ -291,42 +227,23 @@ class TaskExecutor:
             deadline = env.now + float(uptime) if watched else _INF
             if one_wake:
                 start = env.now
-                end, done_to, last_commit_at, wakes, cut = self._walk(
+                end, done_to, last_commit_at, cut = self._walk(
                     start, committed, length, deadline, True)
                 try:
                     yield env.wake_at(end)
-                except Interrupt as itr:
-                    # A host crash: settle the segment at this instant.
-                    # Wakes strictly before it are done; the wait in
-                    # progress is the reference model's stale entry.
-                    _, done_to, last_commit_at, wakes, cut = self._walk(
-                        start, committed, length, env.now, False)
-                    self.credit_skipped(wakes + 3 if watched else wakes)
-                    self.credit_stale(cut)
-                    # The watchdog's deadline entry, once its start
-                    # popped: a crash at the segment start came first.
-                    if watched and env.now > start:
-                        self.credit_stale(deadline)
-                    # The engine pops this segment's own wake, now stale.
-                    self.debit_stale(end)
-                    cause = itr.cause
-                else:
-                    if cut is None:
-                        if watched:
-                            self.credit_skipped(wakes - 1 + 3)
-                            self.credit_stale(deadline)
-                        else:
-                            self.credit_skipped(wakes - 1)
-                    else:
-                        self.credit_skipped(wakes + 3)
-                        self.credit_stale(cut)
                     cause = "task-failure"
+                except Interrupt as itr:
+                    # A host crash: settle the segment at this instant;
+                    # wakes strictly before it are done.
+                    _, done_to, last_commit_at, cut = self._walk(
+                        start, committed, length, env.now, False)
+                    cause = itr.cause
                 # The checkpoints passed, one at a time as the
                 # per-interval loop adds them.
                 rec.n_checkpoints += done_to - committed
                 for _ in range(done_to - committed):
                     rec.checkpoint_overhead += self.checkpoint_cost
-                if cut is None:
+                if not cut:
                     return self._finish(vm, True)
                 committed = done_to
             else:
@@ -337,21 +254,16 @@ class TaskExecutor:
                 if watched:
                     # Armed right before the first wait (engine contract).
                     watch = env.deadline(uptime)
-                    # The reference watchdog's interrupt and exit, and
-                    # its start unless the deadline pushed one itself.
-                    self.credit_skipped(3 if watch.reserved else 2)
                 # ``now`` tracks env.now: a raw wait of ``d`` wakes at
                 # exactly ``now + d``.
                 now = last_commit_at = env.now
                 first = True
-                on_deadline = False
                 try:
                     while True:
                         due = now + length
                         # The first wake wins a tie with the deadline,
                         # later ones lose.
                         if due > deadline or (due == deadline and not first):
-                            on_deadline = True
                             yield watch.wait()
                             break
                         first = False
@@ -359,14 +271,11 @@ class TaskExecutor:
                         now = due
                         if committed == x - 1:
                             # Final interval: the task completes.
-                            if watched:
-                                self.credit_stale(deadline)
                             return self._finish(vm, True)
                         cost, token = begin_checkpoint(planned_cost)
                         try:
                             due = now + cost
                             if due >= deadline:
-                                on_deadline = True
                                 yield watch.wait()
                                 break
                             yield cost
@@ -376,15 +285,8 @@ class TaskExecutor:
                         committed += 1
                         rec.n_checkpoints += 1
                         rec.checkpoint_overhead += cost
-                    self.credit_stale(due)
                     cause = "task-failure"
                 except Interrupt as itr:
-                    # A host crash: of the reference's two stale entries
-                    # (the wait, the watchdog's deadline) one is real.
-                    if on_deadline:
-                        self.credit_stale(due)
-                    elif watched and watch.started:
-                        self.credit_stale(deadline)
                     cause = itr.cause
 
             # Failure: lose progress since the last committed checkpoint.

@@ -18,8 +18,8 @@ Each job process starts at its submit time and each host monitor at
 its first crash (``Environment.process(at=)``), so nothing waits from
 t=0.  The returned :class:`~repro.cluster.records.PlatformResult`
 carries per-task and per-job measurements (WPR, wall-clock, overheads,
-queueing); its ``n_events`` is the reference model's count (executor
-module docstring).
+queueing); its ``n_events`` is the number of heap entries the run's
+event loop popped (:attr:`~repro.sim.engine.Environment.events_processed`).
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ class CloudPlatform:
         mnof_by_priority: dict[int, float] | None = None,
         mtbf_by_priority: dict[int, float] | None = None,
         replay_history: bool = False,
+        _stream_states: list[tuple[int, int]] | None = None,
     ) -> PlatformResult:
         """Execute ``trace`` under ``policy`` and collect records.
 
@@ -113,6 +114,10 @@ class CloudPlatform:
             intervals (trace-driven injection, like the paper's
             ``kill -9`` replays); otherwise fresh intervals are drawn
             from the catalog.
+        _stream_states:
+            The :func:`~repro.failures.streams.task_stream_states` rows
+            of ``trace.tasks()``, when the caller computed them in one
+            batch for several traces (:mod:`repro.des.sharding`).
         """
         cfg = self.config
         env, hosts, scheduler, nfs, dmnfs = self._build()
@@ -138,21 +143,10 @@ class CloudPlatform:
         # Per-host ramdisk checkpoints and no host-crash monitors: no
         # shared resource couples concurrently running tasks.
         no_contention = cfg.storage == "local" and cfg.host_mtbf is None
-        # Reference-model events the executors skip (executor module
-        # docstring): counted at once, or as the times of stale entries
-        # the reference model would have left (``stale``) and of
-        # entries this run leaves in its stead (``unstale``).
-        skipped = 0
-        stale: list[float] = []
-        unstale: list[float] = []
-
-        def credit_skipped(n: int) -> None:
-            nonlocal skipped
-            skipped += n
 
         if not replay_history:
             # Every task's default_rng((seed, task_id)) state, in one batch.
-            streams = task_stream_states(
+            streams = _stream_states or task_stream_states(
                 self.seed, [t.task_id for t in tasks])
             shared_rng = np.random.default_rng()
 
@@ -198,9 +192,6 @@ class CloudPlatform:
                 device_for_vm=device_for_vm,
                 injector=injector,
                 record=record,
-                credit_skipped=credit_skipped,
-                credit_stale=stale.append,
-                debit_stale=unstale.append,
             )
             return env.process(executor.run(), name=f"task-{task.task_id}")
 
@@ -240,8 +231,7 @@ class CloudPlatform:
 
         # Monitors and jobs start at their first event rather than with
         # a wait from t=0: every entry pushed here precedes every later
-        # push either way, so the pop order is unchanged and only the
-        # t=0 bootstrap pops go, credited here.
+        # push either way, so the pop order is the same.
         if cfg.host_mtbf is not None:
             for host in hosts:
                 hrng = np.random.default_rng((self.seed, 0x4057, host.host_id))
@@ -251,7 +241,6 @@ class CloudPlatform:
                     name=f"host-monitor-{host.host_id}",
                     at=float(hrng.exponential(cfg.host_mtbf)),
                 )
-                skipped += 1
 
         job_procs = []
         first_row = 0
@@ -267,17 +256,12 @@ class CloudPlatform:
                 job_process(job, first_row, jrec), name=f"job-{job.job_id}",
                 at=max(0.0, float(job.submit_time))))
             first_row += job.n_tasks
-        skipped += len(job_procs)
 
         if cfg.host_mtbf is not None:
             # Host monitors run forever; stop once every job completed.
-            # The reference model pops a stale entry only by then.
             env.run(until=env.all_of(job_procs))
-            skipped += (sum(1 for t in stale if t <= env.now)
-                        - sum(1 for t in unstale if t <= env.now))
         else:
             env.run()
-            skipped += len(stale) - len(unstale)
         # env.now is the last event's time, which may be a stale wake
         # of a cancelled wait; the makespan is the last task completion.
         finishes = [
@@ -290,5 +274,5 @@ class CloudPlatform:
             jobs=job_records,
             makespan=max(finishes) if finishes else env.now,
             peak_queue_length=scheduler.peak_queue_length,
-            n_events=env.events_processed + skipped,
+            n_events=env.events_processed,
         )

@@ -48,19 +48,23 @@ its sub-cluster with the *same root seed* as the unsharded run;
 because every task's failure stream is keyed by ``(seed, task_id)``
 (the DES analogue of the vectorized tier's per-chunk ``SeedSequence``
 spawning), shards consume identical draws no matter where they
-execute.  Results merge in ``task_id`` order.  Digests, summaries,
-and the aggregated ``extra`` statistics are consequently identical
-for every ``workers`` value.
+execute.  The run computes every task's stream state once
+(:func:`~repro.failures.streams.task_stream_states`) and ships each
+shard its rows.  Results merge in ``task_id`` order.  Digests,
+summaries, and the aggregated ``extra`` statistics are consequently
+identical for every ``workers`` value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from itertools import accumulate
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.platform import CloudPlatform
+from repro.failures.streams import task_stream_states
 from repro.trace.models import Trace
 
 __all__ = [
@@ -187,6 +191,7 @@ def run_shard(payload: dict) -> dict:
         policy=make_policy(payload["policy"], payload["policy_param"]),
         mnof_by_priority=payload["mnof_by_priority"],
         mtbf_by_priority=payload["mtbf_by_priority"],
+        _stream_states=payload["stream_states"],
     )
     records = sorted(res.task_records, key=lambda r: r.task_id)
     task_ids = np.asarray([rec.task_id for rec in records], dtype=np.int64)
@@ -230,6 +235,10 @@ def run_des_sharded(workload, workers: int = 1):
         # Degenerate (empty trace): nothing to decompose.
         return run_des_unsharded(workload)
     policy = workload.spec.policy
+    states = task_stream_states(
+        workload.seed, [t.task_id for job in trace_jobs for t in job.tasks])
+    first_row = list(accumulate((job.n_tasks for job in trace_jobs),
+                                initial=0))
     payloads = [
         {
             "cluster": _sub_cluster(workload.cluster, host_ids),
@@ -240,6 +249,9 @@ def run_des_sharded(workload, workers: int = 1):
             "policy_param": policy.param,
             "mnof_by_priority": workload.mnof_by_priority,
             "mtbf_by_priority": workload.mtbf_by_priority,
+            "stream_states": [states[row] for j in job_idx
+                              for row in range(first_row[j],
+                                               first_row[j + 1])],
         }
         for host_ids, job_idx in plan
     ]

@@ -438,15 +438,13 @@ class Deadline:
     seq would sort after every entry queued now and before every later
     push but that wait.  The seq ``env._seq + 0.5`` sorts the same way
     against every entry the deadline can be pending with, so it is
-    taken at once and nothing is pushed for the start
-    (:attr:`reserved`).  Otherwise the start entry is pushed and popped
-    for real (one processed event, like the watchdog's): its pop takes
-    the seq, and arms the owner's wake if the owner waits on the
-    deadline already.
+    taken at once and nothing is pushed for the start.  Otherwise the
+    start entry is pushed and popped for real (one processed event,
+    like the watchdog's): its pop takes the seq, and arms the owner's
+    wake if the owner waits on the deadline already.
     """
 
-    __slots__ = ("env", "owner", "when", "seq", "reserved", "_wgen",
-                 "_resume_cb")
+    __slots__ = ("env", "owner", "when", "seq", "_wgen", "_resume_cb")
 
     def __init__(self, env: "Environment", delay: float):
         if delay < 0:
@@ -462,7 +460,6 @@ class Deadline:
         head = queue[0] if queue else None
         if head is None or head[0] > now or head[1] > NORMAL:
             self.seq = env._seq + 0.5
-            self.reserved = True
         else:
             # The raw-wake dispatch reads ``_wgen`` and calls
             # ``_resume_cb``.
@@ -471,14 +468,7 @@ class Deadline:
             self._wgen = seq
             self._resume_cb = self._start
             self.seq = None
-            self.reserved = False
             heappush(queue, (now, NORMAL, seq, None, self))
-
-    @property
-    def started(self) -> bool:
-        """Whether the watchdog's start entry has popped: from then on
-        its deadline entry would be in the heap."""
-        return self.seq is not None
 
     def _start(self, _trigger) -> None:
         # Popped once: drop the bound method that points back at self.
@@ -543,12 +533,6 @@ class Environment:
         Two runs of the same model with the same seed must process the
         same number of events in the same order; the verification
         subsystem uses this count as a cheap whole-run determinism probe.
-        It counts only what this engine popped: a model that skips
-        events it can prove unobservable (the cluster executor's
-        one-wake segments, the watchdog its deadlines stand in for)
-        credits them in its own result —
-        :attr:`~repro.cluster.records.PlatformResult.n_events` is this
-        count plus those credits.
         """
         return self._processed_count
 

@@ -28,6 +28,11 @@ Design rules
 * **Stdlib only.**  Like :mod:`repro.spec`, the store imports no
   third-party packages, so config and report tooling can read stores
   without paying for NumPy.
+* **Model-versioned reads.**  A record stores the :data:`MODEL_VERSION`
+  it was computed under in ``provenance``; :meth:`ResultStore.get`
+  serves only records of the current version, so a store written
+  before a change to the model semantics recomputes instead of serving
+  stale results.
 
 The consumers are :func:`repro.api.run` (``store=`` gives any caller
 skip-if-cached execution), :mod:`repro.parallel.sweep` (``--store``),
@@ -45,6 +50,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 __all__ = [
+    "MODEL_VERSION",
     "RECORD_VERSION",
     "ResultStore",
     "RunRecord",
@@ -55,6 +61,12 @@ __all__ = [
 #: Schema version of the serialized record form.  Bump it when the
 #: record shape changes and register a migration in :data:`_MIGRATIONS`.
 RECORD_VERSION = 3
+
+#: Version of the model semantics behind every stored result.  Bump it
+#: with any change that moves a result digest or a pinned counter (the
+#: files under ``tests/golden``): records of any other version, or of
+#: none, then read as misses and are recomputed.
+MODEL_VERSION = 2
 
 
 class StoreError(RuntimeError):
@@ -144,6 +156,7 @@ class RunRecord:
         workers = result.spec.execution.workers
         provenance = {
             "code_version": __version__,
+            "model_version": MODEL_VERSION,
             "workers": workers,
             "workers_effective": int(
                 result.extra.get("workers_effective", workers)
@@ -347,11 +360,13 @@ class ResultStore:
     ) -> RunRecord | None:
         """Load the record for ``spec_digest`` (``None`` when absent).
 
-        ``on_corrupt`` selects what an unreadable record does:
-        ``"raise"`` (default) raises :class:`StoreError` so corruption
-        is never silent; ``"miss"`` treats it as a cache miss — the
-        campaign runner's choice, because recomputing the cell rewrites
-        a good record over the bad one.
+        A record computed under another :data:`MODEL_VERSION` (or one
+        that records none) is a miss, never an error: recomputing the
+        cell overwrites it.  ``on_corrupt`` selects what an unreadable
+        record does: ``"raise"`` (default) raises :class:`StoreError` so
+        corruption is never silent; ``"miss"`` treats it as a cache miss
+        — the campaign runner's choice, because recomputing the cell
+        rewrites a good record over the bad one.
         """
         if on_corrupt not in ("raise", "miss"):
             raise ValueError(
@@ -381,6 +396,8 @@ class ResultStore:
                 f"record {path} claims spec_digest "
                 f"{record.spec_digest[:12]}…, expected {spec_digest[:12]}…"
             )
+        if record.provenance.get("model_version") != MODEL_VERSION:
+            return None
         return record
 
     def contains(self, spec_digest: str) -> bool:
@@ -414,7 +431,8 @@ class ResultStore:
 
         With ``keep`` given, every record whose digest is not in the
         set is removed (a campaign prunes to its own cell set this
-        way).  With ``drop_corrupt=True``, records that fail to parse
+        way).  With ``drop_corrupt=True``, records :meth:`get` would
+        not serve (they fail to parse, or carry another model version)
         are removed too.  Returns ``{"removed", "kept",
         "corrupt_removed"}`` counts.
         """
@@ -440,7 +458,7 @@ class ResultStore:
         """Aggregate store statistics.
 
         ``n_records``/``total_bytes`` count record files;
-        ``n_corrupt`` counts those that fail to parse; ``by_tier``
+        ``n_corrupt`` counts those :meth:`get` would not serve; ``by_tier``
         histograms the readable records.
         """
         n = total = corrupt = 0

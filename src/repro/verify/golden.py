@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 
 from repro._version import __version__
-from repro.store import RunRecord, canonical_spec_dict
+from repro.store import MODEL_VERSION, RunRecord, canonical_spec_dict
 from repro.verify.compare import Check
 from repro.verify.runner import ScenarioResult
 
@@ -97,7 +97,8 @@ def tier_records(result: ScenarioResult) -> dict[str, RunRecord]:
             extra={k: float(v) for k, v in tr.extra.items()},
             elapsed_s=round(result.elapsed_s, 3),
             spec=canonical_spec_dict(spec),
-            provenance={"code_version": __version__, "workers": 1,
+            provenance={"code_version": __version__,
+                        "model_version": MODEL_VERSION, "workers": 1,
                         "workers_effective": 1},
             created_at=round(time.time(), 3),
         )

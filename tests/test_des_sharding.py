@@ -95,6 +95,18 @@ class TestShardedEqualsUnsharded:
         assert sh.extra["n_events"] > 0
         assert un.summary["completion_rate"] == sh.summary["completion_rate"]
 
+    def test_streams_are_seeded_once_per_run(self, monkeypatch):
+        from repro.cluster import platform
+
+        workload = build_workload(get_scenario("exp-baseline-local"))
+        expected = run_des_sharded(workload, workers=1).digest
+
+        def per_shard(*args, **kwargs):
+            raise AssertionError("a shard seeded its own streams")
+
+        monkeypatch.setattr(platform, "task_stream_states", per_shard)
+        assert run_des_sharded(workload, workers=1).digest == expected
+
     def test_run_des_dispatches_to_sharded_path(self):
         workload = build_workload(get_scenario("exp-baseline-local"))
         tr = run_des(workload)

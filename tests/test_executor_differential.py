@@ -8,7 +8,7 @@ sequential and bag jobs, local, ``auto``, ``nfs`` or ``dmnfs``
 storage, with or without host-crash monitors, one to three hosts with
 one or two VMs — through :class:`~repro.cluster.platform.CloudPlatform`
 once with each executor and requires identical task records,
-makespan, queue peak and event count.  Local tasks take the one-wake
+makespan and queue peak.  Local tasks take the one-wake
 path (a host crash settles the segment by walking it to the crash),
 shared-storage tasks the per-interval loop with a process-free failure
 alarm.  Failures replay per-task
@@ -231,7 +231,7 @@ def _run(case):
     res = CloudPlatform(config, seed=case.get("seed", 0)).run_trace(
         trace, policy, mnof_by_priority=mnof, replay_history=True)
     return ([dataclasses.astuple(r) for r in res.task_records],
-            res.makespan, res.peak_queue_length, res.n_events)
+            res.makespan, res.peak_queue_length)
 
 
 uptime_spec = st.one_of(
@@ -361,22 +361,21 @@ _LOCAL_C = float(resolve_tasks(
 @example(case=_host_crash("local", None,
                           1.5 * (_CRASH - 1.5 * _LOCAL_C), x=3))
 # In a segment that would have completed (the deadline lies past the
-# completion): the retries run past the segment's own stale wake, which
-# the engine pops and the segment debits.
+# completion): the retries run past the segment's own stale wake.
 @example(case=_host_crash("local", 40.0, 20.0, max_failures=10_000,
                           submit=_CRASH - 10.0))
 # A crash that spends the failure budget: the run stops at the crash,
-# before the segment's own wake (no debit) and both reference-model
-# stale entries (no credit).
+# before the segment's own stale wake.
 @example(case=_host_crash("local", _CRASH + 80.0, _CRASH + 50.0,
                           max_failures=1))
 # A crash at the bit-equal end of the first interval, armed before the
 # task's wake: the wake is in progress, not done.
 @example(case=_host_crash("local", None, 2 * _CRASH, x=2))
+# ... and at the bit-equal end of the only interval: the task fails at
+# its finish line.
+@example(case=_host_crash("local", None, _CRASH, x=1))
 # The next crash lands at the bit-equal start of a segment (the first
-# crash hit the placement wait, before the task registered): the
-# watchdog of the reference model never started, so its deadline is
-# no stale entry.
+# crash hit the placement wait, before the task registered).
 @example(case={**_host_crash("local", 5.0, 2.0, max_failures=10_000),
                "placement": _NEXT_CRASH})
 def test_one_wake_segments_match_per_interval_model(case):
@@ -406,7 +405,7 @@ def test_cross_task_tie_is_outside_the_rule():
     per-interval model armed A's last wake after B's retry and queues
     B first (two waiting); the one wake was armed at A's segment start,
     so A's release is served first and the queue never holds two.
-    Every task record, the makespan and the event count still agree.
+    Every task record and the makespan still agree.
     """
     case = {
         "storage": "local", "n_hosts": 1, "vms": 2, "placement": 0.0,
@@ -419,9 +418,8 @@ def test_cross_task_tie_is_outside_the_rule():
             (True, 1.55, [(100.0, 160.0, 5, [])]),
         ],
     }
-    records, makespan, peak, events = _run(case)
+    records, makespan, peak = _run(case)
     with _reference_executor():
-        ref_records, ref_makespan, ref_peak, ref_events = _run(case)
-    assert (records, makespan, events) == (ref_records, ref_makespan,
-                                           ref_events)
+        ref_records, ref_makespan, ref_peak = _run(case)
+    assert (records, makespan) == (ref_records, ref_makespan)
     assert (peak, ref_peak) == (1, 2)

@@ -11,15 +11,15 @@ import pytest
 from repro.cluster import CloudPlatform, ClusterConfig
 from repro.cluster.executor import TaskExecutor
 from repro.cluster.records import TaskRecord
-from repro.sim.engine import Process
+from repro.sim.engine import Environment, Process
 from repro.core.policies import FixedCountPolicy, NoCheckpointPolicy
 from repro.trace.models import Job, JobType, Task, Trace
 
 
-def _bot_trace(n_tasks=10, te=2000.0):
+def _bot_trace(n_tasks=10, te=2000.0, interval_scale=1e9):
     tasks = tuple(
         Task(task_id=k, job_id=0, index=k, te=te, mem_mb=100.0,
-             priority=1, interval_scale=1e9)
+             priority=1, interval_scale=interval_scale)
         for k in range(n_tasks)
     )
     return Trace((Job(job_id=0, job_type=JobType.BAG_OF_TASKS,
@@ -88,6 +88,35 @@ class TestHostFailures:
             _bot_trace(), FixedCountPolicy(10))
         assert r1.mean_wpr() == r2.mean_wpr()
         assert r1.makespan == r2.makespan
+
+class TestEventCount:
+    @pytest.mark.parametrize("storage, host_mtbf, interval_scale", [
+        ("nfs", None, 800.0),
+        ("local", 1500.0, 1e9),
+    ], ids=["nfs-task-failures", "local-host-crashes"])
+    def test_n_events_is_what_the_engine_popped(
+            self, monkeypatch, storage, host_mtbf, interval_scale):
+        from repro.cluster import platform
+
+        envs = []
+
+        class Recording(Environment):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                envs.append(self)
+
+        monkeypatch.setattr(platform, "Environment", Recording)
+        cfg = ClusterConfig(n_hosts=3, vms_per_host=2, host_mtbf=host_mtbf,
+                            host_repair_time=50.0, storage=storage)
+        res = CloudPlatform(cfg, seed=5).run_trace(
+            _bot_trace(n_tasks=8, interval_scale=interval_scale),
+            FixedCountPolicy(10))
+        assert sum(t.n_failures for t in res.task_records) > 0
+        (env,) = envs
+        assert res.n_events == env.events_processed > 0
+
 
 class TestFinishedWorkIsFreedByRefcount:
     def test_no_task_or_job_state_in_cyclic_garbage(self):

@@ -627,20 +627,24 @@ class TestDeadlines:
             ("doomed", "kill", 5.0)]
 
     def test_releases_its_start_callback_once_popped(self):
-        env = Environment()
-        seen = []
+        def run(with_deadline):
+            env = Environment()
+            seen = []
 
-        def proc():
-            yield 0.0
-            env.timeout(0.0)  # queued at now: the start entry is pushed
-            watch = env.deadline(2.0)
-            seen.append(watch)
-            yield 1.0
+            def proc():
+                yield 0.0
+                env.timeout(0.0)  # queued at now: the start entry is pushed
+                if with_deadline:
+                    seen.append(env.deadline(2.0))
+                yield 1.0
 
-        env.process(proc())
-        env.run()
-        (watch,) = seen
-        assert watch.started and not watch.reserved
+            env.process(proc())
+            env.run()
+            return env.events_processed, seen
+
+        events, (watch,) = run(True)
+        # The real start entry is one extra pop, which drops the callback.
+        assert events == run(False)[0] + 1
         assert watch._resume_cb is None
 
     def test_pushes_nothing_unless_waited_on(self):

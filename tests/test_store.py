@@ -14,7 +14,13 @@ import os
 
 import pytest
 
-from repro.store import RECORD_VERSION, ResultStore, RunRecord, StoreError
+from repro.store import (
+    MODEL_VERSION,
+    RECORD_VERSION,
+    ResultStore,
+    RunRecord,
+    StoreError,
+)
 
 DIGEST = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -31,8 +37,8 @@ def make_record(spec_digest: str = DIGEST, **over) -> RunRecord:
         extra={"workers_effective": 1.0},
         elapsed_s=1.25,
         spec={"spec_version": 1, "name": "unit"},
-        provenance={"code_version": "x", "workers": 1,
-                    "workers_effective": 1},
+        provenance={"code_version": "x", "model_version": MODEL_VERSION,
+                    "workers": 1, "workers_effective": 1},
     )
     kwargs.update(over)
     return RunRecord(**kwargs)
