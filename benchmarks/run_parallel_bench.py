@@ -5,7 +5,8 @@ Times the blocked Monte-Carlo kernel
 parallel runner on ≥100k-task batches, verifies the sharded digests
 are worker-count invariant, times the straggler tail of the
 ``replay-campaign`` redraw kernels against the vendored round loop
-(``reference_round_loop`` in ``tests/test_span_scan_differential.py``),
+(``reference_round_loop`` in ``tests/test_span_scan_differential.py``)
+and against their draw floor,
 times one campaign round's cells and its wall on a 2-worker pool in grid
 order and under the sweep runner's cost-ordered dispatch, times a
 10k-task workload build with and without the DES tier's trace,
@@ -17,7 +18,10 @@ record the CI benchmark smoke job extends on every push.
 Usage::
 
     PYTHONPATH=src python benchmarks/run_parallel_bench.py [--out PATH]
-        [--n-tasks N] [--repeats K]
+        [--n-tasks N] [--repeats K] [--only SECTION ...]
+
+``--only`` re-records the named sections and keeps every other section
+of the existing ``--out`` file.
 """
 
 from __future__ import annotations
@@ -205,15 +209,19 @@ def _campaign_redraw_kernels() -> list[tuple[str, tuple, dict, dict]]:
 
 
 def bench_redraw_tail(repeats: int) -> dict:
-    """The campaign's redraw kernels on the span scan and on the
-    vendored round loop it replaced (same uptime sources).
+    """The campaign's redraw kernels on the span scan, on the vendored
+    round loop it replaced (same uptime sources), and against their
+    draw floor.
 
     The straggler tail — a few tasks stepped through up to
     ``max_segments`` failures — is where the campaign's kernel time
-    goes; seconds are summed per policy over its 12 cells.
+    goes; seconds are summed per policy over its 12 cells.  The draw
+    floor is ``standard_exponential`` alone, called with the shapes the
+    span scan draws (rewinds included), in this process: what a kernel
+    would cost if scanning its spans were free.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    from test_span_scan_differential import reference_round_loop
+    from test_span_scan_differential import record_draws, reference_round_loop
 
     calls = _campaign_redraw_kernels()
     span_core = simulate._simulate_blocked_core
@@ -232,21 +240,44 @@ def bench_redraw_tail(repeats: int) -> dict:
         finally:
             simulate._simulate_blocked_core = span_core
 
+    shapes = [[] for _ in calls]
+    for (_, args, kwargs, state), log in zip(calls, shapes):
+        simulate._simulate_blocked_core = record_draws(span_core, log)
+        try:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            simulate.simulate_tasks_scaled(*args, rng=rng, **kwargs)
+        finally:
+            simulate._simulate_blocked_core = span_core
+
+    def draw_floor():
+        out = []
+        for (policy, _, _, state), log in zip(calls, shapes):
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            t0 = time.perf_counter()
+            for k, m, _ in log:
+                rng.standard_exponential((k, m))
+            out.append((policy, time.perf_counter() - t0, None))
+        return out
+
     best = {}
     for _ in range(repeats):
-        for name, core in (("span_scan", span_core),
-                           ("round_loop", reference_round_loop)):
-            runs = run_all(core)
+        for name, run in (("span_scan", lambda: run_all(span_core)),
+                          ("draw_floor", draw_floor),
+                          ("round_loop",
+                           lambda: run_all(reference_round_loop))):
+            runs = run()
             by_policy = {p: 0.0 for p in CAMPAIGN_POLICIES}
             for policy, t, _ in runs:
                 by_policy[policy] += t
             prev = best.get(name)
             if prev is None or sum(by_policy.values()) < prev[0]:
-                best[name] = (sum(by_policy.values()), by_policy,
-                              [res.digest() for _, _, res in runs],
-                              sum(int(res.n_failures.sum())
-                                  for _, _, res in runs))
-    span, loop = best["span_scan"], best["round_loop"]
+                best[name] = (sum(by_policy.values()), by_policy, runs)
+    span, loop, floor = (best[name] for name in
+                         ("span_scan", "round_loop", "draw_floor"))
+    digests = {name: [res.digest() for _, _, res in best[name][2]]
+               for name in ("span_scan", "round_loop")}
     return {
         "workload": (f"{len(calls)} simulate_tasks_scaled calls of the "
                      "replay-campaign redraw cells (4 policies x 3 storage "
@@ -254,10 +285,19 @@ def bench_redraw_tail(repeats: int) -> dict:
         "span_scan_s": round(span[0], 4),
         "round_loop_s": round(loop[0], 4),
         "speedup": round(loop[0] / span[0], 2),
+        "draw_floor_s": round(floor[0], 4),
+        "span_scan_over_draw_floor": round(span[0] / floor[0], 2),
         "span_scan_s_by_policy": {p: round(t, 4) for p, t in span[1].items()},
         "round_loop_s_by_policy": {p: round(t, 4) for p, t in loop[1].items()},
-        "simulated_failures": span[3],
-        "digests_identical": span[2] == loop[2],
+        "draw_floor_s_by_policy": {p: round(t, 4)
+                                   for p, t in floor[1].items()},
+        "span_scan_over_draw_floor_by_policy": {
+            p: round(span[1][p] / floor[1][p], 2) for p in CAMPAIGN_POLICIES},
+        "draw_calls": sum(len(log) for log in shapes),
+        "uptimes_drawn": sum(k * m for log in shapes for k, m, _ in log),
+        "simulated_failures": sum(int(res.n_failures.sum())
+                                  for _, _, res in span[2]),
+        "digests_identical": digests["span_scan"] == digests["round_loop"],
     }
 
 
@@ -395,11 +435,26 @@ def bench_scalar_tier(repeats: int) -> dict:
     }
 
 
+#: section name -> ``bench(args)``, in payload order
+SECTIONS = {
+    "hot_path": lambda a: bench_hot_path(a.n_tasks, a.repeats),
+    "autotune": lambda a: bench_autotune(a.n_tasks, a.repeats),
+    "sweep": lambda a: bench_sweep(a.repeats),
+    "redraw_tail": lambda a: bench_redraw_tail(a.repeats),
+    "campaign_dispatch": lambda a: bench_campaign_dispatch(a.repeats),
+    "workload_build": lambda a: bench_workload_build(a.repeats),
+    "scalar_tier": lambda a: bench_scalar_tier(a.repeats),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_parallel.json")
     parser.add_argument("--n-tasks", type=int, default=200_000)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--only", nargs="+", choices=sorted(SECTIONS),
+                        help="re-record these sections, keep the rest "
+                             "of --out")
     args = parser.parse_args(argv)
 
     payload = {
@@ -413,14 +468,13 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
         },
-        "hot_path": bench_hot_path(args.n_tasks, args.repeats),
-        "autotune": bench_autotune(args.n_tasks, args.repeats),
-        "sweep": bench_sweep(args.repeats),
-        "redraw_tail": bench_redraw_tail(args.repeats),
-        "campaign_dispatch": bench_campaign_dispatch(args.repeats),
-        "workload_build": bench_workload_build(args.repeats),
-        "scalar_tier": bench_scalar_tier(args.repeats),
     }
+    kept = json.loads(Path(args.out).read_text()) if args.only else {}
+    for name, bench in SECTIONS.items():
+        if args.only is None or name in args.only:
+            payload[name] = bench(args)
+        else:
+            payload[name] = kept[name]
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     print(f"[written to {args.out}]")

@@ -459,12 +459,12 @@ def campaign_status(
     store = _open_store(campaign, store, base_dir)
     cells = campaign.expand()
     digests = [spec.spec_digest() for spec in cells]
-    parsed: dict[str, "RunRecord | None"] = {}
+    parsed: dict[str, tuple] = {}
     for digest in digests:
         if digest not in parsed:
-            parsed[digest] = store.get(digest, on_corrupt="miss")
-    missing = [i for i, d in enumerate(digests) if parsed[d] is None]
-    foreign = n_records = n_corrupt = total_bytes = 0
+            parsed[digest] = store._classify(digest)
+    missing = [i for i, d in enumerate(digests) if parsed[d][0] != "ok"]
+    foreign = n_records = n_corrupt = n_stale = total_bytes = 0
     by_tier: dict[str, int] = {}
     for digest in store.digests():
         n_records += 1
@@ -473,14 +473,16 @@ def campaign_status(
         except OSError:
             pass
         if digest in parsed:
-            record = parsed[digest]
+            status, record = parsed[digest]
         else:
             foreign += 1
-            record = store.get(digest, on_corrupt="miss")
-        if record is None:
-            n_corrupt += 1
-        else:
+            status, record = store._classify(digest)
+        if status == "ok":
             by_tier[record.tier] = by_tier.get(record.tier, 0) + 1
+        elif status == "stale":
+            n_stale += 1
+        else:
+            n_corrupt += 1
     return {
         "campaign": campaign.name,
         "campaign_digest": campaign.campaign_digest(),
@@ -497,6 +499,7 @@ def campaign_status(
             "root": str(store.root),
             "n_records": n_records,
             "n_corrupt": n_corrupt,
+            "n_stale": n_stale,
             "total_bytes": total_bytes,
             "by_tier": dict(sorted(by_tier.items())),
         },
@@ -600,7 +603,8 @@ def _cmd_status(args, campaign: CampaignSpec, base_dir: Path) -> int:
           f"missing {status['n_missing']}")
     st = status["store"]
     print(f"  store   {st['root']}: {st['n_records']} record(s), "
-          f"{st['n_corrupt']} corrupt, {st['total_bytes']} bytes, "
+          f"{st['n_stale']} stale, {st['n_corrupt']} corrupt, "
+          f"{st['total_bytes']} bytes, "
           f"{status['foreign_records']} foreign")
     for cell in status["missing"][:10]:
         print(f"  missing #{cell['index']:<5d} {cell['name']:32.32s} "
@@ -638,19 +642,24 @@ def _cmd_prune(args, campaign: CampaignSpec, base_dir: Path) -> int:
     keep = set(campaign.cell_digests())
     if args.dry_run:
         # Must preview exactly what the real prune removes: foreign
-        # digests plus kept-digest records that fail to parse.
-        total = foreign = corrupt = 0
+        # digests plus kept-digest records it would not serve.
+        total = foreign = corrupt = stale = 0
         for digest in store.digests():
             total += 1
             if digest not in keep:
                 foreign += 1
-            elif store.get(digest, on_corrupt="miss") is None:
+                continue
+            status, _ = store._classify(digest)
+            if status == "stale":
+                stale += 1
+            elif status != "ok":
                 corrupt += 1
-        print(f"[dry run] would remove {foreign} foreign and "
-              f"{corrupt} corrupt of {total} record(s)")
+        print(f"[dry run] would remove {foreign} foreign, {stale} stale "
+              f"and {corrupt} corrupt of {total} record(s)")
         return 0
     counts = store.prune(keep=keep, drop_corrupt=True)
-    print(f"removed {counts['removed']} foreign and "
+    print(f"removed {counts['removed']} foreign, "
+          f"{counts['stale_removed']} stale and "
           f"{counts['corrupt_removed']} corrupt record(s); "
           f"{counts['kept']} kept")
     return 0

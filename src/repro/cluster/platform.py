@@ -85,10 +85,7 @@ class CloudPlatform:
                 vm_id += 1
             hosts.append(host)
         scheduler = GreedyScheduler(env, hosts)
-        device_rng = np.random.default_rng((self.seed, 0xD15C))
-        nfs = NFSServer(0)
-        dmnfs = DMNFS(cfg.n_hosts, device_rng)
-        return env, hosts, scheduler, nfs, dmnfs
+        return env, hosts, scheduler
 
     # ------------------------------------------------------------------
     def run_trace(
@@ -120,7 +117,7 @@ class CloudPlatform:
             batch for several traces (:mod:`repro.des.sharding`).
         """
         cfg = self.config
-        env, hosts, scheduler, nfs, dmnfs = self._build()
+        env, hosts, scheduler = self._build()
         job_records: list[JobRecord] = []
 
         # Plan every task up front; row = position in trace.tasks().
@@ -135,11 +132,18 @@ class CloudPlatform:
             by_priority(mnof_by_priority or {}, priority, 0.0),
             by_priority(mtbf_by_priority or {}, priority, math.inf),
         )
+        # Type-B tasks write to DM-NFS, unless the mode is plain "nfs".
+        # The device (and DM-NFS's server-choice stream, seeded on its
+        # own) is built only when some task writes to it.
+        shared_device = None
+        if not local.all():
+            shared_device = (
+                NFSServer(0) if cfg.storage == "nfs"
+                else DMNFS(cfg.n_hosts,
+                           np.random.default_rng((self.seed, 0xD15C))))
         local, ckpt, restart, intervals = (
             local.tolist(), ckpt.tolist(), restart.tolist(),
             intervals.tolist())
-        # Type-B tasks write to DM-NFS, unless the mode is plain "nfs".
-        shared_device = nfs if cfg.storage == "nfs" else dmnfs
         # Per-host ramdisk checkpoints and no host-crash monitors: no
         # shared resource couples concurrently running tasks.
         no_contention = cfg.storage == "local" and cfg.host_mtbf is None

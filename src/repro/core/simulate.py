@@ -47,6 +47,12 @@ times) costs a few NumPy calls per span rather than per round.  Blocks
 drawn past a span's first finish are discarded and the generator is
 rewound to where block-by-block stepping would leave it, so every
 draw, and every result, is the one a round-at-a-time loop produces.
+The scan keeps its passes over the span few: ``u // (L+C)`` is taken
+as the floor of the rounded quotient, recomputed by ``//`` only where
+that quotient is whole; spans that commit no checkpoint find their
+finishes by column maximum; and spans without a finish sum their
+wallclock by a row-by-row reduce instead of a ``cumsum``, working in
+place on the matrix the uptime source returns.
 """
 
 from __future__ import annotations
@@ -283,6 +289,26 @@ def _block_ends(k: int, n_blocks: int, block_rounds: int,
     return ends
 
 
+def _floor_quotient(u: np.ndarray, cycle: np.ndarray):
+    """``(u // cycle, u / cycle)`` for a span ``u`` and per-column cycles.
+
+    ``//`` is the boundary rule but costs over ten times a division, so
+    the floor is taken of the rounded quotient ``q = u / cycle``.  The
+    two differ only where ``q`` rounded up onto a whole number (the
+    exact quotient sits just below it, as in ``1.0 // 0.1 == 9`` beside
+    ``floor(1.0 / 0.1) == 10``): rounding is monotone and whole numbers
+    are representable, so a quotient that is not whole has the exact
+    one's floor.  Where ``floor(q) == q`` (whole quotients, ``0`` and
+    ``inf`` among them) ``//`` is recomputed on that subset alone.
+    """
+    q = u / cycle
+    commits = np.floor(q)
+    rows, cols = np.nonzero(commits == q)
+    if rows.size:
+        commits[rows, cols] = u[rows, cols] // cycle[cols]
+    return commits, q
+
+
 # ``inf // cycle`` is ``nan``; it only reaches rows after the finish.
 @np.errstate(invalid="ignore")
 def _simulate_blocked_core(
@@ -305,7 +331,9 @@ def _simulate_blocked_core(
     first from row 0), and the source returns an ``(ends[-1], m)``
     matrix whose row ``r`` holds segment round ``start + r`` for the
     ``m`` still-live tasks described by ``state`` (a per-task array
-    compacted alongside the working arrays as tasks finish).  A source
+    compacted alongside the working arrays as tasks finish).  The
+    matrix must be a fresh array the source keeps no reference to: the
+    loop overwrites it in place.  A source
     may ignore ``start`` and the inner block ends, but one drawing from
     a generator must leave it where one draw per block would: the
     scaled source draws the span at once, because its draws
@@ -324,11 +352,24 @@ def _simulate_blocked_core(
     * checkpoints left before round ``r`` are
       ``max(rem - cumsum(u // cycle), 0)`` over the earlier rounds,
       exactly the per-round saturating ``rem -= min(u // cycle, rem)``
-      because every operand is an integer-valued float (skipped when no
-      live task has a checkpoint left);
+      because every operand is an integer-valued float; ``u // cycle``
+      is the exact fast floor of :func:`_floor_quotient`;
     * round ``r`` finishes the task when ``u >= rem * cycle + L``;
     * the wallclock after round ``r`` is a sequential ``cumsum`` of
       ``u + (R + d)``, bit-identical to adding one round at a time.
+
+    Two shortcuts skip whole-matrix passes without moving a bit.  A
+    span in which no live task can commit a checkpoint (each has none
+    left, or none of its uptimes reaches its cycle ``L + C``) has one
+    finish time per column, ``rem * cycle + L``: the column maximum
+    finds the columns that finish, and only those are scanned for their
+    first finishing row.  A span in which no task finishes is read only
+    at its last wallclock row, so it takes ``np.add.reduce`` over the
+    rows instead of the ``cumsum``.  NumPy adds the rows of a C-ordered
+    matrix of two or more columns one at a time, in the ``cumsum``'s
+    order, but sums a single column, or an F-ordered matrix such as the
+    ``uptimes[s:e, live]`` the replay source returns, pairwise; those
+    spans keep the ``cumsum``.
 
     The loop consumes the span up to the end of the first block in
     which any task finishes, records each finished task at its first
@@ -363,13 +404,14 @@ def _simulate_blocked_core(
     length_w = te_arr / x_arr
     cycle_w = length_w + c_arr
     rem_w = (x_arr - 1).astype(float)  # remaining checkpoints (x - 1 - m)
+    ckpt_left = bool(rem_w.any())  # only ever turns False
     fcost_w = r_arr + restart_delay  # wall-clock charge per failure
     wall_w = np.zeros(n, dtype=float)
 
     rounds = 0
     k_next = 1  # next block of the ramp
     span = 1  # blocks per span
-    n_spans = n_rewound = 0
+    n_spans = n_no_finish = n_no_commit = n_rewound = 0
     while idx.size and rounds < max_segments:
         m = idx.size
         n_blocks = min(span, max(1, _SPAN_UPTIMES // (block_rounds * m)))
@@ -380,25 +422,38 @@ def _simulate_blocked_core(
         u = draw(state, rounds, ends)
         n_spans += 1
 
-        if rem_w.any():
-            commits = u // cycle_w
+        # ``cand``: the columns that finish somewhere in the span, and
+        # ``first`` the first finishing row of each.  While no checkpoint
+        # commits, a column's finish time is one value and its maximum
+        # finds the finish.
+        u_max = np.maximum.reduce(u, axis=0)
+        if ckpt_left:
+            t_end = rem_w * cycle_w + length_w
+            commit_free = np.all((u_max < cycle_w) | (rem_w == 0))
+        else:
+            t_end, commit_free = length_w, True
+        if commit_free:
+            n_no_commit += 1
+            commits = None
+            (cand,) = (u_max >= t_end).nonzero()
+            if cand.size:
+                first = (u[:, cand] >= t_end[cand]).argmax(axis=0)
+        else:
+            commits, t_fin = _floor_quotient(u, cycle_w)
             np.cumsum(commits, axis=0, out=commits)
-            t_fin = np.empty_like(u)  # checkpoints left before each round
-            t_fin[0] = rem_w
+            t_fin[0] = rem_w  # checkpoints left before each round
             np.subtract(rem_w, commits[:-1], out=t_fin[1:])
             np.maximum(t_fin[1:], 0.0, out=t_fin[1:])
             t_fin *= cycle_w
             t_fin += length_w
-        else:
-            commits = None
-            t_fin = length_w
-        done = u >= t_fin
+            done = u >= t_fin
+            (cand,) = done.any(axis=0).nonzero()
+            first = done[:, cand].argmax(axis=0)
 
         # Consume through the first block with a finish; rewind the rest.
-        hit = np.flatnonzero(done.any(axis=1))
         used = len(ends)
-        if hit.size:
-            used = bisect.bisect_right(ends, hit[0]) + 1
+        if cand.size:
+            used = bisect.bisect_right(ends, first.min()) + 1
         end = ends[used - 1]
         if used < len(ends):
             n_rewound += len(ends) - used
@@ -406,27 +461,33 @@ def _simulate_blocked_core(
                 rng.bit_generator.state = snapshot
                 draw(state, rounds, ends[:used])
         k_next = min(k_next << used, block_rounds)
-        span = 1 if hit.size else 2 * span
+        span = 1 if cand.size else 2 * span
 
-        walls = u[:end] + fcost_w
+        walls = u[:end]  # the source's fresh matrix, overwritten in place
+        walls += fcost_w
         walls[0] += wall_w
-        np.cumsum(walls, axis=0, out=walls)  # wallclock after each round
-        if hit.size:
-            first = done[:end].argmax(axis=0)
-            fin = np.flatnonzero(done[first, np.arange(m)])
-            row = first[fin]
-            tasks = idx[fin]
-            t_done = length_w[fin] if commits is None else t_fin[row, fin]
-            wall[tasks] = (
-                np.where(row > 0, walls[row - 1, fin], wall_w[fin]) + t_done
-            )
-            fails[tasks] = rounds + row
-            completed[tasks] = True
+        n_no_finish += not cand.size
+        if not cand.size and m > 1 and walls.flags.c_contiguous:
+            # Only the last row is read: a reduce over C-ordered rows adds
+            # them one at a time, like ``cumsum`` (a single column or an
+            # F-ordered matrix would be summed pairwise instead).
+            wall_w = np.add.reduce(walls, axis=0)
+        else:
+            np.cumsum(walls, axis=0, out=walls)  # wallclock after each round
+            if cand.size:
+                now = first < end  # later finishes fall in rewound blocks
+                fin, row = cand[now], first[now]
+                tasks = idx[fin]
+                t_done = t_end[fin] if commits is None else t_fin[row, fin]
+                wall[tasks] = (np.where(row > 0, walls[row - 1, fin],
+                                        wall_w[fin]) + t_done)
+                fails[tasks] = rounds + row
+                completed[tasks] = True
+            wall_w = walls[end - 1]
         rounds += end
-        wall_w = walls[end - 1]
         if commits is not None:
             rem_w = np.maximum(rem_w - commits[end - 1], 0.0)
-        if hit.size:
+        if cand.size:
             keep = np.ones(m, dtype=bool)
             keep[fin] = False
             idx = idx[keep]
@@ -436,6 +497,8 @@ def _simulate_blocked_core(
             fcost_w = fcost_w[keep]
             wall_w = wall_w[keep]
             state = state[keep]
+        if ckpt_left and (commits is not None or cand.size):
+            ckpt_left = bool(rem_w.any())
 
     if idx.size:  # truncated by the max_segments safety bound
         wall[idx] = wall_w
@@ -445,8 +508,9 @@ def _simulate_blocked_core(
     logging = sys.modules.get("logging")
     if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
         logging.getLogger(__name__).debug(
-            "round loop: %d tasks, %d rounds, %d spans, %d rewound blocks, "
-            "%d truncated", n, rounds, n_spans, n_rewound, idx.size,
+            "round loop: %d tasks, %d rounds, %d spans (%d finish-free, "
+            "%d commit-free), %d rewound blocks, %d truncated",
+            n, rounds, n_spans, n_no_finish, n_no_commit, n_rewound, idx.size,
         )
 
     return SimulationResult(

@@ -372,33 +372,43 @@ class ResultStore:
             raise ValueError(
                 f"on_corrupt must be 'raise' or 'miss', got {on_corrupt!r}"
             )
+        status, found = self._classify(spec_digest)
+        if status == "corrupt":
+            if on_corrupt == "miss":
+                return None
+            raise StoreError(found)
+        return found if status == "ok" else None
+
+    def _classify(self, spec_digest: str) -> tuple[str, Any]:
+        """What the record file for ``spec_digest`` holds.
+
+        ``("ok", record)`` for a record :meth:`get` serves, ``("stale",
+        record)`` for a readable one computed under another
+        :data:`MODEL_VERSION` (or none), ``("corrupt", reason)`` for one
+        that cannot be read, does not parse, or claims another digest,
+        and ``("missing", None)`` when there is no file.
+        """
         path = self.path_for(spec_digest)
         try:
             text = path.read_text()
         except FileNotFoundError:
-            return None
+            return "missing", None
         except OSError as exc:
-            if on_corrupt == "miss":
-                return None
-            raise StoreError(f"cannot read record {path}: {exc}") from None
+            return "corrupt", f"cannot read record {path}: {exc}"
         try:
             record = RunRecord.from_dict(json.loads(text))
         except (StoreError, ValueError) as exc:
-            if on_corrupt == "miss":
-                return None
-            raise StoreError(f"corrupt record {path}: {exc}") from None
+            return "corrupt", f"corrupt record {path}: {exc}"
         if record.spec_digest != spec_digest:
             # A renamed/copied file: content addressing makes the
             # mismatch detectable, so detect it.
-            if on_corrupt == "miss":
-                return None
-            raise StoreError(
+            return "corrupt", (
                 f"record {path} claims spec_digest "
                 f"{record.spec_digest[:12]}…, expected {spec_digest[:12]}…"
             )
         if record.provenance.get("model_version") != MODEL_VERSION:
-            return None
-        return record
+            return "stale", record
+        return "ok", record
 
     def contains(self, spec_digest: str) -> bool:
         """Whether a record file exists for ``spec_digest``.
@@ -432,36 +442,44 @@ class ResultStore:
         With ``keep`` given, every record whose digest is not in the
         set is removed (a campaign prunes to its own cell set this
         way).  With ``drop_corrupt=True``, records :meth:`get` would
-        not serve (they fail to parse, or carry another model version)
-        are removed too.  Returns ``{"removed", "kept",
-        "corrupt_removed"}`` counts.
+        not serve are removed too: corrupt ones (they fail to parse or
+        claim another digest) and stale ones (another model version).
+        Returns ``{"removed", "kept", "corrupt_removed",
+        "stale_removed"}`` counts.
         """
-        removed = kept = corrupt_removed = 0
+        removed = kept = corrupt_removed = stale_removed = 0
         for digest in list(self.digests()):
             path = self.path_for(digest)
             if keep is not None and digest not in keep:
                 path.unlink(missing_ok=True)
                 removed += 1
                 continue
-            if drop_corrupt and self.get(digest, on_corrupt="miss") is None:
-                path.unlink(missing_ok=True)
-                corrupt_removed += 1
-                continue
+            if drop_corrupt:
+                status, _ = self._classify(digest)
+                if status != "ok":
+                    path.unlink(missing_ok=True)
+                    if status == "stale":
+                        stale_removed += 1
+                    else:
+                        corrupt_removed += 1
+                    continue
             kept += 1
         return {
             "removed": removed,
             "kept": kept,
             "corrupt_removed": corrupt_removed,
+            "stale_removed": stale_removed,
         }
 
     def stats(self) -> dict[str, Any]:
         """Aggregate store statistics.
 
-        ``n_records``/``total_bytes`` count record files;
-        ``n_corrupt`` counts those :meth:`get` would not serve; ``by_tier``
-        histograms the readable records.
+        ``n_records``/``total_bytes`` count record files; of those,
+        ``n_stale`` were computed under another model version and
+        ``n_corrupt`` cannot be read.  ``by_tier`` histograms the
+        records :meth:`get` serves.
         """
-        n = total = corrupt = 0
+        n = total = corrupt = stale = 0
         by_tier: dict[str, int] = {}
         for digest in self.digests():
             n += 1
@@ -469,15 +487,18 @@ class ResultStore:
                 total += self.path_for(digest).stat().st_size
             except OSError:
                 pass
-            record = self.get(digest, on_corrupt="miss")
-            if record is None:
-                corrupt += 1
-            else:
+            status, record = self._classify(digest)
+            if status == "ok":
                 by_tier[record.tier] = by_tier.get(record.tier, 0) + 1
+            elif status == "stale":
+                stale += 1
+            else:
+                corrupt += 1
         return {
             "root": str(self.root),
             "n_records": n,
             "n_corrupt": corrupt,
+            "n_stale": stale,
             "total_bytes": total,
             "by_tier": dict(sorted(by_tier.items())),
         }

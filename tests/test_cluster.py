@@ -179,6 +179,26 @@ class TestPlatformIntegration:
         assert task.checkpoint_overhead > 0
         assert task.wallclock == pytest.approx(300.0 + task.checkpoint_overhead)
 
+    @pytest.mark.parametrize("storage, built", [
+        ("local", 0), ("nfs", 0), ("dmnfs", 1)])
+    def test_dmnfs_built_only_when_a_task_writes_to_it(
+            self, monkeypatch, storage, built):
+        import repro.cluster.platform as platform_mod
+
+        made = []
+
+        class CountingDMNFS(platform_mod.DMNFS):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(platform_mod, "DMNFS", CountingDMNFS)
+        from repro.core.policies import FixedCountPolicy
+        res = CloudPlatform(ClusterConfig(storage=storage), seed=1).run_trace(
+            _single_task_trace(n=3), FixedCountPolicy(4))
+        assert len(made) == built
+        assert all(job.completed for job in res.jobs)
+
     def test_replay_mode_injects_recorded_failures(self):
         task = Task(task_id=0, job_id=0, index=0, te=300.0, mem_mb=100.0,
                     priority=1, n_failures=2, failure_intervals=(50.0, 80.0),

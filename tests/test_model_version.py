@@ -12,12 +12,19 @@ recomputes every cell and writes the same report.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 import repro.store as store_mod
-from repro.campaign import CampaignSpec, report_json, run_campaign
+from repro.campaign import (
+    CampaignSpec,
+    campaign_status,
+    main as campaign_main,
+    report_json,
+    run_campaign,
+)
 from repro.experiments.common import policy_run_spec
 from repro.store import MODEL_VERSION, ResultStore, RunRecord
 
@@ -101,3 +108,50 @@ def test_campaign_resumed_across_a_bump_recomputes_every_cell(
 
     _, stats = run_campaign(camp, store=store)
     assert (stats["n_computed"], stats["n_cached"]) == (0, 4)
+
+
+def test_record_of_another_model_version_is_stale_not_corrupt(
+        tmp_path, capsys):
+    """A two-cell campaign store with one record relabelled
+    ``model_version: 1`` and one foreign truncated record: every count
+    and prune names the relabelled record stale."""
+    camp = CampaignSpec(
+        name="stale-grid",
+        specs=(policy_run_spec("optimal", n_jobs=40, trace_seed=0,
+                               name="stale-base"),),
+        axes=(("policy.name", ("optimal", "young")),),
+        store="stale.store",
+        workers=1,
+    )
+    path = tmp_path / "stale.json"
+    path.write_text(camp.to_json())
+    store = ResultStore(tmp_path / "stale.store")
+    run_campaign(camp, store=store)
+    first, second = camp.cell_digests()
+    record = store.path_for(first)
+    data = json.loads(record.read_text())
+    data["provenance"]["model_version"] = 1
+    record.write_text(json.dumps(data))
+    store.put(RunRecord(spec_digest="cd" + "0" * 62, name="foreign",
+                        tier="vector", seed=0, digest="e" * 64,
+                        provenance={"model_version": MODEL_VERSION}))
+    store.path_for("cd" + "0" * 62).write_text("{")
+
+    stats = store.stats()
+    assert (stats["n_records"], stats["n_stale"], stats["n_corrupt"]) == (
+        3, 1, 1)
+    status = campaign_status(camp, store=store)
+    assert status["n_missing"] == 1
+    assert status["missing"][0]["spec_digest"] == first
+    assert (status["store"]["n_stale"], status["store"]["n_corrupt"]) == (
+        1, 1)
+
+    assert campaign_main(["status", str(path)]) == 1
+    assert "1 stale, 1 corrupt" in capsys.readouterr().out
+    assert campaign_main(["prune", str(path), "--dry-run"]) == 0
+    assert ("would remove 1 foreign, 1 stale and 0 corrupt of 3"
+            in capsys.readouterr().out)
+    counts = store.prune(drop_corrupt=True)
+    assert counts == {"removed": 0, "kept": 1, "corrupt_removed": 1,
+                      "stale_removed": 1}
+    assert list(store.digests()) == [second]

@@ -14,11 +14,16 @@ with ``x = 1`` tasks, restart delays and ``max_segments`` truncation
 landing inside a span.  The scaled and replay sources draw a whole
 span in one call; they are also held to the reference at block sizes
 that are not powers of two, where a ramp that assumes doubling lands
-on ``block_rounds`` would go wrong.
+on ``block_rounds`` would go wrong.  The scan's shortcuts get cases of
+their own: spans without a finish fed through F-ordered sources and a
+single column, whose wallclock a row reduce would sum pairwise, and
+the fast floor of ``u // (L+C)`` on quotients that round up onto a
+whole number.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import re
@@ -44,6 +49,8 @@ from repro.failures.distributions import (
     Pareto,
     Weibull,
 )
+from repro.verify import runner
+from repro.verify.scenarios import build_workload, get_scenario
 
 
 @np.errstate(invalid="ignore")
@@ -411,3 +418,219 @@ class TestSpanDrawConcatenates:
                 for lo, hi in zip([0, *ends[:-1]], ends)])
             assert whole.tobytes() == parts.tobytes()
             assert a.bit_generator.state == b.bit_generator.state
+
+
+def record_draws(core, layouts):
+    """``core`` with its uptime source wrapped to append ``(rows,
+    columns, C-ordered)`` of every matrix the source returns (rewind
+    re-draws included) to ``layouts``."""
+
+    def spied(te, x, c, r, state, draw, *args, **kwargs):
+        def source(live, start, ends):
+            u = draw(live, start, ends)
+            layouts.append((*u.shape, u.flags.c_contiguous))
+            return u
+
+        return core(te, x, c, r, state, source, *args, **kwargs)
+
+    return spied
+
+
+def _finish_free_spans(caplog) -> int:
+    return sum(int(re.search(r"(\d+) finish-free", rec.getMessage())
+                   .group(1))
+               for rec in caplog.records if rec.name == "repro.core.simulate")
+
+
+class TestFinishFreeSpans:
+    """A span without a finish reads only its last wallclock row.  Its
+    rows may be summed by a reduce only where NumPy adds them in
+    ``cumsum`` order: a C-ordered matrix of two or more columns.  These
+    cases feed long finish-free spans through the sources where that
+    does not hold."""
+
+    def test_replay_source_is_f_ordered(self, monkeypatch, caplog):
+        rng = np.random.default_rng(8)
+        n = 5
+        mat = rng.uniform(0.5, 30.0, (n, 400))
+        # No uptime reaches a cycle but the x=200 task's (L + C = 22),
+        # which commits without finishing: every task finishes on the
+        # padded ``inf`` round.
+        te = np.full(n, 4000.0)
+        x = np.array([1, 1, 4, 200, 2])
+        c, r = np.full(n, 2.0), rng.uniform(0.0, 3.0, n)
+        layouts = []
+        monkeypatch.setattr(simulate, "_simulate_blocked_core", record_draws(
+            simulate._simulate_blocked_core, layouts))
+        with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+            got = simulate_tasks_replay(te, x, c, r, mat, restart_delay=0.5)
+        monkeypatch.setattr(simulate, "_simulate_blocked_core",
+                            reference_round_loop)
+        want = simulate_tasks_replay(te, x, c, r, mat, restart_delay=0.5)
+        assert any(k >= 8 and m >= 2 and not c_ordered
+                   for k, m, c_ordered in layouts)
+        assert _finish_free_spans(caplog) > 0
+        assert got.completed.all()
+        _assert_identical_state(((got, None), (want, None)))
+
+    def test_scalar_tier_source_is_f_ordered(self, monkeypatch):
+        """The scalar tier's ``uptimes[s:e, live]``, with a budget of
+        40 failures inside 64 batch rounds: every task finishes on the
+        ``inf`` round after the budget, past a 32-row span without a
+        finish."""
+        base = build_workload(get_scenario("exp-baseline-local"))
+        n = 12
+        workload = dataclasses.replace(
+            base,
+            te=np.linspace(3000.0, 4000.0, n),
+            intervals=np.array([1, 1, 1, 3] * 3, dtype=np.int64),
+            checkpoint_cost=np.full(n, 2.0),
+            restart_cost=np.linspace(0.5, 2.0, n),
+            dist_ids=np.zeros(n, dtype=np.int64),
+            distributions={0: Exponential(1 / 10.0)},
+            mem_mb=np.zeros(n),
+            priority=np.zeros(n, dtype=np.int64),
+            submit=np.zeros(n),
+            cluster=dataclasses.replace(base.cluster,
+                                        max_failures_per_task=40),
+        )
+        monkeypatch.setattr(runner, "_ROUNDS", 64)
+        layouts = []
+        monkeypatch.setattr(runner, "_simulate_blocked_core", record_draws(
+            runner._simulate_blocked_core, layouts))
+        got = runner.run_scalar(workload)
+        monkeypatch.setattr(runner, "_simulate_blocked_core",
+                            reference_round_loop)
+        want = runner.run_scalar(workload)
+        assert any(k >= 8 and m >= 2 and not c_ordered
+                   for k, m, c_ordered in layouts)
+        assert got.completed.all() and (got.n_failures == 40).all()
+        assert got.wallclock.tolist() == want.wallclock.tolist()
+        assert got.digest == want.digest
+
+    def test_single_column_tail(self, caplog):
+        """One checkpoint-free task stepped to ``max_segments``: its
+        spans are one C-ordered column, which a reduce sums pairwise."""
+        with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+            for max_seg in (9, 100, 3000):
+                _assert_identical_state(run_pair_at(
+                    DEFAULT_BLOCK_ROUNDS, simulate_tasks_scaled,
+                    np.array([1e6]), np.array([1]), 2.0, 1.5,
+                    np.array([10.0]), seed=max_seg, restart_delay=0.25,
+                    max_segments=max_seg))
+        assert _finish_free_spans(caplog) > 0
+
+
+
+class TestCommitFreeSpans:
+    """A span in which no task can commit a checkpoint has one finish
+    time per column and is scanned by column maximum."""
+
+    def test_stragglers_below_their_cycle(self, caplog):
+        """Checkpointed tasks whose uptimes stay below their cycle (the
+        straggler tail of ``young`` and ``daly``) beside tasks that
+        commit and finish."""
+        te = np.array([5000.0, 6000.0, 300.0, 900.0, 40.0])
+        x = np.array([5, 8, 6, 30, 2])
+        scales = np.array([2.0, 3.0, 40.0, 25.0, 30.0])
+        with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+            for max_seg in (7, 500, 4000):
+                _assert_identical_state(run_pair_at(
+                    DEFAULT_BLOCK_ROUNDS, simulate_tasks_scaled, te, x,
+                    1.0, 2.0, scales, seed=max_seg, restart_delay=0.5,
+                    max_segments=max_seg))
+        msg = [rec.getMessage() for rec in caplog.records
+               if rec.name == "repro.core.simulate"]
+        assert any(int(re.search(r"(\d+) commit-free", m).group(1)) > 0
+                   for m in msg)
+
+    def test_uptime_equal_to_the_cycle_commits(self):
+        """An uptime of exactly ``L + C`` commits a checkpoint, so its
+        span is not commit-free: the task then finishes on 2 cycles
+        plus ``L`` (85), not 3 cycles plus ``L`` (115)."""
+        te, x = np.array([100.0, 100.0]), np.array([4, 4])
+        c, r = np.array([5.0, 5.0]), np.array([1.0, 1.0])
+        mat = np.full((2, 40), 10.0)
+        mat[0, 1] = 30.0
+        for block_rounds in BLOCK_ROUNDS:
+            pair = run_pair_at(block_rounds, simulate_tasks_replay,
+                               te, x, c, r, mat)
+            _assert_identical_state(pair)
+        res = pair[0][0]
+        assert res.wallclock[0] - res.wallclock[1] == (30.0 - 10.0) - 30.0
+
+
+def _floor_pair(u, cycle):
+    """``u // cycle`` and the scan's fast floor of it."""
+    with np.errstate(invalid="ignore"):
+        return u // cycle, simulate._floor_quotient(u, cycle)[0]
+
+
+def _assert_same_bits(u, cycle):
+    want, got = _floor_pair(u, cycle)
+    assert got.tobytes() == want.tobytes(), (u, cycle, got, want)
+
+
+_CYCLES = st.floats(1e-3, 1e4, allow_nan=False)
+
+
+class TestFastFloor:
+    """``_floor_quotient`` takes ``floor(u / c)`` and recomputes ``//``
+    where that quotient is whole; it must equal ``u // c`` bit for bit."""
+
+    def test_known_cases(self):
+        # 1.0 / 0.1 rounds up to 10.0, but 1.0 // 0.1 is 9.0.
+        u = np.array([[1.0, 0.0, np.inf, 2.0, 0.3, 7.5]])
+        cycle = np.array([0.1, 0.1, 0.1, 1.0, 0.1, 2.5])
+        _assert_same_bits(u, cycle)
+        assert _floor_pair(u, cycle)[1][0, 0] == 9.0
+
+    @staticmethod
+    def _just_below(k, c):
+        """``k * c`` and the three floats below it."""
+        out = [k * c]
+        for _ in range(3):
+            out.append(float(np.nextafter(out[-1], 0.0)))
+        return out
+
+    def test_rounded_up_quotients_occur(self):
+        """Uptimes just below ``k * c`` whose quotient rounds up to
+        ``k`` while ``//`` says ``k - 1``: common, so the tests below
+        meet them."""
+        found = 0
+        for c in (0.1, 0.3, 7.0 / 3.0, 1e-3 * 17):
+            for k in range(1, 400):
+                for u in self._just_below(k, c):
+                    found += u / c == k and u // c == k - 1
+                row = np.array([self._just_below(k, c)])
+                _assert_same_bits(row, np.full(row.shape[1], c))
+        assert found > 100
+
+    @given(k=st.integers(1, 2**40), c=_CYCLES)
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_rounded_up_onto_a_whole_number(self, k, c):
+        row = np.array([[*self._just_below(k, c), 0.0, np.inf]])
+        _assert_same_bits(row, np.full(row.shape[1], c))
+
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_any_matrix(self, data, rows, cols):
+        cycle = np.array(data.draw(st.lists(_CYCLES, min_size=cols,
+                                            max_size=cols)))
+        cell = st.one_of(
+            st.floats(0.0, 1e7),
+            st.sampled_from([0.0, np.inf]),
+            # ``k * c`` stepped down by 0-3 floats
+            st.tuples(st.integers(0, 10**6), st.integers(0, 3)),
+        )
+        u = np.empty((rows, cols))
+        for i in range(rows):
+            for j in range(cols):
+                v = data.draw(cell)
+                if isinstance(v, tuple):
+                    k, below = v
+                    v = k * cycle[j]
+                    for _ in range(below):
+                        v = np.nextafter(v, 0.0)
+                u[i, j] = v
+        _assert_same_bits(u, cycle)

@@ -216,7 +216,8 @@ class TestResultStore:
         assert stats["by_tier"] == {"replay": 1, "vector": 1}
         assert stats["total_bytes"] > 0
         counts = store.prune(keep={DIGEST, OTHER}, drop_corrupt=True)
-        assert counts == {"removed": 1, "kept": 2, "corrupt_removed": 0}
+        assert counts == {"removed": 1, "kept": 2, "corrupt_removed": 0,
+                          "stale_removed": 0}
         counts = store.prune(keep={DIGEST})
         assert counts["removed"] == 1 and counts["kept"] == 1
         assert list(store.digests()) == [DIGEST]
