@@ -27,6 +27,7 @@ of the existing ``--out`` file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro._version import __version__
 from repro.core import simulate
-from repro.core.simulate import simulate_tasks_blocked
+from repro.core.simulate import SimulationResult, simulate_tasks_blocked
 from repro.failures.distributions import Exponential, Pareto
 from repro.experiments.common import evaluate_policy, policy_run_spec
 from repro.parallel import simulate_tasks_sharded
@@ -208,17 +209,42 @@ def _campaign_redraw_kernels() -> list[tuple[str, tuple, dict, dict]]:
     return calls
 
 
+def _none_lane_groups(calls) -> list[tuple[tuple, dict, object]]:
+    """The ``none`` calls as the lane groups the sweep runner forms:
+    per (base seed, estimation), its three storage cells as one call
+    with a restart-cost column per cell.  Returns ``(args, kwargs,
+    generator state)`` per group."""
+    none = [call for call in calls if call[0] == "none"]
+    n_lanes = len(CAMPAIGN_STORAGES)
+    groups = []
+    for i in range(0, len(none), n_lanes):
+        members = none[i:i + n_lanes]
+        te, x, c, _, scales = members[0][1]
+        for _, args, kwargs, state in members:
+            assert state == members[0][3] and kwargs == members[0][2]
+            assert all(np.array_equal(a, b) for a, b in
+                       zip((te, x, scales), (args[0], args[1], args[4])))
+        charges = np.column_stack([args[3] for _, args, _, _ in members])
+        groups.append(((te, x, c, charges, scales), members[0][2],
+                       members[0][3]))
+    return groups
+
+
 def bench_redraw_tail(repeats: int) -> dict:
     """The campaign's redraw kernels on the span scan, on the vendored
     round loop it replaced (same uptime sources), and against their
-    draw floor.
+    draw floor; and the ``none`` kernels as lane groups.
 
     The straggler tail — a few tasks stepped through up to
     ``max_segments`` failures — is where the campaign's kernel time
     goes; seconds are summed per policy over its 12 cells.  The draw
     floor is ``standard_exponential`` alone, called with the shapes the
     span scan draws (rewinds included), in this process: what a kernel
-    would cost if scanning its spans were free.
+    would cost if scanning its spans were free.  The 12 ``none`` calls
+    differ only in their restart charges within each (base seed,
+    estimation), so they also run as 4 calls of three lanes, as the
+    sweep runner groups them; each lane's digest must equal its own
+    call's.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from test_span_scan_differential import record_draws, reference_round_loop
@@ -261,9 +287,22 @@ def bench_redraw_tail(repeats: int) -> dict:
             out.append((policy, time.perf_counter() - t0, None))
         return out
 
+    groups = _none_lane_groups(calls)
+
+    def lanes():
+        out = []
+        for args, kwargs, state in groups:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            t0 = time.perf_counter()
+            res = simulate.simulate_tasks_scaled(*args, rng=rng, **kwargs)
+            out.append(("none", time.perf_counter() - t0, res))
+        return out
+
     best = {}
     for _ in range(repeats):
         for name, run in (("span_scan", lambda: run_all(span_core)),
+                          ("lanes", lanes),
                           ("draw_floor", draw_floor),
                           ("round_loop",
                            lambda: run_all(reference_round_loop))):
@@ -274,10 +313,21 @@ def bench_redraw_tail(repeats: int) -> dict:
             prev = best.get(name)
             if prev is None or sum(by_policy.values()) < prev[0]:
                 best[name] = (sum(by_policy.values()), by_policy, runs)
-    span, loop, floor = (best[name] for name in
-                         ("span_scan", "round_loop", "draw_floor"))
+    span, loop, floor, grouped = (
+        best[name] for name in ("span_scan", "round_loop", "draw_floor",
+                                "lanes"))
     digests = {name: [res.digest() for _, _, res in best[name][2]]
                for name in ("span_scan", "round_loop")}
+    lane_digests = []
+    for _, _, res in grouped[2]:
+        n = res.te.size // len(CAMPAIGN_STORAGES)
+        lane_digests += [
+            SimulationResult(*(getattr(res, f.name)[i * n:(i + 1) * n]
+                               for f in dataclasses.fields(res))).digest()
+            for i in range(len(CAMPAIGN_STORAGES))]
+    none_digests = [d for (policy, _, _), d in zip(span[2],
+                                                   digests["span_scan"])
+                    if policy == "none"]
     return {
         "workload": (f"{len(calls)} simulate_tasks_scaled calls of the "
                      "replay-campaign redraw cells (4 policies x 3 storage "
@@ -298,6 +348,12 @@ def bench_redraw_tail(repeats: int) -> dict:
         "simulated_failures": sum(int(res.n_failures.sum())
                                   for _, _, res in span[2]),
         "digests_identical": digests["span_scan"] == digests["round_loop"],
+        "none_lane_groups": len(groups),
+        "none_lanes_s": round(grouped[0], 4),
+        "none_lanes_speedup": round(span[1]["none"] / grouped[0], 2),
+        "none_lanes_over_draw_floor": round(
+            grouped[0] / floor[1]["none"], 2),
+        "lanes_digests_identical": lane_digests == none_digests,
     }
 
 
@@ -310,14 +366,15 @@ def bench_campaign_dispatch(repeats: int) -> dict:
     :func:`~repro.parallel.sweep.estimate_spec_cost` come from.  The
     pool then runs the whole campaign in grid order with ``Pool.map``'s
     default chunking (the schedule equal cell costs gave) and through
-    :func:`~repro.parallel.sweep.run_specs` (longest first, one cell
-    per request); both take the median of ``repeats`` alternating runs.
+    :func:`~repro.parallel.sweep.run_specs` (longest first, one job per
+    request, the ``none`` redraw cells one lane group); both take the
+    median of ``repeats`` alternating runs.
     """
     import statistics
 
     from repro import api
     from repro.parallel.runner import get_pool, shutdown_pool
-    from repro.parallel.sweep import _run_spec_cell, estimate_spec_cost
+    from repro.parallel.sweep import _run_spec_cells, estimate_spec_cost
 
     cells = [
         policy_run_spec(policy, storage=storage, n_jobs=1000,
@@ -338,11 +395,11 @@ def bench_campaign_dispatch(repeats: int) -> dict:
 
     shutdown_pool()
     pool = get_pool(2)  # forked now, so the workers start warm
-    jobs = [(spec.to_dict(), None) for spec in cells]
+    jobs = [([spec.to_dict()], None) for spec in cells]
     grid_s, dispatch_s = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        grid = pool.map(_run_spec_cell, jobs)
+        grid = [c for job in pool.map(_run_spec_cells, jobs) for c in job]
         grid_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         report = run_specs(cells, workers=2)

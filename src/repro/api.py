@@ -17,6 +17,8 @@ subsystem's workload builder
 (:func:`repro.verify.scenarios.build_workload`), and the verify
 registry holds plain specs, so ``run(get_scenario(name))`` is the
 computation ``repro verify`` pins in its golden scalar digests.
+:func:`run_lanes` is :func:`run` over replay-tier cells that share
+their uptimes, run as the lanes of one kernel pass.
 
 Passing ``store=`` (a :class:`~repro.store.ResultStore` or a path)
 gives any caller content-addressed caching: a spec whose
@@ -53,6 +55,7 @@ __all__ = [
     "RunResult",
     "main",
     "run",
+    "run_lanes",
     "scenario_spec",
 ]
 
@@ -203,25 +206,7 @@ def _execute(spec: RunSpec, *, trace=None) -> RunResult:
     if tier == "replay":
         from repro.experiments.common import evaluate_policy
 
-        pr = evaluate_policy(spec, trace=trace)
-        sim = pr.sim
-        return RunResult(
-            spec=spec,
-            tier=tier,
-            seed=spec.execution.base_seed,
-            digest=sim.digest(),
-            summary=sim.summary(),
-            elapsed_s=time.perf_counter() - t0,
-            extra={
-                "n_jobs_sampled": float(pr.job_wpr.size),
-                "mean_job_wpr": pr.mean_wpr(),
-                "lowest_job_wpr": pr.lowest_wpr(),
-                "mean_job_wall": float(np.mean(pr.job_wall)),
-                "workers_effective": float(workers),
-            },
-            sim=sim,
-            policy_run=pr,
-        )
+        return _replay_result(spec, evaluate_policy(spec, trace=trace), t0)
     if trace is not None:
         raise SpecError("the trace override only applies to the replay tier")
     workload = build_workload(spec)
@@ -276,6 +261,72 @@ def _execute(spec: RunSpec, *, trace=None) -> RunResult:
         extra=extra,
         tier_result=tr,
     )
+
+
+def _replay_result(spec: RunSpec, pr, t0: float) -> RunResult:
+    """The :class:`RunResult` of one replay-tier evaluation ``pr``,
+    timed from ``t0``."""
+    sim = pr.sim
+    return RunResult(
+        spec=spec,
+        tier="replay",
+        seed=spec.execution.base_seed,
+        digest=sim.digest(),
+        summary=sim.summary(),
+        elapsed_s=time.perf_counter() - t0,
+        extra={
+            "n_jobs_sampled": float(pr.job_wpr.size),
+            "mean_job_wpr": pr.mean_wpr(),
+            "lowest_job_wpr": pr.lowest_wpr(),
+            "mean_job_wall": float(np.mean(pr.job_wall)),
+            "workers_effective": float(spec.execution.workers),
+        },
+        sim=sim,
+        policy_run=pr,
+    )
+
+
+def run_lanes(
+    specs: list[RunSpec],
+    *,
+    store: "ResultStore | str | Path | None" = None,
+) -> list[RunResult]:
+    """:func:`run` over replay-tier specs that may share one kernel pass.
+
+    The specs may differ only in ``storage.mode`` and
+    ``policy.estimation`` (and their names), and must agree on every
+    task's interval count (see
+    :func:`repro.experiments.common.evaluate_lanes`): checkpoint-free
+    redraw cells of one grid are the case.  With ``store``, specs that
+    already have a record are served from it, and the rest run as the
+    lanes of one pass, each persisting its own record.  Every result,
+    record and digest is the one ``run(spec, store=store)`` gives; a
+    computed lane's ``elapsed_s`` is its share of the pass.
+    """
+    from repro.experiments.common import evaluate_lanes
+
+    if store is not None and not isinstance(store, ResultStore):
+        store = ResultStore(store)
+    results: list[RunResult | None] = [None] * len(specs)
+    todo = []
+    for i, spec in enumerate(specs):
+        record = (store.get(spec.spec_digest(), on_corrupt="miss")
+                  if store is not None else None)
+        if record is not None and record.spec is not None:
+            results[i] = RunResult.from_record(record)
+        else:
+            todo.append(i)
+    if not todo:
+        return results
+    t0 = time.perf_counter()
+    runs = evaluate_lanes([specs[i] for i in todo])
+    share = (time.perf_counter() - t0) / len(todo)
+    for i, pr in zip(todo, runs):
+        result = _replay_result(specs[i], pr, time.perf_counter() - share)
+        if store is not None:
+            store.put(RunRecord.from_result(result))
+        results[i] = result
+    return results
 
 
 # ----------------------------------------------------------------------

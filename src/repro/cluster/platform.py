@@ -152,7 +152,8 @@ class CloudPlatform:
             # Every task's default_rng((seed, task_id)) state, in one batch.
             streams = _stream_states or task_stream_states(
                 self.seed, [t.task_id for t in tasks])
-            shared_rng = np.random.default_rng()
+            # Each task seeks it to its own stream before drawing.
+            shared_rng = np.random.default_rng(0)
 
         def start_task(task, row: int, jrec: JobRecord):
             """Record, plan and launch one task; returns its process."""

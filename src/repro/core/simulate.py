@@ -52,7 +52,10 @@ as the floor of the rounded quotient, recomputed by ``//`` only where
 that quotient is whole; spans that commit no checkpoint find their
 finishes by column maximum; and spans without a finish sum their
 wallclock by a row-by-row reduce instead of a ``cumsum``, working in
-place on the matrix the uptime source returns.
+place on the matrix the uptime source returns.  One call may carry
+several *lanes*, runs of the same tasks on the same uptimes that
+differ only in their restart charges: they share the whole scan and
+keep one wallclock each.
 """
 
 from __future__ import annotations
@@ -243,19 +246,25 @@ def _validate_batch(
 
     ``state`` is the per-task uptime-source state (see
     :func:`_simulate_blocked_core`); it is broadcast with the rest and
-    returned contiguous, in its own dtype.
+    returned contiguous, in its own dtype.  ``restart_cost`` may be an
+    ``(n, L)`` matrix, one column per *lane* (see
+    :func:`_simulate_blocked_core`); it is returned ``(n, L)`` then.
     """
+    r_in = np.asarray(restart_cost, dtype=float)
+    lanes = r_in.ndim == 2
     te_arr, x_arr, c_arr, r_arr, s_arr = np.broadcast_arrays(
         np.asarray(te, dtype=float),
         np.asarray(intervals, dtype=np.int64),
         np.asarray(checkpoint_cost, dtype=float),
-        np.asarray(restart_cost, dtype=float),
+        r_in[:, 0] if lanes else r_in,
         np.asarray(state),
     )
     te_arr = np.ascontiguousarray(te_arr, dtype=float)
     x_arr = np.ascontiguousarray(x_arr, dtype=np.int64)
     c_arr = np.ascontiguousarray(c_arr, dtype=float)
-    r_arr = np.ascontiguousarray(r_arr, dtype=float)
+    r_arr = np.ascontiguousarray(
+        np.broadcast_to(r_in, (te_arr.size, r_in.shape[1])) if lanes
+        else r_arr, dtype=float)
     # Written so that ``nan`` fails every check.
     if not np.all(te_arr > 0):
         raise ValueError("all te must be positive (no nan)")
@@ -389,11 +398,28 @@ def _simulate_blocked_core(
     A task still alive after ``max_segments`` rounds (i.e. after
     ``max_segments`` failures) is reported with ``completed = False``
     and the wallclock accumulated so far, as in :func:`simulate_task`.
+
+    *Lanes.*  ``r_arr`` may be an ``(n, L)`` matrix: ``L`` runs of the
+    same tasks on the same uptimes that differ only in what a failure
+    charges, column ``l`` being lane ``l``'s restart costs.  Nothing
+    but the wallclock reads the charge, so the live set, the draw, the
+    column maximum, the finish and rewind decisions and the failure
+    counts are the lanes' common ones, taken once per span; per lane
+    the loop does only the charge add and the row reduce (or
+    ``cumsum``), and records finishes into that lane's wallclock.  The
+    last lane adds in place on the source's matrix, the others into a
+    copy of the same layout, so each lane sums its rows in the order
+    its own call would.  The result has ``L * n`` lane-major rows, lane
+    ``l``'s bit-identical to a call with ``r_arr[:, l]``; a 1-D
+    ``r_arr`` is one lane on the same path.
     """
     if block_rounds < 1:
         raise ValueError(f"block_rounds must be >= 1, got {block_rounds}")
     n = te_arr.size
-    wall = np.zeros(n, dtype=float)
+    charges = r_arr.T if r_arr.ndim == 2 else [r_arr]
+    n_lanes = len(charges)
+    last = n_lanes - 1
+    wall = np.zeros((n_lanes, n), dtype=float)
     fails = np.zeros(n, dtype=np.int64)
     completed = np.zeros(n, dtype=bool)
 
@@ -405,8 +431,9 @@ def _simulate_blocked_core(
     cycle_w = length_w + c_arr
     rem_w = (x_arr - 1).astype(float)  # remaining checkpoints (x - 1 - m)
     ckpt_left = bool(rem_w.any())  # only ever turns False
-    fcost_w = r_arr + restart_delay  # wall-clock charge per failure
-    wall_w = np.zeros(n, dtype=float)
+    # Per lane: the wall-clock charge per failure and the wallclock.
+    fcost_w = [r + restart_delay for r in charges]
+    wall_w = [np.zeros(n, dtype=float) for _ in charges]
 
     rounds = 0
     k_next = 1  # next block of the ramp
@@ -463,27 +490,36 @@ def _simulate_blocked_core(
         k_next = min(k_next << used, block_rounds)
         span = 1 if cand.size else 2 * span
 
-        walls = u[:end]  # the source's fresh matrix, overwritten in place
-        walls += fcost_w
-        walls[0] += wall_w
         n_no_finish += not cand.size
-        if not cand.size and m > 1 and walls.flags.c_contiguous:
-            # Only the last row is read: a reduce over C-ordered rows adds
-            # them one at a time, like ``cumsum`` (a single column or an
-            # F-ordered matrix would be summed pairwise instead).
-            wall_w = np.add.reduce(walls, axis=0)
-        else:
+        # Only the last row is read: a reduce over C-ordered rows adds
+        # them one at a time, like ``cumsum`` (a single column or an
+        # F-ordered matrix would be summed pairwise instead).
+        reduce_rows = (not cand.size and m > 1
+                       and u[:end].flags.c_contiguous)
+        if cand.size:
+            now = first < end  # later finishes fall in rewound blocks
+            fin, row = cand[now], first[now]
+            tasks = idx[fin]
+            t_done = t_end[fin] if commits is None else t_fin[row, fin]
+            fails[tasks] = rounds + row
+            completed[tasks] = True
+        for lane in range(n_lanes):
+            # The last lane takes the source's fresh matrix in place; the
+            # others add their charge into a copy of the same layout.
+            if lane == last:
+                walls = u[:end]
+                walls += fcost_w[lane]
+            else:
+                walls = u[:end] + fcost_w[lane]
+            walls[0] += wall_w[lane]
+            if reduce_rows:
+                wall_w[lane] = np.add.reduce(walls, axis=0)
+                continue
             np.cumsum(walls, axis=0, out=walls)  # wallclock after each round
             if cand.size:
-                now = first < end  # later finishes fall in rewound blocks
-                fin, row = cand[now], first[now]
-                tasks = idx[fin]
-                t_done = t_end[fin] if commits is None else t_fin[row, fin]
-                wall[tasks] = (np.where(row > 0, walls[row - 1, fin],
-                                        wall_w[fin]) + t_done)
-                fails[tasks] = rounds + row
-                completed[tasks] = True
-            wall_w = walls[end - 1]
+                wall[lane][tasks] = (np.where(row > 0, walls[row - 1, fin],
+                                              wall_w[lane][fin]) + t_done)
+            wall_w[lane] = walls[end - 1]
         rounds += end
         if commits is not None:
             rem_w = np.maximum(rem_w - commits[end - 1], 0.0)
@@ -494,31 +530,33 @@ def _simulate_blocked_core(
             length_w = length_w[keep]
             cycle_w = cycle_w[keep]
             rem_w = rem_w[keep]
-            fcost_w = fcost_w[keep]
-            wall_w = wall_w[keep]
+            fcost_w = [f[keep] for f in fcost_w]
+            wall_w = [w[keep] for w in wall_w]
             state = state[keep]
         if ckpt_left and (commits is not None or cand.size):
             ckpt_left = bool(rem_w.any())
 
     if idx.size:  # truncated by the max_segments safety bound
-        wall[idx] = wall_w
+        for lane, w in enumerate(wall_w):
+            wall[lane][idx] = w
         fails[idx] = rounds
     # Not imported here, to keep it off the import path: a program that
     # turned DEBUG on has imported ``logging`` itself.
     logging = sys.modules.get("logging")
     if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
         logging.getLogger(__name__).debug(
-            "round loop: %d tasks, %d rounds, %d spans (%d finish-free, "
-            "%d commit-free), %d rewound blocks, %d truncated",
-            n, rounds, n_spans, n_no_finish, n_no_commit, n_rewound, idx.size,
+            "round loop: %d tasks, %d lanes, %d rounds, %d spans (%d "
+            "finish-free, %d commit-free), %d rewound blocks, %d truncated",
+            n, n_lanes, rounds, n_spans, n_no_finish, n_no_commit, n_rewound,
+            idx.size,
         )
 
     return SimulationResult(
-        te=te_arr.copy(),
-        wallclock=wall,
-        n_failures=fails,
-        intervals=x_arr.copy(),
-        completed=completed,
+        te=np.concatenate([te_arr] * n_lanes),
+        wallclock=wall.ravel(),
+        n_failures=np.concatenate([fails] * n_lanes),
+        intervals=np.concatenate([x_arr] * n_lanes),
+        completed=np.concatenate([completed] * n_lanes),
     )
 
 
@@ -604,6 +642,11 @@ def simulate_tasks_scaled(
     ``Exponential(mean = interval_scale[i])``.  Same round loop and
     truncation rule as :func:`simulate_tasks_blocked`, with the
     per-distribution grouping replaced by one broadcast exponential draw.
+
+    ``restart_cost`` may be an ``(n, L)`` matrix: ``L`` lanes share
+    one draw of every span (see :func:`_simulate_blocked_core`), and
+    the result holds ``L * n`` rows, lane by lane, lane ``l``'s
+    bit-identical to this call with ``restart_cost[:, l]``.
     """
     te_arr, x_arr, c_arr, r_arr, s_arr = _validate_batch(
         te, intervals, checkpoint_cost, restart_cost,

@@ -59,8 +59,10 @@ __all__ = [
     "PolicyRun",
     "clear_trace_cache",
     "default_trace",
+    "evaluate_lanes",
     "evaluate_policy",
     "flatten_trace",
+    "lane_key",
     "policy_run_spec",
     "storage_costs",
     "trace_cache_stats",
@@ -342,29 +344,89 @@ def evaluate_policy(spec: RunSpec, *, trace: Trace | None = None) -> PolicyRun:
     ``execution.workers`` fans the Monte-Carlo batch out over a process
     pool via :mod:`repro.parallel` — results are bit-for-bit identical
     for every worker count.
+
+    It is :func:`evaluate_lanes` with one lane.
+    """
+    return evaluate_lanes([spec], trace=trace)[0]
+
+
+#: The spec fields the lanes of one :func:`evaluate_lanes` pass may
+#: differ in (besides the name): neither changes a task's uptimes.
+_LANE_FIELDS = {"storage.mode": "auto", "policy.estimation": "priority"}
+
+
+def lane_key(spec: RunSpec) -> str:
+    """What the lanes of one :func:`evaluate_lanes` pass share: the
+    spec's canonical form with its name and :data:`_LANE_FIELDS`
+    blanked."""
+    return spec.evolve(name="lanes", **_LANE_FIELDS).canonical_json()
+
+
+def evaluate_lanes(specs: list[RunSpec], *,
+                   trace: Trace | None = None) -> list[PolicyRun]:
+    """Evaluate replay-tier specs that differ only in ``storage.mode``
+    and ``policy.estimation`` on one kernel pass, one lane per spec.
+
+    Each spec is resolved as :func:`evaluate_policy` describes.  The
+    lanes then share every uptime, so they must agree on each task's
+    interval count, and on its checkpoint cost wherever it takes a
+    checkpoint (a task of one interval never reads its cost): that
+    holds for a policy that takes no checkpoint, whatever storage and
+    estimation decide.  Each lane charges its own restart costs.
+    Returns one :class:`PolicyRun` per spec, in order, each
+    bit-identical to ``evaluate_policy(spec)``; specs that differ
+    beyond those fields, or lanes that disagree, raise
+    :class:`SpecError`.
     """
     from repro.verify.scenarios import make_policy
 
+    spec = specs[0]
     w, pol, ex = spec.workload, spec.policy, spec.execution
     if ex.tier != "replay":
         raise SpecError(
             f"{spec.name}: evaluate_policy runs the 'replay' tier; this "
             f"spec targets {ex.tier!r} — use repro.api.run(spec)"
         )
+    for other in specs[1:]:
+        if lane_key(other) != lane_key(spec):
+            raise SpecError(
+                f"{other.name}: lanes of one pass may differ only in "
+                f"{' and '.join(_LANE_FIELDS)}; it differs from "
+                f"{spec.name} elsewhere"
+            )
     policy = make_policy(pol.name, pol.param)
     length_cap = pol.length_cap if pol.length_cap is not None else math.inf
     restart_delay, seed, workers = ex.restart_delay, ex.base_seed, ex.workers
     if trace is None:
         # Every cell over one trace shares its per-task inputs; the
         # wrapper is the caller's own (as in default_trace).
-        key = (w.n_jobs, w.trace_seed, w.only_failed_jobs)
-        flat = replace(_flat_cached(*key))
-        mnof, mtbf = _estimates_cached(*key, pol.estimation, length_cap)
+        trace_key = (w.n_jobs, w.trace_seed, w.only_failed_jobs)
+        flat = replace(_flat_cached(*trace_key))
     else:
         flat = flatten_trace(trace)
-        mnof, mtbf = _estimates(flat, trace, pol.estimation, length_cap)
-    _local, ckpt_cost, rst_cost, counts = resolve_tasks(
-        spec.storage.mode, policy, flat.te, flat.mem_mb, mnof, mtbf)
+    lanes = []
+    for lane in specs:
+        estimation = lane.policy.estimation
+        if trace is None:
+            mnof, mtbf = _estimates_cached(*trace_key, estimation, length_cap)
+        else:
+            mnof, mtbf = _estimates(flat, trace, estimation, length_cap)
+        _local, ckpt_cost, rst_cost, counts = resolve_tasks(
+            lane.storage.mode, policy, flat.te, flat.mem_mb, mnof, mtbf)
+        lanes.append((ckpt_cost, rst_cost, counts))
+    ckpt_cost, _, counts = lanes[0]
+    ckpt = counts > 1
+    for lane, (c, _, x) in zip(specs[1:], lanes[1:]):
+        if not (np.array_equal(x, counts)
+                and np.array_equal(c[ckpt], ckpt_cost[ckpt])):
+            raise SpecError(
+                f"{lane.name}: its interval counts, or its checkpoint "
+                f"costs where it checkpoints, differ from {spec.name}'s; "
+                "lanes must share them"
+            )
+    # One column of restart costs per lane; one lane keeps its vector.
+    rst_cost = (np.stack([r for _, r, _ in lanes], axis=1)
+                if len(lanes) > 1 else lanes[0][1])
     if spec.failures.mode == "replay":
         sim = simulate_tasks_replay_sharded(
             flat.te, counts, ckpt_cost, rst_cost, flat.hist_intervals,
@@ -384,23 +446,29 @@ def evaluate_policy(spec: RunSpec, *, trace: Trace | None = None) -> PolicyRun:
             "missing; use failures.mode='replay'"
         )
 
-    job_wpr = wpr_from_arrays(flat.te, sim.wallclock, flat.job_index)
     # Job wall-clock: sum of task wall-clocks for ST, max for BoT.
-    n_jobs = flat.n_jobs
-    wall_sum = np.bincount(flat.job_index, weights=sim.wallclock, minlength=n_jobs)
-    wall_max = np.zeros(n_jobs)
-    np.maximum.at(wall_max, flat.job_index, sim.wallclock)
-    job_wall = np.where(flat.job_is_bot, wall_max, wall_sum)
-    job_priority = np.zeros(n_jobs, dtype=np.int64)
-    job_priority[flat.job_index] = flat.priority
-
-    return PolicyRun(
-        policy_name=policy.name,
-        estimation=pol.estimation,
-        flat=flat,
-        sim=sim,
-        job_wpr=job_wpr,
-        job_wall=job_wall,
-        job_is_bot=flat.job_is_bot,
-        job_priority=job_priority,
-    )
+    n, n_jobs = flat.n_tasks, flat.n_jobs
+    runs = []
+    for i, lane in enumerate(specs):
+        rows = slice(i * n, (i + 1) * n)
+        lane_sim = SimulationResult(
+            te=sim.te[rows], wallclock=sim.wallclock[rows],
+            n_failures=sim.n_failures[rows], intervals=sim.intervals[rows],
+            completed=sim.completed[rows])
+        wall = lane_sim.wallclock
+        wall_sum = np.bincount(flat.job_index, weights=wall, minlength=n_jobs)
+        wall_max = np.zeros(n_jobs)
+        np.maximum.at(wall_max, flat.job_index, wall)
+        job_priority = np.zeros(n_jobs, dtype=np.int64)
+        job_priority[flat.job_index] = flat.priority
+        runs.append(PolicyRun(
+            policy_name=policy.name,
+            estimation=lane.policy.estimation,
+            flat=flat,
+            sim=lane_sim,
+            job_wpr=wpr_from_arrays(flat.te, wall, flat.job_index),
+            job_wall=np.where(flat.job_is_bot, wall_max, wall_sum),
+            job_is_bot=flat.job_is_bot,
+            job_priority=job_priority,
+        ))
+    return runs

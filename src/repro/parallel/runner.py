@@ -189,18 +189,29 @@ def spawn_chunk_seeds(seed, n_chunks: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n_chunks)
 
 
-def merge_results(parts: Sequence[SimulationResult]) -> SimulationResult:
-    """Concatenate per-chunk results back into input order."""
+def merge_results(parts: Sequence[SimulationResult],
+                  lanes: int = 1) -> SimulationResult:
+    """Concatenate per-chunk results back into input order.
+
+    A lane call (``lanes`` > 1, see
+    :func:`~repro.core.simulate._simulate_blocked_core`) returns each
+    chunk's rows lane by lane; the merge keeps the batch lane-major.
+    """
     if not parts:
         raise ValueError("cannot merge zero result chunks")
     if len(parts) == 1:
         return parts[0]
+
+    def cat(name):
+        return np.concatenate([getattr(p, name).reshape(lanes, -1)
+                               for p in parts], axis=1).ravel()
+
     return SimulationResult(
-        te=np.concatenate([p.te for p in parts]),
-        wallclock=np.concatenate([p.wallclock for p in parts]),
-        n_failures=np.concatenate([p.n_failures for p in parts]),
-        intervals=np.concatenate([p.intervals for p in parts]),
-        completed=np.concatenate([p.completed for p in parts]),
+        te=cat("te"),
+        wallclock=cat("wallclock"),
+        n_failures=cat("n_failures"),
+        intervals=cat("intervals"),
+        completed=cat("completed"),
     )
 
 
@@ -233,12 +244,15 @@ def _execute(fn, payloads: list, workers: int) -> list:
 def _run_chunked(kernel, arrays, kwargs, chunk_size, workers, seed=None):
     """Run ``kernel`` over ``arrays`` chunk by chunk and merge in order.
 
-    ``arrays`` are the validated per-task arrays, sliced along their
-    first axis by :func:`plan_chunks`; ``kwargs`` go to every chunk
-    unchanged.  With a ``seed`` (SeedSequence entropy) chunk ``i``
-    draws from ``spawn_chunk_seeds(seed, n_chunks)[i]``.  An empty
-    batch runs as one empty chunk.
+    ``arrays`` are the validated per-task arrays ``(te, x, C, R,
+    source)``, sliced along their first axis by :func:`plan_chunks`;
+    an ``(n, L)`` ``R`` makes it a call of ``L`` lanes.  ``kwargs`` go
+    to every chunk unchanged.  With a ``seed`` (SeedSequence entropy)
+    chunk ``i`` draws from ``spawn_chunk_seeds(seed, n_chunks)[i]``.
+    An empty batch runs as one empty chunk.
     """
+    restart = arrays[3]
+    lanes = restart.shape[1] if restart.ndim == 2 else 1
     chunks = plan_chunks(len(arrays[0]), chunk_size) or [slice(0, 0)]
     seeds = ([None] * len(chunks) if seed is None
              else spawn_chunk_seeds(seed, len(chunks)))
@@ -246,7 +260,7 @@ def _run_chunked(kernel, arrays, kwargs, chunk_size, workers, seed=None):
         (kernel, tuple(a[sl] for a in arrays), seed_seq, kwargs)
         for sl, seed_seq in zip(chunks, seeds)
     ]
-    return merge_results(_execute(_run_chunk, payloads, workers))
+    return merge_results(_execute(_run_chunk, payloads, workers), lanes)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +321,9 @@ def simulate_tasks_scaled_sharded(
 
     ``chunk_size=None`` autotunes like a law-heavy batch: every task
     carries its own scale, the shape :func:`auto_chunk_size` gives
-    large chunks.
+    large chunks.  An ``(n, L)`` ``restart_cost`` runs ``L`` lanes, as
+    :func:`~repro.core.simulate.simulate_tasks_scaled` does; chunking
+    splits the tasks, never the lanes.
     """
     arrays = _validate_batch(te, intervals, checkpoint_cost, restart_cost,
                              np.asarray(interval_scale, dtype=float),

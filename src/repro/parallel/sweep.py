@@ -30,18 +30,28 @@ purely a wall-clock knob — pick the host's core count for large grids.
 
 Scheduling
 ----------
-Large grids mix second-long and minute-long cells.  Cells are
-*dispatched* longest-first (by :func:`estimate_spec_cost`, a pure
-heuristic of the spec: workload size times a per-tier factor, and for
-replay-tier redraw cells a per-policy weight, since a redraw cell
-without checkpoints costs ~30 replay cells) and handed to the pool one
-cell per request, so the expensive cells start first, each on the next
-free worker, which cuts tail latency.  Cells are *merged* back in grid
-order, so the report — and every digest in it — is identical for any
-worker count and any cost model (:func:`dispatch_order` only permutes
-the execution schedule, never the output).  The schedule decision
-(effective workers, serial fallback, cost sum, chunk size) is logged
-at DEBUG on ``repro.parallel.sweep``.
+Large grids mix second-long and minute-long cells.  Cells run as
+*jobs*: a cell is a job of its own, except that replay-tier redraw
+cells whose policy takes no checkpoint (a one-interval
+:class:`~repro.core.policies.FixedCountPolicy`, as ``none`` is) and
+that differ only in ``storage.mode`` and ``policy.estimation`` form one
+*lane group*.  Such cells draw the same uptimes and differ only in
+what a failure charges, so a group is one job that runs one kernel
+pass with a lane per cell (:func:`repro.api.run_lanes`); its worker
+serves the members already in the store from it and writes each fresh
+member's record.  Jobs are *dispatched* longest-first (by
+:func:`estimate_spec_cost`, a pure heuristic of the spec: workload
+size times a per-tier factor, and for replay-tier redraw cells a
+per-policy weight, since a redraw cell without checkpoints costs ~30
+replay cells; a group weighs the sum of its cells) and handed to the
+pool one job per request, so the expensive jobs start first, each on
+the next free worker, which cuts tail latency.  Cells are *merged*
+back in grid order, so the report — and every digest in it — is
+identical for any worker count, any cost model and any grouping
+(:func:`dispatch_order` only permutes the execution schedule, never
+the output).  The schedule decision (effective workers, serial
+fallback, cost sum, chunk size) is logged at DEBUG on
+``repro.parallel.sweep``, and so are the lane groups, when any form.
 
 Every cell is persisted as a :class:`~repro.store.RunRecord`; with
 ``--store DIR`` the grid executes through a content-addressed
@@ -178,14 +188,6 @@ def dispatch_order(costs) -> list[int]:
 _CHUNKSIZE = 1
 
 
-def _merge_in_grid_order(order: list[int], done: list) -> list:
-    """Invert the dispatch permutation back to grid order."""
-    cells = [None] * len(order)
-    for slot, cell in zip(order, done):
-        cells[slot] = cell
-    return cells
-
-
 def _store_root(store) -> "str | None":
     """Normalize a store argument to a path string (creating the dir)."""
     if store is None:
@@ -222,23 +224,72 @@ def expand_grid(
     return [base.evolve(**combo) for combo in combos]
 
 
-def _run_spec_cell(job: "tuple[dict, str | None]") -> dict:
-    """Pool worker: execute one spec (shipped as its dict form).
+def _lane_key(spec: RunSpec) -> "str | None":
+    """The group a cell may share a kernel pass with, or ``None``.
 
-    The cell is the run's :class:`~repro.store.RunRecord` dict; when a
-    store path is given the worker writes the record itself, so a
-    killed grid keeps every completed cell.
+    Replay-tier redraw cells whose policy takes no checkpoint (a
+    :class:`~repro.core.policies.FixedCountPolicy` of one interval, as
+    ``none`` is) give every task one interval whatever storage and
+    estimation decide, so cells that differ only there draw the same
+    uptimes: :func:`repro.experiments.common.lane_key` names them.
+    """
+    from repro.core.policies import FixedCountPolicy
+    from repro.experiments.common import lane_key
+    from repro.verify.scenarios import make_policy
+
+    if spec.execution.tier != "replay" or spec.failures.mode != "redraw":
+        return None
+    policy = make_policy(spec.policy.name, spec.policy.param)
+    if not (isinstance(policy, FixedCountPolicy) and policy.count == 1):
+        return None
+    return lane_key(spec)
+
+
+def _group_cells(specs: list[RunSpec]) -> list[list[int]]:
+    """Grid indices as pool jobs: each lane group of
+    :func:`_lane_key` is one job (at its first cell's place), every
+    other cell a job of its own."""
+    jobs: list[list[int]] = []
+    groups: dict[str, list[int]] = {}
+    for i, spec in enumerate(specs):
+        key = _lane_key(spec)
+        if key is None:
+            jobs.append([i])
+        elif key in groups:
+            groups[key].append(i)
+        else:
+            groups[key] = [i]
+            jobs.append(groups[key])
+    return jobs
+
+
+def _run_spec_cells(job: "tuple[list[dict], str | None]") -> list[dict]:
+    """Pool worker: execute one job's specs (shipped as dicts).
+
+    A job of several specs is one lane group, run as one kernel pass
+    by :func:`repro.api.run_lanes`.  Each cell is its run's
+    :class:`~repro.store.RunRecord` dict, timed as its share of the
+    job; when a store path is given the worker skips the members
+    already recorded and writes each fresh record itself, so a killed
+    grid keeps every completed cell.
     """
     from repro import api
 
-    spec_dict, store_root = job
+    spec_dicts, store_root = job
     t0 = time.perf_counter()
-    spec = RunSpec.from_dict(spec_dict)
-    result = api.run(spec, store=store_root)
-    cell = RunRecord.from_result(result).to_dict()
-    cell["elapsed_s"] = round(time.perf_counter() - t0, 3)
-    cell["cached"] = result.cached
-    return cell
+    specs = [RunSpec.from_dict(d) for d in spec_dicts]
+    if len(specs) == 1:
+        results = [api.run(specs[0], store=store_root)]
+    else:
+        results = api.run_lanes(specs, store=store_root)
+    elapsed = round((time.perf_counter() - t0) / len(specs), 3)
+    cells = []
+    for result in results:
+        cell = RunRecord.from_result(result).to_dict()
+        cell["elapsed_s"] = elapsed
+        cell["cached"] = result.cached
+        cells.append(cell)
+    return cells
 
 
 def run_specs(specs: list[RunSpec], workers: int = 1, store=None) -> dict:
@@ -255,11 +306,13 @@ def run_specs(specs: list[RunSpec], workers: int = 1, store=None) -> dict:
     choice): pool dispatch on a sub-second batch costs more than it
     saves.
 
-    Cells dispatch longest-first (:func:`dispatch_order` over
-    :func:`estimate_spec_cost`) and merge back in grid order.  With
-    ``store`` (a path or :class:`~repro.store.ResultStore`), cells
-    whose spec digest already has a record are served from it and each
-    fresh cell persists its record as soon as it finishes.
+    Cells run as jobs, each lane group of checkpoint-free redraw cells
+    one job (see the module docstring); jobs dispatch longest-first
+    (:func:`dispatch_order` over :func:`estimate_spec_cost`) and cells
+    merge back in grid order.  With ``store`` (a path or
+    :class:`~repro.store.ResultStore`), cells whose spec digest already
+    has a record are served from it and each fresh cell persists its
+    record as soon as its job finishes.
     """
     if not specs:
         raise ValueError("cannot run an empty spec grid")
@@ -267,29 +320,40 @@ def run_specs(specs: list[RunSpec], workers: int = 1, store=None) -> dict:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     root = _store_root(store)
-    jobs = [(s.evolve(**{"execution.workers": 1}).to_dict(), root)
-            for s in specs]
+    dicts = [s.evolve(**{"execution.workers": 1}).to_dict() for s in specs]
     costs = [estimate_spec_cost(s) for s in specs]
-    order = dispatch_order(costs)
-    dispatch = [jobs[i] for i in order]
+    groups = _group_cells(specs)
+    jobs = [([dicts[i] for i in group], root) for group in groups]
+    order = dispatch_order([sum(costs[i] for i in group)
+                            for group in groups])
+    dispatch = [jobs[j] for j in order]
     n_effective = effective_workers(workers, costs)
     n_procs = min(n_effective, len(jobs))
     # Not imported here, as in repro.core.simulate: a program that
     # turned DEBUG on has imported ``logging`` itself.
     logging = sys.modules.get("logging")
     if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
-        logging.getLogger(__name__).debug(
+        log = logging.getLogger(__name__)
+        log.debug(
             "grid of %d cells: workers %d, workers_effective %d, serial "
-            "fallback %s, cost sum %.0f, chunksize %s", len(jobs), workers,
+            "fallback %s, cost sum %.0f, chunksize %s", len(specs), workers,
             n_procs, workers > 1 and n_effective == 1, sum(costs),
             _CHUNKSIZE if n_procs > 1 else "-",
         )
+        lanes = [len(g) for g in groups if len(g) > 1]
+        if lanes:
+            log.debug("%d checkpoint-free redraw cells run as %d lane "
+                      "groups of %s cells, one kernel pass each; %d jobs",
+                      sum(lanes), len(lanes), lanes, len(jobs))
     if n_procs <= 1:
-        done = [_run_spec_cell(j) for j in dispatch]
+        done = [_run_spec_cells(j) for j in dispatch]
     else:
-        done = get_pool(n_procs).map(_run_spec_cell, dispatch,
+        done = get_pool(n_procs).map(_run_spec_cells, dispatch,
                                      chunksize=_CHUNKSIZE)
-    cells = _merge_in_grid_order(order, done)
+    cells = [None] * len(specs)
+    for j, job_cells in zip(order, done):
+        for i, cell in zip(groups[j], job_cells):
+            cells[i] = cell
     return {
         "command": "repro sweep",
         "n_points": len(specs),

@@ -179,6 +179,61 @@ class TestRunCampaign:
         assert status["store"]["n_records"] == 5
 
 
+class TestLaneGroups:
+    """A campaign's checkpoint-free redraw cells that differ only in
+    storage share one kernel pass; nothing they record may show it."""
+
+    @staticmethod
+    def lane_campaign(**over) -> CampaignSpec:
+        return small_campaign(
+            name="lane-grid",
+            axes=(
+                ("policy.name", ("none", "optimal")),
+                ("storage.mode", ("auto", "local", "shared")),
+                ("failures.mode", ("replay", "redraw")),
+            ),
+            overrides=(("policy.estimation", "oracle"),
+                       ("execution.base_seed", 21)),
+            **over,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_grid_matches_cells_run_one_by_one(self, tmp_path,
+                                                       caplog, workers):
+        import logging
+
+        from repro.parallel.sweep import run_specs
+
+        camp = self.lane_campaign(workers=workers)
+        grouped_store = ResultStore(tmp_path / "grouped")
+        with caplog.at_level(logging.DEBUG, logger="repro.parallel.sweep"):
+            grouped, stats = run_campaign(camp, store=grouped_store)
+        assert stats["n_computed"] == 12
+        assert any("3 checkpoint-free redraw cells run as 1 lane groups"
+                   in rec.getMessage() for rec in caplog.records)
+        alone_store = ResultStore(tmp_path / "alone")
+        for spec in camp.expand():
+            run_specs([spec], store=alone_store)
+        alone, stats = run_campaign(camp, store=alone_store)
+        assert stats["n_computed"] == 0
+        assert report_json(grouped) == report_json(alone)
+        for digest in camp.cell_digests():
+            assert (grouped_store.get(digest).pinned_dict()
+                    == alone_store.get(digest).pinned_dict())
+
+    def test_resume_recomputes_a_group_member_alone(self, tmp_path):
+        camp = self.lane_campaign()
+        store = ResultStore(tmp_path / "store")
+        report, _ = run_campaign(camp, store=store)
+        lanes = [spec.spec_digest() for spec in camp.expand()
+                 if spec.policy.name == "none"
+                 and spec.failures.mode == "redraw"]
+        store.path_for(lanes[1]).unlink()
+        resumed, stats = run_campaign(camp, store=store)
+        assert stats["n_computed"] == 1
+        assert report_json(resumed) == report_json(report)
+
+
 class TestCampaignCLI:
     def _write(self, tmp_path, **over):
         camp = small_campaign(**over)

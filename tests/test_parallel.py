@@ -662,3 +662,108 @@ class TestSweepStore:
         assert record.record_version == RECORD_VERSION
         assert record.provenance["workers_effective"] == 1
         assert record.spec["execution"]["workers"] == 1
+
+
+def _none_redraw(storage, **over):
+    return policy_run_spec("none", storage=storage, n_jobs=60, trace_seed=3,
+                           failure_mode="redraw", seed=11, **over)
+
+
+class TestLanes:
+    """Checkpoint-free redraw cells that differ only in storage and
+    estimation run as lanes of one kernel pass (one pool job)."""
+
+    def test_sharded_lanes_match_one_call_per_lane(self, batch):
+        te, x, c, r = batch
+        scales = np.linspace(20.0, 400.0, te.size)
+        charges = [r, np.zeros_like(r), 3.0 * r]
+        n = te.size
+        for workers in (1, 2):
+            res = simulate_tasks_scaled_sharded(
+                te, x, c, np.stack(charges, axis=1), scales, seed=4,
+                workers=workers, chunk_size=700, restart_delay=0.5)
+            for i, lane in enumerate(charges):
+                one = simulate_tasks_scaled_sharded(
+                    te, x, c, lane, scales, seed=4, chunk_size=700,
+                    restart_delay=0.5)
+                rows = slice(i * n, (i + 1) * n)
+                assert res.wallclock[rows].tolist() == one.wallclock.tolist()
+                assert (res.n_failures[rows].tolist()
+                        == one.n_failures.tolist())
+                assert res.te[rows].tolist() == one.te.tolist()
+
+    def test_lanes_equal_their_own_evaluations(self):
+        from repro.experiments.common import evaluate_lanes, evaluate_policy
+
+        specs = [_none_redraw(s) for s in ("auto", "local", "shared")]
+        specs.append(_none_redraw("local", estimation="oracle"))
+        for spec, lane in zip(specs, evaluate_lanes(specs)):
+            alone = evaluate_policy(spec)
+            assert lane.sim.digest() == alone.sim.digest()
+            assert lane.estimation == spec.policy.estimation
+            assert lane.job_wall.tolist() == alone.job_wall.tolist()
+
+    def test_lanes_whose_interval_counts_differ_are_rejected(self):
+        from repro import api
+        from repro.experiments.common import evaluate_lanes
+
+        specs = [policy_run_spec("optimal", storage=s, n_jobs=60,
+                                 trace_seed=3, failure_mode="redraw")
+                 for s in ("local", "shared")]
+        with pytest.raises(SpecError, match="interval counts"):
+            evaluate_lanes(specs)
+        with pytest.raises(SpecError, match="interval counts"):
+            api.run_lanes(specs)
+        other_seed = [_none_redraw("local"),
+                      _none_redraw("shared").evolve(
+                          **{"execution.base_seed": 12})]
+        with pytest.raises(SpecError, match="may differ only in"):
+            evaluate_lanes(other_seed)
+
+    def test_only_checkpoint_free_redraw_cells_group(self):
+        from repro.parallel.sweep import _group_cells
+
+        specs = [_none_redraw("auto"), _none_redraw("local"),
+                 policy_run_spec("none", storage="auto", n_jobs=60,
+                                 trace_seed=3, failure_mode="replay"),
+                 policy_run_spec("optimal", storage="local", n_jobs=60,
+                                 trace_seed=3, failure_mode="redraw", seed=11),
+                 policy_run_spec("fixed-count", policy_param=1,
+                                 storage="shared", n_jobs=60, trace_seed=3,
+                                 failure_mode="redraw", seed=11),
+                 policy_run_spec("fixed-count", policy_param=1,
+                                 storage="local", n_jobs=60, trace_seed=3,
+                                 failure_mode="redraw", seed=11),
+                 _none_redraw("shared", estimation="oracle"),
+                 _none_redraw("shared").evolve(
+                     **{"execution.base_seed": 12}),
+                 policy_run_spec("optimal", storage="shared", n_jobs=60,
+                                 trace_seed=3, failure_mode="redraw", seed=11)]
+        assert _group_cells(specs) == [[0, 1, 6], [2], [3], [4, 5], [7], [8]]
+
+    def test_partly_cached_group_recomputes_only_its_missing_members(
+            self, tmp_path, monkeypatch):
+        from repro import api
+        from repro.experiments import common
+        from repro.store import ResultStore, RunRecord
+
+        specs = [_none_redraw(s) for s in ("auto", "local", "shared")]
+        store = ResultStore(tmp_path / "store")
+        api.run(specs[1], store=store)
+        cached = store.path_for(specs[1].spec_digest()).read_bytes()
+        passes = []
+        real = common.evaluate_lanes
+
+        def spy(lanes, **kwargs):
+            passes.append([s.storage.mode for s in lanes])
+            return real(lanes, **kwargs)
+
+        monkeypatch.setattr(common, "evaluate_lanes", spy)
+        report = run_specs(specs, workers=1, store=store)
+        assert passes == [["auto", "shared"]]
+        assert [c["cached"] for c in report["points"]] == [False, True, False]
+        assert store.path_for(specs[1].spec_digest()).read_bytes() == cached
+        for spec in specs:
+            alone = RunRecord.from_result(api.run(spec))
+            assert (store.get(spec.spec_digest()).pinned_dict()
+                    == alone.pinned_dict())

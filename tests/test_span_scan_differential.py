@@ -18,7 +18,8 @@ on ``block_rounds`` would go wrong.  The scan's shortcuts get cases of
 their own: spans without a finish fed through F-ordered sources and a
 single column, whose wallclock a row reduce would sum pairwise, and
 the fast floor of ``u // (L+C)`` on quotients that round up onto a
-whole number.
+whole number.  A call of several lanes (an ``(n, L)`` restart-cost
+matrix) is held to one call per lane.
 """
 
 from __future__ import annotations
@@ -634,3 +635,108 @@ class TestFastFloor:
                         v = np.nextafter(v, 0.0)
                 u[i, j] = v
         _assert_same_bits(u, cycle)
+
+
+def lanes_vs_separate(kernel, te, x, c, charges, *source, seed=None,
+                      **kwargs):
+    """``kernel`` once with the ``(n, L)`` matrix of ``charges`` and once
+    per lane with its own column, each on a generator from ``seed``
+    (none for a stateless kernel); returns ``(lane call, separate calls)``
+    as ``(result, next draw)`` pairs, the lane call's result cut into
+    one per lane."""
+
+    def call(r):
+        if seed is None:
+            return kernel(te, x, c, r, *source, **kwargs), None
+        rng = np.random.default_rng(seed)
+        return kernel(te, x, c, r, *source, rng=rng, **kwargs), rng.random()
+
+    res, nxt = call(np.stack(charges, axis=1))
+    n = te.size
+    lanes = [(SimulationResult(*(getattr(res, f.name)[i * n:(i + 1) * n]
+                                 for f in dataclasses.fields(res))), nxt)
+             for i in range(len(charges))]
+    return lanes, [call(r) for r in charges]
+
+
+def _assert_lanes_identical(pair):
+    lanes, separate = pair
+    assert len(lanes) == len(separate)
+    for lane, one in zip(lanes, separate):
+        _assert_identical((lane, one))
+
+
+_CHARGES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+                    min_size=10, max_size=10)
+
+
+class TestLanes:
+    """Lanes of one call share the uptimes and every finish decision;
+    each lane must get, bit for bit, what its own call gives, and the
+    generator must end where each separate call leaves it."""
+
+    @given(tasks=_tasks(), scale=st.lists(st.floats(0.5, 400.0),
+                                          min_size=10, max_size=10),
+           extra=st.lists(_CHARGES, min_size=0, max_size=3),
+           zero_first=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_scaled_source(self, tasks, scale, extra, zero_first):
+        te, x, c, r, d, max_seg, seed = tasks
+        n = te.size
+        charges = [np.zeros(n) if zero_first else r,
+                   *(np.array(e[:n]) for e in extra)]
+        _assert_lanes_identical(lanes_vs_separate(
+            simulate_tasks_scaled, te, x, c, charges,
+            np.array(scale[:n]), seed=seed, restart_delay=d,
+            max_segments=max_seg))
+
+    @given(tasks=_tasks(), extra=st.lists(_CHARGES, min_size=1, max_size=3),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_replay_source(self, tasks, extra, data):
+        """The replay source's F-ordered spans keep the ``cumsum`` in
+        every lane."""
+        te, x, c, r, d, _, _ = tasks
+        n = te.size
+        cols = data.draw(st.integers(0, 60))
+        mat = np.array(data.draw(st.lists(
+            st.lists(st.one_of(st.floats(0.0, 200.0), st.just(np.inf)),
+                     min_size=cols, max_size=cols),
+            min_size=n, max_size=n)), dtype=float).reshape(n, cols)
+        _assert_lanes_identical(lanes_vs_separate(
+            simulate_tasks_replay, te, x, c,
+            [r, *(np.array(e[:n]) for e in extra)], mat, restart_delay=d))
+
+    def test_rewinds_truncation_and_zero_charge(self, caplog):
+        """A batch of one-interval tasks beside checkpointed ones, whose
+        tail rewinds and runs finish-free spans, cut at round counts
+        inside spans, with a lane that charges nothing."""
+        rng = np.random.default_rng(4)
+        n = 24
+        te = rng.uniform(50, 5000, n)
+        x = np.where(np.arange(n) % 3 == 0, 1, rng.integers(1, 30, n))
+        scales = rng.uniform(5, 200, n)
+        charges = [np.full(n, 1.0), np.zeros(n), rng.uniform(0, 40, n)]
+        with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+            for max_seg in (1, 2, 5, 7, 11, 100, 1237, 5000):
+                _assert_lanes_identical(lanes_vs_separate(
+                    simulate_tasks_scaled, te, x, 2.0, charges, scales,
+                    seed=max_seg, restart_delay=0.5, max_segments=max_seg))
+        assert _rewound_blocks(caplog) > 0
+        assert _finish_free_spans(caplog) > 0
+        assert any("3 lanes" in rec.getMessage() for rec in caplog.records)
+
+    def test_single_live_column(self, caplog):
+        """Stragglers that leave one live column, which every lane sums
+        with the ``cumsum``."""
+        te = np.array([1e6, 30.0, 50.0])
+        x = np.array([1, 1, 2])
+        scales = np.array([10.0, 40.0, 60.0])
+        charges = [np.array([1.5, 0.5, 0.0]), np.zeros(3),
+                   np.array([9.0, 3.0, 2.0])]
+        with caplog.at_level(logging.DEBUG, logger="repro.core.simulate"):
+            for max_seg in (9, 100, 3000):
+                _assert_lanes_identical(lanes_vs_separate(
+                    simulate_tasks_scaled, te, x, 2.0, charges, scales,
+                    seed=max_seg, restart_delay=0.25, max_segments=max_seg))
+        assert _finish_free_spans(caplog) > 0

@@ -90,6 +90,25 @@ class TestSchedule:
         assert pooled["workers_effective"] == 2
         assert _deterministic(serial) == _deterministic(pooled)
 
+    def test_lane_group_on_the_pool(self, caplog):
+        """The three storage cells of a no-checkpoint redraw cell are one
+        pool job beside the other cells; the report does not show it."""
+        specs = [policy_run_spec("none", n_jobs=400, trace_seed=2013,
+                                 failure_mode="redraw", storage=storage)
+                 for storage in ("auto", "local", "shared")]
+        specs.insert(1, _cell("optimal", "replay", n_jobs=400))
+        serial = run_specs(specs, workers=1)
+        with caplog.at_level(logging.DEBUG, logger="repro.parallel.sweep"):
+            pooled = run_specs(specs, workers=2)
+        assert pooled["workers_effective"] == 2
+        assert _deterministic(serial) == _deterministic(pooled)
+        assert [c["digest"] for c in pooled["points"]] == [
+            api.run(spec).digest for spec in specs]
+        lanes = [rec.getMessage() for rec in caplog.records
+                 if "lane groups" in rec.getMessage()]
+        assert lanes == ["3 checkpoint-free redraw cells run as 1 lane "
+                         "groups of [3] cells, one kernel pass each; 2 jobs"]
+
     def test_debug_log_records_the_decision(self, caplog):
         specs = self._grid()
         with caplog.at_level(logging.DEBUG, logger="repro.parallel.sweep"):
