@@ -11,7 +11,8 @@ times one campaign round's cells and its wall on a 2-worker pool in grid
 order and under the sweep runner's cost-ordered dispatch, times a
 10k-task workload build with and without the DES tier's trace,
 times the scalar tier against its vendored per-task loop
-(``reference_run_scalar`` in ``tests/test_scalar_tier.py``), and
+(``reference_run_scalar`` in ``tests/test_scalar_tier.py``), times
+cached ``api.run`` hits stage by stage, and
 writes the result as ``BENCH_parallel.json`` — the committed perf
 record the CI benchmark smoke job extends on every push.
 
@@ -492,6 +493,96 @@ def bench_scalar_tier(repeats: int) -> dict:
     }
 
 
+#: (scenario, tier) of the store-hit specs; two replay cells join them
+STORE_HIT_SCENARIOS = (
+    ("exp-per-priority-spread", "scalar"),
+    ("policy-young", "vector"),
+    ("storage-nfs-contended", "des"),
+    ("host-crashes-local-wipe", "des"),
+)
+
+
+def bench_store_hit(repeats: int) -> dict:
+    """Cached ``api.run(spec, store=...)`` hits, whole (``hit_us``) and
+    split into the spec digest, ``store.get`` (read, parse, checks)
+    and the parse of the record's spec snapshot
+    (:meth:`RunResult.from_record`).
+
+    ``held`` calls on the spec object that computed the record, whose
+    digest is memoised after the first call; ``fresh`` calls on a new
+    equal spec object each time (built by ``evolve``), which derives
+    it again.  Each figure is a per-call mean over six specs, from the
+    best of ``repeats`` rounds of 300 calls per spec.
+    ``hits_identical`` checks every spec's held and fresh hit against
+    its cold digest and its parsed record.
+    """
+    import tempfile
+
+    from repro import api
+    from repro.api import RunResult
+    from repro.store import ResultStore
+
+    specs = [api.scenario_spec(name, tier=tier)
+             for name, tier in STORE_HIT_SCENARIOS]
+    specs += [policy_run_spec("optimal", n_jobs=200, trace_seed=0),
+              policy_run_spec("none", n_jobs=200, trace_seed=0,
+                              failure_mode="redraw")]
+    n_calls = 300
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        cold = [api.run(spec, store=store).digest for spec in specs]
+        identical = True
+        for spec, digest in zip(specs, cold):
+            want = RunResult.from_record(store.get(spec.spec_digest()))
+            for caller in (spec, spec.evolve()):
+                hit = api.run(caller, store=store)
+                identical &= (hit.cached and hit.digest == digest
+                              and hit.spec == want.spec
+                              and hit.spec.to_json() == want.spec.to_json()
+                              and hit.summary == want.summary
+                              and hit.extra == want.extra)
+
+        def best_round(fresh: bool) -> dict:
+            """Per-call means of the best of ``repeats`` rounds: whole
+            hits, then the same calls stage by stage."""
+            best = dict.fromkeys(("hit_us", "digest_us", "get_us",
+                                  "parse_us"), float("inf"))
+            for _ in range(repeats):
+                calls = [s.evolve() if fresh else s for s in specs
+                         for _ in range(n_calls)]
+                t0 = time.perf_counter()
+                for spec in calls:
+                    api.run(spec, store=store)
+                took = {"hit_us": time.perf_counter() - t0,
+                        "digest_us": 0.0, "get_us": 0.0, "parse_us": 0.0}
+                if fresh:
+                    calls = [s.evolve() for s in calls]
+                for spec in calls:
+                    t0 = time.perf_counter()
+                    digest = spec.spec_digest()
+                    t1 = time.perf_counter()
+                    record = store.get(digest, on_corrupt="miss")
+                    t2 = time.perf_counter()
+                    RunResult.from_record(record)
+                    t3 = time.perf_counter()
+                    took["digest_us"] += t1 - t0
+                    took["get_us"] += t2 - t1
+                    took["parse_us"] += t3 - t2
+                for key, value in took.items():
+                    best[key] = min(best[key], value)
+            return {k: round(1e6 * v / len(calls), 2)
+                    for k, v in best.items()}
+
+        held, fresh = best_round(False), best_round(True)
+    return {
+        "specs": [f"{s.name}@{s.execution.tier}" for s in specs],
+        "calls_per_round": n_calls * len(specs),
+        "held": held,
+        "fresh": fresh,
+        "hits_identical": bool(identical),
+    }
+
+
 #: section name -> ``bench(args)``, in payload order
 SECTIONS = {
     "hot_path": lambda a: bench_hot_path(a.n_tasks, a.repeats),
@@ -501,6 +592,7 @@ SECTIONS = {
     "campaign_dispatch": lambda a: bench_campaign_dispatch(a.repeats),
     "workload_build": lambda a: bench_workload_build(a.repeats),
     "scalar_tier": lambda a: bench_scalar_tier(a.repeats),
+    "store_hit": lambda a: bench_store_hit(a.repeats),
 }
 
 

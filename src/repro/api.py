@@ -168,6 +168,16 @@ def run(
     override is rejected together with ``store`` because it changes
     the computation without changing the digest.
 
+    A hit returns :meth:`RunResult.from_record` of the record: its
+    scalar fields, ``cached=True``, and as ``spec`` the record's
+    snapshot parsed by :meth:`RunSpec.from_dict` (``spec`` with
+    ``description``, ``tags``, ``execution.workers`` and
+    ``execution.quick`` at their defaults, for every record this code
+    writes).  The spec's digest is derived once per spec *instance*,
+    so a caller that keeps its spec object skips it on later hits; one
+    that builds a fresh spec for every call (a sweep worker, ``repro
+    run``) derives it each time.
+
     ``execution.workers`` fans out the vector and replay tiers, and —
     for contention-free scenarios (local storage, no host crashes) —
     the DES tier, which decomposes by host group through

@@ -45,7 +45,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -54,7 +54,8 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from repro.spec import RunSpec, SpecError, _toml_string, _toml_value
+from repro.spec import (RunSpec, SpecError, _field_names, _toml_string,
+                        _toml_value)
 from repro.store import ResultStore, RunRecord, StoreError
 
 __all__ = [
@@ -179,8 +180,8 @@ class CampaignSpec:
                 f"unsupported campaign_version {version!r} "
                 f"(this build reads version {CAMPAIGN_VERSION})"
             )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        known = _field_names(cls)
+        unknown = sorted(set(data).difference(known))
         if unknown:
             raise SpecError(
                 f"unknown CampaignSpec field(s): {', '.join(unknown)}; "
@@ -349,20 +350,21 @@ def _open_store(campaign: CampaignSpec, store, base_dir: Path | None):
 
 def _partition(
     campaign: CampaignSpec, store: ResultStore
-) -> tuple[list[RunSpec], list[str], list[int]]:
-    """Expand and split into (cells, digests, missing cell indices).
+) -> tuple[list[RunSpec], list[str], list[RunRecord | None]]:
+    """Expand and read each cell's record once: (cells, digests,
+    records), with ``None`` for a *missing* cell.
 
-    A cell is *missing* unless its record exists and parses — a
+    A cell is missing unless its record exists and parses — a
     truncated or foreign file counts as a miss, so corruption heals by
     recomputation rather than failing the campaign.
     """
     cells = campaign.expand()
     digests = [spec.spec_digest() for spec in cells]
-    missing = [
-        i for i, digest in enumerate(digests)
-        if store.get(digest, on_corrupt="miss") is None
-    ]
-    return cells, digests, missing
+    found: dict[str, RunRecord | None] = {}
+    for digest in digests:
+        if digest not in found:
+            found[digest] = store.get(digest, on_corrupt="miss")
+    return cells, digests, [found[digest] for digest in digests]
 
 
 def build_report(campaign: CampaignSpec, records: list[RunRecord]) -> dict:
@@ -398,11 +400,12 @@ def run_campaign(
 ) -> tuple[dict, dict]:
     """Execute the campaign; returns ``(report, stats)``.
 
-    Cached cells are served from the store; missing cells run through
-    :func:`repro.parallel.sweep.run_specs` (longest-first dispatch,
-    grid-order merge, records persisted by the workers as each cell
-    completes).  The report is rebuilt from the store afterwards, so
-    its cells are record payloads regardless of how they got there.
+    Cached cells are served from the records read to find them;
+    missing cells run through :func:`repro.parallel.sweep.run_specs`
+    (longest-first dispatch, grid-order merge, records persisted by
+    the workers as each cell completes) and are read back from the
+    store afterwards, so every report cell is a record payload
+    regardless of how it got there.
 
     ``stats`` carries the non-deterministic bookkeeping (cache hits,
     recomputations, wall-clock) that must stay out of the report.
@@ -411,7 +414,8 @@ def run_campaign(
 
     t0 = time.perf_counter()
     store = _open_store(campaign, store, base_dir)
-    cells, digests, missing = _partition(campaign, store)
+    cells, digests, records = _partition(campaign, store)
+    missing = [i for i, record in enumerate(records) if record is None]
     workers = workers if workers is not None else campaign.workers
     if missing:
         # Dedup within the missing set: two cells can digest-alias
@@ -420,15 +424,13 @@ def run_campaign(
         for i in missing:
             todo.setdefault(digests[i], cells[i])
         run_specs(list(todo.values()), workers=workers, store=store)
-    records = []
-    for i, digest in enumerate(digests):
-        record = store.get(digest)  # on_corrupt="raise": must exist now
-        if record is None:
+    for i in missing:
+        records[i] = store.get(digests[i])  # on_corrupt="raise": must exist
+        if records[i] is None:
             raise StoreError(
-                f"campaign cell {cells[i].name!r} ({digest[:12]}…) has no "
-                "record after execution — store path misconfigured?"
+                f"campaign cell {cells[i].name!r} ({digests[i][:12]}…) has "
+                "no record after execution — store path misconfigured?"
             )
-        records.append(record)
     report = build_report(campaign, records)
     stats = {
         "campaign": campaign.name,
@@ -616,15 +618,15 @@ def _cmd_status(args, campaign: CampaignSpec, base_dir: Path) -> int:
 
 def _cmd_report(args, campaign: CampaignSpec, base_dir: Path) -> int:
     store = _open_store(campaign, args.store, base_dir)
-    cells, digests, missing = _partition(campaign, store)
-    if missing:
+    cells, _, records = _partition(campaign, store)
+    n_missing = records.count(None)
+    if n_missing:
         print(
-            f"error: {len(missing)}/{len(cells)} cell(s) have no record "
+            f"error: {n_missing}/{len(cells)} cell(s) have no record "
             "in the store; run `repro campaign run` first",
             file=sys.stderr,
         )
         return 1
-    records = [store.get(d) for d in digests]
     report = build_report(campaign, records)
     if args.text:
         _print_cells(report)

@@ -40,6 +40,7 @@ with equal digests are the same experiment.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -128,9 +129,16 @@ def _non_negative(value: float, what: str) -> None:
 # ----------------------------------------------------------------------
 # Serialization helpers.
 # ----------------------------------------------------------------------
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The dataclass field names of ``cls`` in order, computed once per
+    class."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _check_keys(cls, data: dict) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    known = _field_names(cls)
+    unknown = sorted(set(data).difference(known))
     if unknown:
         raise SpecError(
             f"unknown {cls.__name__} field(s): {', '.join(unknown)}; "
@@ -307,7 +315,8 @@ class WorkloadSpec:
 
     def to_dict(self) -> dict:
         """Plain-JSON representation."""
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {name: _plain(getattr(self, name))
+                for name in _field_names(type(self))}
 
     @classmethod
     def from_dict(cls, data: dict) -> WorkloadSpec:
@@ -502,7 +511,8 @@ class ExecutionSpec:
 
     def to_dict(self) -> dict:
         """Plain-JSON representation."""
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {name: _plain(getattr(self, name))
+                for name in _field_names(type(self))}
 
     @classmethod
     def from_dict(cls, data: dict) -> ExecutionSpec:
@@ -526,6 +536,15 @@ class RunSpec:
     bit-identical results on the same tier, and
     :meth:`spec_digest` is the canonical content address experiments
     and sweep reports record alongside result digests.
+
+    Being a frozen value, a spec derives its digest once and keeps it
+    in a private instance attribute (``_digest``, outside the fields);
+    the canonical JSON behind it is not kept, as nothing else reads it
+    twice and a large campaign would hold about a kilobyte more per
+    cell.  Equality, hashing, ``repr`` and ``to_dict`` see only the
+    fields; ``evolve`` and :func:`dataclasses.replace` build fresh
+    instances, and a pickled or copied spec carries no digest, so a
+    pool worker or another build derives it again from the fields.
     """
 
     name: str = "adhoc"
@@ -731,8 +750,20 @@ class RunSpec:
 
         Stable across processes, platforms, and worker counts; two
         specs with equal digests describe the same experiment.
+        Computed once per instance.
         """
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            self.__dict__["_digest"] = digest
+        return digest
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only; the unpickled spec derives its digest
+        again."""
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
 
     # -- evolution -----------------------------------------------------
     def evolve(self, **overrides) -> RunSpec:

@@ -33,6 +33,16 @@ Design rules
   serves only records of the current version, so a store written
   before a change to the model semantics recomputes instead of serving
   stale results.
+* **A read is one file read and one JSON parse.**  ``get`` joins the
+  record path as a string (:meth:`ResultStore.path_for` still checks
+  the digest and returns a :class:`~pathlib.Path`), and
+  :meth:`RunRecord.from_dict` checks keys against a field-name set
+  built once.  Nothing is skipped: the migration chain,
+  ``record_version``, unknown fields, field types, the digest claim,
+  the model-version rule and the ``on_corrupt`` modes all hold on
+  every read.  Turning the ``repro.store`` logger to DEBUG makes
+  ``get`` say what it decided for each digest: hit, missing, stale
+  (with the record's model version) or corrupt read as a miss.
 
 The consumers are :func:`repro.api.run` (``store=`` gives any caller
 skip-if-cached execution), :mod:`repro.parallel.sweep` (``--store``),
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -215,7 +226,6 @@ class RunRecord:
         """Parse (and, for older schema versions, migrate) a record."""
         if not isinstance(data, dict):
             raise StoreError(f"record must be an object, got {type(data).__name__}")
-        data = dict(data)
         version = data.get("record_version", 1)
         if not isinstance(version, int) or isinstance(version, bool):
             raise StoreError(f"bad record_version {version!r}")
@@ -226,11 +236,10 @@ class RunRecord:
                 "or prune the store"
             )
         while version < RECORD_VERSION:
-            data = _MIGRATIONS[version](data)
+            data = _MIGRATIONS[version](data)  # each step returns a copy
             version = data["record_version"]
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
+        if not data.keys() <= _RECORD_FIELDS:
+            unknown = sorted(data.keys() - _RECORD_FIELDS)
             raise StoreError(
                 f"unknown record field(s): {', '.join(unknown)}"
             )
@@ -255,6 +264,9 @@ class RunRecord:
     def to_json(self) -> str:
         """JSON text (sorted keys, trailing newline)."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+_RECORD_FIELDS = frozenset(f.name for f in fields(RunRecord))
 
 
 def _migrate_v1(data: dict) -> dict:
@@ -299,6 +311,22 @@ def _migrate_v2(data: dict) -> dict:
 _MIGRATIONS: dict[int, Callable[[dict], dict]] = {1: _migrate_v1, 2: _migrate_v2}
 
 
+def _log_decision(log, spec_digest: str, status: str, found) -> None:
+    """One DEBUG line on ``log`` saying what :meth:`ResultStore.get` made
+    of the record for ``spec_digest``."""
+    prefix = spec_digest[:12]
+    if status == "ok":
+        log.debug("%s: hit, record served", prefix)
+    elif status == "missing":
+        log.debug("%s: missing, no record", prefix)
+    elif status == "stale":
+        log.debug("%s: stale, record of model_version %r (this build "
+                  "serves %d); a miss", prefix,
+                  found.provenance.get("model_version"), MODEL_VERSION)
+    else:
+        log.debug("%s: corrupt, read as a miss: %s", prefix, found)
+
+
 # ----------------------------------------------------------------------
 # The store.
 # ----------------------------------------------------------------------
@@ -324,9 +352,15 @@ class ResultStore:
     # -- paths ---------------------------------------------------------
     def path_for(self, spec_digest: str) -> Path:
         """On-disk path of the record for ``spec_digest``."""
-        if not spec_digest or any(c in spec_digest for c in "/\\."):
+        return Path(self._record_path(spec_digest))
+
+    def _record_path(self, spec_digest: str) -> str:
+        """:meth:`path_for` as a string, joined without pathlib objects
+        (the cache-hit path reads through it)."""
+        if (not spec_digest or "/" in spec_digest or "\\" in spec_digest
+                or "." in spec_digest):
             raise StoreError(f"bad spec digest {spec_digest!r}")
-        return self.root / spec_digest[:2] / f"{spec_digest}.json"
+        return os.path.join(self.root, spec_digest[:2], spec_digest + ".json")
 
     # -- core operations -----------------------------------------------
     def put(self, record: RunRecord) -> Path:
@@ -373,10 +407,14 @@ class ResultStore:
                 f"on_corrupt must be 'raise' or 'miss', got {on_corrupt!r}"
             )
         status, found = self._classify(spec_digest)
-        if status == "corrupt":
-            if on_corrupt == "miss":
-                return None
+        if status == "corrupt" and on_corrupt == "raise":
             raise StoreError(found)
+        # Not imported here, to keep it off the import path: a program
+        # that turned DEBUG on has imported ``logging`` itself.
+        logging = sys.modules.get("logging")
+        if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
+            _log_decision(logging.getLogger(__name__), spec_digest, status,
+                          found)
         return found if status == "ok" else None
 
     def _classify(self, spec_digest: str) -> tuple[str, Any]:
@@ -388,22 +426,24 @@ class ResultStore:
         that cannot be read, does not parse, or claims another digest,
         and ``("missing", None)`` when there is no file.
         """
-        path = self.path_for(spec_digest)
         try:
-            text = path.read_text()
+            with open(self._record_path(spec_digest)) as fh:
+                text = fh.read()
         except FileNotFoundError:
             return "missing", None
         except OSError as exc:
-            return "corrupt", f"cannot read record {path}: {exc}"
+            return "corrupt", (f"cannot read record "
+                               f"{self.path_for(spec_digest)}: {exc}")
         try:
             record = RunRecord.from_dict(json.loads(text))
         except (StoreError, ValueError) as exc:
-            return "corrupt", f"corrupt record {path}: {exc}"
+            return "corrupt", (f"corrupt record "
+                               f"{self.path_for(spec_digest)}: {exc}")
         if record.spec_digest != spec_digest:
             # A renamed/copied file: content addressing makes the
             # mismatch detectable, so detect it.
             return "corrupt", (
-                f"record {path} claims spec_digest "
+                f"record {self.path_for(spec_digest)} claims spec_digest "
                 f"{record.spec_digest[:12]}…, expected {spec_digest[:12]}…"
             )
         if record.provenance.get("model_version") != MODEL_VERSION:

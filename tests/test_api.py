@@ -311,6 +311,101 @@ class TestStoreBackedRun:
         assert "(cached)" in capsys.readouterr().out
 
 
+def _hit_specs() -> list[RunSpec]:
+    """Every registered scenario at each scenario tier, one replay cell
+    per policy, one replay cell whose float field holds an int, and one
+    spec built with lists where ``from_dict`` makes tuples."""
+    specs = [api.scenario_spec(s.name, tier=tier) for s in list_scenarios()
+             for tier in ("scalar", "vector", "des")]
+    params = {"fixed-interval": 600.0, "fixed-count": 4.0}
+    specs += [policy_run_spec(policy, policy_param=params.get(policy, 0.0),
+                              n_jobs=40, trace_seed=0,
+                              failure_mode="redraw" if i % 2 else "replay")
+              for i, policy in enumerate(spec_mod.POLICY_NAMES)]
+    specs.append(policy_run_spec("fixed-count", policy_param=3, n_jobs=40,
+                                 trace_seed=0))
+    base = api.scenario_spec("hetero-hosts")
+    specs.append(dataclasses.replace(
+        base, failures=dataclasses.replace(
+            base.failures, laws=list(base.failures.laws))))
+    return specs
+
+
+@pytest.fixture(scope="module")
+def warm_store(tmp_path_factory):
+    from repro.store import ResultStore
+
+    store = ResultStore(tmp_path_factory.mktemp("hits"))
+    specs = _hit_specs()
+    for spec in specs:
+        api.run(spec, store=store)
+    return store, specs
+
+
+def _assert_same_hit(got: api.RunResult, want: api.RunResult) -> None:
+    """``got`` equals ``want`` field by field, the spec down to the
+    types of its values."""
+    assert got.spec == want.spec
+    assert hash(got.spec) == hash(want.spec)
+    assert got.spec.to_json() == want.spec.to_json()
+    assert got.spec.spec_digest() == want.spec.spec_digest()
+    for f in dataclasses.fields(api.RunResult):
+        if f.name != "spec":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.cached
+
+
+def _rewrite_snapshot(store, spec, edit) -> None:
+    """Apply ``edit`` to the spec snapshot of ``spec``'s record, keeping
+    the file in the form records are written in."""
+    path = store.path_for(spec.spec_digest())
+    data = json.loads(path.read_text())
+    edit(data["spec"])
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+class TestCachedHit:
+    """A hit, on a held or a fresh spec object, gives what parsing the
+    record gives."""
+
+    def test_hits_equal_the_parsed_record(self, warm_store):
+        store, specs = warm_store
+        for spec in specs:
+            want = api.RunResult.from_record(store.get(spec.spec_digest()))
+            fresh = RunSpec.from_dict(spec.to_dict())
+            callers = [spec]
+            if fresh.spec_digest() == spec.spec_digest():  # else a miss
+                callers.append(fresh)
+            for caller in callers:
+                for _ in range(2):  # a cold and then a warm digest
+                    _assert_same_hit(api.run(caller, store=store), want)
+                    _assert_same_hit(
+                        api.run_lanes([caller], store=store)[0], want)
+
+    def test_partial_snapshot_is_parsed(self, tmp_path):
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path)
+        spec = api.scenario_spec("policy-young")
+        api.run(spec, store=store)
+        full = store.get(spec.spec_digest()).spec
+
+        def partial(*keys):
+            return lambda snapshot: (snapshot.clear(), snapshot.update(
+                {k: full[k] for k in ("spec_version", "name", *keys)}))
+
+        _rewrite_snapshot(store, spec, partial())
+        record = store.get(spec.spec_digest())
+        with pytest.raises(SpecError, match="at least one failure law"):
+            api.RunResult.from_record(record)
+        with pytest.raises(SpecError, match="at least one failure law"):
+            api.run(spec, store=store)
+        _rewrite_snapshot(store, spec, partial("workload", "failures"))
+        want = api.RunResult.from_record(store.get(spec.spec_digest()))
+        _assert_same_hit(api.run(spec, store=store), want)
+        assert want.spec.policy.name == "optimal" != spec.policy.name
+
+
 class TestWorkersEffective:
     def test_vector_and_replay_record_requested_workers(self):
         vec = api.run(api.scenario_spec("short-tasks", tier="vector",

@@ -143,6 +143,32 @@ class TestRunCampaign:
         assert report_json(report_a) == report_json(report_b)
         assert report_json(report_b) == report_json(report_fresh)
 
+    def test_each_record_is_read_once(self, tmp_path, monkeypatch):
+        """Cached cells are read once; a computed cell is read back
+        once, loudly, after it ran (besides the reads that find it
+        missing)."""
+        camp = small_campaign()
+        store = ResultStore(tmp_path / "store")
+        report, _ = run_campaign(camp, store=store)
+        digests = camp.cell_digests()
+        store.path_for(digests[2]).unlink()
+        reads = []
+        get = ResultStore.get
+        monkeypatch.setattr(ResultStore, "get", lambda self, digest, **kw: (
+            reads.append((digest, kw.get("on_corrupt", "raise")))
+            or get(self, digest, **kw)))
+        resumed, stats = run_campaign(camp, store=store)
+        assert stats["n_computed"] == 1
+        assert report_json(resumed) == report_json(report)
+        for digest in digests[:2] + digests[3:]:
+            assert [r for r in reads if r[0] == digest] == [(digest, "miss")]
+        assert [r for r in reads if r[0] == digests[2]][-1] == (
+            digests[2], "raise")
+        assert reads.count((digests[2], "raise")) == 1
+        reads.clear()
+        run_campaign(camp, store=store)
+        assert sorted(reads) == sorted((d, "miss") for d in digests)
+
     def test_corrupt_record_is_a_miss_and_heals(self, tmp_path):
         camp = small_campaign()
         store = ResultStore(tmp_path / "store")

@@ -15,8 +15,11 @@ Covers the :mod:`repro.spec` contract in isolation (no execution):
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -406,6 +409,55 @@ class TestDigest:
             assert spec.to_dict() == payload["spec"], path.name
             assert spec.spec_digest() == payload["digest"], path.name
             assert RunSpec.from_dict(payload["spec"]) == spec, path.name
+
+
+class TestDigestMemo:
+    """A spec keeps its digest once derived; nothing that copies,
+    rebuilds or compares specs sees it."""
+
+    def _digested(self) -> RunSpec:
+        spec = _spec(description="prose", tags=("a",))
+        spec.spec_digest()
+        return spec
+
+    def test_computed_once(self, monkeypatch):
+        spec = _spec()
+        calls = []
+        to_dict = RunSpec.to_dict
+        monkeypatch.setattr(RunSpec, "to_dict",
+                            lambda self: calls.append(1) or to_dict(self))
+        digest = spec.spec_digest()
+        assert spec.spec_digest() == digest
+        assert len(calls) == 1
+
+    def test_eq_hash_repr_and_to_dict_do_not_see_it(self):
+        digested, plain = self._digested(), _spec(description="prose",
+                                                  tags=("a",))
+        assert "_digest" in vars(digested)
+        assert "_digest" not in vars(plain)
+        assert digested == plain and hash(digested) == hash(plain)
+        assert repr(digested) == repr(plain)
+        assert digested.to_dict() == plain.to_dict()
+        assert dataclasses.asdict(digested) == dataclasses.asdict(plain)
+
+    def test_pickle_and_copies_recompute(self):
+        spec = self._digested()
+        digest = spec.spec_digest()
+        # A wrong kept value shows whether a copy carries it over.
+        vars(spec)["_digest"] = "0" * 64
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec),
+                      copy.deepcopy(spec)):
+            assert clone == spec
+            assert "_digest" not in vars(clone)
+            assert clone.spec_digest() == digest
+
+    def test_replace_and_evolve_digest_their_own_fields(self):
+        spec = self._digested()
+        for other in (dataclasses.replace(spec, name="other"),
+                      spec.evolve(name="other")):
+            fresh = RunSpec.from_json(other.to_json())
+            assert other.spec_digest() == fresh.spec_digest()
+            assert other.spec_digest() != spec.spec_digest()
 
 
 class TestEvolve:

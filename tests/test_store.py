@@ -9,6 +9,7 @@ produce a torn read), and corruption is either loud (``on_corrupt=
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 
@@ -176,9 +177,11 @@ class TestResultStore:
 
     def test_bad_digest_key_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
-        for bad in ("", "../evil", "a/b", "x.json"):
+        for bad in ("", "../evil", "a/b", "a\\b", "x.json"):
             with pytest.raises(StoreError):
                 store.path_for(bad)
+            with pytest.raises(StoreError):
+                store.get(bad, on_corrupt="miss")
 
     def test_truncated_record(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -234,6 +237,49 @@ class TestResultStore:
         with pytest.raises(StoreError, match="does not exist"):
             ResultStore(tmp_path / "nope", create=False)
         ResultStore(tmp_path, create=False)  # exists: fine
+
+
+class TestDecisionLog:
+    """``get`` says on ``repro.store`` what it made of each record."""
+
+    def _lines(self, caplog, store, digest):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="repro.store"):
+            store.get(digest, on_corrupt="miss")
+        return [r.getMessage() for r in caplog.records
+                if r.name == "repro.store"]
+
+    def test_one_line_per_status(self, tmp_path, caplog):
+        store = ResultStore(tmp_path)
+        prefix = DIGEST[:12]
+        assert self._lines(caplog, store, DIGEST) == [
+            f"{prefix}: missing, no record"]
+        store.put(make_record())
+        assert self._lines(caplog, store, DIGEST) == [
+            f"{prefix}: hit, record served"]
+        store.put(make_record(provenance={"model_version": 1}))
+        assert self._lines(caplog, store, DIGEST) == [
+            f"{prefix}: stale, record of model_version 1 (this build "
+            f"serves {MODEL_VERSION}); a miss"]
+        store.path_for(DIGEST).write_text("{")
+        [line] = self._lines(caplog, store, DIGEST)
+        assert line.startswith(f"{prefix}: corrupt, read as a miss: "
+                               "corrupt record ")
+
+    def test_raised_corruption_and_info_level_log_nothing(self, tmp_path,
+                                                          caplog):
+        store = ResultStore(tmp_path)
+        store.put(make_record())
+        store.path_for(DIGEST).write_text("{")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="repro.store"):
+            with pytest.raises(StoreError):
+                store.get(DIGEST)
+        store.put(make_record())
+        with caplog.at_level(logging.INFO, logger="repro.store"):
+            store.get(DIGEST)
+            store.get(OTHER)
+        assert not [r for r in caplog.records if r.name == "repro.store"]
 
 
 # ----------------------------------------------------------------------

@@ -109,6 +109,24 @@ class TestSchedule:
         assert lanes == ["3 checkpoint-free redraw cells run as 1 lane "
                          "groups of [3] cells, one kernel pass each; 2 jobs"]
 
+    def test_digested_specs_digest_the_same_in_pool_workers(self, tmp_path):
+        """Specs digested (and so memoised) before dispatch persist their
+        records in the workers under the same digests."""
+        from repro.spec import RunSpec
+        from repro.store import ResultStore
+
+        specs = self._grid()
+        digests = [spec.spec_digest() for spec in specs]
+        store = ResultStore(tmp_path)
+        report = run_specs(specs, workers=2, store=store)
+        assert report["workers_effective"] == 2
+        assert [c["spec_digest"] for c in report["points"]] == digests
+        for spec, digest in zip(specs, digests):
+            record = store.get(digest)
+            assert record.spec_digest == digest
+            assert RunSpec.from_dict(record.spec).spec_digest() == digest
+            assert api.run(spec, store=store).cached
+
     def test_debug_log_records_the_decision(self, caplog):
         specs = self._grid()
         with caplog.at_level(logging.DEBUG, logger="repro.parallel.sweep"):
