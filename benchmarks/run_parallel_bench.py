@@ -466,12 +466,24 @@ def bench_scalar_tier(repeats: int) -> dict:
     """The scalar tier on a 10k-task workload against the per-task loop
     it replaced (``reference_run_scalar`` in
     ``tests/test_scalar_tier.py``: one ``default_rng((seed, i))`` and
-    one ``simulate_task`` per task)."""
+    one ``simulate_task`` per task), split into stages.
+
+    ``stages_us_per_task`` times the tier's first two stages on their
+    own, chunk by chunk as ``run_scalar`` runs them: ``seed_batch``
+    (:func:`~repro.failures.streams.task_stream_states`) and
+    ``seek_draw`` (one :func:`~repro.failures.streams.seek` and one
+    ``_ROUNDS``-draw ``sample`` per batch-law task).  ``round_loop`` is
+    the rest of ``run_scalar_us_per_task``: the batch round loop and
+    the per-task reruns.  ``seek_path`` names how :func:`seek` writes a
+    state on this host: ``"state-words"`` straight into the generator,
+    or ``"setter"`` through ``bit_generator.state``.
+    """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from test_scalar_tier import reference_run_scalar
 
     from repro.core.simulate import SimulationResult
-    from repro.verify.runner import run_scalar
+    from repro.failures import streams
+    from repro.verify import runner
     from repro.verify.scenarios import build_workload, get_scenario
 
     n_tasks = 10_000
@@ -479,15 +491,43 @@ def bench_scalar_tier(repeats: int) -> dict:
         **{"workload.n_tasks": n_tasks}))
     t_loop, (wall, fails, completed) = _best_of(
         repeats, lambda: reference_run_scalar(workload))
-    t_tier, tier = _best_of(repeats, lambda: run_scalar(workload))
+    t_tier, tier = _best_of(repeats, lambda: runner.run_scalar(workload))
     loop_digest = SimulationResult(
         te=workload.te, wallclock=wall, n_failures=fails,
         intervals=workload.intervals, completed=completed,
     ).digest()
+
+    chunks = [np.arange(lo, min(lo + runner._CHUNK, n_tasks))
+              for lo in range(0, n_tasks, runner._CHUNK)]
+    t_seed, states = _best_of(repeats, lambda: [
+        streams.task_stream_states(workload.seed, ids) for ids in chunks])
+    laws = [[workload.distributions[d]
+             for d in workload.dist_ids[ids].tolist()] for ids in chunks]
+    rng = np.random.default_rng(0)
+
+    def seek_draw():
+        for chunk_states, chunk_laws in zip(states, laws):
+            for row, law in zip(chunk_states, chunk_laws):
+                if type(law) in streams._BATCH_LAWS:
+                    streams.seek(rng, row)
+                    law.sample(rng, streams._ROUNDS)
+
+    t_seek, _ = _best_of(repeats, seek_draw)
+
+    def us(seconds: float) -> float:
+        return round(1e6 * seconds / n_tasks, 2)
+
     return {
         "workload": f"exp-per-priority-spread, {n_tasks} tasks",
-        "per_task_loop_us_per_task": round(1e6 * t_loop / n_tasks, 2),
-        "run_scalar_us_per_task": round(1e6 * t_tier / n_tasks, 2),
+        "cpu_count": os.cpu_count(),
+        "seek_path": "state-words" if streams._direct_seek() else "setter",
+        "per_task_loop_us_per_task": us(t_loop),
+        "run_scalar_us_per_task": us(t_tier),
+        "stages_us_per_task": {
+            "seed_batch": us(t_seed),
+            "seek_draw": us(t_seek),
+            "round_loop": us(t_tier - t_seed - t_seek),
+        },
         "speedup": round(t_loop / t_tier, 2),
         "digests_identical": tier.digest == loop_digest,
     }

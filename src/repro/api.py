@@ -168,6 +168,8 @@ def run(
     override is rejected together with ``store`` because it changes
     the computation without changing the digest.
 
+    A record whose spec snapshot is missing or does not parse is a
+    miss, like an unreadable one: the run recomputes and overwrites it.
     A hit returns :meth:`RunResult.from_record` of the record: its
     scalar fields, ``cached=True``, and as ``spec`` the record's
     snapshot parsed by :meth:`RunSpec.from_dict` (``spec`` with
@@ -199,13 +201,33 @@ def run(
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         if reuse:
-            record = store.get(spec.spec_digest(), on_corrupt="miss")
-            if record is not None and record.spec is not None:
-                return RunResult.from_record(record)
+            cached = _cached(store, spec)
+            if cached is not None:
+                return cached
     result = _execute(spec, trace=trace)
     if store is not None:
         store.put(RunRecord.from_result(result))
     return result
+
+
+def _cached(store: ResultStore, spec: RunSpec) -> RunResult | None:
+    """The stored result of ``spec``, or ``None`` for a miss.
+
+    A record that cannot be read, or whose spec snapshot is absent or
+    does not parse, is a miss: the caller recomputes and overwrites it.
+    """
+    record = store.get(spec.spec_digest(), on_corrupt="miss")
+    if record is None or record.spec is None:
+        return None
+    try:
+        return RunResult.from_record(record)
+    except SpecError as exc:
+        import logging
+
+        logging.getLogger("repro.api").debug(
+            "%s: record's spec snapshot does not parse (%s); a miss",
+            record.spec_digest[:12], exc)
+        return None
 
 
 def _execute(spec: RunSpec, *, trace=None) -> RunResult:
@@ -320,11 +342,8 @@ def run_lanes(
     results: list[RunResult | None] = [None] * len(specs)
     todo = []
     for i, spec in enumerate(specs):
-        record = (store.get(spec.spec_digest(), on_corrupt="miss")
-                  if store is not None else None)
-        if record is not None and record.spec is not None:
-            results[i] = RunResult.from_record(record)
-        else:
+        results[i] = _cached(store, spec) if store is not None else None
+        if results[i] is None:
             todo.append(i)
     if not todo:
         return results

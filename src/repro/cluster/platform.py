@@ -13,7 +13,9 @@ instant; shared-storage tasks run the watchdog-free per-interval loop
 (:mod:`repro.cluster.executor`).  A task draws its failures from
 ``default_rng((seed, task_id))``; one
 :func:`~repro.failures.streams.task_stream_states` call computes every
-such state for the trace (:func:`~repro.failures.streams.stream_injector`).
+such state for the trace, as one row of ``uint64`` words per task, and
+each task's injector seeks a shared generator to its row
+(:func:`~repro.failures.streams.stream_injector`).
 Each job process starts at its submit time and each host monitor at
 its first crash (``Environment.process(at=)``), so nothing waits from
 t=0.  The returned :class:`~repro.cluster.records.PlatformResult`
@@ -95,7 +97,7 @@ class CloudPlatform:
         mnof_by_priority: dict[int, float] | None = None,
         mtbf_by_priority: dict[int, float] | None = None,
         replay_history: bool = False,
-        _stream_states: list[tuple[int, int]] | None = None,
+        _stream_states: np.ndarray | None = None,
     ) -> PlatformResult:
         """Execute ``trace`` under ``policy`` and collect records.
 
@@ -112,9 +114,10 @@ class CloudPlatform:
             ``kill -9`` replays); otherwise fresh intervals are drawn
             from the catalog.
         _stream_states:
-            The :func:`~repro.failures.streams.task_stream_states` rows
-            of ``trace.tasks()``, when the caller computed them in one
-            batch for several traces (:mod:`repro.des.sharding`).
+            The :func:`~repro.failures.streams.task_stream_states`
+            array of ``trace.tasks()`` (one row of state words per
+            task), when the caller computed it in one batch for several
+            traces (:mod:`repro.des.sharding`).
         """
         cfg = self.config
         env, hosts, scheduler = self._build()
@@ -150,8 +153,9 @@ class CloudPlatform:
 
         if not replay_history:
             # Every task's default_rng((seed, task_id)) state, in one batch.
-            streams = _stream_states or task_stream_states(
+            streams = (task_stream_states(
                 self.seed, [t.task_id for t in tasks])
+                if _stream_states is None else _stream_states)
             # Each task seeks it to its own stream before drawing.
             shared_rng = np.random.default_rng(0)
 

@@ -50,9 +50,9 @@ because every task's failure stream is keyed by ``(seed, task_id)``
 spawning), shards consume identical draws no matter where they
 execute.  The run computes every task's stream state once
 (:func:`~repro.failures.streams.task_stream_states`) and ships each
-shard its rows.  Results merge in ``task_id`` order.  Digests,
-summaries, and the aggregated ``extra`` statistics are consequently
-identical for every ``workers`` value.
+shard its rows as one ``uint64`` array.  Results merge in ``task_id``
+order.  Digests, summaries, and the aggregated ``extra`` statistics
+are consequently identical for every ``workers`` value.
 """
 
 from __future__ import annotations
@@ -249,9 +249,8 @@ def run_des_sharded(workload, workers: int = 1):
             "policy_param": policy.param,
             "mnof_by_priority": workload.mnof_by_priority,
             "mtbf_by_priority": workload.mtbf_by_priority,
-            "stream_states": [states[row] for j in job_idx
-                              for row in range(first_row[j],
-                                               first_row[j + 1])],
+            "stream_states": np.concatenate(
+                [states[first_row[j]:first_row[j + 1]] for j in job_idx]),
         }
         for host_ids, job_idx in plan
     ]

@@ -14,18 +14,26 @@ was most of a scalar-tier run (``BENCH_parallel.json``,
   (mod 2**128).
 
 :func:`task_stream_states` computes both in NumPy for a whole batch of
-task ids, so a caller sets each task's ``(state, inc)`` on one reused
-generator and draws exactly what ``default_rng((seed, i))`` draws.
+task ids, the 128-bit arithmetic on 64-bit limbs, and returns each
+stream's state as one row of four ``uint64`` words (state lo/hi, inc
+lo/hi).  :func:`seek` copies a row into one reused generator, which
+then draws exactly what ``default_rng((seed, i))`` draws.  It writes
+the words through a view of the generator's state memory
+(``bit_generator.ctypes.state_address``), whose layout is checked
+once per process against the ``bit_generator.state`` property; where
+the check fails, the property is the only path.
 
 Both tiers then draw each task's first :data:`_ROUNDS` uptimes in one
-``sample`` call on that shared generator (:func:`seek`): the scalar
-tier feeds them to its batch round loop, the DES hands them out one
-failure at a time through a :class:`BatchSeededInjector`.  Only laws in
+``sample`` call on that shared generator: the scalar tier feeds them to
+its batch round loop, the DES hands them out one failure at a time
+through a :class:`BatchSeededInjector`.  Only laws in
 :data:`_BATCH_LAWS` may be drawn this way.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -68,7 +76,13 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_PCG64_MULT_LO = np.uint64(_PCG64_MULT & _MASK64)
+_PCG64_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_LO32 = np.uint64(_MASK32)
+_S32 = np.uint64(32)
+#: state words per stream: state lo/hi, inc lo/hi
+_N_WORDS = 4
 
 
 def _int_to_words(value: int) -> list[int]:
@@ -136,51 +150,165 @@ def _generate_state(seed_words: list[int], ids: np.ndarray) -> np.ndarray:
     ])
 
 
-def _pcg64_seed(initstate: int, initseq: int) -> tuple[int, int]:
-    inc = ((initseq << 1) | 1) & _MASK128
-    return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
+def _pcg64_words(words: np.ndarray) -> np.ndarray:
+    """PCG64's seeding step on ``generate_state`` output, as state words.
+
+    ``words`` is the ``(4, n)`` array of :func:`_generate_state`: the
+    high and low halves of ``initstate``, then of ``initseq``.  The
+    result is ``(n, 4)``: state lo/hi, inc lo/hi, all arithmetic mod
+    2**64 per limb with the carries written out.
+    """
+    s_hi, s_lo, q_hi, q_lo = words
+    one = np.uint64(1)
+    inc_lo = (q_lo << one) | one
+    inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
+    t_lo = inc_lo + s_lo
+    t_hi = inc_hi + s_hi + (t_lo < inc_lo)
+    # (t * MULT) mod 2**128: the full product of the low limbs, plus
+    # the two cross products that land in the high limb.
+    lo, hi = _mul_64x64(t_lo, _PCG64_MULT_LO)
+    hi = hi + t_lo * _PCG64_MULT_HI + t_hi * _PCG64_MULT_LO
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
 
 
-def _fallback(seed, task_id) -> tuple[int, int]:
+def _mul_64x64(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit limbs of ``a * b``, through 32-bit halves."""
+    a0, a1 = a & _LO32, a >> _S32
+    b0, b1 = b & _LO32, b >> _S32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    lo = (mid << _S32) | (p00 & _LO32)
+    hi = a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return lo, hi
+
+
+def _fallback(seed, task_id) -> list[int]:
+    """The state words of ``default_rng((seed, task_id))`` itself."""
     state = np.random.default_rng((seed, task_id)).bit_generator.state
-    return state["state"]["state"], state["state"]["inc"]
+    words = []
+    for value in (state["state"]["state"], state["state"]["inc"]):
+        words += [value & _MASK64, value >> 64]
+    return words
 
 
-def task_stream_states(seed, task_ids) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng((seed, i))`` for each id.
+def task_stream_states(seed, task_ids) -> np.ndarray:
+    """PCG64 state words of ``default_rng((seed, i))`` for each id.
 
-    Setting ``{"state": state, "inc": inc}`` (with ``has_uint32 = 0``)
-    on any PCG64 generator makes it draw what ``default_rng((seed, i))``
-    draws.  Non-negative integer seeds of any size and ids below 2**32
-    are computed in one batch; any other seed or id is delegated to
-    ``default_rng`` itself (which also raises its errors).
+    Row ``r`` of the ``(len(task_ids), 4)`` ``uint64`` result holds the
+    state's low and high 64 bits, then the increment's; :func:`seek`
+    writes a row into a PCG64 generator, which then draws what
+    ``default_rng((seed, task_ids[r]))`` draws.  Non-negative integer
+    seeds of any size and ids below 2**32 are computed in one batch;
+    any other seed or id is delegated to ``default_rng`` itself (which
+    also raises its errors).
     """
     ids = np.asarray(task_ids)
-    if ids.dtype.kind not in "iu" or not isinstance(seed, (int, np.integer)) \
-            or seed < 0:
-        return [_fallback(seed, i) for i in ids.tolist()]
-    covered = (ids >= 0) & (ids <= _MASK32)
-    words = _generate_state(_int_to_words(int(seed)),
-                            ids[covered].astype(np.uint32)).tolist()
-    batch = iter(zip(*words))
-    out = []
-    for task_id, ok in zip(ids.tolist(), covered.tolist()):
-        if ok:
-            s0, s1, q0, q1 = next(batch)
-            out.append(_pcg64_seed((s0 << 64) | s1, (q0 << 64) | q1))
-        else:
-            out.append(_fallback(seed, task_id))
+    out = np.empty((ids.size, _N_WORDS), dtype=np.uint64)
+    if ids.dtype.kind in "iu" and isinstance(seed, (int, np.integer)) \
+            and seed >= 0:
+        covered = (ids >= 0) & (ids <= _MASK32)
+        out[covered] = _pcg64_words(_generate_state(
+            _int_to_words(int(seed)), ids[covered].astype(np.uint32)))
+    else:
+        covered = np.zeros(ids.size, dtype=bool)
+    rest = np.flatnonzero(~covered).tolist()
+    if rest:
+        id_list = ids.tolist()
+        for row in rest:
+            out[row] = _fallback(seed, id_list[row])
     return out
 
 
-def seek(rng: np.random.Generator, state_inc: tuple[int, int]) -> None:
+class _PCG64Header(ctypes.Structure):
+    """NumPy's ``pcg64_state``, the struct at ``ctypes.state_address``
+    of a PCG64: a pointer to the 128-bit state and increment, then the
+    buffered half of the last 64-bit draw."""
+
+    _fields_ = [("pcg_state", ctypes.c_void_p),
+                ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
+
+
+def _state_view(bit_generator) -> tuple[np.ndarray, _PCG64Header]:
+    """A ``uint64`` view of the state words of the PCG64
+    ``bit_generator`` and its header; valid while it lives."""
+    header = _PCG64Header.from_address(bit_generator.ctypes.state_address)
+    if not header.pcg_state:
+        raise ValueError("PCG64 state pointer is null")
+    words = np.ctypeslib.as_array(
+        (ctypes.c_uint64 * _N_WORDS).from_address(header.pcg_state))
+    return words, header
+
+
+@functools.cache
+def _direct_seek() -> bool:
+    """Whether :func:`seek` may write state words straight into a
+    generator: checked once, both ways, against the ``state`` property
+    on a probe PCG64.  Where the words lie in another order (a
+    big-endian or emulated 128-bit build), :func:`seek` uses the
+    property instead."""
+    row = [0x0123456789ABCDEF, 0xFEDCBA9876543210,
+           0x13579BDF2468ACE1, 0x0F1E2D3C4B5A6978]
+    probe = np.random.PCG64()
+    try:
+        words, header = _state_view(probe)
+        probe.state = _state_dict(row, has_uint32=1, uinteger=0xC0FFEE)
+        if words.tolist() != row or header.has_uint32 != 1 \
+                or header.uinteger != 0xC0FFEE:
+            return False
+        row = row[2:] + row[:2]
+        words[:] = row
+        header.has_uint32 = 0
+        header.uinteger = 0
+        return probe.state == _state_dict(row)
+    except (AttributeError, TypeError, ValueError):
+        return False  # no usable view: seek sets the property
+
+
+def _state_dict(row, has_uint32: int = 0, uinteger: int = 0) -> dict:
+    """The ``bit_generator.state`` value of the state words ``row``."""
+    s_lo, s_hi, i_lo, i_hi = (int(w) for w in row)
+    return {"bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+#: ``(rng, words, header)`` of the generator :func:`seek` wrote last
+#: (views ``None`` where the ``state`` property is the path); holding
+#: the generator keeps the views' memory alive.  A memo only: callers
+#: seek one generator many times, and building the views costs more
+#: than the copy.  The tuple is replaced whole, so concurrent callers
+#: at worst rebuild a view.
+_last_view: tuple = (None, None, None)
+
+
+def seek(rng: np.random.Generator, row) -> None:
     """Make the PCG64 generator ``rng`` draw as ``default_rng((seed, i))``
-    from the start, given that stream's ``(state, inc)``."""
-    state, inc = state_inc
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-        "has_uint32": 0, "uinteger": 0,
-    }
+    from the start, given that stream's :func:`task_stream_states` row.
+
+    Writes the four words into the generator's state and clears its
+    buffered 32-bit half, as setting ``bit_generator.state`` does, at a
+    fraction of the cost.  Where :func:`_direct_seek` fails, or for a
+    bit generator other than PCG64, it sets ``bit_generator.state``
+    (which raises for a generator of another kind).
+    """
+    global _last_view
+    held, words, header = _last_view
+    if held is not rng:
+        bit_generator = rng.bit_generator
+        if type(bit_generator) is np.random.PCG64 and _direct_seek():
+            words, header = _state_view(bit_generator)
+        else:
+            words = header = None
+        _last_view = (rng, words, header)
+    if words is None:
+        rng.bit_generator.state = _state_dict(row)
+        return
+    words[:] = row
+    header.has_uint32 = 0
+    header.uinteger = 0
 
 
 class BatchSeededInjector(FailureInjector):
@@ -188,7 +316,8 @@ class BatchSeededInjector(FailureInjector):
     without building that generator for the first :data:`_ROUNDS` draws.
 
     At its first draw the injector seeks ``shared`` (a generator other
-    injectors also use) to the task's ``state_inc`` and draws
+    injectors also use) to the task's ``state`` row of
+    :func:`task_stream_states` and draws
     :data:`_ROUNDS` uptimes in one ``sample`` call.  Past those it builds
     ``default_rng((seed, task_id))``, skips the same draws with one
     ``sample`` call and continues there.  ``law`` must be in
@@ -197,11 +326,11 @@ class BatchSeededInjector(FailureInjector):
     """
 
     def __init__(self, law: Distribution, shared: np.random.Generator,
-                 state_inc: tuple[int, int], seed, task_id: int,
+                 state: np.ndarray, seed, task_id: int,
                  max_failures: int | None = None):
         super().__init__(law, None, max_failures=max_failures)
         self._shared = shared
-        self._state_inc = state_inc
+        self._state = state
         self._seed = seed
         self._task_id = task_id
         self._head: list[float] = []
@@ -216,7 +345,7 @@ class BatchSeededInjector(FailureInjector):
         self._drawn = k + 1
         if k < _ROUNDS:
             if k == 0:
-                seek(self._shared, self._state_inc)
+                seek(self._shared, self._state)
                 self._head = self.interval_dist.sample(
                     self._shared, _ROUNDS).tolist()
             return float(self._head[k])
@@ -227,13 +356,14 @@ class BatchSeededInjector(FailureInjector):
 
 
 def stream_injector(law: Distribution, shared: np.random.Generator,
-                    state_inc: tuple[int, int], seed, task_id: int,
+                    state: np.ndarray, seed, task_id: int,
                     max_failures: int | None = None) -> FailureInjector:
-    """The injector drawing ``law`` from ``default_rng((seed, task_id))``:
-    batch-seeded on ``shared`` for a law in :data:`_BATCH_LAWS`, on its
-    own generator otherwise."""
+    """The injector drawing ``law`` from ``default_rng((seed, task_id))``,
+    whose :func:`task_stream_states` row is ``state``: batch-seeded on
+    ``shared`` for a law in :data:`_BATCH_LAWS`, on its own generator
+    otherwise."""
     if type(law) in _BATCH_LAWS:
-        return BatchSeededInjector(law, shared, state_inc, seed, task_id,
+        return BatchSeededInjector(law, shared, state, seed, task_id,
                                    max_failures)
     return FailureInjector(law, np.random.default_rng((seed, task_id)),
                            max_failures=max_failures)

@@ -44,6 +44,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 
 try:
     import tomllib
@@ -134,6 +135,25 @@ def _field_names(cls) -> tuple[str, ...]:
     """The dataclass field names of ``cls`` in order, computed once per
     class."""
     return tuple(f.name for f in fields(cls))
+
+
+@functools.cache
+def _float_field_names(cls) -> tuple[str, ...]:
+    """The fields of ``cls`` annotated ``float`` (or ``float | None``)."""
+    return tuple(f.name for f in fields(cls)
+                 if f.type in ("float", "float | None"))
+
+
+def _as_floats(spec) -> None:
+    """Store every float field of the frozen ``spec`` that holds another
+    real number (an int) through :func:`_float`, as :meth:`from_dict`
+    does, so a directly built spec and its ``from_dict``/``evolve``
+    twin serialize, and so digest, alike."""
+    for name in _float_field_names(type(spec)):
+        value = getattr(spec, name)
+        if type(value) is not float and value is not None \
+                and isinstance(value, numbers.Real):
+            object.__setattr__(spec, name, _float(value))
 
 
 def _check_keys(cls, data: dict) -> None:
@@ -229,6 +249,7 @@ class FailureLawSpec:
     shape: float = 0.0
 
     def __post_init__(self) -> None:
+        _as_floats(self)
         if not 1 <= self.priority <= 12:
             raise SpecError(
                 f"failure-law priority must be in 1..12 (Google priorities), "
@@ -292,6 +313,7 @@ class WorkloadSpec:
     only_failed_jobs: bool = True
 
     def __post_init__(self) -> None:
+        _as_floats(self)
         _require(self.source, WORKLOAD_SOURCES, "workload source")
         _require(self.te_mode, TE_MODES, "te_mode")
         _require(self.arrival, ARRIVAL_MODES, "arrival mode")
@@ -348,6 +370,7 @@ class FailureSpec:
     host_repair_time: float = 60.0
 
     def __post_init__(self) -> None:
+        _as_floats(self)
         _require(self.mode, FAILURE_MODES, "failure mode")
         if self.host_mtbf is not None:
             _positive(self.host_mtbf, "host_mtbf")
@@ -424,6 +447,7 @@ class PolicySpec:
     length_cap: float | None = None
 
     def __post_init__(self) -> None:
+        _as_floats(self)
         _require(self.name, POLICY_NAMES, "policy")
         _require(self.estimation, ESTIMATION_MODES, "estimation mode")
         _non_negative(self.param, "policy param")
@@ -483,6 +507,7 @@ class ExecutionSpec:
     quick: bool = False
 
     def __post_init__(self) -> None:
+        _as_floats(self)
         _require(self.tier, TIERS, "execution tier")
         _require(self.compare, COMPARE_MODES, "compare mode")
         if self.workers < 1:

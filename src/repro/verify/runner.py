@@ -3,10 +3,11 @@
 Tier A (**scalar**) is the reference.  Task ``i`` draws its uptimes
 from ``default_rng((seed, i))`` — the stream the DES platform seeds
 its failure injector with, so the two tiers consume identical uptime
-draw sequences.  The streams' states are computed in batch
-(:func:`repro.failures.streams.task_stream_states`), each task's
-first rounds are drawn in one call, and all tasks run those rounds at
-once on the shared round loop
+draw sequences.  The streams' states are computed in batch, as rows
+of ``uint64`` words (:func:`repro.failures.streams.task_stream_states`)
+that :func:`repro.failures.streams.seek` writes into one reused
+generator; each task's first rounds are drawn in one call, and all
+tasks run those rounds at once on the shared round loop
 (:func:`repro.core.simulate._simulate_blocked_core`).  Tasks still
 running after them, and tasks whose law is a ``Mixture``, are rerun
 from their stream's start by :func:`repro.core.simulate.simulate_task`
@@ -76,7 +77,7 @@ STATS_FAIL_REL = 0.25
 STATS_FAIL_ABS = 0.3
 
 #: Tasks the scalar tier seeds and draws at once (bounds its memory).
-_CHUNK = 1024
+_CHUNK = 4096
 
 
 @dataclass
@@ -177,11 +178,12 @@ def run_scalar(workload: Workload) -> TierResult:
     """Tier A: the scalar reference, task streams seeded like the DES.
 
     Task ``i`` draws its uptimes from ``default_rng((seed, i))``, whose
-    state :func:`~repro.failures.streams.task_stream_states` computes
-    in batches of :data:`_CHUNK` tasks.  Each task's first
-    :data:`_ROUNDS` uptimes (one ``sample`` call, equal to that many
-    single draws for every law in :data:`_BATCH_LAWS`) feed the batch
-    round loop; a task that has not finished by then, or whose law is
+    state words :func:`~repro.failures.streams.task_stream_states`
+    computes in batches of :data:`_CHUNK` tasks, and which one reused
+    generator reaches by :func:`~repro.failures.streams.seek`.  Each
+    task's first :data:`_ROUNDS` uptimes (one ``sample`` call, equal to
+    that many single draws for every law in :data:`_BATCH_LAWS`) feed
+    the batch round loop; a task that has not finished by then, or whose law is
     not in :data:`_BATCH_LAWS`, is rerun from its stream's start by
     :func:`~repro.core.simulate.simulate_task`.  Neither constant
     changes a result.
@@ -204,10 +206,11 @@ def run_scalar(workload: Workload) -> TierResult:
         rows = np.flatnonzero(batch)
         redo = np.flatnonzero(~batch)
         if rows.size:
-            uptimes = np.empty((_ROUNDS, rows.size))
+            heads = np.empty((rows.size, _ROUNDS))
             for col, row in enumerate(rows.tolist()):
                 seek(rng, states[row])
-                uptimes[:, col] = laws[row].sample(rng, _ROUNDS)
+                heads[col] = laws[row].sample(rng, _ROUNDS)
+            uptimes = heads.T  # round-major, as the round loop reads it
             if budget < _ROUNDS:
                 uptimes[budget:] = np.inf  # the injector's exhausted budget
             task = ids[rows]

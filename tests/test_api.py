@@ -373,37 +373,61 @@ class TestCachedHit:
         for spec in specs:
             want = api.RunResult.from_record(store.get(spec.spec_digest()))
             fresh = RunSpec.from_dict(spec.to_dict())
-            callers = [spec]
-            if fresh.spec_digest() == spec.spec_digest():  # else a miss
-                callers.append(fresh)
-            for caller in callers:
+            assert fresh.spec_digest() == spec.spec_digest()
+            for caller in (spec, fresh):
                 for _ in range(2):  # a cold and then a warm digest
                     _assert_same_hit(api.run(caller, store=store), want)
                     _assert_same_hit(
                         api.run_lanes([caller], store=store)[0], want)
 
-    def test_partial_snapshot_is_parsed(self, tmp_path):
+    def test_partial_snapshot_is_parsed(self, tmp_path, caplog):
+        # A snapshot that parses is served as parsed.  One that does not
+        # is a miss for run and run_lanes: the run recomputes, rewrites
+        # the record and says so in one DEBUG line.
         from repro.store import ResultStore
 
         store = ResultStore(tmp_path)
         spec = api.scenario_spec("policy-young")
-        api.run(spec, store=store)
-        full = store.get(spec.spec_digest()).spec
+        lane = policy_run_spec("young", n_jobs=40, trace_seed=0)
+        cold = {s: api.run(s, store=store) for s in (spec, lane)}
+        full = {s: store.get(s.spec_digest()).spec for s in (spec, lane)}
 
-        def partial(*keys):
+        def partial(s, *keys):
             return lambda snapshot: (snapshot.clear(), snapshot.update(
-                {k: full[k] for k in ("spec_version", "name", *keys)}))
+                {k: full[s][k] for k in ("spec_version", "name", *keys)}))
 
-        _rewrite_snapshot(store, spec, partial())
-        record = store.get(spec.spec_digest())
-        with pytest.raises(SpecError, match="at least one failure law"):
-            api.RunResult.from_record(record)
-        with pytest.raises(SpecError, match="at least one failure law"):
-            api.run(spec, store=store)
-        _rewrite_snapshot(store, spec, partial("workload", "failures"))
+        for s, call in ((spec, lambda: api.run(spec, store=store)),
+                        (lane, lambda: api.run_lanes([lane], store=store)[0])):
+            _rewrite_snapshot(store, s, partial(s))
+            with pytest.raises(SpecError, match="at least one failure law"):
+                api.RunResult.from_record(store.get(s.spec_digest()))
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="repro.api"):
+                healed = call()
+            lines = [r for r in caplog.records if r.name == "repro.api"]
+            assert len(lines) == 1 and lines[0].levelno == logging.DEBUG
+            assert "does not parse" in lines[0].getMessage()
+            assert not healed.cached
+            assert healed.digest == cold[s].digest
+            assert store.get(s.spec_digest()).spec == full[s]
+            want = api.RunResult.from_record(store.get(s.spec_digest()))
+            _assert_same_hit(api.run(s, store=store), want)
+
+        _rewrite_snapshot(store, spec, partial(spec, "workload", "failures"))
         want = api.RunResult.from_record(store.get(spec.spec_digest()))
         _assert_same_hit(api.run(spec, store=store), want)
         assert want.spec.policy.name == "optimal" != spec.policy.name
+
+    def test_int_built_spec_hits_through_its_aliases(self, tmp_path):
+        spec = policy_run_spec("fixed-count", policy_param=3, n_jobs=40,
+                               trace_seed=0)
+        cold = api.run(spec, store=tmp_path)
+        for alias in (spec.evolve(), RunSpec.from_dict(spec.to_dict()),
+                      spec.evolve(**{"policy.param": 3})):
+            assert alias == spec
+            assert alias.spec_digest() == spec.spec_digest()
+            hit = api.run(alias, store=tmp_path)
+            assert hit.cached and hit.digest == cold.digest
 
 
 class TestWorkersEffective:

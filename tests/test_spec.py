@@ -225,6 +225,42 @@ class TestRoundTrip:
                       "mean": 50.0}]}})
         assert spec.spec_digest() == float_spec.spec_digest()
 
+    def test_int_built_spec_digests_as_its_twin(self):
+        # Every float field given an int at construction is stored as
+        # the float from_dict makes of it: one spec, one digest.
+        spec = RunSpec(
+            name="ints",
+            workload=WorkloadSpec(te_mean=300, te_sigma=1, te_min=30,
+                                  te_max=20000, mem_mean=60, mem_sigma=1,
+                                  mem_min=10, mem_max=800, arrival_rate=2),
+            failures=FailureSpec(
+                laws=(FailureLawSpec(priority=2, family="weibull", mean=600,
+                                     shape=2),),
+                host_mtbf=3600, host_repair_time=60),
+            policy=PolicySpec(name="fixed-count", param=3),
+            execution=ExecutionSpec(failure_detection_delay=2,
+                                    placement_overhead=1, loose_lo=1,
+                                    loose_hi=4),
+        )
+        twin = RunSpec.from_dict(spec.to_dict())
+        assert spec.to_json() == twin.to_json()
+        assert spec.spec_digest() == twin.spec_digest()
+        assert spec.evolve().spec_digest() == spec.spec_digest()
+        replay = ExecutionSpec(tier="replay", restart_delay=1)
+        assert type(replay.restart_delay) is float
+        for section in (spec.workload, spec.failures, spec.failures.laws[0],
+                        spec.policy, spec.execution):
+            for f in dataclasses.fields(section):
+                if f.type in ("float", "float | None"):
+                    value = getattr(section, f.name)
+                    assert value is None or type(value) is float, f.name
+
+    def test_bool_is_not_a_number_at_construction(self):
+        with pytest.raises(SpecError):
+            PolicySpec(name="fixed-count", param=True)
+        with pytest.raises(SpecError):
+            FailureLawSpec(priority=1, family="exponential", mean=True)
+
     def test_save_load_json(self, tmp_path):
         spec = _spec()
         path = spec.save(tmp_path / "run.json")
@@ -278,7 +314,7 @@ _policies = st.one_of(
               name=st.sampled_from(("optimal", "young", "daly", "none"))),
     st.builds(PolicySpec, name=st.just("fixed-interval"), param=_finite),
     st.builds(PolicySpec, name=st.just("fixed-count"),
-              param=st.integers(min_value=1, max_value=40).map(float)),
+              param=st.integers(min_value=1, max_value=40)),
 )
 
 _workloads = st.builds(
