@@ -22,7 +22,8 @@ Usage::
         [--n-tasks N] [--repeats K] [--only SECTION ...]
 
 ``--only`` re-records the named sections and keeps every other section
-of the existing ``--out`` file.
+of the existing ``--out`` file; into a new file it records the named
+sections alone.
 """
 
 from __future__ import annotations
@@ -245,7 +246,10 @@ def bench_redraw_tail(repeats: int) -> dict:
     differ only in their restart charges within each (base seed,
     estimation), so they also run as 4 calls of three lanes, as the
     sweep runner groups them; each lane's digest must equal its own
-    call's.
+    call's.  The lane groups draw a third of what the 12 calls draw, so
+    their own draw floor replays the groups' logged shapes
+    (``none_lanes_over_own_draw_floor``);
+    ``none_lanes_over_draw_floor`` divides by the 12 calls' floor.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from test_span_scan_differential import record_draws, reference_round_loop
@@ -267,8 +271,9 @@ def bench_redraw_tail(repeats: int) -> dict:
         finally:
             simulate._simulate_blocked_core = span_core
 
-    shapes = [[] for _ in calls]
-    for (_, args, kwargs, state), log in zip(calls, shapes):
+    def draw_shapes(args, kwargs, state) -> list:
+        """The ``(rows, columns, C-ordered)`` of every draw of one call."""
+        log = []
         simulate._simulate_blocked_core = record_draws(span_core, log)
         try:
             rng = np.random.default_rng()
@@ -276,10 +281,15 @@ def bench_redraw_tail(repeats: int) -> dict:
             simulate.simulate_tasks_scaled(*args, rng=rng, **kwargs)
         finally:
             simulate._simulate_blocked_core = span_core
+        return log
 
-    def draw_floor():
+    shapes = [draw_shapes(*call[1:]) for call in calls]
+
+    def replay_draws(runs):
+        """``standard_exponential`` alone, with each run's logged
+        shapes: ``(policy, generator state, shapes)`` per run."""
         out = []
-        for (policy, _, _, state), log in zip(calls, shapes):
+        for policy, state, log in runs:
             rng = np.random.default_rng()
             rng.bit_generator.state = state
             t0 = time.perf_counter()
@@ -289,6 +299,15 @@ def bench_redraw_tail(repeats: int) -> dict:
         return out
 
     groups = _none_lane_groups(calls)
+    group_shapes = [draw_shapes(*group) for group in groups]
+
+    def draw_floor():
+        return replay_draws([(policy, state, log) for (policy, _, _, state),
+                             log in zip(calls, shapes)])
+
+    def lanes_floor():
+        return replay_draws([("none", state, log) for (_, _, state), log
+                             in zip(groups, group_shapes)])
 
     def lanes():
         out = []
@@ -305,6 +324,7 @@ def bench_redraw_tail(repeats: int) -> dict:
         for name, run in (("span_scan", lambda: run_all(span_core)),
                           ("lanes", lanes),
                           ("draw_floor", draw_floor),
+                          ("lanes_floor", lanes_floor),
                           ("round_loop",
                            lambda: run_all(reference_round_loop))):
             runs = run()
@@ -314,9 +334,9 @@ def bench_redraw_tail(repeats: int) -> dict:
             prev = best.get(name)
             if prev is None or sum(by_policy.values()) < prev[0]:
                 best[name] = (sum(by_policy.values()), by_policy, runs)
-    span, loop, floor, grouped = (
+    span, loop, floor, grouped, grouped_floor = (
         best[name] for name in ("span_scan", "round_loop", "draw_floor",
-                                "lanes"))
+                                "lanes", "lanes_floor"))
     digests = {name: [res.digest() for _, _, res in best[name][2]]
                for name in ("span_scan", "round_loop")}
     lane_digests = []
@@ -354,6 +374,12 @@ def bench_redraw_tail(repeats: int) -> dict:
         "none_lanes_speedup": round(span[1]["none"] / grouped[0], 2),
         "none_lanes_over_draw_floor": round(
             grouped[0] / floor[1]["none"], 2),
+        "none_lanes_own_draw_floor_s": round(grouped_floor[0], 4),
+        "none_lanes_over_own_draw_floor": round(
+            grouped[0] / grouped_floor[0], 2),
+        "none_lanes_draw_calls": sum(len(log) for log in group_shapes),
+        "cpu_count": os.cpu_count(),
+        "repeats": repeats,
         "lanes_digests_identical": lane_digests == none_digests,
     }
 
@@ -620,6 +646,8 @@ def bench_store_hit(repeats: int) -> dict:
         "held": held,
         "fresh": fresh,
         "hits_identical": bool(identical),
+        "cpu_count": os.cpu_count(),
+        "repeats": repeats,
     }
 
 
@@ -658,13 +686,14 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
         },
     }
-    kept = json.loads(Path(args.out).read_text()) if args.only else {}
+    out = Path(args.out)
+    kept = json.loads(out.read_text()) if args.only and out.exists() else {}
     for name, bench in SECTIONS.items():
         if args.only is None or name in args.only:
             payload[name] = bench(args)
-        else:
+        elif name in kept:
             payload[name] = kept[name]
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    out.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     print(f"[written to {args.out}]")
     return 0

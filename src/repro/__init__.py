@@ -22,75 +22,55 @@ reports' notes quote the paper's values.
 """
 
 from repro._version import __version__
-from repro.spec import RunSpec, SpecError, load_spec
-from repro.store import ResultStore, RunRecord, StoreError
-from repro.core import (
-    AdaptiveCheckpointer,
-    CheckpointPolicy,
-    DalyPolicy,
-    FixedCountPolicy,
-    FixedIntervalPolicy,
-    GroupedFailureEstimator,
-    NoCheckpointPolicy,
-    OptimalCountPolicy,
-    TaskProfile,
-    YoungPolicy,
-    expected_wallclock,
-    optimal_interval_count,
-    optimal_interval_count_int,
-    select_storage,
-    simulate_task,
-    young_interval,
-)
-from repro.failures import google_like_catalog
-from repro.storage import BLCRModel, MigrationType
-from repro.trace import TraceConfig, synthesize_trace
 
-__all__ = [
-    "AdaptiveCheckpointer",
-    "BLCRModel",
-    "CheckpointPolicy",
-    "DalyPolicy",
-    "FixedCountPolicy",
-    "FixedIntervalPolicy",
-    "GroupedFailureEstimator",
-    "MigrationType",
-    "CampaignSpec",
-    "NoCheckpointPolicy",
-    "OptimalCountPolicy",
-    "ResultStore",
-    "RunRecord",
-    "RunSpec",
-    "SpecError",
-    "StoreError",
-    "TaskProfile",
-    "TraceConfig",
-    "YoungPolicy",
-    "__version__",
-    "expected_wallclock",
-    "google_like_catalog",
-    "load_campaign",
-    "load_spec",
-    "optimal_interval_count",
-    "optimal_interval_count_int",
-    "run",
-    "select_storage",
-    "simulate_task",
-    "synthesize_trace",
-    "young_interval",
-]
+#: public name -> the module that defines it.  Loaded on first access
+#: (PEP 562), so ``import repro.spec`` or ``import repro.store`` stays
+#: stdlib-only and the execution tiers load only when asked for.
+_EXPORTS = {
+    "RunSpec": "repro.spec",
+    "SpecError": "repro.spec",
+    "load_spec": "repro.spec",
+    "ResultStore": "repro.store",
+    "RunRecord": "repro.store",
+    "StoreError": "repro.store",
+    "run": "repro.api",
+    "RunResult": "repro.api",
+    "CampaignSpec": "repro.campaign",
+    "load_campaign": "repro.campaign",
+    "AdaptiveCheckpointer": "repro.core",
+    "CheckpointPolicy": "repro.core",
+    "DalyPolicy": "repro.core",
+    "FixedCountPolicy": "repro.core",
+    "FixedIntervalPolicy": "repro.core",
+    "GroupedFailureEstimator": "repro.core",
+    "NoCheckpointPolicy": "repro.core",
+    "OptimalCountPolicy": "repro.core",
+    "TaskProfile": "repro.core",
+    "YoungPolicy": "repro.core",
+    "expected_wallclock": "repro.core",
+    "optimal_interval_count": "repro.core",
+    "optimal_interval_count_int": "repro.core",
+    "select_storage": "repro.core",
+    "simulate_task": "repro.core",
+    "young_interval": "repro.core",
+    "google_like_catalog": "repro.failures",
+    "BLCRModel": "repro.storage",
+    "MigrationType": "repro.storage",
+    "TraceConfig": "repro.trace",
+    "synthesize_trace": "repro.trace",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
 
 
 def __getattr__(name: str):
-    # ``repro.run`` / ``repro.RunResult`` load the facade lazily so the
-    # spec vocabulary stays importable without the execution tiers;
-    # the campaign layer loads lazily for the same reason.
-    if name in ("run", "RunResult"):
-        from repro import api
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
 
-        return getattr(api, name)
-    if name in ("CampaignSpec", "load_campaign"):
-        from repro import campaign
+    return getattr(importlib.import_module(module), name)
 
-        return getattr(campaign, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_EXPORTS])

@@ -22,8 +22,9 @@ with exact ``to_dict``/``from_dict`` round-tripping, JSON and TOML
 dotted-path :meth:`RunSpec.evolve` overrides for grid expansion.
 
 The facade that executes a spec is :func:`repro.api.run`; this module
-stays dependency-light (stdlib only) so config tooling can import it
-without paying for NumPy.
+stays dependency-light (stdlib only, and the package root loads its
+exports lazily) so config tooling can import it without paying for
+NumPy.
 
 Serialization contract
 ----------------------
@@ -36,6 +37,14 @@ unknown keys with :class:`SpecError`.  ``spec_digest`` hashes the
 canonical sorted-key JSON form minus the fields that cannot change
 results (worker count, prose, the quick-subset marker) — two specs
 with equal digests are the same experiment.
+
+Every class reads and writes that form through one field table,
+derived on first use from its field annotations (``str``, ``int``,
+``float``, ``bool``, ``X | None``, tuples of those, child specs): a
+value of exactly the annotated type is taken as it is, any other goes
+through one converter per kind, so every class coerces alike (an int
+for a float field becomes a float, a bool is never a number) and words
+a bad value alike.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ except ModuleNotFoundError:  # Python 3.10: stdlib tomllib arrived in 3.11
     tomllib = None
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
 
 __all__ = [
     "ARRIVAL_MODES",
@@ -116,78 +124,18 @@ def _require(value: str, valid: tuple[str, ...], what: str) -> None:
 
 
 def _positive(value: float, what: str) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)
-            and value > 0):
+    if not (isinstance(value, (int, float)) and 0 < value < math.inf):
         raise SpecError(f"{what} must be positive and finite, got {value!r}")
 
 
 def _non_negative(value: float, what: str) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)
-            and value >= 0):
+    if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
         raise SpecError(f"{what} must be >= 0 and finite, got {value!r}")
 
 
 # ----------------------------------------------------------------------
-# Serialization helpers.
+# The codec: one field table per class.
 # ----------------------------------------------------------------------
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    """The dataclass field names of ``cls`` in order, computed once per
-    class."""
-    return tuple(f.name for f in fields(cls))
-
-
-@functools.cache
-def _float_field_names(cls) -> tuple[str, ...]:
-    """The fields of ``cls`` annotated ``float`` (or ``float | None``)."""
-    return tuple(f.name for f in fields(cls)
-                 if f.type in ("float", "float | None"))
-
-
-def _as_floats(spec) -> None:
-    """Store every float field of the frozen ``spec`` that holds another
-    real number (an int) through :func:`_float`, as :meth:`from_dict`
-    does, so a directly built spec and its ``from_dict``/``evolve``
-    twin serialize, and so digest, alike."""
-    for name in _float_field_names(type(spec)):
-        value = getattr(spec, name)
-        if type(value) is not float and value is not None \
-                and isinstance(value, numbers.Real):
-            object.__setattr__(spec, name, _float(value))
-
-
-def _check_keys(cls, data: dict) -> None:
-    known = _field_names(cls)
-    unknown = sorted(set(data).difference(known))
-    if unknown:
-        raise SpecError(
-            f"unknown {cls.__name__} field(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(sorted(known))}"
-        )
-
-
-def _pick(cls, data: dict, coerce: dict) -> dict:
-    """Extract known keys from ``data`` applying per-field coercions.
-
-    Missing keys fall back to the dataclass defaults; ``None`` passes
-    through untouched for Optional fields.
-    """
-    _check_keys(cls, data)
-    out = {}
-    for name, conv in coerce.items():
-        if name in data:
-            value = data[name]
-            try:
-                out[name] = value if value is None else conv(value)
-            except SpecError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise SpecError(
-                    f"bad value for {cls.__name__}.{name}: {value!r} ({exc})"
-                ) from None
-    return out
-
-
 def _int(value) -> int:
     if isinstance(value, bool) or int(value) != value:
         raise SpecError(f"expected an integer, got {value!r}")
@@ -212,12 +160,9 @@ def _bool(value) -> bool:
     return value
 
 
-def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(_int(v) for v in value)
-
-
-def _str_tuple(value) -> tuple[str, ...]:
-    return tuple(_str(v) for v in value)
+#: annotation -> (the type taken as it is, the converter of any other)
+_SCALARS = {"int": (int, _int), "float": (float, _float), "str": (str, _str),
+            "bool": (bool, _bool)}
 
 
 def _plain(value):
@@ -229,11 +174,155 @@ def _plain(value):
     return value
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The dataclass field names of ``cls`` in order, computed once per
+    class."""
+    return tuple(f.name for f in fields(cls))
+
+
+def _as_floats(spec) -> None:
+    """Store every float field of the frozen ``spec`` that holds another
+    real number (an int) through :func:`_float`, as :meth:`from_dict`
+    does, so a directly built spec and its ``from_dict``/``evolve``
+    twin serialize, and so digest, alike.  (Fields are read and set as
+    attributes: touching ``spec.__dict__`` would give every instance a
+    dict object of its own.)"""
+    for name in _table(type(spec)).floats:
+        value = getattr(spec, name)
+        if type(value) is not float and value is not None \
+                and isinstance(value, numbers.Real):
+            object.__setattr__(spec, name, _float(value))
+
+
+def _section_reader(cls, name: str, convert):
+    """The slow path of a section's scalar field: ``None`` passes on to
+    the checks of ``__post_init__``, and a converter's
+    ``TypeError``/``ValueError`` becomes a :class:`SpecError` naming the
+    field."""
+    def read(value):
+        if value is None:
+            return None
+        try:
+            return convert(value)
+        except SpecError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise SpecError(
+                f"bad value for {cls.__name__}.{name}: {value!r} ({exc})"
+            ) from None
+    return read
+
+
+def _child_reader(name: str, child: _Table):
+    def read(value):
+        if not isinstance(value, dict):
+            raise SpecError(f"{name} must be a table/object, got {value!r}")
+        return _decode(child, value)
+    return read
+
+
+class _Table:
+    """One spec class's codec, read from its field annotations.
+
+    ``decode`` holds ``(name, exact type, read)`` per field, scalars
+    before child specs: a value of exactly that type is taken as it is,
+    any other goes through ``read``.  :class:`RunSpec`'s own scalars
+    read strictly (no ``None``, converter errors as they are); a
+    section's go through :func:`_section_reader`.  ``to_dict`` copies
+    the fields in ``names`` order, then applies ``writers`` to tuples
+    and child specs.  ``floats`` are the fields :func:`_as_floats`
+    normalises.
+    """
+
+    __slots__ = ("cls", "known", "decode", "names", "writers", "floats")
+
+    def __init__(self, cls) -> None:
+        scalars, children, writers, floats = [], [], [], []
+        for f in fields(cls):
+            kind = f.type.removesuffix(" | None")
+            many = kind.startswith("tuple[")  # "tuple[X, ...]"
+            if many:
+                kind = kind[len("tuple["):-len(", ...]")]
+            if kind in _SCALARS:
+                exact, read = _SCALARS[kind]
+                if many:
+                    exact, read = None, lambda value, one=read: tuple(
+                        one(v) for v in value)
+                    writers.append((f.name, lambda value: None
+                                    if value is None else list(value)))
+                elif exact is float:
+                    floats.append(f.name)
+                if cls is not RunSpec:
+                    read = _section_reader(cls, f.name, read)
+                scalars.append((f.name, exact, read))
+            elif many:
+                child = _table(globals()[kind])
+                children.append((f.name, None, lambda value, child=child:
+                                 tuple([_decode(child, v) for v in value])))
+                writers.append((f.name, lambda specs, child=child:
+                                [_encode(child, spec) for spec in specs]))
+            else:
+                child = _table(globals()[kind])
+                children.append((f.name, None, _child_reader(f.name, child)))
+                writers.append((f.name, lambda spec, child=child:
+                                _encode(child, spec)))
+        self.cls = cls
+        self.names = _field_names(cls)
+        self.known = frozenset(self.names)
+        self.decode = tuple(scalars + children)
+        self.writers = tuple(writers)
+        self.floats = tuple(floats)
+
+
+#: the table of each spec class, built on its first use
+_table = functools.cache(_Table)
+
+
+def _decode(table: _Table, data: dict):
+    """Build a validated instance of the ``table``'s class from its
+    plain-JSON form: missing keys take the field defaults, unknown keys
+    are a :class:`SpecError`."""
+    cls = table.cls
+    if not table.known.issuperset(data):
+        unknown = sorted(set(data).difference(table.known))
+        raise SpecError(
+            f"unknown {cls.__name__} field(s): {', '.join(unknown)}; "
+            f"valid: {', '.join(sorted(table.known))}"
+        )
+    return cls(**{name: value if type(value := data[name]) is exact
+                  else read(value)
+                  for name, exact, read in table.decode if name in data})
+
+
+def _encode(table: _Table, spec) -> dict:
+    """The plain-JSON form of ``spec``, in field order."""
+    out = {name: getattr(spec, name) for name in table.names}
+    for name, write in table.writers:
+        out[name] = write(out[name])
+    return out
+
+
+class _Codec:
+    """The table-driven ``to_dict``/``from_dict`` of every spec class."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        """Plain-JSON representation."""
+        return _encode(_table(type(self)), self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Exact inverse of :meth:`to_dict` (missing keys -> defaults)."""
+        return _decode(_table(cls), data)
+
+
 # ----------------------------------------------------------------------
 # The spec tree.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FailureLawSpec:
+class FailureLawSpec(_Codec):
     """One priority's failure-interval law (family + target mean).
 
     ``priority`` is a Google priority, 1..12.  ``mean`` is the target
@@ -259,21 +348,9 @@ class FailureLawSpec:
         _positive(self.mean, "failure-law mean")
         _non_negative(self.shape, "failure-law shape")
 
-    def to_dict(self) -> dict:
-        """Plain-JSON representation."""
-        return {"priority": self.priority, "family": self.family,
-                "mean": self.mean, "shape": self.shape}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FailureLawSpec:
-        """Exact inverse of :meth:`to_dict`."""
-        return cls(**_pick(cls, data, {
-            "priority": _int, "family": _str, "mean": _float, "shape": _float,
-        }))
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Codec):
     """Where the tasks come from and how they are shaped.
 
     ``source`` selects one of three materializations:
@@ -335,29 +412,9 @@ class WorkloadSpec:
         _non_negative(self.mem_min, "mem_min")
         _positive(self.arrival_rate, "arrival_rate")
 
-    def to_dict(self) -> dict:
-        """Plain-JSON representation."""
-        return {name: _plain(getattr(self, name))
-                for name in _field_names(type(self))}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> WorkloadSpec:
-        """Exact inverse of :meth:`to_dict` (missing keys -> defaults)."""
-        return cls(**_pick(cls, data, {
-            "source": _str,
-            "n_tasks": _int, "te_mode": _str, "te_mean": _float,
-            "te_sigma": _float, "te_min": _float, "te_max": _float,
-            "mem_mean": _float, "mem_sigma": _float, "mem_min": _float,
-            "mem_max": _float, "arrival": _str, "arrival_rate": _float,
-            "burst_size": _int,
-            "trace_jobs": _int, "trace_arrival": _str,
-            "trace_burst_size": _int,
-            "n_jobs": _int, "trace_seed": _int, "only_failed_jobs": _bool,
-        }))
-
 
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(_Codec):
     """Failure physics: interval laws, replay-tier source, host crashes."""
 
     #: per-priority interval laws (synthetic workloads cycle over them)
@@ -381,31 +438,9 @@ class FailureSpec:
                 f"duplicate priorities in failure laws: {priorities}"
             )
 
-    def to_dict(self) -> dict:
-        """Plain-JSON representation."""
-        return {
-            "laws": [law.to_dict() for law in self.laws],
-            "mode": self.mode,
-            "host_mtbf": self.host_mtbf,
-            "host_repair_time": self.host_repair_time,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FailureSpec:
-        """Exact inverse of :meth:`to_dict` (missing keys -> defaults)."""
-        _check_keys(cls, data)
-        kwargs = _pick(cls, {k: v for k, v in data.items() if k != "laws"}, {
-            "mode": _str, "host_mtbf": _float, "host_repair_time": _float,
-        })
-        if "laws" in data:
-            kwargs["laws"] = tuple(
-                FailureLawSpec.from_dict(law) for law in data["laws"]
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class StorageSpec:
+class StorageSpec(_Codec):
     """Checkpoint storage backend.
 
     ``local`` (per-host ramdisk), ``nfs`` (one shared server),
@@ -422,18 +457,9 @@ class StorageSpec:
     def __post_init__(self) -> None:
         _require(self.mode, STORAGE_MODES, "storage mode")
 
-    def to_dict(self) -> dict:
-        """Plain-JSON representation."""
-        return {"mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> StorageSpec:
-        """Exact inverse of :meth:`to_dict` (missing keys -> defaults)."""
-        return cls(**_pick(cls, data, {"mode": _str}))
-
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_Codec):
     """Checkpoint policy plus how its believed inputs are estimated."""
 
     name: str = "optimal"
@@ -463,22 +489,9 @@ class PolicySpec:
         if self.length_cap is not None:
             _positive(self.length_cap, "length_cap")
 
-    def to_dict(self) -> dict:
-        """Plain-JSON representation."""
-        return {"name": self.name, "param": self.param,
-                "estimation": self.estimation, "length_cap": self.length_cap}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> PolicySpec:
-        """Exact inverse of :meth:`to_dict` (missing keys -> defaults)."""
-        return cls(**_pick(cls, data, {
-            "name": _str, "param": _float, "estimation": _str,
-            "length_cap": _float,
-        }))
-
 
 @dataclass(frozen=True)
-class ExecutionSpec:
+class ExecutionSpec(_Codec):
     """How (and how strictly) the spec executes.
 
     ``tier`` picks the engine: the scalar reference loop, the
@@ -533,24 +546,6 @@ class ExecutionSpec:
                 f"need 0 < loose_lo < loose_hi, got "
                 f"{self.loose_lo}/{self.loose_hi}"
             )
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation."""
-        return {name: _plain(getattr(self, name))
-                for name in _field_names(type(self))}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ExecutionSpec:
-        """Exact inverse of :meth:`to_dict` (missing keys -> defaults)."""
-        return cls(**_pick(cls, data, {
-            "tier": _str, "base_seed": _int, "workers": _int,
-            "restart_delay": _float,
-            "n_hosts": _int, "vms_per_host": _int,
-            "vms_per_host_pattern": _int_tuple,
-            "failure_detection_delay": _float, "placement_overhead": _float,
-            "compare": _str, "loose_lo": _float, "loose_hi": _float,
-            "quick": _bool,
-        }))
 
 
 @dataclass(frozen=True)
@@ -662,17 +657,8 @@ class RunSpec:
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-JSON representation (includes ``spec_version``)."""
-        return {
-            "spec_version": SPEC_VERSION,
-            "name": self.name,
-            "description": self.description,
-            "tags": list(self.tags),
-            "workload": self.workload.to_dict(),
-            "failures": self.failures.to_dict(),
-            "storage": self.storage.to_dict(),
-            "policy": self.policy.to_dict(),
-            "execution": self.execution.to_dict(),
-        }
+        return {"spec_version": SPEC_VERSION,
+                **_encode(_table(RunSpec), self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> RunSpec:
@@ -684,24 +670,7 @@ class RunSpec:
                 f"unsupported spec_version {version!r} "
                 f"(this build reads version {SPEC_VERSION})"
             )
-        _check_keys(cls, data)
-        kwargs: dict[str, Any] = {}
-        for key, conv in (("name", _str), ("description", _str),
-                          ("tags", _str_tuple)):
-            if key in data:
-                kwargs[key] = conv(data[key])
-        for key, child in (("workload", WorkloadSpec),
-                           ("failures", FailureSpec),
-                           ("storage", StorageSpec),
-                           ("policy", PolicySpec),
-                           ("execution", ExecutionSpec)):
-            if key in data:
-                if not isinstance(data[key], dict):
-                    raise SpecError(
-                        f"{key} must be a table/object, got {data[key]!r}"
-                    )
-                kwargs[key] = child.from_dict(data[key])
-        return cls(**kwargs)
+        return _decode(_table(cls), data)
 
     def to_json(self, indent: int | None = 2) -> str:
         """JSON text (stable field order, trailing newline)."""

@@ -185,14 +185,14 @@ def synthesize_trace(
                 raw = rng.lognormal(cfg.long_log_mean, cfg.long_log_sigma)
             else:
                 raw = rng.lognormal(cfg.length_log_mean, cfg.length_log_sigma)
-            te = float(np.clip(raw, cfg.length_min, cfg.length_max))
-            mem = float(
-                np.clip(
-                    rng.lognormal(cfg.mem_log_mean, cfg.mem_log_sigma),
-                    cfg.mem_min,
-                    cfg.mem_max,
-                )
-            )
+            # min/max on the scalar draw: np.clip's value for these
+            # finite draws, without its per-call array round trip.
+            te = float(min(max(raw, cfg.length_min), cfg.length_max))
+            mem = float(min(
+                max(rng.lognormal(cfg.mem_log_mean, cfg.mem_log_sigma),
+                    cfg.mem_min),
+                cfg.mem_max,
+            ))
             scale = cat.sample_task_scale(priority, te, rng)
             n_fail, intervals = _sample_history(
                 te, scale, rng, cfg.max_failures_per_task
