@@ -2,12 +2,12 @@
 
 Compares a fresh ``run_des_bench.py`` payload against the committed
 ``BENCH_des.json``.  Absolute times are host-specific, so the guard
-compares *speedup ratios* (baseline engine vs current engine, baseline
-scheduler vs current scheduler, baseline executor vs current executor
-on the contention-free run and in total over the contended op shapes,
-unsharded vs sharded — both sides of
-each ratio measured on the same host in the same run): a >25% drop in
-a serial ratio fails.
+compares ratios whose two sides were measured on the same host in the
+same run: the engine against e2ebench's fixed host probe in both wait
+modes, tier-1's reference scheduler against the current scheduler,
+tier-1's reference executor against the current executor on the
+contention-free run and in total over the contended op shapes, and
+unsharded against sharded.  A >25% drop in a serial ratio fails.
 
 Parallel scaling (``workers > 1``) depends on the core count, so those
 comparisons run only when the fresh host's ``cpu_count`` matches the
@@ -48,34 +48,18 @@ def check(committed: dict, fresh: dict) -> list[str]:
             print(f"[skip] event_loop shape {shape!r}: absent from the "
                   "fresh run")
             continue
-        ratio_check(
-            f"event_loop.{shape}.speedup_raw",
-            pinned["speedup_raw"],
-            current["speedup_raw"],
-        )
-        ratio_check(
-            f"event_loop.{shape}.speedup_timeout_mode",
-            pinned["speedup_timeout_mode"],
-            current["speedup_timeout_mode"],
-        )
+        for ratio in ("probe_over_raw", "probe_over_timeout_mode"):
+            ratio_check(f"event_loop.{shape}.{ratio}", pinned[ratio],
+                        current[ratio])
 
-    pinned = committed["scheduler"]
-    current = fresh["scheduler"]
-    if current["n_tasks"] != pinned["n_tasks"]:
-        print("[skip] scheduler: committed and fresh runs used different "
-              "workloads")
-    else:
-        ratio_check("scheduler.speedup", pinned["speedup"],
-                    current["speedup"])
-
-    pinned = committed["executor"]
-    current = fresh["executor"]
-    if current["n_tasks"] != pinned["n_tasks"]:
-        print("[skip] executor: committed and fresh runs used different "
-              "workloads")
-    else:
-        ratio_check("executor.speedup", pinned["speedup"],
-                    current["speedup"])
+    for section in ("scheduler", "executor"):
+        pinned, current = committed[section], fresh[section]
+        if current["n_tasks"] != pinned["n_tasks"]:
+            print(f"[skip] {section}: committed and fresh runs used "
+                  "different workloads")
+        else:
+            ratio_check(f"{section}.speedup", pinned["speedup"],
+                        current["speedup"])
 
     pinned = committed["contended"]
     current = fresh["contended"]

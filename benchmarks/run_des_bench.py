@@ -5,32 +5,34 @@ Seven sections, written as ``BENCH_des.json`` (the committed perf
 record the CI regression guard compares against):
 
 * ``event_loop`` — the engine microbenchmark (1k processes x 100
-  timeouts) on the vendored PR-4 baseline engine
-  (``_engine_baseline.py``) vs the current engine in both wait modes:
-  ``yield env.timeout(d)`` (object mode) and ``yield d`` (raw mode,
-  what the cluster executor uses).  The headline ``speedup_raw`` is
-  baseline-vs-raw — same simulated workload, each engine through its
-  native wait API.
+  timeouts, 20 x 5000) in both wait modes: ``yield env.timeout(d)``
+  (object mode) and ``yield d`` (raw mode, what the cluster executor
+  uses), timed interleaved with e2ebench's fixed host probe
+  (:func:`calibrate.reference_task`, e2ebench's own code, so no change
+  to the program can move it).  ``probe_over_raw`` and ``probe_over_timeout_mode`` are the
+  probe's time over each mode's: host speed cancels out, engine
+  speed does not.
 * ``scheduler`` — a queue-deep shared-storage scenario (NFS
   checkpoints, so it cannot shard) on the single event loop, once with
-  the vendored pre-incremental scheduler (``_scheduler_baseline.py``)
-  and once with the current one.  Digest, queue peak and makespan must
-  be equal; ``speedup`` is baseline over current.
+  the brute-force ``ReferenceScheduler`` of
+  ``tests/test_scheduler_differential.py`` and once with the current
+  one.  Digest, queue peak and makespan must be equal; ``speedup`` is
+  reference over current.
 * ``executor`` — the unsharded 2000-task ``exp-baseline-local`` run,
-  once with the vendored per-interval executor and memory-priced
-  devices (``_executor_baseline.py``) and once with the current
-  executor (checkpoints priced from the plan, contention-free local
-  segments as one wake).  Digest and every ``extra`` counter but
-  ``n_events`` must be equal; each side reports its own event count
-  (heap pops); ``speedup`` is baseline over current.
+  once with the per-interval ``ReferenceExecutor`` of
+  ``tests/test_executor_differential.py`` (a watchdog per segment,
+  memory-priced checkpoints) and once with the current executor
+  (checkpoints priced from the plan, contention-free local segments
+  as one wake).  Digest and every ``extra`` counter but ``n_events``
+  must be equal; each side reports its own event count (heap pops);
+  ``speedup`` is reference over current.
 * ``contended`` — the six ``des-contended`` op shapes of
   ``e2ebench/workloads.py`` (shared storage, host crashes) through
-  ``run_des_unsharded``, once with the vendored per-interval executor
-  (a failure watchdog process per segment, memory-priced devices) and
-  once with the current executor (a process-free failure alarm on
-  shared storage, one wake per local segment, host crashes included).
-  Digest and every ``extra`` counter but ``n_events`` must be equal;
-  each row records both sides' event counts (heap pops).
+  ``run_des_unsharded``, once with ``ReferenceExecutor`` and once with
+  the current executor (a process-free failure alarm on shared
+  storage, one wake per local segment, host crashes included).  Digest
+  and every ``extra`` counter but ``n_events`` must be equal; each row
+  records both sides' event counts (heap pops).
 * ``sharding`` — a multi-host contention-free scenario batch through
   the unsharded event loop vs host-group sharding at workers 1/2/4,
   with per-task alignment and digest worker-invariance asserted (runs
@@ -55,7 +57,11 @@ Usage::
         [--repeats K] [--quick] [--only SECTION ...]
 
 ``--only`` re-records the named sections and keeps every other section
-of the existing ``--out`` file.
+of the existing ``--out`` file (into a new file, it records the named
+sections alone).
+
+The reference models are the tier-1 differential tests' own, so
+changing either class means re-recording this file.
 """
 
 from __future__ import annotations
@@ -70,10 +76,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
 from repro._version import __version__
 from repro.des.sharding import run_des_sharded
+from repro.sim.engine import Environment
 from repro.spec import (
     ExecutionSpec,
     FailureLawSpec,
@@ -85,10 +90,11 @@ from repro.spec import (
 from repro.verify.runner import run_des_unsharded
 from repro.verify.scenarios import build_workload, get_scenario
 
+ROOT = Path(__file__).resolve().parents[1]
+
 #: two ticker shapes: *wide* (many concurrent processes — heap
-#: comparisons at depth log2(1000) are a big shared cost both engines
-#: pay) and *narrow* (few processes — per-event engine overhead, the
-#: thing this PR optimized, dominates).
+#: comparisons at depth log2(1000) are a large shared cost) and
+#: *narrow* (few processes — per-event engine overhead dominates).
 TICKER_SHAPES = {
     "wide-1000x100": (1000, 100),
     "narrow-20x5000": (20, 5000),
@@ -102,9 +108,9 @@ def _best_of_interleaved(repeats, fns: dict):
     one candidate's number; alternating rounds spread it evenly, which
     matters on small shared hosts.  GC stays *enabled* during the timed
     region — the DES tier runs with it on, and allocation pressure
-    (garbage Timeouts vs raw wakes) is part of what the engines are
-    being compared on — but each run starts from a collected heap so no
-    candidate pays for another's garbage.
+    (garbage Timeouts vs raw wakes) is part of what is being compared —
+    but each run starts from a collected heap so no candidate pays for
+    another's garbage.
     """
     import gc
 
@@ -121,8 +127,8 @@ def _best_of_interleaved(repeats, fns: dict):
 # ----------------------------------------------------------------------
 # Event-loop microbenchmark.
 # ----------------------------------------------------------------------
-def _ticker_run(env_cls, raw: bool, procs: int, ticks: int) -> float:
-    env = env_cls()
+def _ticker_run(raw: bool, procs: int, ticks: int) -> float:
+    env = Environment()
     if raw:
         def ticker():
             for _ in range(ticks):
@@ -138,39 +144,45 @@ def _ticker_run(env_cls, raw: bool, procs: int, ticks: int) -> float:
 
 
 def bench_event_loop(repeats: int) -> dict:
-    import _engine_baseline as baseline_engine
-
-    from repro.sim import engine as current_engine
+    sys.path.insert(0, str(ROOT / "e2ebench"))
+    from calibrate import reference_task
 
     out = {}
     for label, (procs, ticks) in TICKER_SHAPES.items():
-        assert _ticker_run(baseline_engine.Environment, False,
-                           procs, ticks) == float(ticks)
+        assert _ticker_run(False, procs, ticks) == float(ticks)
         times = _best_of_interleaved(repeats, {
-            "base": lambda: _ticker_run(
-                baseline_engine.Environment, False, procs, ticks),
-            "obj": lambda: _ticker_run(
-                current_engine.Environment, False, procs, ticks),
-            "raw": lambda: _ticker_run(
-                current_engine.Environment, True, procs, ticks),
+            "probe": reference_task,
+            "obj": lambda: _ticker_run(False, procs, ticks),
+            "raw": lambda: _ticker_run(True, procs, ticks),
         })
-        t_base, t_obj, t_raw = times["base"], times["obj"], times["raw"]
+        t_probe, t_obj, t_raw = times["probe"], times["obj"], times["raw"]
         n_events = procs * (ticks + 2)
         out[label] = {
             "shape": f"{procs} procs x {ticks} ticks ({n_events} events)",
-            "baseline_pr4_s": round(t_base, 4),
+            "probe_s": round(t_probe, 5),
             "current_timeout_mode_s": round(t_obj, 4),
             "current_raw_mode_s": round(t_raw, 4),
-            "speedup_timeout_mode": round(t_base / t_obj, 3),
-            "speedup_raw": round(t_base / t_raw, 3),
+            "probe_over_timeout_mode": round(t_probe / t_obj, 4),
+            "probe_over_raw": round(t_probe / t_raw, 4),
             "raw_mode_events_per_s": round(n_events / t_raw),
         }
     return out
 
 
 # ----------------------------------------------------------------------
-# Scheduler on a queue-deep unshardable run.
+# The current scheduler and executor against tier-1's reference models.
 # ----------------------------------------------------------------------
+def _reference_models():
+    """``(ReferenceScheduler, ReferenceExecutor)``: the brute-force
+    scheduler and the per-interval executor that tier-1's differential
+    tests hold the current ones to."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_executor_differential import ReferenceExecutor
+    from test_scheduler_differential import ReferenceScheduler
+
+    return ReferenceScheduler, ReferenceExecutor
+
+
 def _unsharded_with(workload, **classes):
     """``run_des_unsharded`` with the platform building the given
     classes in place of its own (``GreedyScheduler=``,
@@ -187,84 +199,68 @@ def _unsharded_with(workload, **classes):
             setattr(platform, name, cls)
 
 
-def _assert_same_run(base, cur, label: str) -> None:
-    """Equal digests and ``extra`` counters, except the event counts:
-    each side's ``n_events`` is its own engine's heap pops."""
+def _against_reference(workload, repeats: int, label: str, **reference):
+    """``(reference run, current run, best times)`` of ``workload``,
+    once with the ``reference`` classes in the platform's slots and once
+    with its own, timed interleaved.  Digests and ``extra`` counters
+    must be equal, except the event counts: each side's ``n_events`` is
+    its own engine's heap pops."""
+    ref = _unsharded_with(workload, **reference)
+    cur = run_des_unsharded(workload)
+
     def counters(run):
         return {k: v for k, v in run.extra.items() if k != "n_events"}
 
-    assert base.digest == cur.digest and counters(base) == counters(cur), \
-        f"{label} diverges from the baseline!"
+    assert ref.digest == cur.digest and counters(ref) == counters(cur), \
+        f"{label} diverges from the reference model!"
+    times = _best_of_interleaved(repeats, {
+        "ref": lambda: _unsharded_with(workload, **reference),
+        "cur": lambda: run_des_unsharded(workload),
+    })
+    return ref, cur, times
 
 
 def bench_scheduler(repeats: int, quick: bool) -> dict:
-    import _scheduler_baseline as baseline_scheduler
-
-    from repro.cluster.scheduler import GreedyScheduler
-
+    reference_scheduler, _ = _reference_models()
     spec = _bench_scenario("bench-des-shared-queue-deep",
                            n_tasks=200 if quick else 600,
                            n_hosts=4).evolve(**{"storage.mode": "nfs"})
-    workload = build_workload(spec)
-    base = _unsharded_with(
-        workload, GreedyScheduler=baseline_scheduler.GreedyScheduler)
-    cur = _unsharded_with(workload, GreedyScheduler=GreedyScheduler)
-    _assert_same_run(base, cur, "current scheduler")
-    times = _best_of_interleaved(repeats, {
-        "base": lambda: _unsharded_with(
-            workload, GreedyScheduler=baseline_scheduler.GreedyScheduler),
-        "cur": lambda: _unsharded_with(
-            workload, GreedyScheduler=GreedyScheduler),
-    })
+    _, cur, times = _against_reference(
+        build_workload(spec), repeats, "current scheduler",
+        GreedyScheduler=reference_scheduler)
     return {
         "n_tasks": spec.workload.n_tasks,
         "n_hosts": spec.execution.n_hosts,
         "storage": spec.storage.mode,
         "peak_queue_length": int(cur.extra["peak_queue_length"]),
         "n_events": int(cur.extra["n_events"]),
-        "baseline_s": round(times["base"], 4),
+        "reference_s": round(times["ref"], 4),
         "current_s": round(times["cur"], 4),
-        "speedup": round(times["base"] / times["cur"], 2),
+        "speedup": round(times["ref"] / times["cur"], 2),
         "digest_equal": True,
     }
 
 
-# ----------------------------------------------------------------------
-# Executor on a contention-free run.
-# ----------------------------------------------------------------------
 def bench_executor(repeats: int, quick: bool) -> dict:
-    import _executor_baseline as baseline_executor
-
-    from repro.cluster.executor import TaskExecutor
-
+    _, reference_executor = _reference_models()
     spec = get_scenario("exp-baseline-local").evolve(
         **{"workload.n_tasks": 500 if quick else 2000})
-    workload = build_workload(spec)
-    base = _unsharded_with(
-        workload, TaskExecutor=baseline_executor.TaskExecutor)
-    cur = _unsharded_with(workload, TaskExecutor=TaskExecutor)
-    _assert_same_run(base, cur, "current executor")
-    times = _best_of_interleaved(repeats, {
-        "base": lambda: _unsharded_with(
-            workload, TaskExecutor=baseline_executor.TaskExecutor),
-        "cur": lambda: _unsharded_with(workload, TaskExecutor=TaskExecutor),
-    })
+    ref, cur, times = _against_reference(
+        build_workload(spec), repeats, "current executor",
+        TaskExecutor=reference_executor)
     return {
         "scenario": spec.name,
         "n_tasks": spec.workload.n_tasks,
         "storage": spec.storage.mode,
-        "n_events_baseline": int(base.extra["n_events"]),
+        "n_events_reference": int(ref.extra["n_events"]),
         "n_events": int(cur.extra["n_events"]),
-        "baseline_s": round(times["base"], 4),
+        "reference_s": round(times["ref"], 4),
         "current_s": round(times["cur"], 4),
-        "speedup": round(times["base"] / times["cur"], 2),
+        "speedup": round(times["ref"] / times["cur"], 2),
         "digest_equal": True,
     }
 
 
-# ----------------------------------------------------------------------
-# Executor on the queue-deep shared-storage and host-crash ops.
-# ----------------------------------------------------------------------
 #: the ``des-contended`` op shapes: label -> (scenario, overrides)
 CONTENDED_OPS = {
     "storage-nfs-contended": ("storage-nfs-contended",
@@ -282,44 +278,33 @@ CONTENDED_OPS = {
 
 
 def bench_contended(repeats: int, quick: bool) -> dict:
-    import _executor_baseline as baseline_executor
-
-    from repro.cluster.executor import TaskExecutor
-
+    _, reference_executor = _reference_models()
     out = {}
     for label, (name, overrides) in CONTENDED_OPS.items():
         if quick:
             overrides = {**overrides, "workload.n_tasks": 100}
         spec = get_scenario(name).evolve(**overrides)
-        workload = build_workload(spec)
-        base = _unsharded_with(
-            workload, TaskExecutor=baseline_executor.TaskExecutor)
-        cur = _unsharded_with(workload, TaskExecutor=TaskExecutor)
-        _assert_same_run(base, cur, f"{label}: current executor")
-        times = _best_of_interleaved(repeats, {
-            "base": lambda: _unsharded_with(
-                workload, TaskExecutor=baseline_executor.TaskExecutor),
-            "cur": lambda: _unsharded_with(
-                workload, TaskExecutor=TaskExecutor),
-        })
+        ref, cur, times = _against_reference(
+            build_workload(spec), repeats, f"{label}: current executor",
+            TaskExecutor=reference_executor)
         out[label] = {
             "n_tasks": spec.workload.n_tasks,
             "storage": spec.storage.mode,
             "host_mtbf": spec.failures.host_mtbf,
             "peak_queue_length": int(cur.extra["peak_queue_length"]),
-            "n_events_baseline": int(base.extra["n_events"]),
+            "n_events_reference": int(ref.extra["n_events"]),
             "n_events": int(cur.extra["n_events"]),
-            "baseline_s": round(times["base"], 4),
+            "reference_s": round(times["ref"], 4),
             "current_s": round(times["cur"], 4),
-            "speedup": round(times["base"] / times["cur"], 2),
+            "speedup": round(times["ref"] / times["cur"], 2),
             "digest_equal": True,
         }
-    t_base = sum(row["baseline_s"] for row in out.values())
+    t_ref = sum(row["reference_s"] for row in out.values())
     t_cur = sum(row["current_s"] for row in out.values())
     out["total"] = {
-        "baseline_s": round(t_base, 4),
+        "reference_s": round(t_ref, 4),
         "current_s": round(t_cur, 4),
-        "speedup": round(t_base / t_cur, 2),
+        "speedup": round(t_ref / t_cur, 2),
         "cpu_count": os.cpu_count(),
     }
     return out
@@ -487,13 +472,14 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
         },
     }
-    kept = json.loads(Path(args.out).read_text()) if args.only else {}
+    out = Path(args.out)
+    kept = json.loads(out.read_text()) if args.only and out.exists() else {}
     for name, bench in SECTIONS.items():
         if args.only is None or name in args.only:
             payload[name] = bench(args.repeats, args.quick)
-        else:
+        elif name in kept:
             payload[name] = kept[name]
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    out.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     print(f"[written to {args.out}]")
     return 0

@@ -195,14 +195,16 @@ def _as_floats(spec) -> None:
             object.__setattr__(spec, name, _float(value))
 
 
-def _section_reader(cls, name: str, convert):
-    """The slow path of a section's scalar field: ``None`` passes on to
-    the checks of ``__post_init__``, and a converter's
-    ``TypeError``/``ValueError`` becomes a :class:`SpecError` naming the
-    field."""
+def _section_reader(cls, name: str, convert, optional: bool):
+    """The slow path of a section's scalar field: ``None`` is read as it
+    is for a field annotated ``| None`` and is a :class:`SpecError` for
+    any other, and a converter's ``TypeError``/``ValueError`` becomes a
+    :class:`SpecError` naming the field."""
     def read(value):
         if value is None:
-            return None
+            if optional:
+                return None
+            raise SpecError(f"{cls.__name__}.{name} must not be null")
         try:
             return convert(value)
         except SpecError:
@@ -219,6 +221,16 @@ def _child_reader(name: str, child: _Table):
         if not isinstance(value, dict):
             raise SpecError(f"{name} must be a table/object, got {value!r}")
         return _decode(child, value)
+    return read
+
+
+def _many_reader(name: str, one):
+    """The reader of a ``tuple[X, ...]`` field: a list or tuple read
+    item by item with ``one``; any other value is a :class:`SpecError`."""
+    def read(value):
+        if not isinstance(value, (list, tuple)):
+            raise SpecError(f"{name} must be a list, got {value!r}")
+        return tuple([one(v) for v in value])
     return read
 
 
@@ -247,19 +259,19 @@ class _Table:
             if kind in _SCALARS:
                 exact, read = _SCALARS[kind]
                 if many:
-                    exact, read = None, lambda value, one=read: tuple(
-                        one(v) for v in value)
+                    exact, read = None, _many_reader(f.name, read)
                     writers.append((f.name, lambda value: None
                                     if value is None else list(value)))
                 elif exact is float:
                     floats.append(f.name)
                 if cls is not RunSpec:
-                    read = _section_reader(cls, f.name, read)
+                    read = _section_reader(cls, f.name, read,
+                                           f.type.endswith(" | None"))
                 scalars.append((f.name, exact, read))
             elif many:
                 child = _table(globals()[kind])
-                children.append((f.name, None, lambda value, child=child:
-                                 tuple([_decode(child, v) for v in value])))
+                children.append((f.name, None, _many_reader(
+                    f.name, _child_reader(f.name, child))))
                 writers.append((f.name, lambda specs, child=child:
                                 [_encode(child, spec) for spec in specs]))
             else:

@@ -418,6 +418,26 @@ class TestCachedHit:
         _assert_same_hit(api.run(spec, store=store), want)
         assert want.spec.policy.name == "optimal" != spec.policy.name
 
+    def test_null_in_the_snapshot_is_a_miss(self, tmp_path):
+        # null for a field that takes none does not parse: the run
+        # recomputes and overwrites the record, and the next call is a
+        # clean hit with the cold digest.
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path)
+        spec = api.scenario_spec("short-tasks")
+        cold = api.run(spec, store=store)
+        full = store.get(spec.spec_digest()).spec
+        _rewrite_snapshot(store, spec, lambda snapshot:
+                          snapshot["workload"].update(n_tasks=None))
+        with pytest.raises(SpecError, match="n_tasks must not be null"):
+            api.RunResult.from_record(store.get(spec.spec_digest()))
+        healed = api.run(spec, store=store)
+        assert not healed.cached and healed.digest == cold.digest
+        assert store.get(spec.spec_digest()).spec == full
+        hit = api.run(spec, store=store)
+        assert hit.cached and hit.digest == cold.digest
+
     def test_int_built_spec_hits_through_its_aliases(self, tmp_path):
         spec = policy_run_spec("fixed-count", policy_param=3, n_jobs=40,
                                trace_seed=0)

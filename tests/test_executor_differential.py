@@ -19,6 +19,10 @@ segment's own boundaries (interval and checkpoint ends, ``te/x + C``,
 exactly on wakes.  The last test builds the one case outside the
 executor's tie rule: two different tasks' entries at the bit-equal
 instant.
+
+``benchmarks/run_des_bench.py`` times the current executor against
+``ReferenceExecutor`` (its ``executor`` and ``contended`` sections), so
+changing this class means re-recording ``BENCH_des.json``.
 """
 
 from __future__ import annotations

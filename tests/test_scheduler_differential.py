@@ -10,6 +10,10 @@ one host, ramdisks smaller than VM memory) and random operation
 sequences (acquire, release, host down/up, a direct ``vm.assign``
 outside the scheduler), and requires the same grants in the same order
 — request to ``vm_id`` — and the same queue lengths and peaks.
+
+``benchmarks/run_des_bench.py`` times the current scheduler against
+``ReferenceScheduler`` (its ``scheduler`` section), so changing this
+class means re-recording ``BENCH_des.json``.
 """
 
 from __future__ import annotations
