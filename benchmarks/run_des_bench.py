@@ -76,6 +76,11 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
+# the reference models: e2ebench's host probe and tier-1's
+# differential-test classes
+sys.path[:0] = [str(ROOT / "e2ebench"), str(ROOT / "tests")]
+
 from repro._version import __version__
 from repro.des.sharding import run_des_sharded
 from repro.sim.engine import Environment
@@ -89,8 +94,6 @@ from repro.spec import (
 )
 from repro.verify.runner import run_des_unsharded
 from repro.verify.scenarios import build_workload, get_scenario
-
-ROOT = Path(__file__).resolve().parents[1]
 
 #: two ticker shapes: *wide* (many concurrent processes — heap
 #: comparisons at depth log2(1000) are a large shared cost) and
@@ -144,7 +147,6 @@ def _ticker_run(raw: bool, procs: int, ticks: int) -> float:
 
 
 def bench_event_loop(repeats: int) -> dict:
-    sys.path.insert(0, str(ROOT / "e2ebench"))
     from calibrate import reference_task
 
     out = {}
@@ -172,17 +174,6 @@ def bench_event_loop(repeats: int) -> dict:
 # ----------------------------------------------------------------------
 # The current scheduler and executor against tier-1's reference models.
 # ----------------------------------------------------------------------
-def _reference_models():
-    """``(ReferenceScheduler, ReferenceExecutor)``: the brute-force
-    scheduler and the per-interval executor that tier-1's differential
-    tests hold the current ones to."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    from test_executor_differential import ReferenceExecutor
-    from test_scheduler_differential import ReferenceScheduler
-
-    return ReferenceScheduler, ReferenceExecutor
-
-
 def _unsharded_with(workload, **classes):
     """``run_des_unsharded`` with the platform building the given
     classes in place of its own (``GreedyScheduler=``,
@@ -221,13 +212,14 @@ def _against_reference(workload, repeats: int, label: str, **reference):
 
 
 def bench_scheduler(repeats: int, quick: bool) -> dict:
-    reference_scheduler, _ = _reference_models()
+    from test_scheduler_differential import ReferenceScheduler
+
     spec = _bench_scenario("bench-des-shared-queue-deep",
                            n_tasks=200 if quick else 600,
                            n_hosts=4).evolve(**{"storage.mode": "nfs"})
     _, cur, times = _against_reference(
         build_workload(spec), repeats, "current scheduler",
-        GreedyScheduler=reference_scheduler)
+        GreedyScheduler=ReferenceScheduler)
     return {
         "n_tasks": spec.workload.n_tasks,
         "n_hosts": spec.execution.n_hosts,
@@ -242,12 +234,13 @@ def bench_scheduler(repeats: int, quick: bool) -> dict:
 
 
 def bench_executor(repeats: int, quick: bool) -> dict:
-    _, reference_executor = _reference_models()
+    from test_executor_differential import ReferenceExecutor
+
     spec = get_scenario("exp-baseline-local").evolve(
         **{"workload.n_tasks": 500 if quick else 2000})
     ref, cur, times = _against_reference(
         build_workload(spec), repeats, "current executor",
-        TaskExecutor=reference_executor)
+        TaskExecutor=ReferenceExecutor)
     return {
         "scenario": spec.name,
         "n_tasks": spec.workload.n_tasks,
@@ -278,7 +271,8 @@ CONTENDED_OPS = {
 
 
 def bench_contended(repeats: int, quick: bool) -> dict:
-    _, reference_executor = _reference_models()
+    from test_executor_differential import ReferenceExecutor
+
     out = {}
     for label, (name, overrides) in CONTENDED_OPS.items():
         if quick:
@@ -286,7 +280,7 @@ def bench_contended(repeats: int, quick: bool) -> dict:
         spec = get_scenario(name).evolve(**overrides)
         ref, cur, times = _against_reference(
             build_workload(spec), repeats, f"{label}: current executor",
-            TaskExecutor=reference_executor)
+            TaskExecutor=ReferenceExecutor)
         out[label] = {
             "n_tasks": spec.workload.n_tasks,
             "storage": spec.storage.mode,
