@@ -146,17 +146,13 @@ class RunResult:
 def run(
     spec: RunSpec,
     *,
-    trace=None,
     store: "ResultStore | str | Path | None" = None,
     reuse: bool = True,
 ) -> RunResult:
     """Execute ``spec`` on the tier it names and return a :class:`RunResult`.
 
     A pure function of the spec: equal specs produce bit-identical
-    result digests, for every ``execution.workers`` value.  ``trace``
-    optionally overrides the replay tier's materialized trace (for
-    pre-filtered job samples); it is rejected on the other tiers
-    because their workloads are fully described by the spec.
+    result digests, for every ``execution.workers`` value.
 
     ``store`` (a :class:`~repro.store.ResultStore` or a path) makes
     the run content-addressed: with ``reuse=True`` (default) a cached
@@ -164,9 +160,7 @@ def run(
     (``result.cached`` is set, per-task arrays absent); on a miss the
     spec executes and its record is persisted.  ``reuse=False`` always
     executes but still writes the record through — for callers that
-    need the arrays yet want to warm the store.  The ``trace``
-    override is rejected together with ``store`` because it changes
-    the computation without changing the digest.
+    need the arrays yet want to warm the store.
 
     A record whose spec snapshot is missing or does not parse is a
     miss, like an unreadable one: the run recomputes and overwrites it.
@@ -192,19 +186,13 @@ def run(
     ``extra`` and log the reason on the ``repro.api`` logger.
     """
     if store is not None:
-        if trace is not None:
-            raise SpecError(
-                "store-backed runs must be fully described by the spec "
-                "(the trace override changes the computation without "
-                "changing spec_digest); drop store= or trace="
-            )
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         if reuse:
             cached = _cached(store, spec)
             if cached is not None:
                 return cached
-    result = _execute(spec, trace=trace)
+    result = _execute(spec)
     if store is not None:
         store.put(RunRecord.from_result(result))
     return result
@@ -230,7 +218,7 @@ def _cached(store: ResultStore, spec: RunSpec) -> RunResult | None:
         return None
 
 
-def _execute(spec: RunSpec, *, trace=None) -> RunResult:
+def _execute(spec: RunSpec) -> RunResult:
     """The uncached execution path behind :func:`run`."""
     t0 = time.perf_counter()
     tier = spec.execution.tier
@@ -238,9 +226,7 @@ def _execute(spec: RunSpec, *, trace=None) -> RunResult:
     if tier == "replay":
         from repro.experiments.common import evaluate_policy
 
-        return _replay_result(spec, evaluate_policy(spec, trace=trace), t0)
-    if trace is not None:
-        raise SpecError("the trace override only applies to the replay tier")
+        return _replay_result(spec, evaluate_policy(spec), t0)
     workload = build_workload(spec)
     if tier == "scalar":
         tr = run_scalar(workload)

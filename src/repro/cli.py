@@ -6,7 +6,8 @@ Usage::
     repro experiments fig9 tab6
     repro verify --quick              # cross-tier differential verification
     repro verify --update-golden
-    repro sweep --workers 4           # parallel experiment-grid runner
+    repro sweep --spec run.json --axis policy.name=optimal,young --workers 4
+                                      # parallel experiment-grid runner
     repro run --spec run.json         # execute one declarative RunSpec
     repro run --scenario exp-baseline-local --set execution.tier=vector
     repro campaign run grid.toml      # resumable store-backed campaign

@@ -294,8 +294,8 @@ def policy_run_spec(
     """Build the replay-tier :class:`RunSpec` for one policy evaluation.
 
     The keywords name the spec fields the paper-artifact experiments
-    and the ``repro sweep`` flag grids vary; ``seed`` is
-    ``execution.base_seed`` (the redraw-mode failure seed).
+    vary; ``seed`` is ``execution.base_seed`` (the redraw-mode failure
+    seed).
     """
     return RunSpec(
         name=name or f"{policy}-{storage}-j{n_jobs}-t{trace_seed}",
@@ -320,7 +320,10 @@ def evaluate_policy(spec: RunSpec, *, trace: Trace | None = None) -> PolicyRun:
 
     Build the spec with :func:`policy_run_spec` (or any replay-tier
     :class:`~repro.spec.RunSpec`); ``trace=`` overrides the
-    materialized evaluation trace for pre-filtered job samples::
+    materialized evaluation trace for samples no spec describes (the
+    RL-filtered jobs of Figs. 11–13, a trace synthesized from a
+    perturbed frailty catalog), so it is the experiments' path, not
+    :func:`repro.api.run`'s::
 
         evaluate_policy(policy_run_spec("optimal", estimation="oracle"))
         evaluate_policy(spec, trace=filter_by_length(base, 1000.0))

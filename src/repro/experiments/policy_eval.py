@@ -4,17 +4,17 @@ All of these compare Formula (3) (:class:`OptimalCountPolicy`) against
 Young's formula (:class:`YoungPolicy`) over the shared trace, replaying
 identical failure sequences for both policies.
 
-Every evaluation goes through the :func:`repro.api.run` facade, so an
-experiment's scalar outputs are the same record fields
+Table 6 and Figs. 9–10 go through the :func:`repro.api.run` facade,
+so an experiment's scalar outputs are the same record fields
 (``summary``/``extra``) a sweep cell or campaign cell carries, and the
-``store=`` parameter (tab6/fig9/fig10) writes each run's
-:class:`~repro.store.RunRecord` into a content-addressed result store
-— the record a campaign over the same specs would reuse.  The
-experiments always execute (``reuse=False``) because the CDF and
-per-priority figures need the per-job arrays that records, by design,
-do not persist; fig11–13 evaluate pre-filtered trace samples, which
-the store rejects (a trace override changes the computation without
-changing the spec digest), so they take no ``store``.
+``store=`` parameter writes each run's :class:`~repro.store.RunRecord`
+into a content-addressed result store — the record a campaign over
+the same specs would reuse.  They always execute (``reuse=False``)
+because the CDF and per-priority figures need the per-job arrays that
+records, by design, do not persist.  Figs. 11–13 evaluate RL-filtered
+trace samples, which no spec describes, so they call
+:func:`~repro.experiments.common.evaluate_policy` with ``trace=``
+directly and take no ``store``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ import math
 import numpy as np
 
 from repro import api
-from repro.experiments.common import default_trace, policy_run_spec
+from repro.experiments.common import (
+    default_trace,
+    evaluate_policy,
+    policy_run_spec,
+)
 from repro.experiments.registry import ExperimentReport, register
 from repro.experiments.reporting import render_table
 from repro.metrics.cdf import fraction_above, fraction_below
@@ -34,15 +38,13 @@ from repro.trace.sampler import filter_by_length
 __all__ = ["fig9", "fig10", "fig11", "fig12", "fig13", "table6"]
 
 
-def _run(spec, store=None, trace=None):
+def _run(spec, store):
     """One replay-tier evaluation through the facade.
 
     Returns the :class:`~repro.api.RunResult`: record-shaped scalars
     in ``summary``/``extra`` plus the per-job arrays under
     ``policy_run``.
     """
-    if trace is not None:
-        return api.run(spec, trace=trace)
     return api.run(spec, store=store, reuse=False)
 
 
@@ -205,14 +207,14 @@ def fig11(
         trace = filter_by_length(base, rl)
         if len(trace) == 0:
             continue
-        f3 = _run(policy_run_spec(
+        f3 = evaluate_policy(policy_run_spec(
             "optimal", n_jobs=n_jobs, trace_seed=seed,
             estimation="priority", length_cap=rl),
-            trace=trace).policy_run
-        yg = _run(policy_run_spec(
+            trace=trace)
+        yg = evaluate_policy(policy_run_spec(
             "young", n_jobs=n_jobs, trace_seed=seed,
             estimation="priority", length_cap=rl),
-            trace=trace).policy_run
+            trace=trace)
         for name, run in (("formula3", f3), ("young", yg)):
             above = fraction_above(run.job_wpr, 0.9)
             rows.append([f"RL={rl:g}", name, len(trace),
@@ -250,14 +252,14 @@ def fig12(
         trace = filter_by_length(base, rl)
         if len(trace) == 0:
             continue
-        f3 = _run(policy_run_spec(
+        f3 = evaluate_policy(policy_run_spec(
             "optimal", n_jobs=n_jobs, trace_seed=seed,
             estimation="priority", length_cap=rl),
-            trace=trace).policy_run
-        yg = _run(policy_run_spec(
+            trace=trace)
+        yg = evaluate_policy(policy_run_spec(
             "young", n_jobs=n_jobs, trace_seed=seed,
             estimation="priority", length_cap=rl),
-            trace=trace).policy_run
+            trace=trace)
         mean_delta = float(np.mean(yg.job_wall - f3.job_wall))
         median_delta = float(np.median(yg.job_wall - f3.job_wall))
         rows.append([
@@ -296,14 +298,14 @@ def fig13(
     """Fig. 13: per-job wall-clock ratio, formula (3) vs Young."""
     base = default_trace(n_jobs, seed)
     trace = filter_by_length(base, restricted_length)
-    f3 = _run(policy_run_spec(
+    f3 = evaluate_policy(policy_run_spec(
         "optimal", n_jobs=n_jobs, trace_seed=seed,
         estimation="priority", length_cap=restricted_length),
-        trace=trace).policy_run
-    yg = _run(policy_run_spec(
+        trace=trace)
+    yg = evaluate_policy(policy_run_spec(
         "young", n_jobs=n_jobs, trace_seed=seed,
         estimation="priority", length_cap=restricted_length),
-        trace=trace).policy_run
+        trace=trace)
     cmp_ = compare_wallclock(f3.job_wall, yg.job_wall)
     rows = [
         ["jobs faster under formula (3)", cmp_.frac_a_faster,

@@ -7,8 +7,9 @@
   and merges the per-chunk results back in input order.  Digests are
   bit-for-bit identical for any worker count.
 * :mod:`repro.parallel.sweep` — the ``repro sweep`` experiment-grid
-  runner (policy × storage × trace size × seed), parallelized over
-  grid points on the same pool with the same determinism guarantee.
+  runner (``--axis`` overrides over a base ``RunSpec``), parallelized
+  over grid points on the same pool with the same determinism
+  guarantee.
   Imported lazily by the CLI; import it explicitly
   (``import repro.parallel.sweep``) when using it as a library.
 """

@@ -5,17 +5,12 @@ checkpoint policy crossed with storage backends and workload sizes,
 each cell a full Monte-Carlo evaluation over a synthesized trace.  A
 grid is a list of :class:`~repro.spec.RunSpec` values, and
 :func:`run_specs` executes it on a ``multiprocessing`` pool into one
-JSON report.  ``repro sweep`` builds the list two ways:
-
-* ``--policies/--storage/--n-jobs/--seeds`` (plus the shared
-  ``--policy-param/--sim-seed/--estimation/--failure-mode/--all-jobs``)
-  make one replay-tier spec per cell with
-  :func:`~repro.experiments.common.policy_run_spec`, nested policy →
-  storage → n_jobs → seed, each named
-  ``sweep-{policy}-{storage}-j{n_jobs}-t{seed}``;
-* ``--spec base.json --axis key=v1,v2`` expands dotted-path overrides
-  over a base spec via :func:`expand_grid` — any field of the spec
-  tree becomes a sweepable axis.
+JSON report.  ``repro sweep --spec base.json --axis key=v1,v2`` builds
+the list by expanding dotted-path overrides over a base spec
+(:func:`expand_grid`): any field of the spec tree is a sweepable axis,
+e.g. ``policy.name``, ``storage.mode``, ``workload.n_jobs``,
+``workload.trace_seed``, ``execution.base_seed``,
+``policy.estimation`` or ``failures.mode``.
 
 Determinism contract
 --------------------
@@ -61,8 +56,9 @@ drives).
 
 Usage::
 
-    repro sweep --policies optimal,young,daly --storage auto \\
-        --n-jobs 500,2000 --seeds 0,1 --workers 4 --out sweep.json
+    repro sweep --spec examples/specs/daly-shared.json \\
+        --axis policy.name=optimal,young,daly --axis storage.mode=auto \\
+        --axis workload.n_jobs=500,2000 --workers 4 --out sweep.json
     repro sweep --spec examples/specs/daly-shared.json \\
         --axis policy.name=optimal,young --axis execution.base_seed=0,1 \\
         --store results/
@@ -77,13 +73,7 @@ import time
 from pathlib import Path
 
 from repro.parallel.runner import default_workers, get_pool
-from repro.spec import (
-    FAILURE_MODES,
-    POLICY_NAMES,
-    RunSpec,
-    SpecError,
-    load_spec,
-)
+from repro.spec import RunSpec, SpecError, load_spec
 from repro.store import ResultStore, RunRecord
 
 __all__ = [
@@ -370,57 +360,24 @@ def _csv(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-def _csv_int(value: str) -> list[int]:
-    return [int(v) for v in _csv(value)]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro sweep",
         description=(
-            "Run a policy × storage × trace-size experiment grid on a "
-            "process pool and write the per-cell results (including "
-            "bit-level digests) as JSON.  Results are identical for "
-            "every --workers value.  With --spec, the grid is instead a "
-            "cross product of dotted-path --axis overrides over a base "
-            "RunSpec file — any spec field becomes an axis."
+            "Run an experiment grid on a process pool and write the "
+            "per-cell results (including bit-level digests) as JSON.  "
+            "The grid is the cross product of dotted-path --axis "
+            "overrides over a base RunSpec file — any spec field is an "
+            "axis.  Results are identical for every --workers value."
         ),
     )
-    parser.add_argument("--spec", metavar="PATH", default=None,
-                        help="base RunSpec file (.json/.toml); switches to "
-                             "spec-override grid mode")
+    parser.add_argument("--spec", metavar="PATH", required=True,
+                        help="base RunSpec file (.json/.toml)")
     parser.add_argument("--axis", metavar="KEY=V1,V2[,...]", action="append",
                         default=[], dest="axes",
                         help="dotted-path override axis over the base spec, "
                              "e.g. --axis policy.name=optimal,young "
                              "(repeatable; first axis is the outer loop)")
-    parser.add_argument("--policies", type=_csv, default=["optimal", "young"],
-                        help="comma-separated policy names "
-                             f"(known: {', '.join(POLICY_NAMES)})")
-    parser.add_argument("--policy-param", type=float, default=0.0,
-                        help="parameter shared by parametrized policies: "
-                             "interval seconds for fixed-interval, "
-                             "interval count for fixed-count")
-    parser.add_argument("--storage", type=_csv, default=["auto"],
-                        help="comma-separated storage modes "
-                             "(known: auto, local, shared)")
-    parser.add_argument("--n-jobs", type=_csv_int, default=[500],
-                        metavar="N[,N...]",
-                        help="comma-separated trace sizes (jobs per trace)")
-    parser.add_argument("--seeds", type=_csv_int, default=[2013],
-                        metavar="S[,S...]",
-                        help="comma-separated trace synthesis seeds")
-    parser.add_argument("--sim-seed", type=int, default=99,
-                        help="failure-redraw base seed (redraw mode)")
-    parser.add_argument("--estimation", choices=("oracle", "priority"),
-                        default="oracle",
-                        help="failure-statistics estimation mode")
-    parser.add_argument("--failure-mode", choices=FAILURE_MODES,
-                        default="replay",
-                        help="replay historical intervals or redraw fresh ones")
-    parser.add_argument("--all-jobs", action="store_true",
-                        help="evaluate every job (default: the paper's "
-                             "failed-job sample rule)")
     parser.add_argument("--workers", type=int, default=1,
                         help="process-pool size (0 = one per CPU core); "
                              "any value reproduces the same digests")
@@ -455,48 +412,14 @@ def _parse_axis(text: str) -> tuple[str, list]:
     return key, values
 
 
-def _flag_grid(args) -> list[RunSpec]:
-    """The ``--policies/--storage/--n-jobs/--seeds`` grid as specs
-    (nesting policy → storage → n_jobs → seed)."""
-    from repro.experiments.common import policy_run_spec
-
-    specs = [
-        policy_run_spec(
-            policy,
-            policy_param=args.policy_param,
-            n_jobs=n_jobs,
-            trace_seed=seed,
-            only_failed_jobs=not args.all_jobs,
-            estimation=args.estimation,
-            failure_mode=args.failure_mode,
-            storage=storage,
-            seed=args.sim_seed,
-            name=f"sweep-{policy}-{storage}-j{n_jobs}-t{seed}",
-        )
-        for policy in args.policies
-        for storage in args.storage
-        for n_jobs in args.n_jobs
-        for seed in args.seeds
-    ]
-    if not specs:
-        raise SpecError("empty sweep grid: every axis needs at least one "
-                        "value")
-    return specs
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro sweep``; returns an exit status."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     workers = args.workers if args.workers > 0 else default_workers()
-    if args.axes and not args.spec:
-        parser.error("--axis requires --spec (the base RunSpec file)")
     try:
-        if args.spec:
-            axes = [_parse_axis(a) for a in args.axes]
-            specs = expand_grid(load_spec(args.spec), axes)
-        else:
-            specs = _flag_grid(args)
+        axes = [_parse_axis(a) for a in args.axes]
+        specs = expand_grid(load_spec(args.spec), axes)
         report = run_specs(specs, workers=workers, store=args.store)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

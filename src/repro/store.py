@@ -20,10 +20,13 @@ Design rules
   never observe a torn record: two writers racing on one digest end
   with either writer's complete payload, and a reader that overlaps a
   write sees one of the two complete versions.
-* **Versioned schema, migration on read.**  Every record carries
-  ``record_version``.  ``from_dict`` upgrades older versions through
-  the :data:`_MIGRATIONS` chain, so a store written by an earlier
-  build keeps serving a newer one; an unknown *newer* version raises
+* **Versioned schema, no migration.**  Every record carries
+  ``record_version``, and ``from_dict`` reads only the current one.
+  An *older* record is stale, like one of another
+  :data:`MODEL_VERSION`: :meth:`ResultStore.get` reads it as a miss,
+  and recomputing the cell overwrites it.  (Every schema before
+  version 3 predates ``model_version``, so no older record could be
+  served anyway.)  An unknown *newer* version raises
   :class:`StoreError` instead of silently misreading.
 * **Stdlib only.**  Like :mod:`repro.spec`, the store imports no
   third-party packages, so config and report tooling can read stores
@@ -37,12 +40,12 @@ Design rules
   record path as a string (:meth:`ResultStore.path_for` still checks
   the digest and returns a :class:`~pathlib.Path`), and
   :meth:`RunRecord.from_dict` checks keys against a field-name set
-  built once.  Nothing is skipped: the migration chain,
-  ``record_version``, unknown fields, field types, the digest claim,
-  the model-version rule and the ``on_corrupt`` modes all hold on
-  every read.  Turning the ``repro.store`` logger to DEBUG makes
+  built once.  Nothing is skipped: ``record_version``, unknown
+  fields, field types, the digest claim, the model-version rule and
+  the ``on_corrupt`` modes all hold on every read.  Turning the ``repro.store`` logger to DEBUG makes
   ``get`` say what it decided for each digest: hit, missing, stale
-  (with the record's model version) or corrupt read as a miss.
+  (with the record's model or schema version) or corrupt read as a
+  miss.
 
 The consumers are :func:`repro.api.run` (``store=`` gives any caller
 skip-if-cached execution), :mod:`repro.parallel.sweep` (``--store``),
@@ -58,7 +61,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 __all__ = [
     "MODEL_VERSION",
@@ -70,7 +73,7 @@ __all__ = [
 ]
 
 #: Schema version of the serialized record form.  Bump it when the
-#: record shape changes and register a migration in :data:`_MIGRATIONS`.
+#: record shape changes; records of older versions then read as stale.
 RECORD_VERSION = 3
 
 #: Version of the model semantics behind every stored result.  Bump it
@@ -81,7 +84,11 @@ MODEL_VERSION = 2
 
 
 class StoreError(RuntimeError):
-    """A result record failed to read, validate, or migrate."""
+    """A result record failed to read or validate."""
+
+
+class _OlderRecordVersion(StoreError):
+    """A record of an older schema: stale, not corrupt."""
 
 
 def canonical_spec_dict(spec) -> dict:
@@ -128,11 +135,11 @@ class RunRecord:
     elapsed_s: float = 0.0
     spec: dict | None = None
     provenance: dict[str, Any] = field(default_factory=dict)
-    #: Unix timestamp of when the record was computed (``None`` for
-    #: records migrated from schemas that predate it).  Wall-clock
-    #: bookkeeping like ``elapsed_s``: age/size-based store eviction
-    #: reads it, but it is excluded from :meth:`pinned_dict` so reports
-    #: and goldens stay byte-stable across recomputation.
+    #: Unix timestamp of when the record was computed (``None`` when
+    #: unknown).  Wall-clock bookkeeping like ``elapsed_s``:
+    #: age/size-based store eviction reads it, but it is excluded from
+    #: :meth:`pinned_dict` so reports and goldens stay byte-stable
+    #: across recomputation.
     created_at: float | None = None
     record_version: int = RECORD_VERSION
 
@@ -142,8 +149,7 @@ class RunRecord:
         if self.record_version != RECORD_VERSION:
             raise StoreError(
                 f"RunRecord is always the current schema "
-                f"(version {RECORD_VERSION}); got {self.record_version!r} — "
-                "serialized forms migrate through RunRecord.from_dict"
+                f"(version {RECORD_VERSION}); got {self.record_version!r}"
             )
 
     # -- construction --------------------------------------------------
@@ -223,7 +229,11 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> RunRecord:
-        """Parse (and, for older schema versions, migrate) a record."""
+        """Parse a record of the current schema version.
+
+        A record of an older version raises :class:`StoreError` (a
+        subclass :meth:`ResultStore.get` reads as stale).
+        """
         if not isinstance(data, dict):
             raise StoreError(f"record must be an object, got {type(data).__name__}")
         version = data.get("record_version", 1)
@@ -235,9 +245,11 @@ class RunRecord:
                 f"reads (version {RECORD_VERSION}); upgrade the package "
                 "or prune the store"
             )
-        while version < RECORD_VERSION:
-            data = _MIGRATIONS[version](data)  # each step returns a copy
-            version = data["record_version"]
+        if version < RECORD_VERSION:
+            raise _OlderRecordVersion(
+                f"record_version {version} is older than this build "
+                f"reads (version {RECORD_VERSION})"
+            )
         if not data.keys() <= _RECORD_FIELDS:
             unknown = sorted(data.keys() - _RECORD_FIELDS)
             raise StoreError(
@@ -269,48 +281,6 @@ class RunRecord:
 _RECORD_FIELDS = frozenset(f.name for f in fields(RunRecord))
 
 
-def _migrate_v1(data: dict) -> dict:
-    """v1 -> v2: the pre-store ``RunResult.to_dict()`` report shape.
-
-    Version 1 is what ``repro run --out`` and ``repro sweep`` wrote
-    before the store existed: same scalar fields, no
-    ``record_version`` marker and no ``provenance``.  The upgrade
-    fills the missing bookkeeping with conservative defaults.
-    """
-    out = dict(data)
-    out.pop("record_version", None)
-    out.setdefault("name", "unknown")
-    out.setdefault("tier", "scalar")
-    out.setdefault("seed", 0)
-    out.setdefault("digest", None)
-    out.setdefault("summary", {})
-    out.setdefault("extra", {})
-    out.setdefault("elapsed_s", 0.0)
-    out.setdefault("spec", None)
-    out.setdefault("provenance", {})
-    out["provenance"] = {"migrated_from": 1, **out["provenance"]}
-    out["record_version"] = 2
-    return out
-
-
-def _migrate_v2(data: dict) -> dict:
-    """v2 -> v3: records gain ``created_at``.
-
-    Pre-v3 records carry no timestamp; ``None`` marks them as
-    age-unknown (an eviction policy should treat them as oldest rather
-    than inventing a time).
-    """
-    out = dict(data)
-    out.setdefault("created_at", None)
-    out["record_version"] = 3
-    return out
-
-
-#: per-version upgrade steps; ``from_dict`` chains them until the data
-#: reaches :data:`RECORD_VERSION`.
-_MIGRATIONS: dict[int, Callable[[dict], dict]] = {1: _migrate_v1, 2: _migrate_v2}
-
-
 def _log_decision(log, spec_digest: str, status: str, found) -> None:
     """One DEBUG line on ``log`` saying what :meth:`ResultStore.get` made
     of the record for ``spec_digest``."""
@@ -320,9 +290,7 @@ def _log_decision(log, spec_digest: str, status: str, found) -> None:
     elif status == "missing":
         log.debug("%s: missing, no record", prefix)
     elif status == "stale":
-        log.debug("%s: stale, record of model_version %r (this build "
-                  "serves %d); a miss", prefix,
-                  found.provenance.get("model_version"), MODEL_VERSION)
+        log.debug("%s: stale, %s; a miss", prefix, found)
     else:
         log.debug("%s: corrupt, read as a miss: %s", prefix, found)
 
@@ -421,10 +389,11 @@ class ResultStore:
         """What the record file for ``spec_digest`` holds.
 
         ``("ok", record)`` for a record :meth:`get` serves, ``("stale",
-        record)`` for a readable one computed under another
-        :data:`MODEL_VERSION` (or none), ``("corrupt", reason)`` for one
-        that cannot be read, does not parse, or claims another digest,
-        and ``("missing", None)`` when there is no file.
+        reason)`` for a readable one of an older ``record_version`` or
+        computed under another :data:`MODEL_VERSION` (or none),
+        ``("corrupt", reason)`` for one that cannot be read, does not
+        parse, or claims another digest, and ``("missing", None)`` when
+        there is no file.
         """
         try:
             with open(self._record_path(spec_digest)) as fh:
@@ -436,6 +405,8 @@ class ResultStore:
                                f"{self.path_for(spec_digest)}: {exc}")
         try:
             record = RunRecord.from_dict(json.loads(text))
+        except _OlderRecordVersion as exc:
+            return "stale", str(exc)
         except (StoreError, ValueError) as exc:
             return "corrupt", (f"corrupt record "
                                f"{self.path_for(spec_digest)}: {exc}")
@@ -447,7 +418,11 @@ class ResultStore:
                 f"{record.spec_digest[:12]}…, expected {spec_digest[:12]}…"
             )
         if record.provenance.get("model_version") != MODEL_VERSION:
-            return "stale", record
+            return "stale", (
+                f"record of model_version "
+                f"{record.provenance.get('model_version')!r} (this build "
+                f"serves {MODEL_VERSION})"
+            )
         return "ok", record
 
     def contains(self, spec_digest: str) -> bool:

@@ -6,8 +6,11 @@ The contract of the one-description-of-a-run design:
   its golden scalar digest bit-for-bit through ``repro.api.run``;
 * the vector and replay tiers stay worker-count invariant when driven
   through specs;
+* ``repro.api.run`` takes the spec and nothing else that describes
+  the run (``store=``/``reuse=`` only choose whether to cache);
 * ``evaluate_policy`` takes only a replay-tier spec (plus the
-  ``trace=`` override) and rejects anything else loudly.
+  ``trace=`` override for samples no spec describes) and rejects
+  anything else loudly.
 """
 
 from __future__ import annotations
@@ -95,9 +98,11 @@ class TestRunFacade:
         two = api.run(spec.evolve(**{"execution.workers": 2}))
         assert one.digest == two.digest
 
-    def test_trace_override_rejected_off_replay_tier(self):
-        spec = api.scenario_spec("exp-baseline-local")
-        with pytest.raises(SpecError, match="replay"):
+    def test_trace_keyword_is_a_type_error(self):
+        # The spec is the whole description of a run: there is no
+        # trace override to pass beside it.
+        spec = policy_run_spec("optimal", n_jobs=50, trace_seed=5)
+        with pytest.raises(TypeError, match="trace"):
             api.run(spec, trace=default_trace(50, 5))
 
     def test_redraw_on_trace_without_scales_rejected(self):
@@ -111,12 +116,13 @@ class TestRunFacade:
             for job in base))
         spec = policy_run_spec("young", n_jobs=50, trace_seed=5)
         with pytest.raises(SpecError, match="scales are missing"):
-            api.run(spec.evolve(**{"failures.mode": "redraw"}),
-                    trace=unscaled)
+            evaluate_policy(spec.evolve(**{"failures.mode": "redraw"}),
+                            trace=unscaled)
         # Replay needs no scales: the same trace still runs.
-        assert api.run(spec, trace=unscaled).summary["n_tasks"] > 0
+        assert evaluate_policy(spec, trace=unscaled).sim.summary()[
+            "n_tasks"] > 0
         with pytest.raises(TypeError, match="catalog"):
-            api.run(spec, trace=unscaled, catalog=object())
+            evaluate_policy(spec, trace=unscaled, catalog=object())
         with pytest.raises(TypeError, match="catalog"):
             evaluate_policy(spec, catalog=object())
 
@@ -293,11 +299,6 @@ class TestStoreBackedRun:
         healed = api.run(spec, store=store)
         assert not healed.cached and healed.digest == first.digest
         assert store.get(spec.spec_digest()).digest == first.digest
-
-    def test_trace_override_rejected_with_store(self, tmp_path):
-        spec = policy_run_spec("optimal", n_jobs=60, trace_seed=0)
-        with pytest.raises(SpecError, match="spec_digest"):
-            api.run(spec, store=tmp_path, trace=default_trace(50, 5))
 
     def test_cli_store_flag(self, tmp_path, capsys):
         spec_path = tmp_path / "run.json"

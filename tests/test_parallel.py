@@ -359,25 +359,35 @@ class TestGoldenScenarioOutcomes:
 
 
 class TestSweep:
-    """The ``--policies/--storage/--n-jobs/--seeds`` flag grid."""
+    """``repro sweep --spec base --axis ...`` end to end."""
 
-    FLAGS = ["sweep", "--policies", "optimal,young", "--storage",
-             "auto,local", "--n-jobs", "60", "--seeds", "0", "--quiet"]
+    AXES = ["--axis", "policy.name=optimal,young",
+            "--axis", "storage.mode=auto,local"]
 
-    def _sweep(self, tmp_path, *extra) -> dict:
+    @pytest.fixture
+    def base(self, tmp_path):
+        path = tmp_path / "base.json"
+        policy_run_spec("optimal", n_jobs=60, trace_seed=0,
+                        estimation="oracle", name="sweep-base").save(path)
+        return path
+
+    def _sweep(self, tmp_path, base, *extra) -> dict:
         out = tmp_path / "sweep.json"
-        assert cli_main([*self.FLAGS, *extra, "--out", str(out)]) == 0
+        assert cli_main(["sweep", "--spec", str(base), *extra, "--quiet",
+                         "--out", str(out)]) == 0
         return json.loads(out.read_text())
 
-    def test_grid_cross_product_order(self, tmp_path):
-        report = self._sweep(tmp_path)
-        assert [c["name"] for c in report["points"]] == [
-            "sweep-optimal-auto-j60-t0", "sweep-optimal-local-j60-t0",
-            "sweep-young-auto-j60-t0", "sweep-young-local-j60-t0",
+    def test_grid_cross_product_order(self, tmp_path, base):
+        report = self._sweep(tmp_path, base, *self.AXES)
+        assert [(c["spec"]["policy"]["name"], c["spec"]["storage"]["mode"])
+                for c in report["points"]] == [
+            ("optimal", "auto"), ("optimal", "local"),
+            ("young", "auto"), ("young", "local"),
         ]
 
-    def test_sweep_digests_invariant_over_workers(self, tmp_path):
-        reports = {w: self._sweep(tmp_path, "--workers", str(w))
+    def test_sweep_digests_invariant_over_workers(self, tmp_path, base):
+        reports = {w: self._sweep(tmp_path, base, *self.AXES,
+                                  "--workers", str(w))
                    for w in (1, 2)}
         d1 = [p["digest"] for p in reports[1]["points"]]
         d2 = [p["digest"] for p in reports[2]["points"]]
@@ -420,33 +430,36 @@ class TestSweep:
                                policy_param=3.0)
         assert run_specs([spec])["points"][0]["summary"]["n_tasks"] > 0
 
-    def test_cli_friendly_errors(self, tmp_path, capsys):
+    def test_cli_friendly_errors(self, tmp_path, base, capsys):
         # Empty grid axis -> usage error, no traceback.
-        assert cli_main(["sweep", "--policies", "", "--n-jobs", "50"]) == 2
-        assert "empty sweep grid" in capsys.readouterr().err
-        # Parametrized policy without --policy-param -> usage error.
-        assert cli_main(["sweep", "--policies", "fixed-interval",
-                         "--n-jobs", "50"]) == 2
+        assert cli_main(["sweep", "--spec", str(base),
+                         "--axis", "policy.name=,"]) == 2
+        assert "has no values" in capsys.readouterr().err
+        # Parametrized policy without policy.param -> usage error.
+        assert cli_main(["sweep", "--spec", str(base),
+                         "--axis", "policy.name=fixed-interval"]) == 2
         assert "needs param" in capsys.readouterr().err
-        # With the flag, the sweep runs.
-        out = tmp_path / "fi.json"
-        assert cli_main(["sweep", "--policies", "fixed-interval",
-                         "--policy-param", "120", "--n-jobs", "40",
-                         "--quiet", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["n_points"] == 1
+        # With the param axis, the sweep runs.
+        report = self._sweep(tmp_path, base,
+                             "--axis", "policy.name=fixed-interval",
+                             "--axis", "policy.param=120")
+        assert report["n_points"] == 1
 
-    def test_cli_writes_report_and_reproduces_digests(self, tmp_path, capsys):
-        out1 = tmp_path / "s1.json"
-        out2 = tmp_path / "s2.json"
-        base = ["sweep", "--policies", "optimal", "--storage", "auto",
-                "--n-jobs", "60", "--seeds", "0", "--quiet"]
-        assert cli_main(base + ["--workers", "1", "--out", str(out1)]) == 0
-        assert cli_main(base + ["--workers", "2", "--out", str(out2)]) == 0
-        r1 = json.loads(out1.read_text())
-        r2 = json.loads(out2.read_text())
+    def test_cli_writes_report_and_reproduces_digests(self, tmp_path, base):
+        # No axis: the grid is the base spec alone, and its cell is the
+        # facade's result on that spec at any worker count.
+        from repro import api
+        from repro.spec import load_spec
+
+        r1 = self._sweep(tmp_path, base, "--workers", "1")
+        r2 = self._sweep(tmp_path, base, "--workers", "2")
         assert [p["digest"] for p in r1["points"]] == \
                [p["digest"] for p in r2["points"]]
-        assert r1["points"][0]["summary"]["n_tasks"] > 0
+        [cell] = r1["points"]
+        spec = load_spec(base)
+        assert cell["spec_digest"] == spec.spec_digest()
+        assert cell["digest"] == api.run(spec).digest
+        assert cell["summary"]["n_tasks"] > 0
 
 
 class TestSpecGrids:
@@ -458,22 +471,6 @@ class TestSpecGrids:
         return policy_run_spec("optimal", n_jobs=60, trace_seed=0,
                                name="grid-base")
 
-    def test_sweep_point_lowers_to_equivalent_spec(self, tmp_path):
-        # The flag grid and the spec grid are the same computation: a
-        # flag cell and the raw facade on its spec agree.
-        from repro import api
-
-        out = tmp_path / "cell.json"
-        assert cli_main(["sweep", "--policies", "young", "--storage",
-                         "local", "--n-jobs", "60", "--seeds", "0",
-                         "--quiet", "--out", str(out)]) == 0
-        cell = json.loads(out.read_text())["points"][0]
-        spec = policy_run_spec("young", storage="local", n_jobs=60,
-                               trace_seed=0, estimation="oracle",
-                               name="sweep-young-local-j60-t0")
-        assert cell["digest"] == api.run(spec).digest
-        assert cell["spec_digest"] == spec.spec_digest()
-
     def test_expand_grid_order_and_values(self):
         from repro.parallel.sweep import expand_grid
 
@@ -482,7 +479,7 @@ class TestSpecGrids:
             ("execution.base_seed", [0, 1]),
         ])
         combos = [(s.policy.name, s.execution.base_seed) for s in specs]
-        # first axis is the outer loop, like the flag grid's nesting
+        # first axis is the outer loop
         assert combos == [("optimal", 0), ("optimal", 1),
                           ("young", 0), ("young", 1)]
 
@@ -546,8 +543,13 @@ class TestSpecGrids:
                [p["digest"] for p in r2["points"]]
 
     def test_cli_axis_requires_spec(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["sweep", "--axis", "policy.name=young"])
+        # --spec is required: every grid is overrides over a base spec.
+        for argv in (["sweep", "--axis", "policy.name=young"],
+                     ["sweep", "--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+            assert "--spec" in capsys.readouterr().err
 
     def test_cli_spec_mode_bad_axis_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "base.json"
@@ -616,12 +618,14 @@ class TestLongestFirstScheduling:
         assert [c["digest"] for c in serial["points"]] == \
             [c["digest"] for c in pooled["points"]]
 
-    def test_flag_grid_merges_in_grid_order(self, tmp_path):
-        # Mixed-size flag grid: big cell first in dispatch, cells still
-        # reported in flag nesting order.
+    def test_cli_grid_merges_in_grid_order(self, tmp_path):
+        # Mixed-size grid: big cell first in dispatch, cells still
+        # reported in axis order.
+        spec_path = tmp_path / "base.json"
+        self._base().save(spec_path)
         out = tmp_path / "sweep.json"
-        assert cli_main(["sweep", "--policies", "optimal", "--n-jobs",
-                         "40,80", "--seeds", "0", "--workers", "2",
+        assert cli_main(["sweep", "--spec", str(spec_path),
+                         "--axis", "workload.n_jobs=40,80", "--workers", "2",
                          "--quiet", "--out", str(out)]) == 0
         points = json.loads(out.read_text())["points"]
         assert [p["spec"]["workload"]["n_jobs"] for p in points] == [40, 80]

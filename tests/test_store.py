@@ -1,7 +1,7 @@
 """Tests for the content-addressed result store (:mod:`repro.store`).
 
 The load-bearing properties: records round-trip exactly, older schema
-versions migrate on read, writes are atomic (racing writers never
+versions read as stale, writes are atomic (racing writers never
 produce a torn read), and corruption is either loud (``on_corrupt=
 'raise'``) or heals as a cache miss (``'miss'``) — never silent.
 """
@@ -88,34 +88,42 @@ class TestRunRecord:
         b = RunRecord.from_result(api.run(alias)).pinned_dict()
         assert a == b
 
-    def test_v1_migrates_on_read(self):
-        # Version 1 is the pre-store RunResult.to_dict() report shape:
-        # no record_version marker, no provenance.
-        v1 = {
-            "spec_digest": DIGEST,
-            "name": "legacy",
-            "tier": "replay",
-            "seed": 3,
-            "digest": "f" * 64,
-            "summary": {"n_tasks": 4.0},
-            "extra": {},
-            "elapsed_s": 0.5,
-            "spec": None,
-        }
-        record = RunRecord.from_dict(v1)
-        assert record.record_version == RECORD_VERSION
-        assert record.name == "legacy"
-        assert record.provenance["migrated_from"] == 1
-
-    def test_v2_migrates_to_v3_with_unknown_age(self):
-        # Version 2 predates created_at: the upgrade marks the record
-        # age-unknown instead of inventing a timestamp.
-        v2 = make_record().to_dict()
-        del v2["created_at"]
-        v2["record_version"] = 2
-        record = RunRecord.from_dict(v2)
-        assert record.record_version == RECORD_VERSION
-        assert record.created_at is None
+    @pytest.mark.parametrize("shape", ["v1", "v2"])
+    def test_older_record_version_is_stale(self, tmp_path, shape):
+        # Every schema before version 3 predates model_version, so no
+        # older record could be served: each reads as stale, a miss
+        # that recomputing the cell overwrites.
+        if shape == "v1":
+            # the pre-store RunResult.to_dict() report shape: no
+            # record_version marker, no provenance
+            old = {
+                "spec_digest": DIGEST,
+                "name": "legacy",
+                "tier": "replay",
+                "seed": 3,
+                "digest": "f" * 64,
+                "summary": {"n_tasks": 4.0},
+                "extra": {},
+                "elapsed_s": 0.5,
+                "spec": None,
+            }
+        else:
+            # version 2 predates created_at
+            old = make_record().to_dict()
+            del old["created_at"]
+            old["record_version"] = 2
+        with pytest.raises(StoreError, match="older"):
+            RunRecord.from_dict(old)
+        store = ResultStore(tmp_path)
+        store.path_for(DIGEST).parent.mkdir(parents=True)
+        store.path_for(DIGEST).write_text(json.dumps(old))
+        assert store.get(DIGEST) is None
+        assert store.stats()["n_stale"] == 1
+        assert store.stats()["n_corrupt"] == 0
+        counts = store.prune(drop_corrupt=True)
+        assert counts["stale_removed"] == 1
+        assert counts["corrupt_removed"] == 0
+        assert len(store) == 0
 
     def test_from_result_stamps_created_at(self):
         import time
@@ -261,6 +269,11 @@ class TestDecisionLog:
         assert self._lines(caplog, store, DIGEST) == [
             f"{prefix}: stale, record of model_version 1 (this build "
             f"serves {MODEL_VERSION}); a miss"]
+        old = {**make_record().to_dict(), "record_version": 2}
+        store.path_for(DIGEST).write_text(json.dumps(old))
+        assert self._lines(caplog, store, DIGEST) == [
+            f"{prefix}: stale, record_version 2 is older than this build "
+            f"reads (version {RECORD_VERSION}); a miss"]
         store.path_for(DIGEST).write_text("{")
         [line] = self._lines(caplog, store, DIGEST)
         assert line.startswith(f"{prefix}: corrupt, read as a miss: "
