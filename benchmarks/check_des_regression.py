@@ -97,13 +97,6 @@ def check(committed: dict, fresh: dict) -> list[str]:
                   f"{fresh['host'].get('cpu_count')} != committed "
                   f"{committed['host'].get('cpu_count')} — comparing "
                   "serial numbers only")
-
-    if not fresh["sweep_fallback"]["workers2_not_slower"]:
-        failures.append(
-            "sweep_fallback: workers=2 on a small grid was slower than "
-            "serial (the overhead-aware fallback should have prevented "
-            "this)"
-        )
     return failures
 
 

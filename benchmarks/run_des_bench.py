@@ -47,9 +47,6 @@ record the CI regression guard compares against):
 * ``sharding_ops`` — the same comparison (unsharded vs workers 1/2)
   on six contention-free op specs of realistic size: the decision
   record for whether sharding still pays.
-* ``sweep_fallback`` — the overhead-aware dispatch check: a small grid
-  with ``workers=2`` must not be slower than serial (it falls back,
-  ``workers_effective`` records the choice).
 
 Usage::
 
@@ -398,39 +395,6 @@ def bench_sharding_ops(repeats: int, quick: bool) -> dict:
     return out
 
 
-# ----------------------------------------------------------------------
-# Overhead-aware sweep dispatch.
-# ----------------------------------------------------------------------
-def bench_sweep_fallback(repeats: int) -> dict:
-    from repro.experiments.common import policy_run_spec
-    from repro.parallel.sweep import run_specs
-
-    points = [
-        policy_run_spec(policy, storage=storage, n_jobs=300, trace_seed=0,
-                        estimation="oracle",
-                        name=f"sweep-{policy}-{storage}-j300-t0")
-        for policy in ("optimal", "young")
-        for storage in ("auto", "local")
-    ]
-    rep1 = run_specs(points, workers=1)
-    rep2 = run_specs(points, workers=2)
-    assert [p["digest"] for p in rep1["points"]] == \
-           [p["digest"] for p in rep2["points"]]
-    times = _best_of_interleaved(repeats, {
-        "serial": lambda: run_specs(points, workers=1),
-        "workers2": lambda: run_specs(points, workers=2),
-    })
-    t_serial, t_w2 = times["serial"], times["workers2"]
-    return {
-        "grid": "2 policies x 2 storage x 300 jobs",
-        "n_points": len(points),
-        "serial_s": round(t_serial, 4),
-        "workers2_s": round(t_w2, 4),
-        "workers2_effective": rep2["workers_effective"],
-        "workers2_not_slower": bool(t_w2 <= t_serial * 1.10),
-    }
-
-
 #: section name -> ``bench(repeats, quick)``, in payload order
 SECTIONS = {
     "event_loop": lambda repeats, quick: bench_event_loop(repeats),
@@ -439,7 +403,6 @@ SECTIONS = {
     "contended": bench_contended,
     "sharding": bench_sharding,
     "sharding_ops": bench_sharding_ops,
-    "sweep_fallback": lambda repeats, quick: bench_sweep_fallback(repeats),
 }
 
 

@@ -32,5 +32,4 @@ def test_only_into_a_new_file_records_the_named_section(tmp_path):
 
 
 def test_des_only_into_a_new_file_records_the_named_section(tmp_path):
-    _only_into_a_new_file(run_des_bench, "sweep_fallback", "serial_s",
-                          tmp_path)
+    _only_into_a_new_file(run_des_bench, "executor", "current_s", tmp_path)

@@ -54,13 +54,6 @@ def test_a_30_percent_drop_fails_and_names_the_ratio(path, label):
     assert check(COMMITTED, fresh) == []
 
 
-def test_a_slower_fallback_sweep_fails():
-    fresh = copy.deepcopy(COMMITTED)
-    fresh["sweep_fallback"]["workers2_not_slower"] = False
-    (failure,) = check(COMMITTED, fresh)
-    assert failure.startswith("sweep_fallback:")
-
-
 @pytest.mark.parametrize("section", ["scheduler", "executor", "contended",
                                      "sharding"])
 def test_mismatched_workload_sizes_skip(section, capsys):

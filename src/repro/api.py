@@ -46,9 +46,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.parallel.runner import (DEFAULT_CHUNK_SIZE, auto_chunk_size,
+                                   batch_processes)
 from repro.store import ResultStore, RunRecord
 from repro.spec import RunSpec, SpecError, load_spec
-from repro.verify.runner import TierResult, run_des, run_scalar, run_vector
+from repro.verify.runner import run_des, run_scalar, run_vector
 from repro.verify.scenarios import build_workload, get_scenario
 
 __all__ = [
@@ -76,12 +78,16 @@ def scenario_spec(
 # ----------------------------------------------------------------------
 @dataclass
 class RunResult:
-    """What one spec produced on one tier.
+    """What one spec produced on one tier: the fields of its record.
 
     ``digest`` is the bit-level result fingerprint
     (:meth:`SimulationResult.digest`), worker-count invariant on every
     tier that accepts workers; ``summary`` are the scalar statistics
-    the verify subsystem holds against tolerances.
+    the verify subsystem holds against tolerances.  A computed result
+    and one served from a :class:`~repro.store.ResultStore`
+    (``cached``) have the same fields; callers that need per-task
+    arrays call the tier itself (for instance
+    :func:`repro.experiments.common.evaluate_policy`).
     """
 
     spec: RunSpec
@@ -91,22 +97,14 @@ class RunResult:
     summary: dict[str, float]
     elapsed_s: float
     extra: dict[str, float] = field(default_factory=dict)
-    #: per-task arrays (replay tier); the other tiers carry them
-    #: inside ``tier_result``
-    sim: object | None = None
-    tier_result: TierResult | None = None
-    policy_run: object | None = None
     #: served from a :class:`~repro.store.ResultStore` instead of
-    #: executing — scalar fields only, no per-task arrays
+    #: executing
     cached: bool = False
 
     @classmethod
     def from_record(cls, record: RunRecord) -> RunResult:
         """Rehydrate a result from a stored record (``cached=True``).
 
-        The record carries every scalar field but no per-task arrays:
-        ``sim``/``tier_result``/``policy_run`` are ``None``.  Callers
-        that need arrays re-execute (``reuse=False`` on :func:`run`).
         Record content is canonical w.r.t. the spec digest (see
         :func:`repro.store.canonical_spec_dict`), so the rehydrated
         ``spec`` has default workers/prose and ``extra`` omits the
@@ -147,7 +145,6 @@ def run(
     spec: RunSpec,
     *,
     store: "ResultStore | str | Path | None" = None,
-    reuse: bool = True,
 ) -> RunResult:
     """Execute ``spec`` on the tier it names and return a :class:`RunResult`.
 
@@ -155,12 +152,10 @@ def run(
     result digests, for every ``execution.workers`` value.
 
     ``store`` (a :class:`~repro.store.ResultStore` or a path) makes
-    the run content-addressed: with ``reuse=True`` (default) a cached
-    record for ``spec.spec_digest()`` is returned without executing
-    (``result.cached`` is set, per-task arrays absent); on a miss the
-    spec executes and its record is persisted.  ``reuse=False`` always
-    executes but still writes the record through — for callers that
-    need the arrays yet want to warm the store.
+    the run content-addressed: a cached record for
+    ``spec.spec_digest()`` is returned without executing
+    (``result.cached`` is set); on a miss the spec executes and its
+    record is persisted.
 
     A record whose spec snapshot is missing or does not parse is a
     miss, like an unreadable one: the run recomputes and overwrites it.
@@ -179,8 +174,10 @@ def run(
     the DES tier, which decomposes by host group through
     :mod:`repro.des.sharding` (the shard plan is a pure function of
     the spec, so every field of the result is worker-count invariant).
-    The scalar reference loop stays single-stream
-    (``workers_effective=1`` in ``extra``), and DES runs whose physics
+    ``extra["workers_effective"]`` is the process count the run used:
+    a vector or replay batch of one chunk runs in-process (see
+    :func:`repro.parallel.runner.batch_processes`), the scalar
+    reference loop stays single-stream, and DES runs whose physics
     cannot decompose (shared storage, host crashes) refuse to shard:
     when workers were requested they record ``shard_refused=1`` in
     ``extra`` and log the reason on the ``repro.api`` logger.
@@ -188,10 +185,9 @@ def run(
     if store is not None:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
-        if reuse:
-            cached = _cached(store, spec)
-            if cached is not None:
-                return cached
+        cached = _cached(store, spec)
+        if cached is not None:
+            return cached
     result = _execute(spec)
     if store is not None:
         store.put(RunRecord.from_result(result))
@@ -226,7 +222,7 @@ def _execute(spec: RunSpec) -> RunResult:
     if tier == "replay":
         from repro.experiments.common import evaluate_policy
 
-        return _replay_result(spec, evaluate_policy(spec), t0)
+        return _replay_result(spec, evaluate_policy(spec), t0, workers)
     workload = build_workload(spec)
     if tier == "scalar":
         tr = run_scalar(workload)
@@ -234,7 +230,11 @@ def _execute(spec: RunSpec) -> RunResult:
         shard_refused = False
     elif tier == "vector":
         tr = run_vector(workload, workers=workers)
-        workers_effective = workers
+        # the chunk size simulate_tasks_sharded picks for this batch
+        n_tasks = workload.te.size
+        workers_effective = batch_processes(
+            n_tasks, auto_chunk_size(n_tasks, len(workload.distributions)),
+            workers)
         shard_refused = False
     else:  # "des" — the spec validated tier membership already
         tr = run_des(workload, workers=workers)
@@ -277,14 +277,17 @@ def _execute(spec: RunSpec) -> RunResult:
         summary=tr.summary,
         elapsed_s=time.perf_counter() - t0,
         extra=extra,
-        tier_result=tr,
     )
 
 
-def _replay_result(spec: RunSpec, pr, t0: float) -> RunResult:
+def _replay_result(spec: RunSpec, pr, t0: float, workers: int) -> RunResult:
     """The :class:`RunResult` of one replay-tier evaluation ``pr``,
-    timed from ``t0``."""
+    timed from ``t0``, whose kernel pass ran at ``workers``."""
     sim = pr.sim
+    n_tasks = pr.flat.n_tasks
+    # the chunk size evaluate_lanes's sharded kernel picks for the batch
+    chunk_size = (DEFAULT_CHUNK_SIZE if spec.failures.mode == "replay"
+                  else auto_chunk_size(n_tasks, n_tasks))
     return RunResult(
         spec=spec,
         tier="replay",
@@ -297,10 +300,9 @@ def _replay_result(spec: RunSpec, pr, t0: float) -> RunResult:
             "mean_job_wpr": pr.mean_wpr(),
             "lowest_job_wpr": pr.lowest_wpr(),
             "mean_job_wall": float(np.mean(pr.job_wall)),
-            "workers_effective": float(spec.execution.workers),
+            "workers_effective": float(
+                batch_processes(n_tasks, chunk_size, workers)),
         },
-        sim=sim,
-        policy_run=pr,
     )
 
 
@@ -336,8 +338,10 @@ def run_lanes(
     t0 = time.perf_counter()
     runs = evaluate_lanes([specs[i] for i in todo])
     share = (time.perf_counter() - t0) / len(todo)
+    workers = specs[todo[0]].execution.workers  # what evaluate_lanes runs at
     for i, pr in zip(todo, runs):
-        result = _replay_result(specs[i], pr, time.perf_counter() - share)
+        result = _replay_result(specs[i], pr, time.perf_counter() - share,
+                                workers)
         if store is not None:
             store.put(RunRecord.from_result(result))
         results[i] = result

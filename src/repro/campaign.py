@@ -4,9 +4,10 @@ A campaign is the production form of the paper's headline grids: many
 base :class:`~repro.spec.RunSpec`\\ s crossed with dotted-path axes,
 executed through one content-addressed
 :class:`~repro.store.ResultStore`, and summarized in one canonical
-shared report.  A :class:`CampaignSpec` round-trips JSON/TOML exactly
-like a :class:`~repro.spec.RunSpec`, so a campaign file is the
-complete, reviewable description of a million-cell study.
+shared report.  :func:`load_campaign` reads a JSON or TOML campaign
+file the way :func:`~repro.spec.load_spec` reads a spec file, so a
+campaign file is the complete, reviewable description of a
+million-cell study.
 
 The execution contract mirrors the spec/result split the rest of the
 API uses:
@@ -49,13 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-try:
-    import tomllib
-except ModuleNotFoundError:  # Python 3.10
-    tomllib = None
-
-from repro.spec import (RunSpec, SpecError, _field_names, _toml_string,
-                        _toml_value)
+from repro.spec import RunSpec, SpecError, _field_names, _load
 from repro.store import ResultStore, RunRecord, StoreError
 
 __all__ = [
@@ -209,69 +204,6 @@ class CampaignSpec:
                 )
         return cls(**kwargs)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON text (stable field order, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> CampaignSpec:
-        """Parse a campaign from JSON text."""
-        return cls.from_dict(json.loads(text))
-
-    def to_toml(self) -> str:
-        """TOML text readable by :func:`tomllib.loads`.
-
-        Layout: campaign scalars, then the ``[axes]``/``[overrides]``
-        tables (dotted-path keys quoted), then one ``[[specs]]``
-        array-of-tables block per base spec.  ``None``-valued keys are
-        omitted exactly like :meth:`RunSpec.to_toml`.
-        """
-        d = self.to_dict()
-        lines = [f"campaign_version = {d['campaign_version']}"]
-        for key in ("name", "description", "store", "report_path",
-                    "workers"):
-            lines.append(f"{key} = {_toml_value(d[key])}")
-        for table in ("axes", "overrides"):
-            if d[table]:
-                lines.append("")
-                lines.append(f"[{table}]")
-                for key, value in d[table].items():
-                    lines.append(
-                        f"{_toml_string(key)} = {_toml_value(value)}"
-                    )
-        for spec in d["specs"]:
-            lines.append("")
-            lines.append("[[specs]]")
-            lines.append(f"spec_version = {spec['spec_version']}")
-            for key in ("name", "description", "tags"):
-                lines.append(f"{key} = {_toml_value(spec[key])}")
-            for section in ("workload", "failures", "storage", "policy",
-                            "execution"):
-                lines.append("")
-                lines.append(f"[specs.{section}]")
-                for key, value in spec[section].items():
-                    if value is None:
-                        continue
-                    lines.append(f"{key} = {_toml_value(value)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_toml(cls, text: str) -> CampaignSpec:
-        """Parse a campaign from TOML text (needs Python >= 3.11)."""
-        if tomllib is None:
-            raise SpecError(
-                "reading TOML campaigns needs the stdlib tomllib (Python "
-                ">= 3.11); use JSON campaigns on this interpreter"
-            )
-        return cls.from_dict(tomllib.loads(text))
-
-    def save(self, path: str | Path) -> Path:
-        """Write the campaign to ``path`` (TOML for ``.toml``, else JSON)."""
-        path = Path(path)
-        text = self.to_toml() if path.suffix == ".toml" else self.to_json()
-        path.write_text(text)
-        return path
-
     # -- expansion -----------------------------------------------------
     def expand(self) -> list[RunSpec]:
         """The campaign's cells, in grid order.
@@ -311,21 +243,7 @@ class CampaignSpec:
 
 def load_campaign(path: str | Path) -> CampaignSpec:
     """Load a :class:`CampaignSpec` from a ``.json`` or ``.toml`` file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SpecError(f"cannot read campaign file {path}: {exc}") from None
-    try:
-        if path.suffix == ".toml":
-            return CampaignSpec.from_toml(text)
-        return CampaignSpec.from_json(text)
-    except SpecError:
-        raise
-    except ValueError as exc:  # JSONDecodeError / TOMLDecodeError
-        raise SpecError(
-            f"cannot parse campaign file {path}: {exc}"
-        ) from None
+    return _load(path, "campaign", CampaignSpec.from_dict)
 
 
 # ----------------------------------------------------------------------

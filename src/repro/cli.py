@@ -1,4 +1,4 @@
-"""``repro`` command-line entry point (subcommands + legacy form).
+"""``repro`` command-line entry point: one subcommand per surface.
 
 Usage::
 
@@ -13,22 +13,30 @@ Usage::
     repro campaign run grid.toml      # resumable store-backed campaign
     repro campaign status grid.toml
 
-    repro-experiments fig9            # legacy alias, still supported
-
-For backward compatibility, unrecognized leading arguments fall through
-to the experiments runner, so ``repro --list`` and ``repro fig9`` keep
-working exactly like the historical ``repro-experiments`` CLI.
+``repro`` with no subcommand, or an unknown one, prints the subcommand
+list and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
-__all__ = ["main", "main_experiments"]
+__all__ = ["main"]
+
+#: subcommand -> (module whose ``main(argv)`` runs it, one-line
+#: summary); ``experiments`` runs here
+_SUBCOMMANDS = {
+    "experiments": (None, "reproduce the paper's tables and figures"),
+    "verify": ("repro.verify.cli", "cross-tier differential verification"),
+    "run": ("repro.api", "execute one declarative RunSpec"),
+    "sweep": ("repro.parallel.sweep", "run a spec grid on a worker pool"),
+    "campaign": ("repro.campaign", "resumable store-backed campaigns"),
+}
 
 #: Canonical presentation order (the paper's order).
 _ORDER = [
@@ -45,34 +53,24 @@ def _known_ids() -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Top-level CLI: dispatch ``verify``/``experiments`` subcommands,
-    falling through to the legacy experiments interface otherwise."""
+    """Top-level CLI: dispatch to the named subcommand."""
     args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] == "verify":
-        from repro.verify.cli import main as verify_main
-
-        return verify_main(args[1:])
-    if args and args[0] == "sweep":
-        from repro.parallel.sweep import main as sweep_main
-
-        return sweep_main(args[1:])
-    if args and args[0] == "run":
-        from repro.api import main as run_main
-
-        return run_main(args[1:])
-    if args and args[0] == "campaign":
-        from repro.campaign import main as campaign_main
-
-        return campaign_main(args[1:])
-    if args and args[0] == "experiments":
-        args = args[1:]
-    return main_experiments(args)
+    if not args or args[0] not in _SUBCOMMANDS:
+        print("usage: repro <subcommand> [args ...]\n\nsubcommands:",
+              file=sys.stderr)
+        for name, (_, summary) in _SUBCOMMANDS.items():
+            print(f"  {name:<12} {summary}", file=sys.stderr)
+        return 2
+    module, _ = _SUBCOMMANDS[args[0]]
+    if module is None:
+        return _experiments(args[1:])
+    return importlib.import_module(module).main(args[1:])
 
 
-def main_experiments(argv: list[str] | None = None) -> int:
-    """Experiments runner; returns an exit status."""
+def _experiments(argv: list[str]) -> int:
+    """``repro experiments``; returns an exit status."""
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="repro experiments",
         description=(
             "Reproduce the tables and figures of Di et al., 'Optimization "
             "of Cloud Task Processing with Checkpoint-Restart Mechanism' "

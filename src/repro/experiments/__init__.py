@@ -4,7 +4,7 @@ Every experiment is a function returning a
 :class:`~repro.experiments.registry.ExperimentReport` with the same
 rows/series the paper reports; :mod:`repro.experiments.registry` maps
 experiment ids (``fig9``, ``tab6``, ...) to those functions, and
-``repro-experiments`` (see :mod:`repro.cli`) renders them as text.
+``repro experiments`` (see :mod:`repro.cli`) renders them as text.
 
 ``repro experiments --list`` prints the experiment index (README.md,
 "Install & run"); the reports' notes quote the paper's values.

@@ -8,7 +8,7 @@ disk so the paper's figures can be regenerated with any plotting tool:
 * ``<exp_id>__<key>.csv`` — two-column CSVs for every 1-D array series
   (index, value), gnuplot/pandas-ready.
 
-Wired to the CLI as ``repro-experiments fig9 --export out/``.
+Wired to the CLI as ``repro experiments fig9 --export out/``.
 """
 
 from __future__ import annotations

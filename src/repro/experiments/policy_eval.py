@@ -4,17 +4,13 @@ All of these compare Formula (3) (:class:`OptimalCountPolicy`) against
 Young's formula (:class:`YoungPolicy`) over the shared trace, replaying
 identical failure sequences for both policies.
 
-Table 6 and Figs. 9–10 go through the :func:`repro.api.run` facade,
-so an experiment's scalar outputs are the same record fields
-(``summary``/``extra``) a sweep cell or campaign cell carries, and the
-``store=`` parameter writes each run's :class:`~repro.store.RunRecord`
-into a content-addressed result store — the record a campaign over
-the same specs would reuse.  They always execute (``reuse=False``)
-because the CDF and per-priority figures need the per-job arrays that
-records, by design, do not persist.  Figs. 11–13 evaluate RL-filtered
-trace samples, which no spec describes, so they call
-:func:`~repro.experiments.common.evaluate_policy` with ``trace=``
-directly and take no ``store``.
+Each evaluation is one replay-tier :class:`~repro.spec.RunSpec` from
+:func:`~repro.experiments.common.policy_run_spec`, run by
+:func:`~repro.experiments.common.evaluate_policy`: the CDF and
+per-priority figures need its per-job arrays, which a
+:class:`~repro.store.RunRecord` does not hold.  Figs. 11–13 evaluate
+RL-filtered trace samples, which no spec describes, so they pass
+``trace=`` as well.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import math
 
 import numpy as np
 
-from repro import api
 from repro.experiments.common import (
     default_trace,
     evaluate_policy,
@@ -38,43 +33,31 @@ from repro.trace.sampler import filter_by_length
 __all__ = ["fig9", "fig10", "fig11", "fig12", "fig13", "table6"]
 
 
-def _run(spec, store):
-    """One replay-tier evaluation through the facade.
-
-    Returns the :class:`~repro.api.RunResult`: record-shaped scalars
-    in ``summary``/``extra`` plus the per-job arrays under
-    ``policy_run``.
-    """
-    return api.run(spec, store=store, reuse=False)
-
-
 @register("tab6")
-def table6(n_jobs: int = 4000, seed: int = 2013,
-           store=None) -> ExperimentReport:
+def table6(n_jobs: int = 4000, seed: int = 2013) -> ExperimentReport:
     """Table 6: checkpointing effect with *precise* prediction.
 
     Each task's MNOF/MTBF are its own historical values (oracle); the
     paper observes both formulas essentially coincide in this regime.
     """
-    results = {
-        "formula3": _run(policy_run_spec(
+    runs = {
+        "formula3": evaluate_policy(policy_run_spec(
             "optimal", n_jobs=n_jobs, trace_seed=seed,
-            estimation="oracle"), store),
-        "young": _run(policy_run_spec(
+            estimation="oracle")),
+        "young": evaluate_policy(policy_run_spec(
             "young", n_jobs=n_jobs, trace_seed=seed,
-            estimation="oracle"), store),
+            estimation="oracle")),
     }
     rows = []
     data: dict[str, dict[str, float]] = {}
     for jobs_label, bot in (("BoT", True), ("ST", False), ("Mix", None)):
         entry: dict[str, float] = {}
-        for name, result in results.items():
+        for name, pr in runs.items():
             if bot is None:
-                # the mixed row is exactly the record's scalar fields
-                entry[f"{name}_avg"] = result.extra["mean_job_wpr"]
-                entry[f"{name}_low"] = result.extra["lowest_job_wpr"]
+                entry[f"{name}_avg"] = pr.mean_wpr()
+                entry[f"{name}_low"] = pr.lowest_wpr()
             else:
-                wpr = result.policy_run.wpr_by_type(bot)
+                wpr = pr.wpr_by_type(bot)
                 entry[f"{name}_avg"] = float(np.mean(wpr))
                 entry[f"{name}_low"] = float(np.min(wpr))
         data[jobs_label] = entry
@@ -105,15 +88,12 @@ def table6(n_jobs: int = 4000, seed: int = 2013,
 
 
 @register("fig9")
-def fig9(n_jobs: int = 4000, seed: int = 2013,
-         store=None) -> ExperimentReport:
+def fig9(n_jobs: int = 4000, seed: int = 2013) -> ExperimentReport:
     """Fig. 9: WPR CDFs with per-priority estimation, ST vs BoT jobs."""
-    f3 = _run(policy_run_spec(
-        "optimal", n_jobs=n_jobs, trace_seed=seed,
-        estimation="priority"), store).policy_run
-    yg = _run(policy_run_spec(
-        "young", n_jobs=n_jobs, trace_seed=seed,
-        estimation="priority"), store).policy_run
+    f3 = evaluate_policy(policy_run_spec(
+        "optimal", n_jobs=n_jobs, trace_seed=seed, estimation="priority"))
+    yg = evaluate_policy(policy_run_spec(
+        "young", n_jobs=n_jobs, trace_seed=seed, estimation="priority"))
     rows = []
     data: dict[str, float] = {}
     for label, bot in (("ST", False), ("BoT", True)):
@@ -147,15 +127,12 @@ def fig9(n_jobs: int = 4000, seed: int = 2013,
 
 
 @register("fig10")
-def fig10(n_jobs: int = 4000, seed: int = 2013,
-          store=None) -> ExperimentReport:
+def fig10(n_jobs: int = 4000, seed: int = 2013) -> ExperimentReport:
     """Fig. 10: min/avg/max WPR per priority, both formulas."""
-    f3 = _run(policy_run_spec(
-        "optimal", n_jobs=n_jobs, trace_seed=seed,
-        estimation="priority"), store).policy_run
-    yg = _run(policy_run_spec(
-        "young", n_jobs=n_jobs, trace_seed=seed,
-        estimation="priority"), store).policy_run
+    f3 = evaluate_policy(policy_run_spec(
+        "optimal", n_jobs=n_jobs, trace_seed=seed, estimation="priority"))
+    yg = evaluate_policy(policy_run_spec(
+        "young", n_jobs=n_jobs, trace_seed=seed, estimation="priority"))
     rows = []
     data: dict[int, dict[str, float]] = {}
     g_f3 = {g.key: g for g in group_min_avg_max(f3.job_wpr, f3.job_priority)}

@@ -68,30 +68,22 @@ _RECORD_SUMMARY_KEYS = ("n_tasks", "mean_wallclock", "mean_wpr",
                         "mean_failures", "completion_rate")
 
 
-def records_table(
-    records: Sequence[Any],
-    title: str | None = None,
-    extra_keys: Sequence[str] = (),
-) -> str:
+def records_table(records: Sequence[Any]) -> str:
     """Uniform table over :class:`~repro.store.RunRecord` payloads.
 
     Accepts records or their dict forms (store reads, sweep/campaign
-    report cells) and renders the shared summary columns plus any
-    requested ``extra`` keys — the one rendering path for everything
-    that reports per-cell results.
+    report cells) and renders the shared summary columns — the one
+    rendering path for everything that reports per-cell results.
     """
     rows = []
     for record in records:
         cell = record if isinstance(record, dict) else record.to_dict()
         summary = cell.get("summary", {})
-        extra = cell.get("extra", {})
         digest = cell.get("digest") or ""
         rows.append(
             [cell.get("name", "?"), cell.get("tier", "?"),
              cell.get("spec_digest", "")[:12], digest[:12]]
             + [summary.get(k, float("nan")) for k in _RECORD_SUMMARY_KEYS]
-            + [extra.get(k, float("nan")) for k in extra_keys]
         )
-    headers = (["name", "tier", "spec", "digest"]
-               + list(_RECORD_SUMMARY_KEYS) + list(extra_keys))
-    return render_table(headers, rows, title=title)
+    headers = ["name", "tier", "spec", "digest", *_RECORD_SUMMARY_KEYS]
+    return render_table(headers, rows)

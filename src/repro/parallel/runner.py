@@ -52,6 +52,7 @@ __all__ = [
     "AUTO_MIN_CHUNKS",
     "DEFAULT_CHUNK_SIZE",
     "auto_chunk_size",
+    "batch_processes",
     "default_workers",
     "get_pool",
     "merge_results",
@@ -178,6 +179,13 @@ def plan_chunks(n_tasks: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[slic
     ]
 
 
+def batch_processes(n_tasks: int, chunk_size: int, workers: int) -> int:
+    """The processes a batch of ``n_tasks`` in ``chunk_size`` chunks
+    runs on at ``workers``: one per chunk, at most ``workers``, and a
+    one-chunk batch runs in the calling process."""
+    return _processes(len(plan_chunks(n_tasks, chunk_size)), workers)
+
+
 def spawn_chunk_seeds(seed, n_chunks: int) -> list[np.random.SeedSequence]:
     """One independent :class:`~numpy.random.SeedSequence` per chunk.
 
@@ -230,13 +238,18 @@ def _run_chunk(payload) -> SimulationResult:
     return kernel(*arrays, **kwargs)
 
 
+def _processes(n_payloads: int, workers: int) -> int:
+    """The processes :func:`_execute` maps ``n_payloads`` over."""
+    return max(1, min(workers, n_payloads))
+
+
 def _execute(fn, payloads: list, workers: int) -> list:
     """Map the module-level ``fn`` over ``payloads``, serially or on
     the shared pool, preserving order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_procs = min(workers, len(payloads))
-    if n_procs <= 1:
+    n_procs = _processes(len(payloads), workers)
+    if n_procs == 1:
         return [fn(p) for p in payloads]
     return get_pool(n_procs).map(fn, payloads)
 

@@ -191,13 +191,13 @@ def _store_root(store) -> "str | None":
 # Spec-override grids: any RunSpec field is a sweepable axis.
 # ----------------------------------------------------------------------
 def expand_grid(
-    base: RunSpec, axes: "dict[str, list] | list[tuple[str, list]]"
+    base: RunSpec, axes: "list[tuple[str, list]]"
 ) -> list[RunSpec]:
     """Cross-product of dotted-path overrides over a base spec.
 
-    ``axes`` maps dotted spec paths to value lists, e.g.
-    ``{"policy.name": ["optimal", "young"], "execution.base_seed":
-    [0, 1]}``.  Expansion order is deterministic: the first axis is the
+    ``axes`` pairs dotted spec paths with value lists, e.g.
+    ``[("policy.name", ["optimal", "young"]), ("execution.base_seed",
+    [0, 1])]``.  Expansion order is deterministic: the first axis is the
     outermost loop.  Each cell applies *all* of its overrides in one
     :meth:`RunSpec.evolve` and only then revalidates — so
     cross-constrained axes (say ``policy.name=fixed-interval`` plus
@@ -205,9 +205,8 @@ def expand_grid(
     bad combination still fails at grid-build time, not mid-sweep in a
     worker.
     """
-    items = list(axes.items()) if isinstance(axes, dict) else list(axes)
     combos: list[dict] = [{}]
-    for key, values in items:
+    for key, values in axes:
         if not values:
             raise SpecError(f"axis {key!r} has no values")
         combos = [{**combo, key: v} for combo in combos for v in values]

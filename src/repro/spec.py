@@ -17,9 +17,10 @@ validated :class:`RunSpec` dataclass tree
 * :class:`ExecutionSpec` — which tier runs the spec, seeding, worker
   count, cluster topology, and verification strictness
 
-with exact ``to_dict``/``from_dict`` round-tripping, JSON and TOML
-(de)serialization, a canonical :meth:`RunSpec.spec_digest`, and
-dotted-path :meth:`RunSpec.evolve` overrides for grid expansion.
+with exact ``to_dict``/``from_dict`` round-tripping, JSON
+(de)serialization, a :func:`load_spec` that reads JSON and TOML spec
+files, a canonical :meth:`RunSpec.spec_digest`, and dotted-path
+:meth:`RunSpec.evolve` overrides for grid expansion.
 
 The facade that executes a spec is :func:`repro.api.run`; this module
 stays dependency-light (stdlib only, and the package root loads its
@@ -29,9 +30,9 @@ NumPy.
 Serialization contract
 ----------------------
 ``from_dict(to_dict(spec)) == spec`` exactly (dataclass equality),
-and the same holds through JSON and TOML.  ``to_dict`` emits only
-plain JSON types (dicts, lists, strings, numbers, booleans, null);
-``from_dict`` fills missing keys with field defaults (so TOML, which
+and the same holds through JSON.  ``to_dict`` emits only plain JSON
+types (dicts, lists, strings, numbers, booleans, null); ``from_dict``
+fills missing keys with field defaults (so a TOML spec file, which
 cannot express null, simply omits ``None``-valued keys) and rejects
 unknown keys with :class:`SpecError`.  ``spec_digest`` hashes the
 canonical sorted-key JSON form minus the fields that cannot change
@@ -684,52 +685,14 @@ class RunSpec:
             )
         return _decode(_table(cls), data)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """JSON text (stable field order, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> RunSpec:
         """Parse a spec from JSON text."""
         return cls.from_dict(json.loads(text))
-
-    def to_toml(self) -> str:
-        """TOML text readable by :func:`tomllib.loads`.
-
-        ``None``-valued keys are omitted (TOML has no null);
-        :meth:`from_dict` restores them as defaults, so the round trip
-        is still exact.
-        """
-        d = self.to_dict()
-        lines = [f"spec_version = {d['spec_version']}"]
-        for key in ("name", "description", "tags"):
-            lines.append(f"{key} = {_toml_value(d[key])}")
-        for section in ("workload", "failures", "storage", "policy",
-                        "execution"):
-            lines.append("")
-            lines.append(f"[{section}]")
-            for key, value in d[section].items():
-                if value is None:
-                    continue
-                lines.append(f"{key} = {_toml_value(value)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_toml(cls, text: str) -> RunSpec:
-        """Parse a spec from TOML text (needs Python >= 3.11)."""
-        if tomllib is None:
-            raise SpecError(
-                "reading TOML specs needs the stdlib tomllib (Python "
-                ">= 3.11); use JSON specs on this interpreter"
-            )
-        return cls.from_dict(tomllib.loads(text))
-
-    def save(self, path: str | Path) -> Path:
-        """Write the spec to ``path`` (TOML for ``.toml``, else JSON)."""
-        path = Path(path)
-        text = self.to_toml() if path.suffix == ".toml" else self.to_json()
-        path.write_text(text)
-        return path
 
     # -- identity ------------------------------------------------------
     def canonical_json(self) -> str:
@@ -799,67 +762,29 @@ class RunSpec:
         return RunSpec.from_dict(data)
 
 
-def _toml_string(text: str) -> str:
-    """Escape ``text`` as a TOML basic string.
-
-    Unlike JSON escaping, TOML forbids surrogate-pair ``\\uXXXX``
-    escapes (astral characters are written raw — TOML documents are
-    UTF-8) and bans raw control characters including DEL.
-    """
-    out = ['"']
-    for ch in text:
-        code = ord(ch)
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif code < 0x20 or code == 0x7F:
-            out.append(f"\\u{code:04X}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _toml_value(value) -> str:
-    """Render one plain-JSON value as a TOML literal."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return _toml_string(value)
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise SpecError(f"non-finite float in spec: {value!r}")
-        text = repr(value)
-        return text if ("." in text or "e" in text or "E" in text) \
-            else text + ".0"
-    if isinstance(value, list):
-        if value and isinstance(value[0], dict):
-            inner = ", ".join(
-                "{ " + ", ".join(f"{k} = {_toml_value(v)}"
-                                 for k, v in item.items()) + " }"
-                for item in value
-            )
-        else:
-            inner = ", ".join(_toml_value(v) for v in value)
-        return f"[{inner}]"
-    raise SpecError(f"cannot serialize {value!r} to TOML")
-
-
-def load_spec(path: str | Path) -> RunSpec:
-    """Load a :class:`RunSpec` from a ``.json`` or ``.toml`` file."""
+def _load(path: str | Path, what: str, from_dict):
+    """``from_dict`` of the ``.toml`` or ``.json`` ``what`` file at
+    ``path``; an unreadable or unparsable file is a :class:`SpecError`."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise SpecError(f"cannot read spec file {path}: {exc}") from None
+        raise SpecError(f"cannot read {what} file {path}: {exc}") from None
     try:
-        if path.suffix == ".toml":
-            return RunSpec.from_toml(text)
-        return RunSpec.from_json(text)
+        if path.suffix != ".toml":
+            return from_dict(json.loads(text))
+        if tomllib is None:
+            raise SpecError(
+                f"reading TOML {what}s needs the stdlib tomllib (Python "
+                f">= 3.11); use JSON {what}s on this interpreter"
+            )
+        return from_dict(tomllib.loads(text))
     except SpecError:
         raise
     except ValueError as exc:  # JSONDecodeError / TOMLDecodeError
-        raise SpecError(f"cannot parse spec file {path}: {exc}") from None
+        raise SpecError(f"cannot parse {what} file {path}: {exc}") from None
+
+
+def load_spec(path: str | Path) -> RunSpec:
+    """Load a :class:`RunSpec` from a ``.json`` or ``.toml`` file."""
+    return _load(path, "spec", RunSpec.from_dict)

@@ -86,11 +86,11 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_threshold(n1: int, n2: int, mult: float = KS_MULT) -> float:
+def ks_threshold(n1: int, n2: int) -> float:
     """Critical KS distance for sample sizes ``n1``, ``n2``."""
     if n1 < 1 or n2 < 1:
         return 1.0
-    return mult * math.sqrt((n1 + n2) / (n1 * n2))
+    return KS_MULT * math.sqrt((n1 + n2) / (n1 * n2))
 
 
 # ----------------------------------------------------------------------
@@ -100,18 +100,18 @@ def check_mean_close(
     b: np.ndarray,
     rel_slack: float = 0.0,
     abs_slack: float = 1e-9,
-    mult: float = WELCH_MULT,
 ) -> Check:
     """Means of ``a`` and ``b`` agree within Welch noise plus slack.
 
-    The bound is ``mult * SE + rel_slack * max(|mean|) + abs_slack`` —
-    the slack terms absorb *intentional* small model gaps (e.g. storage
-    contention priced only in the DES).
+    The bound is ``WELCH_MULT * SE + rel_slack * max(|mean|) +
+    abs_slack`` — the slack terms absorb *intentional* small model gaps
+    (e.g. storage contention priced only in the DES).
     """
     ma = float(np.mean(a))
     mb = float(np.mean(b))
     gap = abs(ma - mb)
-    bound = mult * welch_se(a, b) + rel_slack * max(abs(ma), abs(mb)) + abs_slack
+    bound = (WELCH_MULT * welch_se(a, b)
+             + rel_slack * max(abs(ma), abs(mb)) + abs_slack)
     return Check(
         name=name,
         passed=gap <= bound,
@@ -121,12 +121,10 @@ def check_mean_close(
     )
 
 
-def check_ks(
-    name: str, a: np.ndarray, b: np.ndarray, mult: float = KS_MULT
-) -> Check:
+def check_ks(name: str, a: np.ndarray, b: np.ndarray) -> Check:
     """Two-sample KS distance below the critical threshold."""
     d = ks_statistic(a, b)
-    bound = ks_threshold(np.asarray(a).size, np.asarray(b).size, mult)
+    bound = ks_threshold(np.asarray(a).size, np.asarray(b).size)
     return Check(
         name=name,
         passed=d <= bound,

@@ -7,7 +7,8 @@ The contract of the one-description-of-a-run design:
 * the vector and replay tiers stay worker-count invariant when driven
   through specs;
 * ``repro.api.run`` takes the spec and nothing else that describes
-  the run (``store=``/``reuse=`` only choose whether to cache);
+  the run (``store=`` only chooses whether to cache), and a computed
+  and a cached result carry the same fields;
 * ``evaluate_policy`` takes only a replay-tier spec (plus the
   ``trace=`` override for samples no spec describes) and rejects
   anything else loudly.
@@ -19,6 +20,7 @@ import dataclasses
 import json
 import logging
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ from repro.experiments.common import (
     policy_run_spec,
     trace_cache_stats,
 )
+from repro.parallel import runner
+from repro.parallel.runner import DEFAULT_CHUNK_SIZE
 import repro.spec as spec_mod
 from repro.spec import RunSpec, SpecError
 from repro.trace.models import Trace
@@ -203,7 +207,7 @@ class TestTraceCache:
 class TestRunCli:
     def test_spec_file(self, tmp_path, capsys):
         path = tmp_path / "run.json"
-        api.scenario_spec("short-tasks").save(path)
+        path.write_text(api.scenario_spec("short-tasks").to_json())
         assert api.main(["--spec", str(path)]) == 0
         out = capsys.readouterr().out
         assert "short-tasks [scalar]" in out
@@ -248,11 +252,11 @@ class TestRunCli:
 
     @pytest.mark.skipif(spec_mod.tomllib is None,
                         reason="tomllib needs Python >= 3.11")
-    def test_toml_spec_file(self, tmp_path, capsys):
-        path = tmp_path / "run.toml"
-        api.scenario_spec("short-tasks").save(path)
+    def test_toml_spec_file(self, capsys):
+        path = (Path(__file__).parents[1] / "examples" / "specs"
+                / "google-bursty-des.toml")
         assert api.main(["--spec", str(path)]) == 0
-        assert "short-tasks" in capsys.readouterr().out
+        assert "google-trace-bursty [des]" in capsys.readouterr().out
 
     def test_scenario_run_via_toplevel_dispatch(self, capsys):
         # Exercise the top-level CLI dispatch (`repro run ...`).
@@ -280,13 +284,6 @@ class TestStoreBackedRun:
         assert second.extra == {k: v for k, v in first.extra.items()
                                 if k != "workers_effective"}
         assert second.spec.spec_digest() == spec.spec_digest()
-        assert second.tier_result is None  # arrays are not persisted
-
-    def test_reuse_false_executes_but_writes_through(self, tmp_path):
-        spec = policy_run_spec("optimal", n_jobs=60, trace_seed=0)
-        res = api.run(spec, store=tmp_path, reuse=False)
-        assert not res.cached and res.policy_run is not None
-        assert api.run(spec, store=tmp_path).cached
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
         from repro.store import ResultStore
@@ -302,7 +299,7 @@ class TestStoreBackedRun:
 
     def test_cli_store_flag(self, tmp_path, capsys):
         spec_path = tmp_path / "run.json"
-        api.scenario_spec("short-tasks").save(spec_path)
+        spec_path.write_text(api.scenario_spec("short-tasks").to_json())
         store = tmp_path / "store"
         assert api.main(["--spec", str(spec_path),
                          "--store", str(store)]) == 0
@@ -452,13 +449,28 @@ class TestCachedHit:
 
 
 class TestWorkersEffective:
-    def test_vector_and_replay_record_requested_workers(self):
-        vec = api.run(api.scenario_spec("short-tasks", tier="vector",
-                                        workers=2))
-        assert vec.extra["workers_effective"] == 2.0
-        rep = api.run(policy_run_spec("optimal", n_jobs=60, trace_seed=0,
-                                      workers=2))
-        assert rep.extra["workers_effective"] == 2.0
+    @pytest.mark.parametrize("spec, processes", [
+        # one chunk each: the batch runs in the calling process
+        (api.scenario_spec("exp-baseline-local", tier="vector", workers=2),
+         1),
+        (policy_run_spec("young", n_jobs=300, workers=2), 1),
+        # two chunks of DEFAULT_CHUNK_SIZE: two processes
+        (api.scenario_spec("exp-baseline-local", tier="vector",
+                           workers=2).evolve(
+            **{"workload.n_tasks": DEFAULT_CHUNK_SIZE + 1}), 2),
+    ], ids=["vector-one-chunk", "replay-one-chunk", "vector-two-chunks"])
+    def test_vector_and_replay_record_processes_used(self, spec, processes,
+                                                     monkeypatch):
+        pools = []
+        get_pool = runner.get_pool
+        monkeypatch.setattr(runner, "get_pool",
+                            lambda n: pools.append(n) or get_pool(n))
+        res = api.run(spec)
+        assert res.extra["workers_effective"] == float(processes)
+        assert pools == ([] if processes == 1 else [processes])
+        serial = api.run(spec.evolve(**{"execution.workers": 1}))
+        assert serial.extra["workers_effective"] == 1.0
+        assert serial.digest == res.digest
 
     def test_scalar_is_single_stream(self):
         res = api.run(api.scenario_spec("short-tasks"))

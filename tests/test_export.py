@@ -70,7 +70,7 @@ class TestExportReport:
 
 class TestCLIExport:
     def test_export_flag(self, tmp_path, capsys):
-        assert main(["tab4", "--export", str(tmp_path)]) == 0
+        assert main(["experiments", "tab4", "--export", str(tmp_path)]) == 0
         assert (tmp_path / "tab4.json").exists()
         out = capsys.readouterr().out
         assert "exported" in out

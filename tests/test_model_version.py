@@ -124,7 +124,7 @@ def test_record_of_another_model_version_is_stale_not_corrupt(
         workers=1,
     )
     path = tmp_path / "stale.json"
-    path.write_text(camp.to_json())
+    path.write_text(json.dumps(camp.to_dict()))
     store = ResultStore(tmp_path / "stale.store")
     run_campaign(camp, store=store)
     first, second = camp.cell_digests()

@@ -367,8 +367,9 @@ class TestSweep:
     @pytest.fixture
     def base(self, tmp_path):
         path = tmp_path / "base.json"
-        policy_run_spec("optimal", n_jobs=60, trace_seed=0,
-                        estimation="oracle", name="sweep-base").save(path)
+        path.write_text(policy_run_spec(
+            "optimal", n_jobs=60, trace_seed=0, estimation="oracle",
+            name="sweep-base").to_json())
         return path
 
     def _sweep(self, tmp_path, base, *extra) -> dict:
@@ -530,7 +531,7 @@ class TestSpecGrids:
 
     def test_cli_spec_mode_reproduces_digests(self, tmp_path, capsys):
         spec_path = tmp_path / "base.json"
-        self._base().save(spec_path)
+        spec_path.write_text(self._base().to_json())
         out1, out2 = tmp_path / "g1.json", tmp_path / "g2.json"
         base = ["sweep", "--spec", str(spec_path),
                 "--axis", "policy.name=optimal,young", "--quiet"]
@@ -553,7 +554,7 @@ class TestSpecGrids:
 
     def test_cli_spec_mode_bad_axis_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "base.json"
-        self._base().save(spec_path)
+        spec_path.write_text(self._base().to_json())
         assert cli_main(["sweep", "--spec", str(spec_path),
                          "--axis", "policy.name=zigzag"]) == 2
         assert "unknown policy" in capsys.readouterr().err
@@ -622,7 +623,7 @@ class TestLongestFirstScheduling:
         # Mixed-size grid: big cell first in dispatch, cells still
         # reported in axis order.
         spec_path = tmp_path / "base.json"
-        self._base().save(spec_path)
+        spec_path.write_text(self._base().to_json())
         out = tmp_path / "sweep.json"
         assert cli_main(["sweep", "--spec", str(spec_path),
                          "--axis", "workload.n_jobs=40,80", "--workers", "2",

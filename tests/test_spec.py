@@ -5,7 +5,8 @@ Covers the :mod:`repro.spec` contract in isolation (no execution):
 * validation — every closed vocabulary rejects unknown names with a
   :class:`SpecError` that lists the valid ones;
 * serialization — ``from_dict(to_dict(s)) == s`` exactly, through
-  JSON and TOML, property-based over randomized valid specs;
+  JSON, property-based over randomized valid specs; ``load_spec``
+  reads JSON and TOML spec files;
 * identity — ``spec_digest`` is canonical (field order, worker count
   and process restarts never change it; semantic changes always do),
   pinned by the golden spec fixtures in ``tests/golden/specs/``;
@@ -49,8 +50,8 @@ import repro.spec as spec_mod
 
 GOLDEN_SPEC_DIR = Path(__file__).parent / "golden" / "specs"
 
-#: reading TOML needs stdlib tomllib (Python >= 3.11); writing works
-#: everywhere, so only round-trip/load tests skip on 3.10.
+#: reading TOML needs stdlib tomllib (Python >= 3.11), so the TOML
+#: load tests skip on 3.10.
 needs_tomllib = pytest.mark.skipif(
     spec_mod.tomllib is None, reason="tomllib needs Python >= 3.11")
 
@@ -197,14 +198,6 @@ class TestRoundTrip:
         spec = _spec()
         assert RunSpec.from_json(spec.to_json()) == spec
 
-    @needs_tomllib
-    def test_toml_round_trip(self):
-        spec = _spec(
-            tags=("a", "b"),
-            execution=ExecutionSpec(vms_per_host_pattern=(2, 7, 3)),
-        )
-        assert RunSpec.from_toml(spec.to_toml()) == spec
-
     def test_missing_keys_fill_defaults(self):
         # TOML cannot express null: None-valued keys are omitted and
         # must come back as their defaults.
@@ -263,14 +256,45 @@ class TestRoundTrip:
 
     def test_save_load_json(self, tmp_path):
         spec = _spec()
-        path = spec.save(tmp_path / "run.json")
+        path = tmp_path / "run.json"
+        path.write_text(spec.to_json())
         assert load_spec(path) == spec
 
     @needs_tomllib
-    def test_save_load_toml(self, tmp_path):
-        spec = _spec()
-        path = spec.save(tmp_path / "run.toml")
-        assert load_spec(path) == spec
+    def test_load_example_toml(self):
+        from repro.api import scenario_spec
+
+        path = Path(__file__).parents[1] / "examples" / "specs" \
+            / "google-bursty-des.toml"
+        assert load_spec(path) == scenario_spec("google-trace-bursty",
+                                                tier="des")
+
+    @needs_tomllib
+    def test_load_toml_literal(self, tmp_path):
+        # Inline-table laws, an int array, and the None-valued fields
+        # (host_mtbf, length_cap) omitted, as TOML has no null.
+        path = tmp_path / "run.toml"
+        path.write_text("""\
+name = "literal"
+tags = ["a", "b"]
+
+[failures]
+laws = [{ priority = 5, family = "exponential", mean = 600.0 },
+        { priority = 2, family = "weibull", mean = 50, shape = 0.7 }]
+
+[execution]
+vms_per_host_pattern = [2, 7, 3]
+""")
+        assert load_spec(path) == RunSpec(
+            name="literal",
+            tags=("a", "b"),
+            failures=FailureSpec(laws=(
+                FailureLawSpec(priority=5, family="exponential", mean=600.0),
+                FailureLawSpec(priority=2, family="weibull", mean=50.0,
+                               shape=0.7),
+            )),
+            execution=ExecutionSpec(vms_per_host_pattern=(2, 7, 3)),
+        )
 
     def test_load_spec_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="cannot read"):
@@ -374,12 +398,6 @@ class TestPropertyRoundTrip:
     def test_dict_and_json_round_trip(self, spec):
         assert RunSpec.from_dict(spec.to_dict()) == spec
         assert RunSpec.from_json(spec.to_json()) == spec
-
-    @needs_tomllib
-    @settings(max_examples=150, deadline=None)
-    @given(_specs)
-    def test_toml_round_trip(self, spec):
-        assert RunSpec.from_toml(spec.to_toml()) == spec
 
     @settings(max_examples=100, deadline=None)
     @given(_specs, st.integers(min_value=1, max_value=128))

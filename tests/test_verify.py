@@ -417,11 +417,6 @@ class TestVerifyCLI:
         assert toplevel(["verify", "--list"]) == 0
         assert "exp-baseline-local" in capsys.readouterr().out
 
-    def test_toplevel_cli_keeps_legacy_experiments(self, capsys):
-        from repro.cli import main as toplevel
-        assert toplevel(["--list"]) == 0
-        assert "fig9" in capsys.readouterr().out.split()
-
 
 class TestSupportingInfra:
     def test_explicit_catalog_interface(self):
