@@ -38,6 +38,7 @@ The module doubles as the ``repro run`` CLI::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -49,7 +50,7 @@ import numpy as np
 from repro.parallel.runner import (DEFAULT_CHUNK_SIZE, auto_chunk_size,
                                    batch_processes)
 from repro.store import ResultStore, RunRecord
-from repro.spec import RunSpec, SpecError, load_spec
+from repro.spec import RunSpec, SpecError, canonical_json, load_spec
 from repro.verify.runner import run_des, run_scalar, run_vector
 from repro.verify.scenarios import build_workload, get_scenario
 
@@ -88,6 +89,12 @@ class RunResult:
     (``cached``) have the same fields; callers that need per-task
     arrays call the tier itself (for instance
     :func:`repro.experiments.common.evaluate_policy`).
+
+    A cached result is backed by the ``record`` it was read from (see
+    :func:`repro.store.canonical_spec_dict`): its ``extra`` omits the
+    live-run ``workers_effective`` marker, and its ``spec``, parsed
+    from the record's snapshot when first read, has default
+    workers/prose.
     """
 
     spec: RunSpec
@@ -100,31 +107,16 @@ class RunResult:
     #: served from a :class:`~repro.store.ResultStore` instead of
     #: executing
     cached: bool = False
+    #: the record a cached result was read from
+    record: RunRecord | None = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def from_record(cls, record: RunRecord) -> RunResult:
-        """Rehydrate a result from a stored record (``cached=True``).
-
-        Record content is canonical w.r.t. the spec digest (see
-        :func:`repro.store.canonical_spec_dict`), so the rehydrated
-        ``spec`` has default workers/prose and ``extra`` omits the
-        live-run ``workers_effective`` marker.
-        """
-        if record.spec is None:
-            raise SpecError(
-                f"record {record.spec_digest[:12]}… has no spec snapshot; "
-                "cannot rehydrate a RunResult from it"
-            )
-        return cls(
-            spec=RunSpec.from_dict(record.spec),
-            tier=record.tier,
-            seed=record.seed,
-            digest=record.digest,
-            summary=dict(record.summary),
-            elapsed_s=record.elapsed_s,
-            extra=dict(record.extra),
-            cached=True,
-        )
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks, which a
+        # cached result's spec is until its first read.
+        if name != "spec" or self.record is None:
+            raise AttributeError(name)
+        spec = vars(self)["spec"] = RunSpec.from_dict(self.record.spec)
+        return spec
 
     def to_dict(self) -> dict:
         """JSON-ready report fragment (spec + summaries, no arrays)."""
@@ -157,17 +149,16 @@ def run(
     (``result.cached`` is set); on a miss the spec executes and its
     record is persisted.
 
-    A record whose spec snapshot is missing or does not parse is a
-    miss, like an unreadable one: the run recomputes and overwrites it.
-    A hit returns :meth:`RunResult.from_record` of the record: its
-    scalar fields, ``cached=True``, and as ``spec`` the record's
-    snapshot parsed by :meth:`RunSpec.from_dict` (``spec`` with
-    ``description``, ``tags``, ``execution.workers`` and
-    ``execution.quick`` at their defaults, for every record this code
-    writes).  The spec's digest is derived once per spec *instance*,
-    so a caller that keeps its spec object skips it on later hits; one
-    that builds a fresh spec for every call (a sweep worker, ``repro
-    run``) derives it each time.
+    A hit is one :meth:`~repro.store.ResultStore.get` and one key
+    check (:func:`_check_snapshot`), and returns a result backed by
+    the record (see :class:`RunResult`).  Any other record —
+    unreadable, or whose spec snapshot is not what
+    :func:`~repro.store.canonical_spec_dict` writes for ``spec`` — is
+    a miss: the run recomputes and overwrites it.  The caller's spec
+    digest is derived once per spec *instance*, so a caller that keeps
+    its spec object skips it on later hits; one that builds a fresh
+    spec for every call (a sweep worker, ``repro run``) derives it
+    each time.
 
     ``execution.workers`` fans out the vector and replay tiers, and —
     for contention-free scenarios (local storage, no host crashes) —
@@ -195,23 +186,46 @@ def run(
 
 
 def _cached(store: ResultStore, spec: RunSpec) -> RunResult | None:
-    """The stored result of ``spec``, or ``None`` for a miss.
-
-    A record that cannot be read, or whose spec snapshot is absent or
-    does not parse, is a miss: the caller recomputes and overwrites it.
-    """
-    record = store.get(spec.spec_digest(), on_corrupt="miss")
-    if record is None or record.spec is None:
+    """The stored result of ``spec``, or ``None`` for a miss (see
+    :func:`run`)."""
+    key = spec.spec_digest()
+    record = store.get(key, on_corrupt="miss")
+    if record is None:
         return None
     try:
-        return RunResult.from_record(record)
+        _check_snapshot(record.spec, key)
     except SpecError as exc:
         import logging
 
         logging.getLogger("repro.api").debug(
-            "%s: record's spec snapshot does not parse (%s); a miss",
-            record.spec_digest[:12], exc)
+            "%s: record's spec snapshot does not parse as this spec (%s); "
+            "a miss", key[:12], exc)
         return None
+    result = RunResult.__new__(RunResult)  # its spec parses when read
+    vars(result).update(
+        tier=record.tier, seed=record.seed, digest=record.digest,
+        summary=record.summary, elapsed_s=record.elapsed_s,
+        extra=record.extra, cached=True, record=record)
+    return result
+
+
+def _check_snapshot(snapshot, key: str) -> None:
+    """Raise :class:`SpecError` unless ``snapshot`` is what
+    :func:`~repro.store.canonical_spec_dict` writes for the spec of
+    digest ``key``: an object whose canonical JSON hashes to ``key``,
+    with the fields left out of that at their defaults.  Such a
+    snapshot holds the spec's values in their JSON types, so
+    :meth:`RunSpec.from_dict` parses it."""
+    execution = snapshot.get("execution") if type(snapshot) is dict else None
+    workers = execution.get("workers") if type(execution) is dict else None
+    if not (type(workers) is int and workers == 1
+            and execution.get("quick") is False
+            and snapshot.get("description") == ""
+            and snapshot.get("tags") == []):
+        raise SpecError("not a spec object with default workers and prose")
+    digest = hashlib.sha256(canonical_json(snapshot).encode()).hexdigest()
+    if digest != key:
+        raise SpecError(f"it describes spec {digest[:12]}…")
 
 
 def _execute(spec: RunSpec) -> RunResult:
@@ -327,12 +341,9 @@ def run_lanes(
 
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    results: list[RunResult | None] = [None] * len(specs)
-    todo = []
-    for i, spec in enumerate(specs):
-        results[i] = _cached(store, spec) if store is not None else None
-        if results[i] is None:
-            todo.append(i)
+    results = [_cached(store, spec) if store is not None else None
+               for spec in specs]
+    todo = [i for i, result in enumerate(results) if result is None]
     if not todo:
         return results
     t0 = time.perf_counter()

@@ -379,30 +379,10 @@ def campaign_status(
     store = _open_store(campaign, store, base_dir)
     cells = campaign.expand()
     digests = [spec.spec_digest() for spec in cells]
-    parsed: dict[str, tuple] = {}
-    for digest in digests:
-        if digest not in parsed:
-            parsed[digest] = store._classify(digest)
+    parsed = {digest: store._classify(digest)
+              for digest in dict.fromkeys(digests)}
     missing = [i for i, d in enumerate(digests) if parsed[d][0] != "ok"]
-    foreign = n_records = n_corrupt = n_stale = total_bytes = 0
-    by_tier: dict[str, int] = {}
-    for digest in store.digests():
-        n_records += 1
-        try:
-            total_bytes += store.path_for(digest).stat().st_size
-        except OSError:
-            pass
-        if digest in parsed:
-            status, record = parsed[digest]
-        else:
-            foreign += 1
-            status, record = store._classify(digest)
-        if status == "ok":
-            by_tier[record.tier] = by_tier.get(record.tier, 0) + 1
-        elif status == "stale":
-            n_stale += 1
-        else:
-            n_corrupt += 1
+    stats = store.stats(known=parsed)
     return {
         "campaign": campaign.name,
         "campaign_digest": campaign.campaign_digest(),
@@ -413,16 +393,10 @@ def campaign_status(
             {"index": i, "name": cells[i].name, "spec_digest": digests[i]}
             for i in missing
         ],
-        "foreign_records": foreign,
+        "foreign_records": stats["n_records"] - sum(
+            status != "missing" for status, _ in parsed.values()),
         "complete": not missing,
-        "store": {
-            "root": str(store.root),
-            "n_records": n_records,
-            "n_corrupt": n_corrupt,
-            "n_stale": n_stale,
-            "total_bytes": total_bytes,
-            "by_tier": dict(sorted(by_tier.items())),
-        },
+        "store": stats,
     }
 
 

@@ -360,9 +360,9 @@ _LANE_FIELDS = {"storage.mode": "auto", "policy.estimation": "priority"}
 
 def lane_key(spec: RunSpec) -> str:
     """What the lanes of one :func:`evaluate_lanes` pass share: the
-    spec's canonical form with its name and :data:`_LANE_FIELDS`
+    digest of the spec with its name and :data:`_LANE_FIELDS`
     blanked."""
-    return spec.evolve(name="lanes", **_LANE_FIELDS).canonical_json()
+    return spec.evolve(name="lanes", **_LANE_FIELDS).spec_digest()
 
 
 def evaluate_lanes(specs: list[RunSpec], *,

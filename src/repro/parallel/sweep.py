@@ -257,10 +257,10 @@ def _run_spec_cells(job: "tuple[list[dict], str | None]") -> list[dict]:
 
     A job of several specs is one lane group, run as one kernel pass
     by :func:`repro.api.run_lanes`.  Each cell is its run's
-    :class:`~repro.store.RunRecord` dict, timed as its share of the
-    job; when a store path is given the worker skips the members
-    already recorded and writes each fresh record itself, so a killed
-    grid keeps every completed cell.
+    :class:`~repro.store.RunRecord` dict (a hit's is the stored one),
+    timed as its share of the job; when a store path is given the
+    worker skips the members already recorded and writes each fresh
+    record itself, so a killed grid keeps every completed cell.
     """
     from repro import api
 
@@ -274,7 +274,7 @@ def _run_spec_cells(job: "tuple[list[dict], str | None]") -> list[dict]:
     elapsed = round((time.perf_counter() - t0) / len(specs), 3)
     cells = []
     for result in results:
-        cell = RunRecord.from_result(result).to_dict()
+        cell = (result.record or RunRecord.from_result(result)).to_dict()
         cell["elapsed_s"] = elapsed
         cell["cached"] = result.cached
         cells.append(cell)

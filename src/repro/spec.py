@@ -84,6 +84,7 @@ __all__ = [
     "TRACE_ARRIVALS",
     "WORKLOAD_SOURCES",
     "WorkloadSpec",
+    "canonical_json",
     "load_spec",
 ]
 
@@ -676,6 +677,8 @@ class RunSpec:
     @classmethod
     def from_dict(cls, data: dict) -> RunSpec:
         """Exact inverse of :meth:`to_dict` (missing keys -> defaults)."""
+        if not isinstance(data, dict):
+            raise SpecError(f"spec must be a table/object, got {data!r}")
         data = dict(data)
         version = data.pop("spec_version", SPEC_VERSION)
         if version != SPEC_VERSION:
@@ -695,27 +698,8 @@ class RunSpec:
         return cls.from_dict(json.loads(text))
 
     # -- identity ------------------------------------------------------
-    def canonical_json(self) -> str:
-        """Sorted-key minimal JSON of the digest-relevant fields.
-
-        Excluded from the canonical form: ``execution.workers`` (a
-        scheduling knob — results are bit-identical for every worker
-        count), ``description`` and ``tags`` (prose/labels), and
-        ``execution.quick`` (a smoke-subset marker).  Everything else
-        either changes what runs or how strictly it is verified
-        (``compare``/``loose_*`` are part of a scenario's identity).
-        """
-        payload = self.to_dict()
-        del payload["description"], payload["tags"]
-        payload["execution"] = {
-            k: v for k, v in payload["execution"].items()
-            if k not in ("workers", "quick")
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-
     def spec_digest(self) -> str:
-        """SHA-256 over :meth:`canonical_json` — the spec's identity.
+        """SHA-256 over :func:`canonical_json` — the spec's identity.
 
         Stable across processes, platforms, and worker counts; two
         specs with equal digests describe the same experiment.
@@ -723,7 +707,8 @@ class RunSpec:
         """
         digest = self.__dict__.get("_digest")
         if digest is None:
-            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            digest = hashlib.sha256(
+                canonical_json(self.to_dict()).encode()).hexdigest()
             self.__dict__["_digest"] = digest
         return digest
 
@@ -760,6 +745,30 @@ class RunSpec:
                 )
             node[parts[-1]] = _plain(value)
         return RunSpec.from_dict(data)
+
+
+def canonical_json(data: dict) -> str:
+    """Sorted-key minimal JSON of the digest-relevant fields of ``data``,
+    a spec in its plain-JSON form (:meth:`RunSpec.to_dict`, an object
+    whose ``execution`` is an object).
+
+    Excluded from the canonical form: ``execution.workers`` (a
+    scheduling knob — results are bit-identical for every worker
+    count), ``description`` and ``tags`` (prose/labels), and
+    ``execution.quick`` (a smoke-subset marker).  Everything else
+    either changes what runs or how strictly it is verified
+    (``compare``/``loose_*`` are part of a scenario's identity).  A
+    non-finite number has no JSON form: a :class:`SpecError`.
+    """
+    payload = {k: v for k, v in data.items()
+               if k not in ("description", "tags")}
+    payload["execution"] = {k: v for k, v in data["execution"].items()
+                            if k not in ("workers", "quick")}
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError as exc:
+        raise SpecError(f"spec has no canonical JSON: {exc}") from None
 
 
 def _load(path: str | Path, what: str, from_dict):

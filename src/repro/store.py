@@ -36,16 +36,19 @@ Design rules
   serves only records of the current version, so a store written
   before a change to the model semantics recomputes instead of serving
   stale results.
-* **A read is one file read and one JSON parse.**  ``get`` joins the
-  record path as a string (:meth:`ResultStore.path_for` still checks
-  the digest and returns a :class:`~pathlib.Path`), and
-  :meth:`RunRecord.from_dict` checks keys against a field-name set
-  built once.  Nothing is skipped: ``record_version``, unknown
-  fields, field types, the digest claim, the model-version rule and
-  the ``on_corrupt`` modes all hold on every read.  Turning the ``repro.store`` logger to DEBUG makes
-  ``get`` say what it decided for each digest: hit, missing, stale
-  (with the record's model or schema version) or corrupt read as a
-  miss.
+* **A cache hit is one file read, one JSON parse and one key check.**
+  ``get`` joins the record path as a string
+  (:meth:`ResultStore.path_for` still checks the digest and returns a
+  :class:`~pathlib.Path`), and :meth:`RunRecord.from_dict` checks keys
+  against a field-name set built once.  Nothing is skipped:
+  ``record_version``, unknown fields, field types, the digest claim,
+  the model-version rule and the ``on_corrupt`` modes all hold on
+  every read.  The store does not check the spec snapshot against
+  the key; :func:`repro.api.run` does (one hash of its canonical
+  JSON), and parses it only when a caller reads the result's
+  ``spec``.  Turning the ``repro.store`` logger to DEBUG makes ``get``
+  say what it decided for each digest: hit, missing, stale (with the
+  record's model or schema version) or corrupt read as a miss.
 
 The consumers are :func:`repro.api.run` (``store=`` gives any caller
 skip-if-cached execution), :mod:`repro.parallel.sweep` (``--store``),
@@ -155,7 +158,7 @@ class RunRecord:
     # -- construction --------------------------------------------------
     @classmethod
     def from_result(cls, result) -> RunRecord:
-        """Build a record from a :class:`repro.api.RunResult`.
+        """Build a record from a computed :class:`repro.api.RunResult`.
 
         Record content is canonical w.r.t. the spec digest: the spec
         snapshot goes through :func:`canonical_spec_dict` and the
@@ -170,14 +173,11 @@ class RunRecord:
 
         from repro._version import __version__
 
-        workers = result.spec.execution.workers
         provenance = {
             "code_version": __version__,
             "model_version": MODEL_VERSION,
-            "workers": workers,
-            "workers_effective": int(
-                result.extra.get("workers_effective", workers)
-            ),
+            "workers": result.spec.execution.workers,
+            "workers_effective": int(result.extra["workers_effective"]),
         }
         if "shard_refused" in result.extra:
             provenance["shard_refused"] = bool(result.extra["shard_refused"])
@@ -458,9 +458,10 @@ class ResultStore:
         set is removed (a campaign prunes to its own cell set this
         way).  With ``drop_corrupt=True``, records :meth:`get` would
         not serve are removed too: corrupt ones (they fail to parse or
-        claim another digest) and stale ones (another model version).
-        Returns ``{"removed", "kept", "corrupt_removed",
-        "stale_removed"}`` counts.
+        claim another digest) and stale ones (another model version),
+        not one whose spec snapshot :func:`repro.api.run` reads as a
+        miss (see the module docstring).  Returns ``{"removed", "kept",
+        "corrupt_removed", "stale_removed"}`` counts.
         """
         removed = kept = corrupt_removed = stale_removed = 0
         for digest in list(self.digests()):
@@ -486,14 +487,18 @@ class ResultStore:
             "stale_removed": stale_removed,
         }
 
-    def stats(self) -> dict[str, Any]:
+    def stats(self, known: "dict | None" = None) -> dict[str, Any]:
         """Aggregate store statistics.
 
         ``n_records``/``total_bytes`` count record files; of those,
         ``n_stale`` were computed under another model version and
         ``n_corrupt`` cannot be read.  ``by_tier`` histograms the
-        records :meth:`get` serves.
+        records :meth:`get` serves, which include any whose spec
+        snapshot :func:`repro.api.run` reads as a miss (see the module
+        docstring).  ``known`` maps digests to what :meth:`_classify`
+        made of them already, so the walk reads those records no more.
         """
+        known = known or {}
         n = total = corrupt = stale = 0
         by_tier: dict[str, int] = {}
         for digest in self.digests():
@@ -502,7 +507,7 @@ class ResultStore:
                 total += self.path_for(digest).stat().st_size
             except OSError:
                 pass
-            status, record = self._classify(digest)
+            status, record = known.get(digest) or self._classify(digest)
             if status == "ok":
                 by_tier[record.tier] = by_tier.get(record.tier, 0) + 1
             elif status == "stale":

@@ -246,6 +246,13 @@ class TestRunCli:
         assert rc == 2
         assert "unknown policy" in capsys.readouterr().err
 
+    def test_non_object_spec_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert api.main(["--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "table/object" in err
+
     def test_missing_source_errors(self, capsys):
         with pytest.raises(SystemExit):
             api.main([])
@@ -340,6 +347,15 @@ def warm_store(tmp_path_factory):
     return store, specs
 
 
+def _parsed(record) -> api.RunResult:
+    """The cached result ``record`` gives with its spec snapshot parsed
+    by ``RunSpec.from_dict``: what a hit on it must read as."""
+    return api.RunResult(
+        spec=RunSpec.from_dict(record.spec), tier=record.tier,
+        seed=record.seed, digest=record.digest, summary=dict(record.summary),
+        elapsed_s=record.elapsed_s, extra=dict(record.extra), cached=True)
+
+
 def _assert_same_hit(got: api.RunResult, want: api.RunResult) -> None:
     """``got`` equals ``want`` field by field, the spec down to the
     types of its values."""
@@ -348,7 +364,7 @@ def _assert_same_hit(got: api.RunResult, want: api.RunResult) -> None:
     assert got.spec.to_json() == want.spec.to_json()
     assert got.spec.spec_digest() == want.spec.spec_digest()
     for f in dataclasses.fields(api.RunResult):
-        if f.name != "spec":
+        if f.name != "spec" and f.compare:
             assert getattr(got, f.name) == getattr(want, f.name), f.name
     assert got.cached
 
@@ -369,7 +385,7 @@ class TestCachedHit:
     def test_hits_equal_the_parsed_record(self, warm_store):
         store, specs = warm_store
         for spec in specs:
-            want = api.RunResult.from_record(store.get(spec.spec_digest()))
+            want = _parsed(store.get(spec.spec_digest()))
             fresh = RunSpec.from_dict(spec.to_dict())
             assert fresh.spec_digest() == spec.spec_digest()
             for caller in (spec, fresh):
@@ -379,9 +395,9 @@ class TestCachedHit:
                         api.run_lanes([caller], store=store)[0], want)
 
     def test_partial_snapshot_is_parsed(self, tmp_path, caplog):
-        # A snapshot that parses is served as parsed.  One that does not
-        # is a miss for run and run_lanes: the run recomputes, rewrites
-        # the record and says so in one DEBUG line.
+        # A partial snapshot is a miss for run and run_lanes, whether it
+        # parses or not: the run recomputes, rewrites the record and
+        # says so in one DEBUG line.
         from repro.store import ResultStore
 
         store = ResultStore(tmp_path)
@@ -398,7 +414,7 @@ class TestCachedHit:
                         (lane, lambda: api.run_lanes([lane], store=store)[0])):
             _rewrite_snapshot(store, s, partial(s))
             with pytest.raises(SpecError, match="at least one failure law"):
-                api.RunResult.from_record(store.get(s.spec_digest()))
+                _parsed(store.get(s.spec_digest()))
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="repro.api"):
                 healed = call()
@@ -408,13 +424,18 @@ class TestCachedHit:
             assert not healed.cached
             assert healed.digest == cold[s].digest
             assert store.get(s.spec_digest()).spec == full[s]
-            want = api.RunResult.from_record(store.get(s.spec_digest()))
+            want = _parsed(store.get(s.spec_digest()))
             _assert_same_hit(api.run(s, store=store), want)
 
+        # A partial snapshot that parses describes another spec (the
+        # defaults fill in the rest, policy "optimal" among them): a
+        # miss that heals, not a hit served with that spec.
         _rewrite_snapshot(store, spec, partial(spec, "workload", "failures"))
-        want = api.RunResult.from_record(store.get(spec.spec_digest()))
-        _assert_same_hit(api.run(spec, store=store), want)
-        assert want.spec.policy.name == "optimal" != spec.policy.name
+        served = _parsed(store.get(spec.spec_digest())).spec
+        assert served.policy.name == "optimal" != spec.policy.name
+        healed = api.run(spec, store=store)
+        assert not healed.cached and healed.digest == cold[spec].digest
+        assert store.get(spec.spec_digest()).spec == full[spec]
 
     def test_null_in_the_snapshot_is_a_miss(self, tmp_path):
         # null for a field that takes none does not parse: the run
@@ -429,7 +450,7 @@ class TestCachedHit:
         _rewrite_snapshot(store, spec, lambda snapshot:
                           snapshot["workload"].update(n_tasks=None))
         with pytest.raises(SpecError, match="n_tasks must not be null"):
-            api.RunResult.from_record(store.get(spec.spec_digest()))
+            _parsed(store.get(spec.spec_digest()))
         healed = api.run(spec, store=store)
         assert not healed.cached and healed.digest == cold.digest
         assert store.get(spec.spec_digest()).spec == full
@@ -446,6 +467,137 @@ class TestCachedHit:
             assert alias.spec_digest() == spec.spec_digest()
             hit = api.run(alias, store=tmp_path)
             assert hit.cached and hit.digest == cold.digest
+
+
+def _set_snapshot(store, spec, snapshot) -> None:
+    """Replace the spec snapshot of ``spec``'s record by ``snapshot``."""
+    path = store.path_for(spec.spec_digest())
+    data = json.loads(path.read_text())
+    data["spec"] = snapshot
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _set_field(path: str, value):
+    """A snapshot edit that sets the dotted ``path`` to ``value``."""
+    *parents, leaf = path.split(".")
+
+    def edit(snapshot):
+        for part in parents:
+            snapshot = snapshot[part]
+        snapshot[leaf] = value
+    return edit
+
+
+_CALLS = {"run": lambda spec, store: api.run(spec, store=store),
+          "run_lanes": lambda spec, store: api.run_lanes([spec],
+                                                         store=store)[0]}
+
+
+class TestSnapshotKeyCheck:
+    """A hit is served only from a snapshot that hashes to the key it was
+    read under, with description, tags, workers and quick at the
+    defaults ``canonical_spec_dict`` writes.  Any other record is a miss
+    that recomputes and overwrites it, for run and run_lanes alike."""
+
+    @pytest.fixture(params=sorted(_CALLS))
+    def call(self, request):
+        return _CALLS[request.param]
+
+    @pytest.fixture
+    def cold(self, tmp_path, call):
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path)
+        spec = policy_run_spec("young", n_jobs=40, trace_seed=0)
+        return store, spec, call(spec, store), store.get(
+            spec.spec_digest()).spec
+
+    def _assert_heals(self, call, store, spec, cold, full):
+        healed = call(spec, store)
+        assert not healed.cached and healed.digest == cold.digest
+        assert store.get(spec.spec_digest()).spec == full
+        hit = call(spec, store)
+        assert hit.cached and hit.digest == cold.digest
+        assert hit.spec.spec_digest() == spec.spec_digest()
+
+    def test_a_snapshot_of_another_spec_is_a_miss(self, cold, call):
+        store, spec, first, full = cold
+        other = spec.evolve(**{"policy.name": "optimal"})
+        call(other, store)
+        _set_snapshot(store, spec, store.get(other.spec_digest()).spec)
+        assert RunSpec.from_dict(store.get(spec.spec_digest()).spec) \
+            .spec_digest() == other.spec_digest()
+        self._assert_heals(call, store, spec, first, full)
+
+    @pytest.mark.parametrize("snapshot", [[1, 2], "spec", 5, None],
+                             ids=["array", "string", "int", "null"])
+    def test_a_non_object_snapshot_is_a_miss(self, cold, call, snapshot):
+        store, spec, first, full = cold
+        _set_snapshot(store, spec, snapshot)
+        self._assert_heals(call, store, spec, first, full)
+
+    @pytest.mark.parametrize("path, value", [
+        ("execution.workers", 2),
+        ("execution.workers", True),
+        ("execution.quick", True),
+        ("description", "another run"),
+        ("tags", ["smoke"]),
+        ("execution.restart_delay", float("nan")),
+    ], ids=["workers-2", "workers-true", "quick", "description", "tags",
+            "nan"])
+    def test_a_snapshot_off_its_canonical_form_is_a_miss(
+            self, cold, call, path, value):
+        store, spec, first, full = cold
+        _rewrite_snapshot(store, spec, _set_field(path, value))
+        self._assert_heals(call, store, spec, first, full)
+
+    def test_a_hit_parses_its_spec_on_first_read(self, cold, call,
+                                                 monkeypatch):
+        store, spec, first, _ = cold
+        want = _parsed(store.get(spec.spec_digest()))
+        parses = []
+        from_dict = RunSpec.from_dict.__func__
+
+        def counting(cls, data):
+            parses.append(data)
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(RunSpec, "from_dict", classmethod(counting))
+        hit = call(spec, store)
+        assert hit.cached and hit.digest == first.digest
+        assert hit.summary == want.summary and hit.extra == want.extra
+        assert not parses
+        _assert_same_hit(hit, want)
+        assert hit.to_dict() == want.to_dict()
+        assert len(parses) == 1
+
+    def test_a_hit_pickles_before_and_after_its_spec_read(self, cold, call):
+        import pickle
+
+        store, spec, _, _ = cold
+        want = _parsed(store.get(spec.spec_digest()))
+        hit = call(spec, store)
+        for _ in range(2):  # the spec unread, then read
+            back = pickle.loads(pickle.dumps(hit))
+            _assert_same_hit(back, want)
+            assert back.to_dict() == want.to_dict()
+            _assert_same_hit(hit, want)
+
+    def test_the_store_keeps_what_run_reads_as_a_miss(self, cold, call):
+        # stats and prune(drop_corrupt=True) do not check a snapshot
+        # against its key: a record holding another spec's snapshot is
+        # healthy to the store and a miss to run, which heals it.
+        store, spec, first, full = cold
+        other = spec.evolve(**{"policy.name": "optimal"})
+        call(other, store)
+        swapped = store.get(other.spec_digest()).spec
+        _set_snapshot(store, spec, swapped)
+        stats = store.stats()
+        assert (stats["n_records"], stats["n_corrupt"], stats["n_stale"],
+                stats["by_tier"]) == (2, 0, 0, {"replay": 2})
+        assert store.prune(drop_corrupt=True)["kept"] == 2
+        assert store.get(spec.spec_digest()).spec == swapped
+        self._assert_heals(call, store, spec, first, full)
 
 
 class TestWorkersEffective:

@@ -654,6 +654,22 @@ class TestSweepStore:
         assert [c["digest"] for c in first["points"]] == \
             [c["digest"] for c in second["points"]]
 
+    def test_cached_cells_are_the_stored_records(self, tmp_path):
+        from repro.parallel.sweep import run_specs
+        from repro.experiments.common import policy_run_spec
+        from repro.store import ResultStore
+
+        specs = [policy_run_spec(p, n_jobs=60, trace_seed=0)
+                 for p in ("optimal", "young")]
+        store = ResultStore(tmp_path / "store")
+        run_specs(specs, workers=1, store=store)
+        for cell in run_specs(specs, workers=1, store=store)["points"]:
+            assert cell.pop("cached")
+            stored = store.get(cell["spec_digest"]).to_dict()
+            # a cell's elapsed_s is its share of this job's wall
+            del cell["elapsed_s"], stored["elapsed_s"]
+            assert cell == stored
+
     def test_cells_are_run_records(self):
         from repro.parallel.sweep import run_specs
         from repro.experiments.common import policy_run_spec

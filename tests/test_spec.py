@@ -188,6 +188,11 @@ class TestValidation:
         with pytest.raises(SpecError):
             RunSpec.from_dict(data)
 
+    @pytest.mark.parametrize("data", [[1, 2], 5, None, "spec"])
+    def test_from_dict_rejects_a_non_object(self, data):
+        with pytest.raises(SpecError, match="spec must be a table/object"):
+            RunSpec.from_dict(data)
+
 
 class TestRoundTrip:
     def test_dict_round_trip_default(self):

@@ -32,6 +32,7 @@ from repro.spec import (
     RunSpec,
     SpecError,
     WorkloadSpec,
+    canonical_json,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -402,8 +403,8 @@ def _fingerprint(specs: list[RunSpec]) -> tuple[int, str]:
     for spec in specs:
         back = RunSpec.from_dict(json.loads(spec.to_json()))
         assert back == spec
-        for text in (json.dumps(back.to_dict()), back.canonical_json(),
-                     back.spec_digest()):
+        for text in (json.dumps(back.to_dict()),
+                     canonical_json(back.to_dict()), back.spec_digest()):
             h.update(text.encode())
             h.update(b"\n")
         assert back.spec_digest() == spec.spec_digest()
