@@ -570,10 +570,10 @@ STORE_HIT_SCENARIOS = (
 
 def bench_store_hit(repeats: int) -> dict:
     """Cached ``api.run(spec, store=...)`` hits, whole (``hit_us``) and
-    split into the spec digest, ``store.get`` (read, parse, checks)
-    and the key check of the record's spec snapshot; apart from the
-    hit, which leaves the snapshot unparsed, the first read of a hit's
-    ``spec`` (``spec_us``, the snapshot's parse).
+    split into the spec digest and ``store.get`` (read, parse, checks,
+    the snapshot's hash against the key); apart from the hit, which
+    leaves the snapshot unparsed, the first read of a hit's ``spec``
+    (``spec_us``, the snapshot's parse).
 
     ``held`` calls on the spec object that computed the record, whose
     digest is memoised after the first call; ``fresh`` calls on a new
@@ -616,8 +616,7 @@ def bench_store_hit(repeats: int) -> dict:
             """Per-call means of the best of ``repeats`` rounds: whole
             hits, their first ``spec`` reads, then the same calls stage
             by stage."""
-            stages = ("hit_us", "digest_us", "get_us", "check_us",
-                      "spec_us")
+            stages = ("hit_us", "digest_us", "get_us", "spec_us")
             best = dict.fromkeys(stages, float("inf"))
             for _ in range(repeats):
                 calls = [s.evolve() if fresh else s for s in specs
@@ -636,13 +635,10 @@ def bench_store_hit(repeats: int) -> dict:
                     t0 = time.perf_counter()
                     digest = spec.spec_digest()
                     t1 = time.perf_counter()
-                    record = store.get(digest, on_corrupt="miss")
+                    store.get(digest, on_corrupt="miss")
                     t2 = time.perf_counter()
-                    api._check_snapshot(record.spec, digest)
-                    t3 = time.perf_counter()
                     took["digest_us"] += t1 - t0
                     took["get_us"] += t2 - t1
-                    took["check_us"] += t3 - t2
                 for key, value in took.items():
                     best[key] = min(best[key], value)
             return {k: round(1e6 * v / len(calls), 2)

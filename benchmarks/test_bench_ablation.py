@@ -1,4 +1,7 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the modelling choices behind the reproduction:
+the checkpoint policies and estimators of :mod:`repro.core`, the
+failure calibration of :mod:`repro.failures.catalog` and the BLCR cost
+model of :mod:`repro.storage` (see README, "Architecture").
 
 These go beyond the paper's own tables: they sweep the knobs the
 reproduction depends on and check the conclusions are not calibration

@@ -38,7 +38,6 @@ The module doubles as the ``repro run`` CLI::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -50,7 +49,7 @@ import numpy as np
 from repro.parallel.runner import (DEFAULT_CHUNK_SIZE, auto_chunk_size,
                                    batch_processes)
 from repro.store import ResultStore, RunRecord
-from repro.spec import RunSpec, SpecError, canonical_json, load_spec
+from repro.spec import RunSpec, SpecError, load_spec
 from repro.verify.runner import run_des, run_scalar, run_vector
 from repro.verify.scenarios import build_workload, get_scenario
 
@@ -149,16 +148,13 @@ def run(
     (``result.cached`` is set); on a miss the spec executes and its
     record is persisted.
 
-    A hit is one :meth:`~repro.store.ResultStore.get` and one key
-    check (:func:`_check_snapshot`), and returns a result backed by
-    the record (see :class:`RunResult`).  Any other record —
-    unreadable, or whose spec snapshot is not what
-    :func:`~repro.store.canonical_spec_dict` writes for ``spec`` — is
-    a miss: the run recomputes and overwrites it.  The caller's spec
-    digest is derived once per spec *instance*, so a caller that keeps
-    its spec object skips it on later hits; one that builds a fresh
-    spec for every call (a sweep worker, ``repro run``) derives it
-    each time.
+    A hit is one :meth:`~repro.store.ResultStore.get` and returns a
+    result backed by the record (see :class:`RunResult`).  A record
+    ``get`` does not serve is a miss: the run recomputes and
+    overwrites it.  The caller's spec digest is derived once per spec
+    *instance*, so a caller that keeps its spec object skips it on
+    later hits; one that builds a fresh spec for every call (a sweep
+    worker, ``repro run``) derives it each time.
 
     ``execution.workers`` fans out the vector and replay tiers, and —
     for contention-free scenarios (local storage, no host crashes) —
@@ -188,18 +184,8 @@ def run(
 def _cached(store: ResultStore, spec: RunSpec) -> RunResult | None:
     """The stored result of ``spec``, or ``None`` for a miss (see
     :func:`run`)."""
-    key = spec.spec_digest()
-    record = store.get(key, on_corrupt="miss")
+    record = store.get(spec.spec_digest(), on_corrupt="miss")
     if record is None:
-        return None
-    try:
-        _check_snapshot(record.spec, key)
-    except SpecError as exc:
-        import logging
-
-        logging.getLogger("repro.api").debug(
-            "%s: record's spec snapshot does not parse as this spec (%s); "
-            "a miss", key[:12], exc)
         return None
     result = RunResult.__new__(RunResult)  # its spec parses when read
     vars(result).update(
@@ -207,25 +193,6 @@ def _cached(store: ResultStore, spec: RunSpec) -> RunResult | None:
         summary=record.summary, elapsed_s=record.elapsed_s,
         extra=record.extra, cached=True, record=record)
     return result
-
-
-def _check_snapshot(snapshot, key: str) -> None:
-    """Raise :class:`SpecError` unless ``snapshot`` is what
-    :func:`~repro.store.canonical_spec_dict` writes for the spec of
-    digest ``key``: an object whose canonical JSON hashes to ``key``,
-    with the fields left out of that at their defaults.  Such a
-    snapshot holds the spec's values in their JSON types, so
-    :meth:`RunSpec.from_dict` parses it."""
-    execution = snapshot.get("execution") if type(snapshot) is dict else None
-    workers = execution.get("workers") if type(execution) is dict else None
-    if not (type(workers) is int and workers == 1
-            and execution.get("quick") is False
-            and snapshot.get("description") == ""
-            and snapshot.get("tags") == []):
-        raise SpecError("not a spec object with default workers and prose")
-    digest = hashlib.sha256(canonical_json(snapshot).encode()).hexdigest()
-    if digest != key:
-        raise SpecError(f"it describes spec {digest[:12]}…")
 
 
 def _execute(spec: RunSpec) -> RunResult:

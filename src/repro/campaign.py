@@ -272,9 +272,9 @@ def _partition(
     """Expand and read each cell's record once: (cells, digests,
     records), with ``None`` for a *missing* cell.
 
-    A cell is missing unless its record exists and parses — a
-    truncated or foreign file counts as a miss, so corruption heals by
-    recomputation rather than failing the campaign.
+    A cell is missing unless the store serves its record — a
+    truncated, foreign or mis-keyed file counts as a miss, so
+    corruption heals by recomputation rather than failing the campaign.
     """
     cells = campaign.expand()
     digests = [spec.spec_digest() for spec in cells]

@@ -36,19 +36,22 @@ Design rules
   serves only records of the current version, so a store written
   before a change to the model semantics recomputes instead of serving
   stale results.
-* **A cache hit is one file read, one JSON parse and one key check.**
-  ``get`` joins the record path as a string
+* **A cache hit is one file read, one JSON parse and one snapshot
+  hash.**  ``get`` joins the record path as a string
   (:meth:`ResultStore.path_for` still checks the digest and returns a
   :class:`~pathlib.Path`), and :meth:`RunRecord.from_dict` checks keys
   against a field-name set built once.  Nothing is skipped:
   ``record_version``, unknown fields, field types, the digest claim,
   the model-version rule and the ``on_corrupt`` modes all hold on
-  every read.  The store does not check the spec snapshot against
-  the key; :func:`repro.api.run` does (one hash of its canonical
-  JSON), and parses it only when a caller reads the result's
-  ``spec``.  Turning the ``repro.store`` logger to DEBUG makes ``get``
-  say what it decided for each digest: hit, missing, stale (with the
-  record's model or schema version) or corrupt read as a miss.
+  every read, and so does the key rule: the spec snapshot must be
+  what :func:`canonical_spec_dict` writes for the key, its
+  :func:`~repro.spec.canonical_json` hashing to it.  Every reader
+  (``get``, ``stats``, ``prune``, the campaign runner) applies these
+  rules through :meth:`ResultStore._classify`.  :func:`repro.api.run`
+  parses the snapshot only when a caller reads the result's ``spec``.
+  Turning the ``repro.store`` logger to DEBUG makes ``get`` say what
+  it decided for each digest: hit, missing, stale (with the record's
+  model or schema version) or corrupt read as a miss.
 
 The consumers are :func:`repro.api.run` (``store=`` gives any caller
 skip-if-cached execution), :mod:`repro.parallel.sweep` (``--store``),
@@ -58,6 +61,7 @@ golden files (pinned :meth:`RunRecord.pinned_dict` payloads).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -65,6 +69,8 @@ import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.spec import SpecError, canonical_json
 
 __all__ = [
     "MODEL_VERSION",
@@ -281,6 +287,26 @@ class RunRecord:
 _RECORD_FIELDS = frozenset(f.name for f in fields(RunRecord))
 
 
+def _snapshot_fault(snapshot, key: str) -> str | None:
+    """Why ``snapshot`` is not what :func:`canonical_spec_dict` writes
+    for the spec of digest ``key``, or ``None`` when it is."""
+    execution = snapshot.get("execution") if type(snapshot) is dict else None
+    workers = execution.get("workers") if type(execution) is dict else None
+    if not (type(workers) is int and workers == 1
+            and execution.get("quick") is False
+            and snapshot.get("description") == ""
+            and snapshot.get("tags") == []):
+        return "holds no spec snapshot with default workers and prose"
+    try:
+        digest = hashlib.sha256(canonical_json(snapshot).encode()).hexdigest()
+    except SpecError as exc:
+        return f"holds a bad spec snapshot: {exc}"
+    if digest != key:
+        return (f"holds the spec snapshot of {snapshot.get('name')!r} "
+                f"({digest[:12]}…), expected {key[:12]}…")
+    return None
+
+
 def _log_decision(log, spec_digest: str, status: str, found) -> None:
     """One DEBUG line on ``log`` saying what :meth:`ResultStore.get` made
     of the record for ``spec_digest``."""
@@ -392,8 +418,9 @@ class ResultStore:
         reason)`` for a readable one of an older ``record_version`` or
         computed under another :data:`MODEL_VERSION` (or none),
         ``("corrupt", reason)`` for one that cannot be read, does not
-        parse, or claims another digest, and ``("missing", None)`` when
-        there is no file.
+        parse, claims another digest or holds a spec snapshot that does
+        not hash to it (see the module docstring), and ``("missing",
+        None)`` when there is no file.
         """
         try:
             with open(self._record_path(spec_digest)) as fh:
@@ -423,6 +450,9 @@ class ResultStore:
                 f"{record.provenance.get('model_version')!r} (this build "
                 f"serves {MODEL_VERSION})"
             )
+        fault = _snapshot_fault(record.spec, spec_digest)
+        if fault:
+            return "corrupt", f"record {self.path_for(spec_digest)} {fault}"
         return "ok", record
 
     def contains(self, spec_digest: str) -> bool:
@@ -457,10 +487,8 @@ class ResultStore:
         With ``keep`` given, every record whose digest is not in the
         set is removed (a campaign prunes to its own cell set this
         way).  With ``drop_corrupt=True``, records :meth:`get` would
-        not serve are removed too: corrupt ones (they fail to parse or
-        claim another digest) and stale ones (another model version),
-        not one whose spec snapshot :func:`repro.api.run` reads as a
-        miss (see the module docstring).  Returns ``{"removed", "kept",
+        not serve are removed too: corrupt ones and stale ones (another
+        model version).  Returns ``{"removed", "kept",
         "corrupt_removed", "stale_removed"}`` counts.
         """
         removed = kept = corrupt_removed = stale_removed = 0
@@ -492,11 +520,10 @@ class ResultStore:
 
         ``n_records``/``total_bytes`` count record files; of those,
         ``n_stale`` were computed under another model version and
-        ``n_corrupt`` cannot be read.  ``by_tier`` histograms the
-        records :meth:`get` serves, which include any whose spec
-        snapshot :func:`repro.api.run` reads as a miss (see the module
-        docstring).  ``known`` maps digests to what :meth:`_classify`
-        made of them already, so the walk reads those records no more.
+        ``n_corrupt`` are unreadable or not their key's record.
+        ``by_tier`` histograms the records :meth:`get` serves.  ``known`` maps
+        digests to what :meth:`_classify` made of them already, so the
+        walk reads those records no more.
         """
         known = known or {}
         n = total = corrupt = stale = 0

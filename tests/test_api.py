@@ -16,6 +16,7 @@ The contract of the one-description-of-a-run design:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import logging
@@ -23,6 +24,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.core.policies import OptimalCountPolicy
@@ -37,6 +40,7 @@ from repro.parallel import runner
 from repro.parallel.runner import DEFAULT_CHUNK_SIZE
 import repro.spec as spec_mod
 from repro.spec import RunSpec, SpecError
+from repro.store import StoreError
 from repro.trace.models import Trace
 from repro.verify.golden import load_golden
 from repro.verify.runner import run_scenario
@@ -369,6 +373,11 @@ def _assert_same_hit(got: api.RunResult, want: api.RunResult) -> None:
     assert got.cached
 
 
+def _snapshot(store, spec):
+    """The spec snapshot in ``spec``'s record file, read as it stands."""
+    return json.loads(store.path_for(spec.spec_digest()).read_text())["spec"]
+
+
 def _rewrite_snapshot(store, spec, edit) -> None:
     """Apply ``edit`` to the spec snapshot of ``spec``'s record, keeping
     the file in the form records are written in."""
@@ -396,8 +405,8 @@ class TestCachedHit:
 
     def test_partial_snapshot_is_parsed(self, tmp_path, caplog):
         # A partial snapshot is a miss for run and run_lanes, whether it
-        # parses or not: the run recomputes, rewrites the record and
-        # says so in one DEBUG line.
+        # parses or not: the store says so in one DEBUG line, and the
+        # run recomputes and rewrites the record.
         from repro.store import ResultStore
 
         store = ResultStore(tmp_path)
@@ -414,13 +423,13 @@ class TestCachedHit:
                         (lane, lambda: api.run_lanes([lane], store=store)[0])):
             _rewrite_snapshot(store, s, partial(s))
             with pytest.raises(SpecError, match="at least one failure law"):
-                _parsed(store.get(s.spec_digest()))
+                RunSpec.from_dict(_snapshot(store, s))
             caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="repro.api"):
+            with caplog.at_level(logging.DEBUG, logger="repro.store"):
                 healed = call()
-            lines = [r for r in caplog.records if r.name == "repro.api"]
+            lines = [r for r in caplog.records if r.name == "repro.store"]
             assert len(lines) == 1 and lines[0].levelno == logging.DEBUG
-            assert "does not parse" in lines[0].getMessage()
+            assert "corrupt, read as a miss" in lines[0].getMessage()
             assert not healed.cached
             assert healed.digest == cold[s].digest
             assert store.get(s.spec_digest()).spec == full[s]
@@ -431,7 +440,7 @@ class TestCachedHit:
         # defaults fill in the rest, policy "optimal" among them): a
         # miss that heals, not a hit served with that spec.
         _rewrite_snapshot(store, spec, partial(spec, "workload", "failures"))
-        served = _parsed(store.get(spec.spec_digest())).spec
+        served = RunSpec.from_dict(_snapshot(store, spec))
         assert served.policy.name == "optimal" != spec.policy.name
         healed = api.run(spec, store=store)
         assert not healed.cached and healed.digest == cold[spec].digest
@@ -450,7 +459,7 @@ class TestCachedHit:
         _rewrite_snapshot(store, spec, lambda snapshot:
                           snapshot["workload"].update(n_tasks=None))
         with pytest.raises(SpecError, match="n_tasks must not be null"):
-            _parsed(store.get(spec.spec_digest()))
+            RunSpec.from_dict(_snapshot(store, spec))
         healed = api.run(spec, store=store)
         assert not healed.cached and healed.digest == cold.digest
         assert store.get(spec.spec_digest()).spec == full
@@ -525,8 +534,8 @@ class TestSnapshotKeyCheck:
         other = spec.evolve(**{"policy.name": "optimal"})
         call(other, store)
         _set_snapshot(store, spec, store.get(other.spec_digest()).spec)
-        assert RunSpec.from_dict(store.get(spec.spec_digest()).spec) \
-            .spec_digest() == other.spec_digest()
+        assert RunSpec.from_dict(_snapshot(store, spec)).spec_digest() \
+            == other.spec_digest()
         self._assert_heals(call, store, spec, first, full)
 
     @pytest.mark.parametrize("snapshot", [[1, 2], "spec", 5, None],
@@ -583,21 +592,87 @@ class TestSnapshotKeyCheck:
             assert back.to_dict() == want.to_dict()
             _assert_same_hit(hit, want)
 
-    def test_the_store_keeps_what_run_reads_as_a_miss(self, cold, call):
-        # stats and prune(drop_corrupt=True) do not check a snapshot
-        # against its key: a record holding another spec's snapshot is
-        # healthy to the store and a miss to run, which heals it.
+    def test_the_store_counts_a_swapped_snapshot_corrupt(self, cold, call):
+        # stats and prune(drop_corrupt=True) read a record holding
+        # another spec's snapshot as run does: corrupt, not served.
         store, spec, first, full = cold
         other = spec.evolve(**{"policy.name": "optimal"})
         call(other, store)
-        swapped = store.get(other.spec_digest()).spec
-        _set_snapshot(store, spec, swapped)
+        _set_snapshot(store, spec, store.get(other.spec_digest()).spec)
+        with pytest.raises(StoreError, match="holds the spec snapshot of"):
+            store.get(spec.spec_digest())
         stats = store.stats()
         assert (stats["n_records"], stats["n_corrupt"], stats["n_stale"],
-                stats["by_tier"]) == (2, 0, 0, {"replay": 2})
-        assert store.prune(drop_corrupt=True)["kept"] == 2
-        assert store.get(spec.spec_digest()).spec == swapped
+                stats["by_tier"]) == (2, 1, 0, {"replay": 1})
+        assert store.prune(drop_corrupt=True) == {
+            "removed": 0, "kept": 1, "corrupt_removed": 1,
+            "stale_removed": 0}
+        assert list(store.digests()) == [other.spec_digest()]
         self._assert_heals(call, store, spec, first, full)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated(draw, snapshot):
+    """``snapshot`` with one leaf or subtree (at the root, the whole)
+    replaced by an arbitrary JSON value, or by itself."""
+    out = copy.deepcopy(snapshot)
+    parent, key, node = None, None, out
+    while (isinstance(node, (dict, list)) and node
+           and draw(st.integers(0, 3))):
+        parent = node
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    value = draw(st.just(copy.deepcopy(node)) | _json_values)
+    if parent is None:
+        return value
+    parent[key] = value
+    return out
+
+
+class TestSnapshotMutations:
+    """A record whose spec snapshot had one part replaced by an
+    arbitrary JSON value: ``get``, ``stats`` and ``run`` agree on hit or
+    miss, the run gives the fresh digest, and a readable record of the
+    spec is left behind."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path_factory.mktemp("mutations"))
+        spec = policy_run_spec("young", n_jobs=40, trace_seed=0)
+        api.run(spec, store=store)
+        text = store.path_for(spec.spec_digest()).read_text()
+        return store, spec, api.run(spec).digest, json.loads(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_get_stats_and_run_agree(self, cold, data):
+        store, spec, fresh, record = cold
+        key = spec.spec_digest()
+        full = record["spec"]
+        store.path_for(key).write_text(json.dumps(
+            {**record, "spec": data.draw(_mutated(full))},
+            indent=2, sort_keys=True) + "\n")
+        served = store.get(key, on_corrupt="miss")
+        stats = store.stats()
+        result = api.run(spec, store=store)
+        assert result.cached == (served is not None)
+        assert (stats["n_records"], stats["n_corrupt"], stats["by_tier"]) \
+            == ((1, 0, {"replay": 1}) if result.cached else (1, 1, {}))
+        assert result.digest == fresh
+        left = store.get(key)
+        assert left.spec == full
+        assert RunSpec.from_dict(left.spec).spec_digest() == key
 
 
 class TestWorkersEffective:

@@ -45,6 +45,15 @@ def small_campaign(**over) -> CampaignSpec:
     return CampaignSpec(**kwargs)
 
 
+def _swap_snapshot(store: ResultStore, digest: str, source: str) -> None:
+    """Put the spec snapshot of the record of ``source`` into the record
+    of ``digest``, leaving the rest of that record as it is."""
+    path = store.path_for(digest)
+    data = json.loads(path.read_text())
+    data["spec"] = json.loads(store.path_for(source).read_text())["spec"]
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 class TestCampaignSpec:
     def test_json_round_trip(self):
         camp = small_campaign()
@@ -327,6 +336,63 @@ class TestCampaignCLI:
         assert campaign_main(["prune", str(path)]) == 0
         assert "removed 1 foreign" in capsys.readouterr().out
         assert len(store) == 4
+
+    def test_a_swapped_snapshot_is_a_missing_cell(self, tmp_path, capsys):
+        # A record holding another cell's spec snapshot is not this
+        # cell's result: status and report call the campaign incomplete,
+        # and a run recomputes that cell alone.
+        camp, path = self._write(tmp_path)
+        assert campaign_main(["run", str(path), "--quiet"]) == 0
+        store = ResultStore(tmp_path / "unit.store")
+        digests = camp.cell_digests()
+        _swap_snapshot(store, digests[0], digests[1])
+        status = campaign_status(camp, store=store)
+        assert [cell["spec_digest"] for cell in status["missing"]] == [
+            digests[0]]
+        assert not status["complete"]
+        assert status["store"]["n_corrupt"] == 1
+        capsys.readouterr()
+        assert campaign_main(["status", str(path)]) == 1
+        assert "missing 1" in capsys.readouterr().out
+        assert campaign_main(["report", str(path)]) == 1
+        assert "1/4 cell(s) have no record" in capsys.readouterr().err
+        report, stats = run_campaign(camp, store=store)
+        assert (stats["n_computed"], stats["n_cached"]) == (1, 3)
+        fresh, _ = run_campaign(camp, store=tmp_path / "fresh")
+        assert report_json(report) == report_json(fresh)
+
+    def test_prune_dry_run_counts_what_prune_removes(self, tmp_path, capsys):
+        # One record of each kind prune drops: foreign, stale, truncated
+        # and holding another cell's snapshot.
+        import re
+
+        from repro import api
+
+        camp, path = self._write(tmp_path)
+        assert campaign_main(["run", str(path), "--quiet"]) == 0
+        store = ResultStore(tmp_path / "unit.store")
+        api.run(policy_run_spec("daly", n_jobs=40, trace_seed=3),
+                store=store)
+        stale, truncated, swapped, source = camp.cell_digests()
+        data = json.loads(store.path_for(stale).read_text())
+        data["provenance"]["model_version"] = 1
+        store.path_for(stale).write_text(json.dumps(data))
+        store.path_for(truncated).write_text("{")
+        _swap_snapshot(store, swapped, source)
+        capsys.readouterr()
+        assert campaign_main(["prune", str(path), "--dry-run"]) == 0
+        dry = re.fullmatch(
+            r"\[dry run\] would remove (\d+) foreign, (\d+) stale and "
+            r"(\d+) corrupt of (\d+) record\(s\)\n",
+            capsys.readouterr().out)
+        assert len(store) == 5
+        assert campaign_main(["prune", str(path)]) == 0
+        done = re.fullmatch(
+            r"removed (\d+) foreign, (\d+) stale and (\d+) corrupt "
+            r"record\(s\); (\d+) kept\n", capsys.readouterr().out)
+        assert dry.groups()[:3] == done.groups()[:3] == ("1", "1", "2")
+        assert list(store.digests()) == [source]
+        assert int(dry[4]) - 4 == int(done[4]) == 1
 
     def test_bad_campaign_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

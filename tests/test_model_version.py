@@ -26,7 +26,8 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.experiments.common import policy_run_spec
-from repro.store import MODEL_VERSION, ResultStore, RunRecord
+from repro.store import (MODEL_VERSION, ResultStore, RunRecord,
+                         canonical_spec_dict)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,12 +62,14 @@ def test_every_version_pins_different_goldens():
 
 
 # -- the store ---------------------------------------------------------------
-DIGEST = "ab" + "0" * 62
+SPEC = policy_run_spec("optimal", n_jobs=40, trace_seed=0, name="unit")
+DIGEST = SPEC.spec_digest()
 
 
 def _record(provenance: dict) -> RunRecord:
-    return RunRecord(spec_digest=DIGEST, name="unit", tier="vector", seed=0,
-                     digest="e" * 64, provenance=provenance)
+    return RunRecord(spec_digest=DIGEST, name="unit", tier="replay", seed=0,
+                     digest="e" * 64, spec=canonical_spec_dict(SPEC),
+                     provenance=provenance)
 
 
 @pytest.mark.parametrize("provenance", [

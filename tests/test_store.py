@@ -21,23 +21,28 @@ from repro.store import (
     ResultStore,
     RunRecord,
     StoreError,
+    canonical_spec_dict,
 )
+from repro.verify.scenarios import get_scenario
 
-DIGEST = "ab" + "0" * 62
-OTHER = "cd" + "1" * 62
+SPEC = get_scenario("short-tasks").evolve(name="unit")
+OTHER_SPEC = SPEC.evolve(name="other")
+DIGEST = SPEC.spec_digest()
+OTHER = OTHER_SPEC.spec_digest()
 
 
-def make_record(spec_digest: str = DIGEST, **over) -> RunRecord:
+def make_record(run_spec=SPEC, **over) -> RunRecord:
+    """A record of ``run_spec`` under its own digest and snapshot."""
     kwargs = dict(
-        spec_digest=spec_digest,
-        name="unit",
+        spec_digest=run_spec.spec_digest(),
+        name=run_spec.name,
         tier="vector",
         seed=7,
         digest="e" * 64,
         summary={"n_tasks": 8.0, "mean_wpr": 0.95},
         extra={"workers_effective": 1.0},
         elapsed_s=1.25,
-        spec={"spec_version": 1, "name": "unit"},
+        spec=canonical_spec_dict(run_spec),
         provenance={"code_version": "x", "model_version": MODEL_VERSION,
                     "workers": 1, "workers_effective": 1},
     )
@@ -219,8 +224,8 @@ class TestResultStore:
     def test_prune_and_stats(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(make_record())
-        store.put(make_record(spec_digest=OTHER, tier="replay"))
-        bad = store.put(make_record(spec_digest="ee" + "2" * 62))
+        store.put(make_record(OTHER_SPEC, tier="replay"))
+        bad = store.put(make_record(SPEC.evolve(name="third")))
         bad.write_text("{")  # corrupt it
         stats = store.stats()
         assert stats["n_records"] == 3 and stats["n_corrupt"] == 1
@@ -236,7 +241,7 @@ class TestResultStore:
     def test_prune_drop_corrupt_only(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(make_record())
-        bad = store.put(make_record(spec_digest=OTHER))
+        bad = store.put(make_record(OTHER_SPEC))
         bad.write_text("nonsense")
         counts = store.prune(drop_corrupt=True)
         assert counts["corrupt_removed"] == 1 and counts["kept"] == 1
